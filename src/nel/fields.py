@@ -43,10 +43,6 @@ class SpectralField2D:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def from_coeffs(cls, grid: TorusGrid2D, coeffs: np.ndarray) -> "SpectralField2D":
-        return cls(grid, np.array(coeffs, dtype=np.complex128))
-
-    @classmethod
     def from_physical(cls, grid: TorusGrid2D, values: np.ndarray) -> "SpectralField2D":
         values = np.asarray(values)
         if values.shape != (grid.nx, grid.ny):

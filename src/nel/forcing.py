@@ -46,9 +46,6 @@ class ABCState:
     theta: tuple[float, float, float]
     abc: tuple[float, float, float]  # (A, B, C)
 
-    def reduced(self) -> "ABCState":
-        return replace(self, theta=tuple(t % TWO_PI for t in self.theta))
-
 
 def abc_step(state: ABCState, dt: float) -> ABCState:
     """One classical RK4 step; angles are reduced mod 2*pi."""

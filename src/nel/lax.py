@@ -137,7 +137,7 @@ def _march(state, t_end, dt, rhs, what):
     for _ in range(steps):
         state = _rk4(state, t, dt, rhs)
         t += dt
-        if not np.isfinite(state[0].coeffs).all():
+        if not all(np.isfinite(f.coeffs).all() for f in state):
             raise ComputationalError(f"{what} blew up at t={t:.4g}; reduce dt")
     return state, steps
 

@@ -18,6 +18,7 @@ requested name.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ComputationalError, ValidationError
 
 SCHEMA_VERSION = 1
 CONFIG_SCHEMA_VERSION = 1
@@ -63,24 +64,9 @@ def parse_config_text(text: str) -> dict[str, str]:
     return parse_config_lines(text)[0]
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
 def serialize_config(params: dict) -> str:
     """Canonical form: alphabetical keys, 'key = value' lines."""
     return "".join(f"{k} = {params[k]}\n" for k in sorted(params))
-
-
-def config_roundtrip(path: str) -> dict[str, str]:
-    """Parse, canonicalize, reparse; returns the mapping, guarantees identity."""
-    first = parse_config_file(path)
-    canon = serialize_config(first)
-    again = parse_config_text(canon)
-    if again != first:
-        raise ValidationError("config round-trip changed the mapping")  # pragma: no cover
-    return first
 
 
 def coerce_params(raw: dict[str, str], schema: dict, lines: dict[str, int] | None = None) -> dict:
@@ -180,7 +166,10 @@ def _json_line(obj) -> str:
             return o.item()
         raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True, default=scrub)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=scrub)
+    except ValueError as exc:  # NaN or infinity: not JSON
+        raise ComputationalError(f"non-finite value in the output: {exc}") from None
 
 
 def write_result(cfg: RunConfig, payload_lines: list[str], duration_s: float, summary: dict | None = None) -> None:
@@ -193,11 +182,16 @@ def write_result(cfg: RunConfig, payload_lines: list[str], duration_s: float, su
         print(body, end="")
         return
     partial = cfg.out + ".partial"
-    with open(partial, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(partial, cfg.out)
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, cfg.out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def csv_line(*cells) -> str:

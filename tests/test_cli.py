@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import nel.cli
+import nel.runio
 from nel.cli import SPECTRUM_CSV_HEADER, main
 from nel.errors import ValidationError
 from nel.runio import parse_config_text, serialize_config, worker_count
+from nel.spectra import NuStarResult
 
 
 def run_cli(*argv):
@@ -327,3 +330,30 @@ class TestInterpreterEntry:
             [sys.executable, "-m", "nel.cli"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported by the first spectrum match (zvtrack), not at start-up
+        code = "import sys, nel.cli; sys.exit(3 if 'scipy' in sys.modules else 0)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestOutputFailures:
+    def test_non_finite_json_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def nan_nustar(*args):
+            return NuStarResult(float("nan"), (0.1, 0.2), 1, 0.0, 8)
+
+        monkeypatch.setattr(nel.cli, "critical_viscosity", nan_nustar)
+        assert run_cli("nustar", "--out", str(tmp_path / "ns.jsonl")) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_leaves_no_partial(self, tmp_path, monkeypatch, step):
+        def fail(*args):
+            raise OSError(f"{step} failed")
+
+        monkeypatch.setattr(nel.runio.os, step, fail)
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--k1", "0", "--k2", "1", "--nu", "0.1", "--trunc", "4", "--out", str(out)) == 4
+        assert not list(tmp_path.iterdir())

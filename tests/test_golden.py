@@ -1,0 +1,70 @@
+"""Golden corpus of the spectra commands (``tests/golden/spectra.json``).
+
+Payloads of classes with k2 != 0 are pinned byte for byte.  The (k1, 0)
+classes are solved as two reflection sectors, which may move eigenvalues in
+their last bits, so they are pinned by value: spectra and the rightmost
+zvtrack trajectory to 1e-9, nu* to its bisection tolerance, and every
+classification label exactly.  Trajectories that start at one eigenvalue
+(a pair degenerate across the two sectors) may be listed in either order, so
+labels are compared per distinct start value.
+"""
+
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "golden"))
+from generate import HASHED, digest, run  # noqa: E402
+
+CORPUS = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "spectra.json").read_text())
+
+
+@pytest.mark.parametrize("name", HASHED)
+def test_payload_bytes(name):
+    _, payload = run(CORPUS[name]["argv"])
+    assert digest(payload) == CORPUS[name]["payload_sha256"]
+
+
+def test_spectrum_values():
+    want = CORPUS["spectrum_1_0"]
+    _, payload = run(want["argv"])
+    got = np.array([[float(c) for c in line.split(",")[-2:]] for line in payload[1:]])
+    assert got.shape == (len(want["values"]), 2)
+    assert np.max(np.abs(got - np.array(want["values"]))) < 1e-9
+
+
+def test_nustar_within_tol():
+    want = CORPUS["nustar"]
+    _, payload = run(want["argv"])
+    assert abs(json.loads(payload[0])["nu_star"] - want["nu_star"]) <= want["tol"]
+
+
+def labels_by_start(starts, labels):
+    """[(start, sorted labels)] per distinct start value (to 1e-9), in order."""
+    groups = []
+    for z, label in zip(starts, labels):
+        for rep, members in groups:
+            if abs(z - rep) < 1e-9:
+                members.append(label)
+                break
+        else:
+            groups.append((z, [label]))
+    return [(rep, sorted(members)) for rep, members in groups]
+
+
+@pytest.mark.parametrize("name", ["zvtrack_1_0", "zvtrack_2_0"])
+def test_zvtrack_labels_and_rightmost(name):
+    want = CORPUS[name]
+    header, payload = run(want["argv"])
+    trajs = [json.loads(line) for line in payload]
+    assert header["summary"]["class_label"] == want["class_label"]
+    got = labels_by_start([complex(t["re"][0], t["im"][0]) for t in trajs], [t["label"] for t in trajs])
+    pinned = labels_by_start([complex(*z) for z in want["starts"]], want["labels"])
+    assert len(got) == len(pinned)
+    for (z, labels), (z_want, labels_want) in zip(got, pinned):
+        assert abs(z - z_want) < 1e-9 and labels == labels_want, z_want
+    for key, value in want["rightmost"].items():
+        assert np.max(np.abs(np.subtract(trajs[0][key], value))) < 1e-9, key

@@ -11,6 +11,7 @@ from nel.fields3d import ScalarField3D, random_scalar_field, random_solenoidal_f
 from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import (
     DarbouxInput,
+    _march,
     LaxState2D,
     LaxState3D,
     darboux_apply,
@@ -132,6 +133,18 @@ class TestTransport2D:
         ph0 = random_real_field(g, 3, rng, amplitude=1.0)
         with pytest.raises(ComputationalError, match="blew up"):
             transported_eigenfield_check_2d(om0, ph0, t_end=5.0, dt=0.5)
+
+    def test_blowup_in_any_marched_field_raises(self):
+        # omega stays finite; only the passive field goes non-finite
+        g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
+        om = field_of(g, lambda X, Y: np.cos(Y))
+        nan = SpectralField2D(g, np.full((16, 16), np.nan + 0j))
+
+        def rhs(state, t):
+            return (0.0 * state[0], nan, 0.0 * state[2])
+
+        with pytest.raises(ComputationalError, match="blew up"):
+            _march((om, om, om), 0.1, 0.05, rhs, "test march")
 
     def test_rejects_bad_steps(self):
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)

@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import nel.spectra
 from nel.errors import ValidationError
 from nel.spectra import (
+    TIE_TOL,
     ModeClass,
+    Spectrum,
     assemble_suboperator,
     class_spectrum,
     classify_limits,
@@ -71,6 +76,49 @@ class TestAssembly:
     def test_zero_class_rejected(self):
         with pytest.raises(ValidationError):
             ModeClass(0, 0)
+
+
+def reflection(offsets):
+    """(P w)_n = (-1)^n w_{-n} on the class offsets; a zero row where -n is absent."""
+    idx = {n: i for i, n in enumerate(offsets)}
+    P = np.zeros((len(offsets), len(offsets)))
+    for i, n in enumerate(offsets):
+        if -n in idx:
+            P[i, idx[-n]] = (-1.0) ** n
+    return P
+
+
+class TestReflectionSectors:
+    @pytest.mark.parametrize("k1,k2", [(1, 0), (-1, 0), (2, 0), (3, 0), (2, 1), (1, -1), (3, 2)])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_splits_only_where_reflection_commutes(self, k1, k2, nu, monkeypatch):
+        trunc = 12
+        op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, nu, trunc)
+        P = reflection(op.offsets)
+        commutes = np.array_equal(P @ op.matrix @ P, op.matrix)
+        assert commutes == (k2 == 0)
+        sizes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda b: sizes.append(len(b)) or eigvals(b))
+        compute_spectrum(op)
+        assert sizes == ([trunc + 1, trunc] if commutes else [len(op.offsets)])
+
+    @pytest.mark.parametrize("k1", [1, -1, 2, 3])
+    @pytest.mark.parametrize("trunc", [16, 40])
+    @pytest.mark.parametrize("nu", [0.0, 1e-4, 1e-3, 0.05])
+    def test_sector_eigenvalues_within_condition_bound(self, k1, trunc, nu):
+        """Each sector eigenvalue lies within m u ||A||_2 kappa_i of its match
+        in the full solve, kappa_i = ||x|| ||y|| / |y^H x| (left y, right x)."""
+        op = assemble_suboperator(ModeClass(k1, 0), ALPHA, GAMMA, nu, trunc)
+        A = op.matrix
+        full, left, right = scipy.linalg.eig(A, left=True, right=True)
+        kappa = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
+        kappa /= np.abs(np.sum(left.conj() * right, axis=0))
+        got = compute_spectrum(op).values
+        dist = np.abs(got[:, None] - full[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        bound = len(A) * np.finfo(float).eps / 2 * np.linalg.norm(A, 2) * kappa[cols]
+        assert np.all(dist[rows, cols] <= bound)
 
 
 class TestDiagonalClass:
@@ -245,3 +293,38 @@ class TestTracking:
             r = unstable_eigenvalue(ALPHA, nu, GAMMA, trunc=60)
             vals.append(r.value.real / nu)
         assert vals[0] > vals[1] > vals[2]
+
+
+def reference_tracking(spectra):
+    """The per-row tie check that the vectorised one in track_zero_viscosity replaced."""
+    paths = [[v] for v in spectra[0]]
+    ambiguous = [False] * len(paths)
+    current = np.array(spectra[0])
+    for target in spectra[1:]:
+        cost = np.abs(current[:, None] - target[None, :]) ** 2
+        rows, cols = linear_sum_assignment(cost)
+        for i, j in zip(rows, cols):
+            near = np.where(np.abs(cost[i] - cost[i, j]) < TIE_TOL)[0]
+            for k in near:
+                if k != j and abs(target[k] - target[j]) > TIE_TOL:
+                    ambiguous[i] = True
+            paths[i].append(target[j])
+        current = np.array([p[-1] for p in paths])
+    return np.array(paths), ambiguous
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tie_check_matches_reference_loop(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    nus = np.geomspace(0.1, 0.01, 6)
+    # values on a coarse lattice: many exact cost ties, some exact degeneracies
+    planted = {nu: 0.5 * (rng.integers(-4, 5, 10) + 1j * rng.integers(-4, 5, 10)) for nu in nus}
+    monkeypatch.setattr(
+        nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: Spectrum(cls, a, g, nu, n, planted[nu])
+    )
+    track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
+    want_paths, want_ambiguous = reference_tracking([planted[nu] for nu in nus])
+    assert True in want_ambiguous and False in want_ambiguous
+    assert [t.ambiguous for t in track.trajectories] == want_ambiguous
+    got = np.array([t.values for t in track.trajectories])
+    assert got.tobytes() == want_paths.tobytes()
