@@ -33,9 +33,9 @@ from . import __version__
 from .diagnostics import lyapunov_max, poincare_samples
 from .errors import ComputationalError, ValidationError
 from .fields import load_field, random_real_field
-from .fields3d import TorusGrid3D, random_scalar_field, random_solenoidal_field
+from .fields3d import random_scalar_field, random_solenoidal_field
 from .forcing import ABCState, ForcingSpec, abc_lyapunov, abc_step
-from .grids import TorusGrid2D
+from .grids import TorusGrid2D, TorusGrid3D
 from .lax import (
     DarbouxInput,
     darboux_apply,
@@ -291,9 +291,8 @@ def _run_darboux(p, cfg):
         if not all(paths):
             raise ValidationError("pass all four of --omega/--p/--f/--bigf or none")
         fields = [load_field(path) for path in paths]
-        for fld in fields:
-            if not hasattr(fld, "grid") or not isinstance(fld.grid, TorusGrid2D):
-                raise ValidationError("darboux inputs must be 2D field snapshots")
+        if any(fld.coeffs.ndim != 2 for fld in fields):
+            raise ValidationError("darboux inputs must be 2D scalar field snapshots")
         inp = DarbouxInput(*fields, eta=p["eta"])
     else:
         inp = darboux_shear_example(p["nx"], p["ny"], p["eta"])

@@ -1,6 +1,10 @@
-"""Spectral calculus for scalar fields on the rectangular torus.
+"""The spectral field, the 2D spectral calculus, and field snapshots.
 
-Fields live on [0, 2pi/alpha] x [0, 2pi] in the 2D vorticity formulation
+``SpectralField`` holds a scalar or a vector field on a periodic grid
+(``TorusGrid2D`` or ``TorusGrid3D``) by its Fourier coefficients; the 3D
+vector calculus built on it lives in ``fields3d``.
+
+2D fields live on [0, 2pi/alpha] x [0, 2pi] in the vorticity formulation
 
     d/dt Omega + {Psi, Omega} = nu [Lap(Omega) + f(x)],   Omega = Lap(Psi),
 
@@ -19,56 +23,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import TorusGrid2D
+from .grids import TorusGrid2D, TorusGrid3D
 
 MEAN_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SpectralField2D:
-    """A scalar field stored by its Fourier coefficients (immutable)."""
+class SpectralField:
+    """A field stored by its Fourier coefficients (immutable).
 
-    grid: TorusGrid2D
+    A scalar field has ``coeffs.shape == grid.shape``; a vector field has one
+    component per dimension on a leading axis, ``(len(grid.shape), *grid.shape)``.
+    """
+
+    grid: TorusGrid2D | TorusGrid3D
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.nx, self.grid.ny):
+        shape = self.grid.shape
+        if self.coeffs.shape not in (shape, (len(shape), *shape)):
             raise ValidationError(
-                f"coefficient shape {self.coeffs.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
+                f"coefficient shape {self.coeffs.shape} does not match grid {shape}"
             )
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def from_physical(cls, grid: TorusGrid2D, values: np.ndarray) -> "SpectralField2D":
-        values = np.asarray(values)
-        if values.shape != (grid.nx, grid.ny):
-            raise ValidationError(
-                f"value shape {values.shape} does not match grid ({grid.nx}, {grid.ny})"
-            )
-        return cls(grid, np.fft.fft2(values) / (grid.nx * grid.ny))
-
-    @classmethod
-    def zero(cls, grid: TorusGrid2D) -> "SpectralField2D":
-        return cls(grid, np.zeros((grid.nx, grid.ny), dtype=np.complex128))
+    def from_physical(cls, grid, values: np.ndarray) -> "SpectralField":
+        return cls(grid, np.fft.fftn(values, axes=grid.axes) / grid.size)
 
     def physical(self) -> np.ndarray:
         """Grid values; complex in general, take .real for Hermitian fields."""
-        n = self.grid.nx * self.grid.ny
-        return np.fft.ifft2(self.coeffs) * n
+        return np.fft.ifftn(self.coeffs, axes=self.grid.axes) * self.grid.size
 
     def hermitian_error(self) -> float:
-        c = self.coeffs
-        return float(np.max(np.abs(c - np.conj(c[_rev(self.grid)]))))
+        return float(np.max(np.abs(self.coeffs - _conj_reversed(self))))
 
     def is_real(self, tol: float = HERMITIAN_TOL) -> bool:
         return self.hermitian_error() <= tol
 
-    def mean(self) -> complex:
-        return complex(self.coeffs[0, 0])
+    def mean(self):
+        """The zero mode: a complex, or an array of one per component."""
+        m = self.coeffs[_zero_mode(self.grid)]
+        return complex(m) if m.ndim == 0 else m.copy()
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.physical())))
@@ -77,25 +76,29 @@ class SpectralField2D:
         # sqrt of the mean square over the torus (Parseval)
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
-    def __add__(self, other: "SpectralField2D") -> "SpectralField2D":
+    def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
-        return SpectralField2D(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "SpectralField2D") -> "SpectralField2D":
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
-        return SpectralField2D(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar) -> "SpectralField2D":
-        return SpectralField2D(self.grid, self.coeffs * scalar)
+    def __mul__(self, scalar) -> "SpectralField":
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
 
-def _rev(grid: TorusGrid2D):
-    # index map m -> -m mod n on both axes
-    ix = (-np.arange(grid.nx)) % grid.nx
-    iy = (-np.arange(grid.ny)) % grid.ny
-    return np.ix_(ix, iy)
+def _zero_mode(grid) -> tuple:
+    # index of the (0, ..., 0) coefficient, of every component of a vector
+    return (Ellipsis, *(0,) * len(grid.axes))
+
+
+def _conj_reversed(f: SpectralField) -> np.ndarray:
+    # conj(c) at -m mod n on every axis: equals c for a real field
+    rev = np.ix_(*[(-np.arange(n)) % n for n in f.grid.shape])
+    return np.conj(f.coeffs[(Ellipsis, *rev)])
 
 
 def _check_same_grid(a, b):
@@ -103,58 +106,61 @@ def _check_same_grid(a, b):
         raise ValidationError("fields live on different grids")
 
 
-def hermitianize(f: SpectralField2D) -> SpectralField2D:
-    c = f.coeffs
-    return SpectralField2D(f.grid, 0.5 * (c + np.conj(c[_rev(f.grid)])))
+def require_mean_zero(f: SpectralField, name: str) -> None:
+    mean = np.abs(f.mean()).max()
+    if mean > MEAN_TOL:
+        raise ValidationError(f"{name} must be mean-zero, got |mean| {mean:.3e}")
 
 
-def project_mean(f: SpectralField2D) -> SpectralField2D:
+def hermitianize(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, 0.5 * (f.coeffs + _conj_reversed(f)))
+
+
+def project_mean(f: SpectralField) -> SpectralField:
     c = f.coeffs.copy()
-    c[0, 0] = 0.0
-    return SpectralField2D(f.grid, c)
+    c[_zero_mode(f.grid)] = 0.0
+    return SpectralField(f.grid, c)
 
 
-def dealias(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
+def dealias(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
 
 
-def dx(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, f.coeffs * (1j * f.grid.kx))
+def laplacian(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * (-f.grid.k_squared))
 
 
-def dy(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, f.coeffs * (1j * f.grid.ky))
-
-
-def laplacian(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, f.coeffs * (-f.grid.k_squared))
-
-
-def invert_laplacian(f: SpectralField2D) -> SpectralField2D:
+def invert_laplacian(f: SpectralField) -> SpectralField:
     """Solve Lap(psi) = f for mean-zero f; the mean mode of psi is set to 0."""
-    if abs(f.mean()) > MEAN_TOL:
-        raise ValidationError(
-            f"invert_laplacian requires a mean-zero field, got mean {f.mean():.3e}"
-        )
+    require_mean_zero(f, "the input of invert_laplacian")
+    zero = _zero_mode(f.grid)
     k2 = f.grid.k_squared.copy()
-    k2[0, 0] = 1.0  # avoid 0/0; the mean row is zeroed below
+    k2[zero] = 1.0  # avoid 0/0; the mean row is zeroed below
     c = f.coeffs / (-k2)
-    c[0, 0] = 0.0
-    return SpectralField2D(f.grid, c)
+    c[zero] = 0.0
+    return SpectralField(f.grid, c)
 
 
-def bracket_core(f: SpectralField2D, g: SpectralField2D) -> SpectralField2D:
+def dx(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * (1j * f.grid.kx))
+
+
+def dy(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * (1j * f.grid.ky))
+
+
+def bracket_core(f: SpectralField, g: SpectralField) -> SpectralField:
     """{f, g} = f_x g_y - f_y g_x for fields of any (complex) value type."""
     _check_same_grid(f, g)
     fx = dx(f).physical()
     fy = dy(f).physical()
     gx = dx(g).physical()
     gy = dy(g).physical()
-    out = SpectralField2D.from_physical(f.grid, fx * gy - fy * gx)
+    out = SpectralField.from_physical(f.grid, fx * gy - fy * gx)
     return project_mean(dealias(out))
 
 
-def bracket(f: SpectralField2D, g: SpectralField2D) -> SpectralField2D:
+def bracket(f: SpectralField, g: SpectralField) -> SpectralField:
     """Poisson bracket of two real-valued fields.
 
     Mean-zero and dealiased by construction; raises if either input fails the
@@ -169,14 +175,14 @@ def bracket(f: SpectralField2D, g: SpectralField2D) -> SpectralField2D:
     return hermitianize(bracket_core(f, g))
 
 
-def velocity_from_stream(psi: SpectralField2D):
+def velocity_from_stream(psi: SpectralField):
     """(u, v) = (-psi_y, psi_x)."""
     return dy(psi) * (-1.0), dx(psi)
 
 
 def ns_rhs_2d(
-    omega: SpectralField2D, nu: float, forcing: SpectralField2D
-) -> SpectralField2D:
+    omega: SpectralField, nu: float, forcing: SpectralField
+) -> SpectralField:
     """Right side of the vorticity equation: -{Psi, Omega} + nu [Lap(Omega) + f].
 
     The forcing f is a full-space field on the same grid.  Both omega and f
@@ -185,9 +191,8 @@ def ns_rhs_2d(
     _check_same_grid(omega, forcing)
     if nu < 0:
         raise ValidationError(f"viscosity must be nonnegative, got {nu}")
-    for name, h in (("omega", omega), ("forcing", forcing)):
-        if abs(h.mean()) > MEAN_TOL:
-            raise ValidationError(f"{name} must be mean-zero, got {h.mean():.3e}")
+    require_mean_zero(omega, "omega")
+    require_mean_zero(forcing, "forcing")
     psi = invert_laplacian(omega)
     adv = bracket_core(psi, omega)
     visc = (laplacian(omega) + forcing) * nu
@@ -196,71 +201,61 @@ def ns_rhs_2d(
 
 def random_real_field(
     grid: TorusGrid2D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
-) -> SpectralField2D:
+) -> SpectralField:
     """Random mean-zero real trig polynomial with |m|,|n| <= kmax, sup-norm ~ amplitude."""
-    c = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
-    mx = grid.mx[:, 0]
-    my = grid.ny_modes[0, :]
-    sel_x = np.abs(mx) <= kmax
-    sel_y = np.abs(my) <= kmax
-    block = rng.standard_normal((sel_x.sum(), sel_y.sum())) + 1j * rng.standard_normal(
-        (sel_x.sum(), sel_y.sum())
-    )
-    c[np.ix_(sel_x, sel_y)] = block
+    c = np.zeros(grid.shape, dtype=np.complex128)
+    sel_x = np.abs(grid.mx[:, 0]) <= kmax
+    sel_y = np.abs(grid.ny_modes[0, :]) <= kmax
+    shape = (sel_x.sum(), sel_y.sum())
+    c[np.ix_(sel_x, sel_y)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c[0, 0] = 0.0
-    f = hermitianize(SpectralField2D(grid, c))
+    return _scaled(hermitianize(SpectralField(grid, c)), amplitude)
+
+
+def _scaled(f: SpectralField, amplitude: float) -> SpectralField:
     scale = f.norm_inf()
-    if scale == 0.0:
-        return f
-    return f * (amplitude / scale)
+    return f if scale == 0.0 else f * (amplitude / scale)
 
 
 # ---------------------------------------------------------------------------
 # field snapshots on disk
 
 
-def field_to_json_dict(f) -> dict:
-    """Versioned snapshot for 2D scalar or 3D scalar/vector fields."""
-    kind = "field2d" if isinstance(f, SpectralField2D) else "field3d"
-    if kind == "field2d":
-        g = {"alpha": f.grid.alpha, "nx": f.grid.nx, "ny": f.grid.ny}
-        comps = 1
-    else:
-        g = {"alpha": 1.0, "nx": f.grid.nx, "ny": f.grid.ny, "nz": f.grid.nz}
-        comps = 3 if f.coeffs.ndim == 4 else 1
+def save_field(path, f: SpectralField) -> None:
+    """Write a versioned JSON snapshot of a 2D or 3D, scalar or vector field."""
+    g = f.grid
     flat = f.coeffs.reshape(-1)
-    return {
+    snapshot = {
         "version": 1,
-        "kind": kind,
-        "grid": g,
+        "kind": f"field{len(g.shape)}d",
+        "grid": {"alpha": getattr(g, "alpha", 1.0), **dict(zip(("nx", "ny", "nz"), g.shape))},
         "layout": "row-major, last index fastest",
-        "components": comps,
+        "components": f.coeffs.size // g.size,
         "re": flat.real.tolist(),
         "im": flat.imag.tolist(),
     }
-
-
-def save_field(path, f) -> None:
     with open(path, "w") as fh:
-        json.dump(field_to_json_dict(f), fh)
+        json.dump(snapshot, fh)
 
 
-def load_field(path):
-    from . import fields3d  # local import to avoid a cycle
-
-    with open(path) as fh:
-        d = json.load(fh)
-    if d.get("version") != 1:
-        raise ValidationError(f"unsupported field snapshot version {d.get('version')}")
-    g = d["grid"]
-    flat = np.array(d["re"], dtype=np.float64) + 1j * np.array(d["im"], dtype=np.float64)
-    if d["kind"] == "field2d":
-        grid = TorusGrid2D(alpha=g["alpha"], nx=g["nx"], ny=g["ny"])
-        return SpectralField2D(grid, flat.reshape(g["nx"], g["ny"]))
-    if d["kind"] == "field3d":
-        grid3 = fields3d.TorusGrid3D(nx=g["nx"], ny=g["ny"], nz=g["nz"])
-        shape = (g["nx"], g["ny"], g["nz"])
-        if d.get("components", 1) == 3:
-            return fields3d.VectorField3D(grid3, flat.reshape((3, *shape)))
-        return fields3d.ScalarField3D(grid3, flat.reshape(shape))
-    raise ValidationError(f"unknown field snapshot kind {d['kind']!r}")
+def load_field(path) -> SpectralField:
+    """Read a ``save_field`` snapshot; a malformed one raises ValidationError."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        if d.get("version") != 1:
+            raise ValidationError(f"unsupported field snapshot version {d.get('version')}")
+        g = d["grid"]
+        if d["kind"] == "field2d":
+            grid = TorusGrid2D(alpha=g["alpha"], nx=g["nx"], ny=g["ny"])
+        elif d["kind"] == "field3d":
+            grid = TorusGrid3D(nx=g["nx"], ny=g["ny"], nz=g["nz"])
+        else:
+            raise ValidationError(f"unknown field snapshot kind {d['kind']!r}")
+        comps = d.get("components", 1)
+        flat = np.array(d["re"], dtype=np.float64) + 1j * np.array(d["im"], dtype=np.float64)
+        return SpectralField(grid, flat.reshape(grid.shape if comps == 1 else (comps, *grid.shape)))
+    except KeyError as exc:
+        raise ValidationError(f"field snapshot {path} has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # JSON errors are ValueErrors
+        raise ValidationError(f"malformed field snapshot {path}: {exc}") from None

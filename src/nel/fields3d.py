@@ -5,128 +5,40 @@ Implements the vorticity form of 3D flow,
     d/dt Omega + (u . grad) Omega - (Omega . grad) u = nu [Lap(Omega) + f],
 
 with u recovered from mean-zero vorticity by u = -Lap^{-1}(curl Omega)
-(Biot-Savart on the torus; divergence-free by construction).  Products are
-dealiased with the grid mask and the mean of every product is projected out.
+(Biot-Savart on the torus; divergence-free by construction).  Fields are
+``fields.SpectralField``s on a ``TorusGrid3D``: scalars, or vectors with the
+three components on a leading axis.  Products are dealiased with the grid
+mask and the mean of every product is projected out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ValidationError
+from .fields import (
+    SpectralField,
+    _check_same_grid,
+    _scaled,
+    invert_laplacian,
+    laplacian,
+    project_mean,
+    require_mean_zero,
+)
 from .grids import TorusGrid3D
 
-MEAN_TOL = 1e-12
-
 __all__ = [
-    "TorusGrid3D",
-    "ScalarField3D",
-    "VectorField3D",
     "curl_3d",
     "divergence_3d",
-    "invert_laplacian_3d",
     "biot_savart_3d",
     "advect_3d",
     "ns_rhs_3d",
     "random_solenoidal_field",
+    "random_scalar_field",
 ]
 
 
-def _freeze(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    c = np.ascontiguousarray(arr, dtype=np.complex128)
-    if c.shape != shape:
-        raise ValidationError(f"coefficient shape {c.shape}, expected {shape}")
-    c.flags.writeable = False
-    return c
-
-
-@dataclass(frozen=True)
-class ScalarField3D:
-    grid: TorusGrid3D
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        shape = (self.grid.nx, self.grid.ny, self.grid.nz)
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs, shape))
-
-    @classmethod
-    def from_physical(cls, grid, values):
-        n = grid.nx * grid.ny * grid.nz
-        return cls(grid, np.fft.fftn(values) / n)
-
-    def physical(self):
-        return np.fft.ifftn(self.coeffs) * (self.grid.nx * self.grid.ny * self.grid.nz)
-
-    def mean(self):
-        return complex(self.coeffs[0, 0, 0])
-
-    def norm_inf(self):
-        return float(np.max(np.abs(self.physical())))
-
-    def __add__(self, o):
-        return ScalarField3D(self.grid, self.coeffs + o.coeffs)
-
-    def __sub__(self, o):
-        return ScalarField3D(self.grid, self.coeffs - o.coeffs)
-
-    def __mul__(self, s):
-        return ScalarField3D(self.grid, self.coeffs * s)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class VectorField3D:
-    """Three-component field; coeffs has shape (3, nx, ny, nz)."""
-
-    grid: TorusGrid3D
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        shape = (3, self.grid.nx, self.grid.ny, self.grid.nz)
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs, shape))
-
-    @classmethod
-    def from_physical(cls, grid, values):
-        n = grid.nx * grid.ny * grid.nz
-        return cls(grid, np.fft.fftn(values, axes=(1, 2, 3)) / n)
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid, np.zeros((3, grid.nx, grid.ny, grid.nz), np.complex128))
-
-    def physical(self):
-        n = self.grid.nx * self.grid.ny * self.grid.nz
-        return np.fft.ifftn(self.coeffs, axes=(1, 2, 3)) * n
-
-    def mean(self):
-        return self.coeffs[:, 0, 0, 0].copy()
-
-    def norm_inf(self):
-        return float(np.max(np.abs(self.physical())))
-
-    def component(self, i):
-        return ScalarField3D(self.grid, self.coeffs[i])
-
-    def __add__(self, o):
-        return VectorField3D(self.grid, self.coeffs + o.coeffs)
-
-    def __sub__(self, o):
-        return VectorField3D(self.grid, self.coeffs - o.coeffs)
-
-    def __mul__(self, s):
-        return VectorField3D(self.grid, self.coeffs * s)
-
-    __rmul__ = __mul__
-
-
-def _dealias3(grid, c):
-    return np.where(grid.dealias_mask, c, 0.0)
-
-
-def curl_3d(u: VectorField3D) -> VectorField3D:
+def curl_3d(u: SpectralField) -> SpectralField:
     kx, ky, kz = u.grid.k
     cx, cy, cz = u.coeffs
     out = np.stack(
@@ -136,66 +48,48 @@ def curl_3d(u: VectorField3D) -> VectorField3D:
             1j * (kx * cy - ky * cx),
         ]
     )
-    return VectorField3D(u.grid, out)
+    return SpectralField(u.grid, out)
 
 
-def divergence_3d(u: VectorField3D) -> ScalarField3D:
+def divergence_3d(u: SpectralField) -> SpectralField:
     kx, ky, kz = u.grid.k
     cx, cy, cz = u.coeffs
-    return ScalarField3D(u.grid, 1j * (kx * cx + ky * cy + kz * cz))
+    return SpectralField(u.grid, 1j * (kx * cx + ky * cy + kz * cz))
 
 
-def invert_laplacian_3d(u: VectorField3D) -> VectorField3D:
-    if np.max(np.abs(u.mean())) > MEAN_TOL:
-        raise ValidationError("invert_laplacian_3d requires mean-zero components")
-    k2 = u.grid.k_squared.copy()
-    k2[0, 0, 0] = 1.0
-    c = u.coeffs / (-k2)
-    c[:, 0, 0, 0] = 0.0
-    return VectorField3D(u.grid, c)
-
-
-def biot_savart_3d(omega: VectorField3D) -> VectorField3D:
+def biot_savart_3d(omega: SpectralField) -> SpectralField:
     """Velocity from vorticity: u = -Lap^{-1}(curl omega); div u = 0 exactly."""
-    if np.max(np.abs(omega.mean())) > MEAN_TOL:
-        raise ValidationError("biot_savart_3d requires mean-zero vorticity")
-    return invert_laplacian_3d(curl_3d(omega)) * (-1.0)
+    require_mean_zero(omega, "the vorticity of biot_savart_3d")
+    return invert_laplacian(curl_3d(omega)) * (-1.0)
 
 
-def _grad_phys(f_coeffs, grid):
-    kx, ky, kz = grid.k
-    n = grid.nx * grid.ny * grid.nz
-    return [np.fft.ifftn(f_coeffs * (1j * kk)) * n for kk in (kx, ky, kz)]
+def _advected(a_phys, fc, grid) -> np.ndarray:
+    """Coefficients of (a . grad) of one component: dealiased, mean zeroed in place."""
+    gf = [np.fft.ifftn(fc * (1j * kk)) * grid.size for kk in grid.k]
+    prod = sum(a_phys[j] * gf[j] for j in range(3))
+    c = np.where(grid.dealias_mask, np.fft.fftn(prod) / grid.size, 0.0)
+    c[0, 0, 0] = 0.0
+    return c
 
 
-def advect_3d(a: VectorField3D, f) -> "ScalarField3D | VectorField3D":
+def advect_3d(a: SpectralField, f: SpectralField) -> SpectralField:
     """(a . grad) f for scalar or vector f, dealiased and mean-projected."""
-    grid = a.grid
-    if grid != f.grid:
-        raise ValidationError("fields live on different grids")
-    n = grid.nx * grid.ny * grid.nz
+    _check_same_grid(a, f)
     a_phys = a.physical()
-    if isinstance(f, ScalarField3D):
-        gf = _grad_phys(f.coeffs, grid)
-        prod = sum(a_phys[j] * gf[j] for j in range(3))
-        c = _dealias3(grid, np.fft.fftn(prod) / n)
-        c[0, 0, 0] = 0.0
-        return ScalarField3D(grid, c)
+    if f.coeffs.ndim == 3:
+        return SpectralField(a.grid, _advected(a_phys, f.coeffs, a.grid))
     out = np.empty_like(f.coeffs)
     for i in range(3):
-        gf = _grad_phys(f.coeffs[i], grid)
-        prod = sum(a_phys[j] * gf[j] for j in range(3))
-        out[i] = _dealias3(grid, np.fft.fftn(prod) / n)
-        out[i, 0, 0, 0] = 0.0
-    return VectorField3D(grid, out)
+        out[i] = _advected(a_phys, f.coeffs[i], a.grid)
+    return SpectralField(a.grid, out)
 
 
 def ns_rhs_3d(
-    omega: VectorField3D,
+    omega: SpectralField,
     nu: float,
-    forcing: VectorField3D,
-    velocity: VectorField3D | None = None,
-) -> VectorField3D:
+    forcing: SpectralField,
+    velocity: SpectralField | None = None,
+) -> SpectralField:
     """-(u.grad)Omega + (Omega.grad)u + nu[Lap(Omega) + f].
 
     By default u is the Biot-Savart velocity of omega; a prescribed velocity
@@ -204,32 +98,24 @@ def ns_rhs_3d(
     """
     if nu < 0:
         raise ValidationError(f"viscosity must be nonnegative, got {nu}")
-    if np.max(np.abs(omega.mean())) > MEAN_TOL:
-        raise ValidationError("omega must be mean-zero")
-    if np.max(np.abs(forcing.mean())) > MEAN_TOL:
-        raise ValidationError("forcing must be mean-zero")
+    require_mean_zero(omega, "omega")
+    require_mean_zero(forcing, "forcing")
     u = biot_savart_3d(omega) if velocity is None else velocity
     stretch = advect_3d(omega, u) - advect_3d(u, omega)
-    visc = VectorField3D(
-        omega.grid, (omega.coeffs * (-omega.grid.k_squared) + forcing.coeffs) * nu
-    )
-    out = stretch + visc
-    c = out.coeffs.copy()
-    c[:, 0, 0, 0] = 0.0
-    return VectorField3D(omega.grid, c)
+    return project_mean(stretch + (laplacian(omega) + forcing) * nu)
+
+
+def _low_modes(grid: TorusGrid3D, kmax: int) -> np.ndarray:
+    kx, ky, kz = grid.k
+    return (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax) & (np.abs(kz) <= kmax)
 
 
 def random_solenoidal_field(
     grid: TorusGrid3D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
-) -> VectorField3D:
+) -> SpectralField:
     """Random real divergence-free vector field with modes |k_i| <= kmax."""
-    vals = rng.standard_normal((3, grid.nx, grid.ny, grid.nz))
-    c = np.fft.fftn(vals, axes=(1, 2, 3)) / (grid.nx * grid.ny * grid.nz)
-    mx = np.fft.fftfreq(grid.nx, 1 / grid.nx).astype(int)[:, None, None]
-    my = np.fft.fftfreq(grid.ny, 1 / grid.ny).astype(int)[None, :, None]
-    mz = np.fft.fftfreq(grid.nz, 1 / grid.nz).astype(int)[None, None, :]
-    keep = (np.abs(mx) <= kmax) & (np.abs(my) <= kmax) & (np.abs(mz) <= kmax)
-    c = np.where(keep, c, 0.0)
+    vals = rng.standard_normal((3, *grid.shape))
+    c = np.where(_low_modes(grid, kmax), SpectralField.from_physical(grid, vals).coeffs, 0.0)
     # Leray projection: remove the gradient part so div = 0 exactly
     kx, ky, kz = grid.k
     k2 = grid.k_squared.copy()
@@ -237,26 +123,12 @@ def random_solenoidal_field(
     kdotc = kx * c[0] + ky * c[1] + kz * c[2]
     c = np.stack([c[j] - kk * kdotc / k2 for j, kk in enumerate((kx, ky, kz))])
     c[:, 0, 0, 0] = 0.0
-    f = VectorField3D(grid, c)
-    scale = f.norm_inf()
-    if scale == 0.0:
-        return f
-    return f * (amplitude / scale)
+    return _scaled(SpectralField(grid, c), amplitude)
 
 
 def random_scalar_field(
     grid: TorusGrid3D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
-) -> ScalarField3D:
+) -> SpectralField:
     """Random complex scalar with modes |k_i| <= kmax, sup-norm ~ amplitude."""
-    m = [np.fft.fftfreq(n, 1 / n).astype(int) for n in (grid.nx, grid.ny, grid.nz)]
-    keep = (
-        (np.abs(m[0])[:, None, None] <= kmax)
-        & (np.abs(m[1])[None, :, None] <= kmax)
-        & (np.abs(m[2])[None, None, :] <= kmax)
-    )
-    vals = rng.standard_normal(keep.shape) + 1j * rng.standard_normal(keep.shape)
-    f = ScalarField3D(grid, np.where(keep, vals, 0.0))
-    scale = f.norm_inf()
-    if scale == 0.0:
-        return f
-    return f * (amplitude / scale)
+    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return _scaled(SpectralField(grid, np.where(_low_modes(grid, kmax), vals, 0.0)), amplitude)

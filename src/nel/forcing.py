@@ -49,16 +49,7 @@ class ABCState:
 
 def abc_step(state: ABCState, dt: float) -> ABCState:
     """One classical RK4 step; angles are reduced mod 2*pi."""
-    th, abc = state.theta, state.abc
-    k1 = abc_rhs(th, abc)
-    k2 = abc_rhs(tuple(x + 0.5 * dt * k for x, k in zip(th, k1)), abc)
-    k3 = abc_rhs(tuple(x + 0.5 * dt * k for x, k in zip(th, k2)), abc)
-    k4 = abc_rhs(tuple(x + dt * k for x, k in zip(th, k3)), abc)
-    new = tuple(
-        (x + dt / 6.0 * (a + 2 * b + 2 * c + d)) % TWO_PI
-        for x, a, b, c, d in zip(th, k1, k2, k3, k4)
-    )
-    return replace(state, theta=new)
+    return replace(state, theta=_advance(state.theta, state.abc, dt, dt))
 
 
 def _advance(theta, abc, delta, dt_sub):

@@ -3,8 +3,10 @@ cube [0, 2pi]^3.
 
 Spectral layout follows numpy's FFT ordering.  A 2D coefficient array c[m, n]
 holds the amplitude of exp(i(alpha*m*x + n*y)), so the x wavenumber of row m
-is alpha*m with integer m.  Grids are immutable; derived index arrays are
-cached on first use.
+is alpha*m with integer m.  Both grids give the ``shape`` of a scalar
+coefficient array, its ``size`` and the transform ``axes``, which the one
+spectral field of ``fields`` works with.  Grids are immutable; derived index
+arrays are cached on first use.
 """
 
 from __future__ import annotations
@@ -24,6 +26,27 @@ def _int_freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
 
+def _check_sizes(grid, names) -> None:
+    for name in names:
+        n = getattr(grid, name)
+        if n < 4 or n % 2 != 0:
+            raise ValidationError(f"{name} must be even and >= 4, got {n}")
+    if not (0.0 < grid.dealias_fraction <= 1.0):
+        raise ValidationError(
+            f"dealias_fraction must lie in (0, 1], got {grid.dealias_fraction}"
+        )
+
+
+def _dealias_mask(shape, fraction) -> np.ndarray:
+    # keep |m| <= floor(fraction * n/2) on every axis, and never the Nyquist mode
+    mask = np.ones(shape, dtype=bool)
+    for axis, n in enumerate(shape):
+        cut = min(int(np.floor(fraction * (n // 2))), n // 2 - 1)
+        m = _int_freqs(n).reshape([n if a == axis else 1 for a in range(len(shape))])
+        mask &= np.abs(m) <= cut
+    return mask
+
+
 @dataclass(frozen=True)
 class TorusGrid2D:
     """Uniform grid on [0, 2pi/alpha] x [0, 2pi]."""
@@ -33,16 +56,20 @@ class TorusGrid2D:
     ny: int
     dealias_fraction: float = DEALIAS_DEFAULT
 
+    axes = (-2, -1)  # the transform axes of a coefficient array
+
     def __post_init__(self):
         if not (0.0 < self.alpha):
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 4 or n % 2 != 0:
-                raise ValidationError(f"{name} must be even and >= 4, got {n}")
-        if not (0.0 < self.dealias_fraction <= 1.0):
-            raise ValidationError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
+        _check_sizes(self, ("nx", "ny"))
+
+    @cached_property
+    def shape(self) -> tuple[int, int]:
+        return (self.nx, self.ny)
+
+    @cached_property
+    def size(self) -> int:
+        return self.nx * self.ny
 
     @cached_property
     def mx(self) -> np.ndarray:
@@ -66,12 +93,7 @@ class TorusGrid2D:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        # keep |m| <= floor(frac * n/2), and never the Nyquist mode
-        cx = int(np.floor(self.dealias_fraction * (self.nx // 2)))
-        cy = int(np.floor(self.dealias_fraction * (self.ny // 2)))
-        cx = min(cx, self.nx // 2 - 1)
-        cy = min(cy, self.ny // 2 - 1)
-        return (np.abs(self.mx) <= cx) & (np.abs(self.ny_modes) <= cy)
+        return _dealias_mask(self.shape, self.dealias_fraction)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -91,14 +113,18 @@ class TorusGrid3D:
     nz: int
     dealias_fraction: float = DEALIAS_DEFAULT
 
+    axes = (-3, -2, -1)
+
     def __post_init__(self):
-        for name, n in (("nx", self.nx), ("ny", self.ny), ("nz", self.nz)):
-            if n < 4 or n % 2 != 0:
-                raise ValidationError(f"{name} must be even and >= 4, got {n}")
-        if not (0.0 < self.dealias_fraction <= 1.0):
-            raise ValidationError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
+        _check_sizes(self, ("nx", "ny", "nz"))
+
+    @cached_property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.nx, self.ny, self.nz)
+
+    @cached_property
+    def size(self) -> int:
+        return self.nx * self.ny * self.nz
 
     @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,13 +140,4 @@ class TorusGrid3D:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        cuts = []
-        for n in (self.nx, self.ny, self.nz):
-            c = int(np.floor(self.dealias_fraction * (n // 2)))
-            cuts.append(min(c, n // 2 - 1))
-        mx = _int_freqs(self.nx)[:, None, None]
-        my = _int_freqs(self.ny)[None, :, None]
-        mz = _int_freqs(self.nz)[None, None, :]
-        return (
-            (np.abs(mx) <= cuts[0]) & (np.abs(my) <= cuts[1]) & (np.abs(mz) <= cuts[2])
-        )
+        return _dealias_mask(self.shape, self.dealias_fraction)

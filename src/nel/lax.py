@@ -26,20 +26,16 @@ import numpy as np
 
 from .errors import ComputationalError, ValidationError
 from .fields import (
-    SpectralField2D,
+    SpectralField,
     bracket_core,
     dx,
     dy,
     invert_laplacian,
     laplacian,
+    require_mean_zero,
 )
-from .fields3d import (
-    ScalarField3D,
-    VectorField3D,
-    advect_3d,
-    biot_savart_3d,
-    divergence_3d,
-)
+from .fields3d import advect_3d, biot_savart_3d, divergence_3d
+from .grids import TorusGrid2D
 
 CONSTRAINT_TOL = 1e-8
 
@@ -55,18 +51,17 @@ class LaxState2D:
     The stream function is always derived from omega, never stored.
     """
 
-    omega: SpectralField2D
-    phi: SpectralField2D
+    omega: SpectralField
+    phi: SpectralField
     lam: complex = 0j
 
     def __post_init__(self):
         if not self.omega.is_real():
             raise ValidationError("omega must be real-valued")
-        if abs(self.omega.mean()) > 1e-12:
-            raise ValidationError("omega must be mean-zero")
+        require_mean_zero(self.omega, "omega")
 
     @property
-    def psi(self) -> SpectralField2D:
+    def psi(self) -> SpectralField:
         return invert_laplacian(self.omega)
 
 
@@ -75,18 +70,18 @@ class LaxState3D:
     """3D analogue; the transport velocity is Biot-Savart of omega when the
     curl constraint is active, otherwise a prescribed velocity field."""
 
-    omega: VectorField3D
-    phi: ScalarField3D
+    omega: SpectralField  # vector
+    phi: SpectralField  # scalar
     lam: complex = 0j
     enforce_curl: bool = True
-    prescribed_u: VectorField3D | None = None
+    prescribed_u: SpectralField | None = None
 
     def __post_init__(self):
         if not self.enforce_curl and self.prescribed_u is None:
             raise ValidationError("constraint-free state needs a prescribed velocity")
 
     @property
-    def u(self) -> VectorField3D:
+    def u(self) -> SpectralField:
         if self.enforce_curl:
             return biot_savart_3d(self.omega)
         return self.prescribed_u
@@ -169,8 +164,8 @@ class LaxCheckResult:
 
 
 def transported_eigenfield_check_2d(
-    omega0: SpectralField2D,
-    phi0: SpectralField2D,
+    omega0: SpectralField,
+    phi0: SpectralField,
     t_end: float,
     dt: float,
     negative_control: bool = False,
@@ -202,15 +197,15 @@ def transported_eigenfield_check_2d(
         check="transport-compatibility-2d" + ("-control" if negative_control else ""),
         residual_inf=resid.norm_inf(),
         residual_l2=resid.norm_l2(),
-        grid=(omega0.grid.nx, omega0.grid.ny),
+        grid=omega0.grid.shape,
         dt=dt,
         steps=steps,
     )
 
 
 def transported_eigenfield_check_3d(
-    omega0: VectorField3D,
-    phi0: ScalarField3D,
+    omega0: SpectralField,
+    phi0: SpectralField,
     t_end: float,
     dt: float,
     enforce_curl: bool = True,
@@ -221,15 +216,14 @@ def transported_eigenfield_check_3d(
 
     enforce_curl=True transports by the Biot-Savart velocity of Omega (the
     self-consistent flow; omega0 must be divergence-free).  With
-    enforce_curl=False, velocity must be a callable t -> VectorField3D and
+    enforce_curl=False, velocity must be a callable t -> SpectralField and
     Omega evolves by transport-stretching under that prescribed field: the
     compatibility holds with no constraint tying u to Omega.  The negative
     control flips the sign of the stretching term.
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("t_end and dt must be positive")
-    if np.max(np.abs(omega0.mean())) > 1e-12:
-        raise ValidationError("omega0 must be mean-zero")
+    require_mean_zero(omega0, "omega0")
     if enforce_curl:
         if velocity is not None:
             raise ValidationError("velocity is only used when enforce_curl=False")
@@ -256,8 +250,8 @@ def transported_eigenfield_check_3d(
     return LaxCheckResult(
         check="transport-compatibility-3d" + tag,
         residual_inf=resid.norm_inf(),
-        residual_l2=float(np.sqrt(np.sum(np.abs(resid.coeffs) ** 2))),
-        grid=(omega0.grid.nx, omega0.grid.ny, omega0.grid.nz),
+        residual_l2=resid.norm_l2(),
+        grid=omega0.grid.shape,
         dt=dt,
         steps=steps,
     )
@@ -269,21 +263,21 @@ def transported_eigenfield_check_3d(
 
 @dataclass(frozen=True)
 class DarbouxInput:
-    omega: SpectralField2D
-    p: SpectralField2D
-    f: SpectralField2D
-    F: SpectralField2D
+    omega: SpectralField
+    p: SpectralField
+    f: SpectralField
+    F: SpectralField
     eta: float = 1e-3  # mask points with |Omega_x| < eta * max|Omega_x|
 
     @property
-    def psi(self) -> SpectralField2D:
+    def psi(self) -> SpectralField:
         return invert_laplacian(self.omega)
 
 
 @dataclass(frozen=True)
 class DarbouxResult:
-    omega_t: SpectralField2D
-    psi_t: SpectralField2D
+    omega_t: SpectralField
+    psi_t: SpectralField
     p_t: np.ndarray = field(repr=False)  # physical values, 0 at masked points
     mask: np.ndarray = field(repr=False)  # True where the gauge factor degenerates
     masked_fraction: float = 0.0
@@ -354,7 +348,7 @@ def darboux_verify(
     if res is None:
         res = darboux_apply(inp)
     grid = inp.omega.grid
-    p_t_field = SpectralField2D.from_physical(grid, res.p_t)
+    p_t_field = SpectralField.from_physical(grid, res.p_t)
     r_eig = bracket_core(res.omega_t, p_t_field).physical()
     r_time = bracket_core(res.psi_t, p_t_field).physical()
     keep = ~res.mask
@@ -366,7 +360,7 @@ def darboux_verify(
         for i in range(1, len(snaps) - 1):
             dt2 = times[i + 1] - times[i - 1]
             ddt = (snaps[i + 1].p_t - snaps[i - 1].p_t) / dt2
-            mid = SpectralField2D.from_physical(grid, snaps[i].p_t)
+            mid = SpectralField.from_physical(grid, snaps[i].p_t)
             adv = bracket_core(snaps[i].psi_t, mid).physical()
             m = ~(snaps[i - 1].mask | snaps[i].mask | snaps[i + 1].mask)
             vals.append(np.abs(ddt + adv)[m])
@@ -375,7 +369,7 @@ def darboux_verify(
         check="gauge-transform",
         residual_inf=float(np.max(allv)) if allv.size else 0.0,
         residual_l2=float(np.sqrt(np.mean(allv**2))) if allv.size else 0.0,
-        grid=(grid.nx, grid.ny),
+        grid=grid.shape,
         dt=0.0,
         steps=0,
         masked_fraction=res.masked_fraction,
@@ -383,9 +377,9 @@ def darboux_verify(
 
 
 def gauge_identity_residual(
-    omega: SpectralField2D,
-    p: SpectralField2D,
-    f: SpectralField2D,
+    omega: SpectralField,
+    p: SpectralField,
+    f: SpectralField,
     floor: float = 0.2,
 ) -> float:
     """Max mismatch of the two quotient forms of the transform.
@@ -408,13 +402,13 @@ def gauge_identity_residual(
     return float(np.max(np.abs((qx - qy)[good])))
 
 
-def reflect_xy(fld: SpectralField2D) -> SpectralField2D:
+def reflect_xy(fld: SpectralField) -> SpectralField:
     """The spatial part of the (t, x, y) -> (-t, y, x) symmetry (needs a square
     grid with alpha = 1)."""
     g = fld.grid
     if g.nx != g.ny or g.alpha != 1.0:
         raise ValidationError("reflection requires a square grid with alpha = 1")
-    return SpectralField2D(g, fld.coeffs.T.copy())
+    return SpectralField(g, fld.coeffs.T.copy())
 
 
 def darboux_shear_example(nx: int = 128, ny: int = 8, eta: float = 1e-3) -> DarbouxInput:
@@ -424,13 +418,11 @@ def darboux_shear_example(nx: int = 128, ny: int = 8, eta: float = 1e-3) -> Darb
     mask), p = sin x, f = 2 + sin x, F = -cos(2x)/4.  Closed forms:
     p~ = -2 cos x / (sin x (2 + sin x)) off the mask, Omega~ = cos x + cos 2x.
     """
-    from .grids import TorusGrid2D
-
     grid = TorusGrid2D(alpha=1.0, nx=nx, ny=ny)
     x = grid.x[:, None] + 0.0 * grid.y[None, :]
 
     def fld(vals):
-        return SpectralField2D.from_physical(grid, vals)
+        return SpectralField.from_physical(grid, vals)
 
     return DarbouxInput(
         omega=fld(np.cos(x)),

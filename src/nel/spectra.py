@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ComputationalError, ValidationError
-from .fields import SpectralField2D, ns_rhs_2d
+from .fields import SpectralField, ns_rhs_2d
 from .grids import TorusGrid2D
 
 DEFAULT_GAMMA = 0.5  # shear amplitude used throughout the acceptance runs
@@ -196,7 +196,7 @@ def jacobian_oracle_check(
     nx = 1 << max(4, math.ceil(math.log2(3 * (abs(cls.k1) + 2))))
     grid = TorusGrid2D(alpha=alpha, nx=nx, ny=ny)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    base = SpectralField2D.from_physical(grid, gamma * np.cos(Y))
+    base = SpectralField.from_physical(grid, gamma * np.cos(Y))
     forcing = base  # makes the shear a fixed point at every nu
 
     def rhs(f):
@@ -211,9 +211,9 @@ def jacobian_oracle_check(
         # complex column via two real perturbations: cos and sin of the mode
         parts = []
         for pert in (np.cos(phase), np.sin(phase)):
-            m = SpectralField2D.from_physical(grid, pert)
-            plus = rhs(SpectralField2D(grid, base.coeffs + delta * m.coeffs))
-            minus = rhs(SpectralField2D(grid, base.coeffs - delta * m.coeffs))
+            m = SpectralField.from_physical(grid, pert)
+            plus = rhs(SpectralField(grid, base.coeffs + delta * m.coeffs))
+            minus = rhs(SpectralField(grid, base.coeffs - delta * m.coeffs))
             parts.append((plus.coeffs - minus.coeffs) / (2 * delta))
         fd = parts[0] + 1j * parts[1]
         for i, nn in enumerate(op.offsets):

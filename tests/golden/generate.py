@@ -1,13 +1,15 @@
-"""Regenerate ``spectra.json``, the golden corpus of the spectra commands.
+"""Regenerate a golden corpus: ``spectra.json`` or ``commands.json``.
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py spectra|commands
 
 Each entry runs one small command through ``nel.cli.main`` and records what
 ``tests/test_golden.py`` pins: a payload hash where the bytes must not move,
 values with a tolerance where a change of eigensolver may move the last bits.
-The committed corpus was generated from the code before the spectra of the
-(k1, 0) classes were split into reflection sectors; regenerate it only on
-purpose, and say why in CHANGES.md.
+The spectra corpus was generated from the code before the spectra of the
+(k1, 0) classes were split into reflection sectors; the commands corpus
+(transport and chaos commands, and the bytes of field snapshots) from the
+code before the 2D and 3D field classes were merged into one.  Regenerate a
+corpus only on purpose, and say why in CHANGES.md.
 """
 
 import hashlib
@@ -16,7 +18,13 @@ import pathlib
 import sys
 import tempfile
 
+import numpy as np
+
 from nel.cli import main
+from nel.fields import random_real_field, save_field
+from nel.fields3d import random_scalar_field, random_solenoidal_field
+from nel.grids import TorusGrid2D, TorusGrid3D
+from nel.lax import darboux_shear_example
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -30,6 +38,22 @@ CASES = {
     "zvtrack_2_0": ["zvtrack", "--k1", "2", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
 }
 HASHED = ("spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1")
+
+# every payload of these is pinned by hash
+COMMAND_CASES = {
+    "laxcheck_2d": ["laxcheck", "--grid", "32", "--t-end", "0.05", "--dt", "0.005"],
+    "laxcheck_2d_control": ["laxcheck", "--grid", "32", "--t-end", "0.05", "--dt", "0.005", "--control", "true"],
+    "laxcheck_3d_curl": ["laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--mode", "curl"],
+    "laxcheck_3d_free": ["laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--mode", "free"],
+    "darboux_example": ["darboux"],
+    "simulate_abc": ["simulate", "--model", "abc", "--t-end", "5", "--sample-every", "20"],
+    "simulate_dernls": ["simulate", "--model", "dernls", "--eps", "0.05", "--t-end", "1"],
+    "poincare_sg": ["poincare", "--model", "sg", "--u0", "3.0", "--iterates", "4"],
+    "lyapunov_abc": ["lyapunov", "--model", "abc", "--t-end", "50"],
+    "lyapunov_dernls": ["lyapunov", "--model", "dernls", "--eps", "0.05", "--t-end", "3"],
+}
+# darboux from save_field snapshots of darboux_shear_example(nx, ny)
+DARBOUX_SNAPSHOT_SIZES = ((64, 8), (32, 16))
 
 
 def run(argv):
@@ -68,7 +92,54 @@ def record(name, argv):
     return entry
 
 
+def darboux_snapshot_payload(nx, ny):
+    """Payload of ``darboux`` run on saved snapshots of the worked example."""
+    inp = darboux_shear_example(nx, ny)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["darboux"]
+        for flag, fld in (("--omega", inp.omega), ("--p", inp.p), ("--f", inp.f), ("--bigf", inp.F)):
+            path = pathlib.Path(tmp) / flag[2:]
+            save_field(path, fld)
+            argv += [flag, str(path)]
+        return run(argv)[1]
+
+
+def snapshot_fields():
+    """One 2D scalar, one 3D scalar and one 3D vector field, drawn from fixed seeds."""
+    g2 = TorusGrid2D(alpha=0.7, nx=8, ny=6)
+    g3 = TorusGrid3D(nx=4, ny=6, nz=4)
+    return {
+        "scalar_2d": random_real_field(g2, 2, np.random.default_rng(1), 0.5),
+        "scalar_3d": random_scalar_field(g3, 1, np.random.default_rng(2), 2.0),
+        "vector_3d": random_solenoidal_field(g3, 1, np.random.default_rng(3), 1.5),
+    }
+
+
+def snapshot_digest(fld):
+    """sha256 of the bytes ``save_field`` writes for ``fld``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "field.json"
+        save_field(path, fld)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def spectra_corpus():
+    return {name: record(name, argv) for name, argv in CASES.items()}
+
+
+def commands_corpus():
+    corpus = {name: {"argv": argv, "payload_sha256": digest(run(argv)[1])} for name, argv in COMMAND_CASES.items()}
+    for nx, ny in DARBOUX_SNAPSHOT_SIZES:
+        corpus[f"darboux_snapshots_{nx}x{ny}"] = {"size": [nx, ny], "payload_sha256": digest(darboux_snapshot_payload(nx, ny))}
+    for name, fld in snapshot_fields().items():
+        corpus[f"save_field_{name}"] = {"file_sha256": snapshot_digest(fld)}
+    return corpus
+
+
 if __name__ == "__main__":
-    corpus = {name: record(name, argv) for name, argv in CASES.items()}
-    (HERE / "spectra.json").write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    corpora = {"spectra": spectra_corpus, "commands": commands_corpus}
+    if len(sys.argv) != 2 or sys.argv[1] not in corpora:
+        sys.exit(f"usage: generate.py {'|'.join(corpora)}")
+    corpus = corpora[sys.argv[1]]()
+    (HERE / f"{sys.argv[1]}.json").write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     sys.exit(0)

@@ -15,10 +15,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nel.cli import main
-from nel.fields import SpectralField2D, bracket, random_real_field
-from nel.fields3d import TorusGrid3D, random_scalar_field, random_solenoidal_field
+from nel.fields import SpectralField, bracket, random_real_field
+from nel.fields3d import random_scalar_field, random_solenoidal_field
 from nel.forcing import abc_lyapunov
-from nel.grids import TorusGrid2D
+from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import (
     darboux_apply,
     darboux_shear_example,
@@ -218,7 +218,7 @@ def test_a12_gauge_transform_exactness_and_worked_example():
     res = darboux_apply(dataclasses.replace(inp, p=inp.f))
     assert np.all(res.p_t == 0.0)
 
-    zero_F = dataclasses.replace(inp, F=SpectralField2D.zero(inp.omega.grid))
+    zero_F = dataclasses.replace(inp, F=SpectralField(inp.omega.grid, np.zeros(inp.omega.grid.shape)))
     res = darboux_apply(zero_F)
     assert np.array_equal(res.omega_t.coeffs, inp.omega.coeffs)
     assert np.array_equal(res.psi_t.coeffs, inp.psi.coeffs)

@@ -221,6 +221,39 @@ class TestDarbouxCommand:
         assert run_cli("darboux", "--omega", "omega.json") == 2
         assert "all four" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "snapshot, message",
+        [
+            ("{not json", "malformed field snapshot"),
+            ('{"version": 1, "kind": "field2d"}', "no key 'grid'"),
+            (
+                '{"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 8, "ny": 8},'
+                ' "re": [1.0, 2.0], "im": [0.0, 0.0]}',
+                "cannot reshape",
+            ),
+            (
+                '{"version": 1, "kind": "field3d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4, "nz": 4},'
+                f' "components": 1, "re": {[0.0] * 64}, "im": {[0.0] * 64}}}',
+                "2D scalar",
+            ),
+            (
+                '{"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4},'
+                f' "components": 2, "re": {[0.0] * 32}, "im": {[0.0] * 32}}}',
+                "2D scalar",
+            ),
+        ],
+        ids=["not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector"],
+    )
+    def test_malformed_snapshot_exits_2(self, tmp_path, capsys, snapshot, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(snapshot)
+        out = tmp_path / "darboux.jsonl"
+        argv = ["--omega", bad, "--p", bad, "--f", bad, "--bigf", bad, "--out", out]
+        assert run_cli("darboux", *map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nel: error:") and message in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_limit_cycle_summary(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nel.errors import ValidationError
 from nel.fields import (
-    SpectralField2D,
+    SpectralField,
     bracket,
     bracket_core,
     dealias,
@@ -32,7 +32,7 @@ def grid(alpha=1.0, n=64, frac=2 / 3):
 
 def field_from_fn(g, fn):
     X, Y = np.meshgrid(g.x, g.y, indexing="ij")
-    return SpectralField2D.from_physical(g, fn(X, Y))
+    return SpectralField.from_physical(g, fn(X, Y))
 
 
 def random_trig(g, kmax, seed, amplitude=1.0):
@@ -43,8 +43,16 @@ class TestTransforms:
     def test_roundtrip(self):
         g = grid()
         f = random_trig(g, 8, seed=0)
-        f2 = SpectralField2D.from_physical(g, f.physical())
+        f2 = SpectralField.from_physical(g, f.physical())
         assert np.max(np.abs(f2.coeffs - f.coeffs)) < 1e-14
+
+    def test_scalar_or_vector_shapes_only(self):
+        g = grid(n=8)
+        assert SpectralField(g, np.zeros((8, 8))).mean() == 0
+        assert SpectralField(g, np.zeros((2, 8, 8))).mean().shape == (2,)
+        for shape in ((8, 10), (3, 8, 8), (1, 8, 8), (8,)):
+            with pytest.raises(ValidationError, match="does not match grid"):
+                SpectralField(g, np.zeros(shape))
 
     def test_realness_check(self):
         g = grid()
@@ -52,7 +60,7 @@ class TestTransforms:
         assert f.is_real()
         c = f.coeffs.copy()
         c[1, 2] += 0.5  # break Hermitian symmetry
-        assert not SpectralField2D(g, c).is_real()
+        assert not SpectralField(g, c).is_real()
 
     def test_derivative_single_mode(self):
         g = grid(alpha=0.7)
@@ -88,7 +96,7 @@ class TestBracketOracles:
         g = grid()
         c = np.zeros((g.nx, g.ny), complex)
         c[1, 0] = 1.0  # exp(ix) alone is not a real field
-        f = SpectralField2D(g, c)
+        f = SpectralField(g, c)
         h = random_trig(g, 3, seed=3)
         with pytest.raises(ValidationError, match="not real"):
             bracket(f, h)
@@ -161,7 +169,7 @@ class TestLaplacian:
         c = np.zeros((g.nx, g.ny), complex)
         c[0, 0] = 1.0
         with pytest.raises(ValidationError, match="mean-zero"):
-            invert_laplacian(SpectralField2D(g, c))
+            invert_laplacian(SpectralField(g, c))
 
 
 class TestVelocityAndRhs:
@@ -249,7 +257,7 @@ class TestSnapshotIO:
         om = random_trig(g, 5, seed=31)
         a = random_trig(g, 5, seed=32)
         b = random_trig(g, 5, seed=33)
-        phi = SpectralField2D(g, a.coeffs + 1j * b.coeffs)
+        phi = SpectralField(g, a.coeffs + 1j * b.coeffs)
         lhs = bracket_core(om, phi)
         rhs = bracket(om, a).coeffs + 1j * bracket(om, b).coeffs
         assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12

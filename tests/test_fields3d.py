@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from nel.errors import ValidationError
+from nel.fields import SpectralField
 from nel.fields3d import (
-    ScalarField3D,
-    TorusGrid3D,
-    VectorField3D,
     advect_3d,
     biot_savart_3d,
     curl_3d,
@@ -15,6 +13,7 @@ from nel.fields3d import (
     ns_rhs_3d,
     random_solenoidal_field,
 )
+from nel.grids import TorusGrid3D
 
 
 def grid(n=16):
@@ -34,7 +33,7 @@ def test_curl_of_shear():
     # u = (sin z, 0, 0) has curl (0, cos z, 0)
     g = grid()
     X, Y, Z = mesh(g)
-    u = VectorField3D.from_physical(g, np.stack([np.sin(Z), 0 * X, 0 * X]))
+    u = SpectralField.from_physical(g, np.stack([np.sin(Z), 0 * X, 0 * X]))
     w = curl_3d(u).physical().real
     assert np.max(np.abs(w[0])) < 1e-13
     assert np.max(np.abs(w[1] - np.cos(Z))) < 1e-13
@@ -44,7 +43,7 @@ def test_curl_of_shear():
 def test_biot_savart_recovers_shear():
     g = grid()
     X, Y, Z = mesh(g)
-    om = VectorField3D.from_physical(g, np.stack([0 * X, np.cos(Z), 0 * X]))
+    om = SpectralField.from_physical(g, np.stack([0 * X, np.cos(Z), 0 * X]))
     u = biot_savart_3d(om).physical().real
     assert np.max(np.abs(u[0] - np.sin(Z))) < 1e-13
     assert np.max(np.abs(u[1])) < 1e-13
@@ -65,8 +64,8 @@ def test_advect_shear_oracle():
     # (u . grad) f with u = (sin z, 0, 0), f = cos x: -> -sin z sin x... sign check
     g = grid()
     X, Y, Z = mesh(g)
-    u = VectorField3D.from_physical(g, np.stack([np.sin(Z), 0 * X, 0 * X]))
-    f = ScalarField3D.from_physical(g, np.cos(X))
+    u = SpectralField.from_physical(g, np.stack([np.sin(Z), 0 * X, 0 * X]))
+    f = SpectralField.from_physical(g, np.cos(X))
     out = advect_3d(u, f).physical().real
     assert np.max(np.abs(out - (-np.sin(Z) * np.sin(X)))) < 1e-13
 
@@ -75,7 +74,7 @@ def test_shear_is_steady():
     # Omega = (0, cos z, 0), f = (0, cos z, 0): fixed point for any nu
     g = grid()
     X, Y, Z = mesh(g)
-    om = VectorField3D.from_physical(g, np.stack([0 * X, np.cos(Z), 0 * X]))
+    om = SpectralField.from_physical(g, np.stack([0 * X, np.cos(Z), 0 * X]))
     for nu in (0.0, 0.2):
         r = ns_rhs_3d(om, nu, om)
         assert r.norm_inf() < 1e-13
@@ -94,13 +93,13 @@ def test_mean_vorticity_rejected():
     c = np.zeros((3, g.nx, g.ny, g.nz), complex)
     c[0, 0, 0, 0] = 1.0
     with pytest.raises(ValidationError, match="mean-zero"):
-        biot_savart_3d(VectorField3D(g, c))
+        biot_savart_3d(SpectralField(g, c))
 
 
 def test_prescribed_velocity_path():
     # ns_rhs_3d accepts an independent velocity; at nu=0 with u = 0 the rhs vanishes
     g = grid()
     om = random_solenoidal_field(g, 2, np.random.default_rng(3), 0.5)
-    zero_u = VectorField3D.zero(g)
-    r = ns_rhs_3d(om, 0.0, VectorField3D.zero(g), velocity=zero_u)
+    zero_u = SpectralField(g, np.zeros((3, *g.shape)))
+    r = ns_rhs_3d(om, 0.0, zero_u, velocity=zero_u)
     assert r.norm_inf() == 0

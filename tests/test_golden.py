@@ -1,4 +1,5 @@
-"""Golden corpus of the spectra commands (``tests/golden/spectra.json``).
+"""Golden corpora: the spectra commands (``tests/golden/spectra.json``) and
+the transport and chaos commands with field snapshots (``commands.json``).
 
 Payloads of classes with k2 != 0 are pinned byte for byte.  The (k1, 0)
 classes are solved as two reflection sectors, which may move eigenvalues in
@@ -6,7 +7,8 @@ their last bits, so they are pinned by value: spectra and the rightmost
 zvtrack trajectory to 1e-9, nu* to its bisection tolerance, and every
 classification label exactly.  Trajectories that start at one eigenvalue
 (a pair degenerate across the two sectors) may be listed in either order, so
-labels are compared per distinct start value.
+labels are compared per distinct start value.  Every payload of the
+commands corpus, and the bytes ``save_field`` writes, are pinned by hash.
 """
 
 import json
@@ -17,9 +19,18 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "golden"))
-from generate import HASHED, digest, run  # noqa: E402
+from generate import (  # noqa: E402
+    HASHED,
+    darboux_snapshot_payload,
+    digest,
+    run,
+    snapshot_digest,
+    snapshot_fields,
+)
 
-CORPUS = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "spectra.json").read_text())
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+CORPUS = json.loads((GOLDEN / "spectra.json").read_text())
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
 @pytest.mark.parametrize("name", HASHED)
@@ -68,3 +79,20 @@ def test_zvtrack_labels_and_rightmost(name):
         assert abs(z - z_want) < 1e-9 and labels == labels_want, z_want
     for key, value in want["rightmost"].items():
         assert np.max(np.abs(np.subtract(trajs[0][key], value))) < 1e-9, key
+
+
+@pytest.mark.parametrize("name", sorted(k for k in COMMANDS if "argv" in COMMANDS[k]))
+def test_command_payload_bytes(name):
+    _, payload = run(COMMANDS[name]["argv"])
+    assert digest(payload) == COMMANDS[name]["payload_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(k for k in COMMANDS if k.startswith("darboux_snapshots")))
+def test_darboux_from_snapshots(name):
+    want = COMMANDS[name]
+    assert digest(darboux_snapshot_payload(*want["size"])) == want["payload_sha256"]
+
+
+@pytest.mark.parametrize("name", ["scalar_2d", "scalar_3d", "vector_3d"])
+def test_save_field_bytes(name):
+    assert snapshot_digest(snapshot_fields()[name]) == COMMANDS[f"save_field_{name}"]["file_sha256"]

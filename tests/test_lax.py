@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nel.errors import ComputationalError, ValidationError
-from nel.fields import SpectralField2D, bracket_core, ns_rhs_2d, random_real_field
-from nel.fields3d import ScalarField3D, random_scalar_field, random_solenoidal_field
+from nel.fields import SpectralField, bracket_core, ns_rhs_2d, random_real_field
+from nel.fields3d import random_scalar_field, random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import (
     DarbouxInput,
@@ -28,7 +28,7 @@ from nel.lax import (
 
 def field_of(grid, fn):
     X, Y = grid.x[:, None], grid.y[None, :]
-    return SpectralField2D.from_physical(grid, fn(X, Y) + 0.0 * X + 0.0 * Y)
+    return SpectralField.from_physical(grid, fn(X, Y) + 0.0 * X + 0.0 * Y)
 
 
 random_scalar_3d = random_scalar_field
@@ -59,7 +59,7 @@ class TestOperators:
         om = field_of(g, lambda X, Y: np.cos(Y))
         c = np.zeros((32, 32), np.complex128)
         c[1, 0] = 1.0
-        phi = SpectralField2D(g, c)
+        phi = SpectralField(g, c)
         lphi, aphi = lax_operators_2d(LaxState2D(omega=om, phi=phi))
         X, Y = g.x[:, None], g.y[None, :]
         expect = 1j * alpha * np.sin(Y) * np.exp(1j * alpha * X)
@@ -72,7 +72,7 @@ class TestOperators:
         om = field_of(g, lambda X, Y: np.cos(Y))
         c = np.zeros((32, 32), np.complex128)
         c[0, 1] = 1.0  # e^{iy} is a lam=0 eigenfield of {cos y, .}
-        phi = SpectralField2D(g, c)
+        phi = SpectralField(g, c)
         assert eigen_residual(LaxState2D(omega=om, phi=phi, lam=0j)) < 1e-14
         r = eigen_residual(LaxState2D(omega=om, phi=phi, lam=1.0 + 0j))
         assert abs(r - 1.0) < 1e-12
@@ -81,7 +81,7 @@ class TestOperators:
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
         c = np.zeros((16, 16), np.complex128)
         c[1, 2] = 1.0  # not Hermitian-symmetric
-        bad = SpectralField2D(g, c)
+        bad = SpectralField(g, c)
         ok = field_of(g, lambda X, Y: np.cos(X))
         with pytest.raises(ValidationError, match="real"):
             LaxState2D(omega=bad, phi=ok)
@@ -138,7 +138,7 @@ class TestTransport2D:
         # omega stays finite; only the passive field goes non-finite
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
         om = field_of(g, lambda X, Y: np.cos(Y))
-        nan = SpectralField2D(g, np.full((16, 16), np.nan + 0j))
+        nan = SpectralField(g, np.full((16, 16), np.nan + 0j))
 
         def rhs(state, t):
             return (0.0 * state[0], nan, 0.0 * state[2])
@@ -158,10 +158,8 @@ class TestTransport3D:
         g = TorusGrid3D(nx=16, ny=16, nz=16)
         pts = np.arange(16) * 2 * np.pi / 16
         _, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
-        from nel.fields3d import VectorField3D
-
-        om = VectorField3D.from_physical(g, np.stack([0 * z, np.cos(z), 0 * z]))
-        phi = ScalarField3D.from_physical(g, np.exp(1j * y))
+        om = SpectralField.from_physical(g, np.stack([0 * z, np.cos(z), 0 * z]))
+        phi = SpectralField.from_physical(g, np.exp(1j * y))
         r = transported_eigenfield_check_3d(om, phi, t_end=0.2, dt=5e-3)
         assert r.residual_inf < 1e-13
 
@@ -202,11 +200,9 @@ class TestTransport3D:
         rng = np.random.default_rng(1)
         om0 = random_solenoidal_field(g, 2, rng, amplitude=0.3)
         ph0 = random_scalar_3d(g, 2, rng, amplitude=1.0)
-        from nel.fields3d import VectorField3D
-
         c = np.zeros((3, 16, 16, 16), np.complex128)
         c[0, 1, 0, 0] = 1.0  # k . c != 0: not solenoidal
-        bad = VectorField3D(g, c)
+        bad = SpectralField(g, c)
         with pytest.raises(ValidationError, match="divergence"):
             transported_eigenfield_check_3d(bad, ph0, 0.1, 5e-3)
         with pytest.raises(ValidationError, match="velocity"):
@@ -242,7 +238,7 @@ class TestDarboux:
 
     def test_zero_F_is_identity(self):
         g, inp = worked_example()
-        inp = dataclasses.replace(inp, F=SpectralField2D.zero(g))
+        inp = dataclasses.replace(inp, F=SpectralField(g, np.zeros(g.shape)))
         res = darboux_apply(inp)
         assert np.array_equal(res.omega_t.coeffs, inp.omega.coeffs)
         assert np.array_equal(res.psi_t.coeffs, inp.psi.coeffs)
@@ -357,7 +353,7 @@ class TestSwapSymmetry:
         g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
         rng = np.random.default_rng(13)
         om = random_real_field(g, 4, rng)
-        zero = SpectralField2D.zero(g)
+        zero = SpectralField(g, np.zeros(g.shape))
         lhs = ns_rhs_2d(reflect_xy(om), 0.0, zero)
         rhs = reflect_xy(ns_rhs_2d(om, 0.0, zero))
         assert (lhs + rhs).norm_inf() < 1e-12
