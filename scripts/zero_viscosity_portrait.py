@@ -11,13 +11,12 @@ output is plain data; point any plotting tool at it.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
 import numpy as np
 
-from nel.runio import worker_count
+from nel.runio import json_payload_line, worker_count
 from nel.spectra import ModeClass, classify_limits, euler_spectrum, track_zero_viscosity
 
 
@@ -58,15 +57,7 @@ def main(argv=None):
         path = outdir / f"class_{cls.k1}_{cls.k2}.jsonl"
         with open(path, "w") as fh:
             for traj in result.trajectories:
-                fh.write(json.dumps({
-                    "class": [cls.k1, cls.k2],
-                    "nus": [float(nu) for nu in traj.nus],
-                    "re": [float(v.real) for v in traj.values],
-                    "im": [float(v.imag) for v in traj.values],
-                    "label": traj.label,
-                    "limit_re": float(traj.limit.real),
-                    "limit_im": float(traj.limit.imag),
-                }) + "\n")
+                fh.write(json_payload_line(traj.record(cls)) + "\n")
 
         lam0 = float(max((v.real for v in euler.points), default=float("nan")))
         summary_rows.append(

@@ -215,21 +215,7 @@ def _run_zvtrack(p, cfg):
     cl = classify_limits(track, euler, p["tol"])
     refined = euler_spectrum(cls, p["alpha"], p["gamma"], 2 * p["trunc"])
 
-    lines = []
-    for traj in cl.trajectories:
-        lines.append(
-            json_payload_line(
-                {
-                    "class": [p["k1"], p["k2"]],
-                    "nus": [float(nu) for nu in traj.nus],
-                    "re": [float(v.real) for v in traj.values],
-                    "im": [float(v.imag) for v in traj.values],
-                    "label": traj.label,
-                    "limit_re": float(traj.limit.real),
-                    "limit_im": float(traj.limit.imag),
-                }
-            )
-        )
+    lines = [json_payload_line(traj.record(cls)) for traj in cl.trajectories]
     lam0 = max((v.real for v in euler.points), default=None)
     lam0_ref = max((v.real for v in refined.points), default=None)
     summary = {

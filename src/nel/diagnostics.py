@@ -6,7 +6,8 @@ autonomous envelopes use a phase section anchored to the spatial-mean mode,
 arg(q_0) = -gamma mod 2*pi, with crossings located by bisection on the step.
 
 The Lyapunov estimator is the standard two-orbit method: displace a shadow
-trajectory by 1e-8 in a random direction of the flattened coefficient space,
+trajectory by 1e-8 in a random direction of the flattened coefficient space
+(not in slots the parity forbids), step the pair as one (2, n) batch state,
 renormalize the separation on a fixed cadence, and average the log growth.
 The three-angle clock flow has its own torus-aware estimator in `forcing`.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ComputationalError, ValidationError
 from .forcing import LyapunovResult
-from .models import GLState, SGState, model_step, state_vector, with_state_vector
+from .models import GLState, SGState, model_step, stack_states, state_row, state_vector, with_state_vector
 
 __all__ = ["PoincareResult", "poincare_samples", "lyapunov_max"]
 
@@ -38,13 +39,9 @@ class PoincareResult:
     escaped: bool = False
 
 
-def _wrap(x: float) -> float:
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _section_angle(state: GLState) -> float:
-    q0 = state.q[0]
-    return _wrap(math.atan2(q0.imag, q0.real) + state.params.gamma)
+    q0 = state.q[0]  # arg(q_0) + gamma, wrapped into [-pi, pi)
+    return (math.atan2(q0.imag, q0.real) + state.params.gamma + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _escaped(state) -> bool:
@@ -161,6 +158,8 @@ def lyapunov_max(
     rng = np.random.default_rng(seed)
     v0 = state_vector(state0)
     direction = rng.standard_normal(v0.size)
+    # zero the slots the parity forbids: the rebuilt ones are 1 where free
+    direction *= state_vector(with_state_vector(state0, np.ones(v0.size)))
     direction /= np.linalg.norm(direction)
     x = state0
     y = with_state_vector(state0, v0 + d0 * direction)
@@ -170,28 +169,22 @@ def lyapunov_max(
     log_sum = 0.0
     series = []
     for w in range(1, n_windows + 1):
+        pair = stack_states(x, y)
         try:
             for _ in range(steps_per):
-                x = model_step(x, dt)
-                y = model_step(y, dt)
+                pair = model_step(pair, dt)
+            escaped = _escaped(pair)
         except ComputationalError:
-            return _lyap_partial(log_sum, series, escaped=True)
-        if _escaped(x) or _escaped(y):
-            return _lyap_partial(log_sum, series, escaped=True)
-        vx = state_vector(x)
-        vy = state_vector(y)
+            escaped = True
+        if escaped:
+            return LyapunovResult(lam=series[-1][1] if series else math.nan, series=tuple(series), escaped=True)
+        vx, vy = state_vector(pair)
         d = float(np.linalg.norm(vy - vx))
         if d == 0.0:
-            raise ComputationalError(
-                "shadow separation collapsed to zero; increase d0"
-            )
+            raise ComputationalError("shadow separation collapsed to zero; increase d0")
         log_sum += math.log(d / d0)
         t = w * steps_per * dt
         series.append((t, log_sum / t))
+        x = state_row(pair, 0)
         y = with_state_vector(x, vx + (d0 / d) * (vy - vx))
     return LyapunovResult(lam=series[-1][1], series=tuple(series))
-
-
-def _lyap_partial(log_sum: float, series: list, escaped: bool) -> LyapunovResult:
-    lam = series[-1][1] if series else math.nan
-    return LyapunovResult(lam=lam, series=tuple(series), escaped=escaped)

@@ -254,6 +254,8 @@ def load_field(path) -> SpectralField:
             raise ValidationError(f"unknown field snapshot kind {d['kind']!r}")
         comps = d.get("components", 1)
         flat = np.array(d["re"], dtype=np.float64) + 1j * np.array(d["im"], dtype=np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise ValidationError(f"field snapshot {path} has non-finite coefficients")
         return SpectralField(grid, flat.reshape(grid.shape if comps == 1 else (comps, *grid.shape)))
     except KeyError as exc:
         raise ValidationError(f"field snapshot {path} has no key {exc}") from None

@@ -56,6 +56,7 @@ def _advance(theta, abc, delta, dt_sub):
     """RK4-substep theta forward by delta (without the dataclass overhead)."""
     n = max(1, int(math.ceil(delta / dt_sub - 1e-12)))
     h = delta / n
+    hh, h6 = 0.5 * h, h / 6.0  # 0.5 * h * k evaluates as (0.5 * h) * k
     t1, t2, t3 = theta
     sin, cos = math.sin, math.cos
     a, b, c = abc
@@ -63,11 +64,11 @@ def _advance(theta, abc, delta, dt_sub):
         k11 = a * sin(t3) + c * cos(t2)
         k12 = b * sin(t1) + a * cos(t3)
         k13 = c * sin(t2) + b * cos(t1)
-        u1, u2, u3 = t1 + 0.5 * h * k11, t2 + 0.5 * h * k12, t3 + 0.5 * h * k13
+        u1, u2, u3 = t1 + hh * k11, t2 + hh * k12, t3 + hh * k13
         k21 = a * sin(u3) + c * cos(u2)
         k22 = b * sin(u1) + a * cos(u3)
         k23 = c * sin(u2) + b * cos(u1)
-        u1, u2, u3 = t1 + 0.5 * h * k21, t2 + 0.5 * h * k22, t3 + 0.5 * h * k23
+        u1, u2, u3 = t1 + hh * k21, t2 + hh * k22, t3 + hh * k23
         k31 = a * sin(u3) + c * cos(u2)
         k32 = b * sin(u1) + a * cos(u3)
         k33 = c * sin(u2) + b * cos(u1)
@@ -75,9 +76,9 @@ def _advance(theta, abc, delta, dt_sub):
         k41 = a * sin(u3) + c * cos(u2)
         k42 = b * sin(u1) + a * cos(u3)
         k43 = c * sin(u2) + b * cos(u1)
-        t1 += h / 6.0 * (k11 + 2 * k21 + 2 * k31 + k41)
-        t2 += h / 6.0 * (k12 + 2 * k22 + 2 * k32 + k42)
-        t3 += h / 6.0 * (k13 + 2 * k23 + 2 * k33 + k43)
+        t1 += h6 * (k11 + 2 * k21 + 2 * k31 + k41)
+        t2 += h6 * (k12 + 2 * k22 + 2 * k32 + k42)
+        t3 += h6 * (k13 + 2 * k23 + 2 * k33 + k43)
     return (t1 % TWO_PI, t2 % TWO_PI, t3 % TWO_PI)
 
 
@@ -134,11 +135,9 @@ def abc_lyapunov(
         diff = tuple((b - a + math.pi) % TWO_PI - math.pi for a, b in zip(x, y))
         d = math.sqrt(sum(v * v for v in diff))
         t += renorm_dt
-        if d == 0.0:
-            series.append((t, log_sum / t))
-            continue
-        log_sum += math.log(d / d0)
-        y = tuple(a + v * (d0 / d) for a, v in zip(x, diff))
+        if d != 0.0:
+            log_sum += math.log(d / d0)
+            y = tuple(a + v * (d0 / d) for a, v in zip(x, diff))
         series.append((t, log_sum / t))
     return LyapunovResult(series[-1][1], tuple(series))
 

@@ -287,14 +287,14 @@ def _check_eigen_preconditions(inp: DarbouxInput):
     om = inp.omega
     for name, g in (("p", inp.p), ("f", inp.f)):
         r = bracket_core(om, g).norm_inf()
-        if r > CONSTRAINT_TOL:
+        if not r <= CONSTRAINT_TOL:  # a NaN residual fails too
             raise ValidationError(
                 f"{{Omega, {name}}} residual {r:.3e} exceeds {CONSTRAINT_TOL}"
             )
     lapF = laplacian(inp.F)
     r1 = bracket_core(om, lapF).norm_inf()
     r2 = bracket_core(lapF, inp.F).norm_inf()
-    if r1 > CONSTRAINT_TOL or r2 > CONSTRAINT_TOL:
+    if not (r1 <= CONSTRAINT_TOL and r2 <= CONSTRAINT_TOL):
         raise ValidationError(
             f"gauge constraints violated: |{{Omega, Lap F}}|={r1:.3e}, "
             f"|{{Lap F, F}}|={r2:.3e}"

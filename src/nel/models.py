@@ -17,7 +17,10 @@ Time stepping is an integrating-factor RK4: the linear symbol is applied
 exactly in coefficient space (a 2x2 wave rotation per mode for sine-Gordon,
 a complex exponential per mode for the envelopes) and nonlinearities are
 evaluated on a physical grid of ~4x the retained modes, which keeps cubic
-products alias-free.
+products alias-free.  Coefficient arrays may carry leading batch axes (one
+orbit per row, on one clock; transforms run along the last axis), so a
+(2, n) state steps an orbit and its Lyapunov shadow at once.  The factors
+e^{lam h} and the wave propagators are cached, read-only, per (params, dt).
 
 The chaos windows quoted for these models (the (eps, a) rectangle for the
 wave equation, |mu| > 5.8 for the derivative envelope, the alpha = 1/kappa
@@ -28,6 +31,7 @@ come from configuration and the defaults below are merely representative.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +58,8 @@ __all__ = [
     "model_step",
     "state_vector",
     "with_state_vector",
+    "stack_states",
+    "state_row",
 ]
 
 
@@ -91,9 +97,11 @@ class SGState:
 
     Slot k holds the amplitude of cos(kx) (even) or sin(kx) (odd); for odd
     parity slot 0 is structurally zero.  `forcing` is the forcing clock
-    advanced alongside t.
+    advanced alongside t.  u and v may carry leading batch axes, one orbit
+    per row, all on this clock.
     """
 
+    DATA = ("u", "v")  # the evolving arrays, which stack_states and state_row batch
     params: SGParams
     u: np.ndarray = field(repr=False, default=None)
     v: np.ndarray = field(repr=False, default=None)
@@ -103,9 +111,10 @@ class SGState:
     def __post_init__(self):
         n = self.params.n_modes + 1
         for name, arr in (("u", self.u), ("v", self.v)):
-            if not isinstance(arr, np.ndarray) or arr.shape != (n,) or not np.isrealobj(arr):
-                raise ValidationError(f"{name} must be a real vector of length {n}")
-        if self.params.parity == "odd" and (self.u[0] != 0.0 or self.v[0] != 0.0):
+            ok = isinstance(arr, np.ndarray) and arr.shape[-1:] == (n,) and np.isrealobj(arr)
+            if not ok or arr.shape != self.u.shape:
+                raise ValidationError(f"{name} must be a real array of trailing length {n}, shaped as u")
+        if self.params.parity == "odd" and (np.any(self.u[..., 0] != 0.0) or np.any(self.v[..., 0] != 0.0)):
             raise ValidationError("odd parity has no uniform mode; slot 0 must be 0")
         if self.forcing is None:
             object.__setattr__(self, "forcing", self.params.forcing)
@@ -126,23 +135,20 @@ def sg_uniform_state(params: SGParams, u0: float, v0: float = 0.0) -> SGState:
     """Spatially uniform initial data (even parity only)."""
     if params.parity != "even":
         raise ValidationError("a uniform state is even; odd parity cannot hold one")
-    n = params.n_modes + 1
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[0] = u0
-    v[0] = v0
+    u, v = np.zeros((2, params.n_modes + 1))
+    u[0], v[0] = u0, v0
     return SGState(params=params, u=u, v=v)
 
 
 def _sg_to_phys(params: SGParams, coeffs: np.ndarray, deriv: bool = False):
     m = params.n_modes
     n = 4 * m
-    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
     if params.parity == "even":
-        spec[0] = n * coeffs[0]
-        spec[1 : m + 1] = 0.5 * n * coeffs[1:]
+        spec[..., 0] = n * coeffs[..., 0]
+        spec[..., 1 : m + 1] = 0.5 * n * coeffs[..., 1:]
     else:
-        spec[1 : m + 1] = -0.5j * n * coeffs[1:]
+        spec[..., 1 : m + 1] = -0.5j * n * coeffs[..., 1:]
     u = np.fft.irfft(spec, n)
     if not deriv:
         return u
@@ -157,30 +163,35 @@ def _sg_from_phys(params: SGParams, g: np.ndarray) -> np.ndarray:
     m = params.n_modes
     n = 4 * m
     r = np.fft.rfft(g)
-    out = np.zeros(m + 1)
+    out = np.zeros((*g.shape[:-1], m + 1))
     if params.parity == "even":
-        out[0] = r[0].real / n
-        out[1:] = 2.0 * r[1 : m + 1].real / n
+        out[..., 0] = r[..., 0].real / n
+        out[..., 1:] = 2.0 * r[..., 1 : m + 1].real / n
     else:
-        out[1:] = -2.0 * r[1 : m + 1].imag / n
+        out[..., 1:] = -2.0 * r[..., 1 : m + 1].imag / n
     return out
 
 
-def _sg_propagator(params: SGParams, tau: float):
-    """Per-mode matrix exponential of (u, v)' = (v, -c^2 k^2 u) over tau.
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    Returns (P00, P01, P10); P11 = P00.  Mode 0 degenerates to the shear
-    [[1, tau], [0, 1]].
-    """
-    k = np.arange(params.n_modes + 1, dtype=float)
-    w = params.c * k
-    wt = w * tau
-    p00 = np.cos(wt)
-    p01 = np.empty_like(w)
-    p01[0] = tau
-    p01[1:] = np.sin(wt[1:]) / w[1:]
-    p10 = -w * np.sin(wt)
-    return p00, p01, p10
+
+@functools.lru_cache(maxsize=8)  # the section bisection steps at many dt values
+def _sg_factors(params: SGParams, dt: float):
+    """E(dt/2) and E(dt), read-only: per-mode matrix exponentials of
+    (u, v)' = (v, -c^2 k^2 u), each as (P00, P01, P10) with P11 = P00.  Mode 0
+    degenerates to the shear [[1, tau], [0, 1]]."""
+    w = params.c * np.arange(params.n_modes + 1, dtype=float)
+    factors = []
+    for tau in (0.5 * dt, dt):
+        wt = w * tau
+        p01 = np.empty_like(w)
+        p01[0] = tau
+        p01[1:] = np.sin(wt[1:]) / w[1:]
+        factors += [np.cos(wt), p01, -w * np.sin(wt)]
+    return _read_only(*factors)
 
 
 def _sg_nonlinear(params: SGParams, u_coeffs: np.ndarray, f: float) -> np.ndarray:
@@ -207,8 +218,7 @@ def sg_step(state: SGState, dt: float) -> SGState:
     p = state.params
     t = state.t
     h = 0.5 * dt
-    a00, a01, a10 = _sg_propagator(p, h)   # E(h)
-    b00, b01, b10 = _sg_propagator(p, dt)  # E(dt)
+    a00, a01, a10, b00, b01, b10 = _sg_factors(p, dt)  # E(h), E(dt)
     u, v = state.u, state.v
 
     fs = state.forcing
@@ -289,16 +299,18 @@ class GLParams:
 
 @dataclass(frozen=True)
 class GLState:
-    """Complex cosine coefficients q_k, k = 0..n_modes, at time t."""
+    """Complex cosine coefficients q_k, k = 0..n_modes, at time t; q may
+    carry leading batch axes, one orbit per row."""
 
+    DATA = ("q",)  # the evolving arrays, which stack_states and state_row batch
     params: GLParams
     q: np.ndarray = field(repr=False, default=None)
     t: float = 0.0
 
     def __post_init__(self):
         n = self.params.n_modes + 1
-        if not isinstance(self.q, np.ndarray) or self.q.shape != (n,) or not np.iscomplexobj(self.q):
-            raise ValidationError(f"q must be a complex vector of length {n}")
+        if not isinstance(self.q, np.ndarray) or self.q.shape[-1:] != (n,) or not np.iscomplexobj(self.q):
+            raise ValidationError(f"q must be a complex array of trailing length {n}")
 
 
 def gl_state(params: GLParams, q, t: float = 0.0) -> GLState:
@@ -331,13 +343,19 @@ def _gl_grid_size(n_modes: int) -> int:
     return 1 << (4 * n_modes + 1).bit_length()
 
 
-def _gl_to_phys(params: GLParams, q: np.ndarray) -> np.ndarray:
+def _gl_to_phys(params: GLParams, q: np.ndarray, dx=None) -> np.ndarray:
+    """q, and given the Dx multipliers dx also Dx q = -sum_{k=1..K} k q_k sin kx,
+    on the physical grid as rows of a (..., 1 or 2, N) array: one inverse FFT."""
     m = params.n_modes
     n = _gl_grid_size(m)
-    a = np.zeros(n, dtype=complex)
-    a[0] = n * q[0]
-    a[1 : m + 1] = 0.5 * n * q[1:]
-    a[n - m :] = 0.5 * n * q[1:][::-1]
+    a = np.zeros((*q.shape[:-1], 1 if dx is None else 2, n), dtype=complex)
+    a[..., 0, 0] = n * q[..., 0]
+    a[..., 0, 1 : m + 1] = 0.5 * n * q[..., 1:]
+    a[..., 0, n - m :] = 0.5 * n * q[..., :0:-1]
+    if dx is not None:
+        kk = params.K
+        a[..., 1, 1 : kk + 1] = dx[0] * q[..., 1 : kk + 1] * n
+        a[..., 1, n - kk :] = (dx[1] * q[..., 1 : kk + 1] * n)[..., ::-1]
     return np.fft.ifft(a)
 
 
@@ -346,40 +364,32 @@ def _gl_from_phys(params: GLParams, g: np.ndarray) -> np.ndarray:
     m = params.n_modes
     n = _gl_grid_size(m)
     a = np.fft.fft(g) / n
-    out = np.empty(m + 1, dtype=complex)
-    out[0] = a[0]
-    out[1:] = a[1 : m + 1] + a[n - 1 : n - m - 1 : -1]
+    out = np.empty((*g.shape[:-1], m + 1), dtype=complex)
+    out[..., 0] = a[..., 0]
+    out[..., 1:] = a[..., 1 : m + 1] + a[..., n - 1 : n - m - 1 : -1]
     return out
 
 
-def _gl_bounded_deriv(params: GLParams, q: np.ndarray) -> np.ndarray:
-    """Dx q = -sum_{k=1..K} k q_k sin kx on the physical grid."""
-    m = params.n_modes
-    n = _gl_grid_size(m)
-    kk = params.K
-    k = np.arange(1, kk + 1)
-    a = np.zeros(n, dtype=complex)
-    a[1 : kk + 1] = 0.5j * k * q[1 : kk + 1] * n
-    a[n - kk :] = (-0.5j * k * q[1 : kk + 1] * n)[::-1]
-    return np.fft.ifft(a)
-
-
-def _gl_symbol(params: GLParams) -> np.ndarray:
-    """Diagonal linear symbol per cosine mode (the i q_xx part, plus the
-    viscous/damping part for pnls)."""
+@functools.lru_cache(maxsize=8)  # the section bisection steps at many dt values
+def _gl_factors(params: GLParams, dt: float):
+    """e^{lam dt/2}, e^{lam dt} and the Dx multipliers (i k/2, -i k/2), k = 1..K,
+    read-only; lam is the diagonal linear symbol per cosine mode (the i q_xx
+    part, plus the viscous/damping part for pnls)."""
     k2 = np.arange(params.n_modes + 1, dtype=float) ** 2
-    if params.variant == "dernls":
-        return 1j * k2
-    return 1j * k2 - params.eps * k2 - params.eps * params.alpha
+    lam = 1j * k2 if params.variant == "dernls" else 1j * k2 - params.eps * k2 - params.eps * params.alpha
+    k = np.arange(1, params.K + 1)
+    return _read_only(np.exp(lam * (0.5 * dt)), np.exp(lam * dt), 0.5j * k, -0.5j * k)
 
 
-def _gl_nonlinear(params: GLParams, q: np.ndarray) -> np.ndarray:
-    qp = _gl_to_phys(params, q)
+def _gl_nonlinear(params: GLParams, q: np.ndarray, dx) -> np.ndarray:
+    deriv = params.variant == "dernls" and params.eps != 0.0
+    phys = _gl_to_phys(params, q, dx if deriv else None)
+    qp = phys[..., 0, :]
     aq2 = qp.real * qp.real + qp.imag * qp.imag
     if params.variant == "dernls":
         g = -2j * aq2 * qp
-        if params.eps:
-            dq = _gl_bounded_deriv(params, q)
+        if deriv:
+            dq = phys[..., 1, :]
             ad2 = dq.real * dq.real + dq.imag * dq.imag
             g = g + params.eps * ((0.5625 - aq2) * qp + params.mu * ad2 * np.conj(qp))
     else:
@@ -394,17 +404,15 @@ def gl_step(state: GLState, dt: float) -> GLState:
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     p = state.params
-    lam = _gl_symbol(p)
-    e1 = np.exp(lam * (0.5 * dt))
-    e2 = np.exp(lam * dt)
+    e1, e2, *dx = _gl_factors(p, dt)
     q = state.q
     h = 0.5 * dt
 
     with np.errstate(over="ignore", invalid="ignore"):  # blowup caught below
-        n1 = _gl_nonlinear(p, q)
-        n2 = _gl_nonlinear(p, e1 * (q + h * n1))
-        n3 = _gl_nonlinear(p, e1 * q + h * n2)
-        n4 = _gl_nonlinear(p, e2 * q + dt * e1 * n3)
+        n1 = _gl_nonlinear(p, q, dx)
+        n2 = _gl_nonlinear(p, e1 * (q + h * n1), dx)
+        n3 = _gl_nonlinear(p, e1 * q + h * n2, dx)
+        n4 = _gl_nonlinear(p, e2 * q + dt * e1 * n3, dx)
         q_new = e2 * q + (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
     if not np.all(np.isfinite(q_new)):
         raise ComputationalError(
@@ -415,7 +423,7 @@ def gl_step(state: GLState, dt: float) -> GLState:
 
 def gl_mass(state: GLState) -> float:
     """Grid quadrature of int |q|^2 dx (conserved by the eps = 0 flow)."""
-    qp = _gl_to_phys(state.params, state.q)
+    qp = _gl_to_phys(state.params, state.q)[..., 0, :]
     return float((qp.real**2 + qp.imag**2).mean() * 2.0 * np.pi)
 
 
@@ -432,20 +440,35 @@ def model_step(state, dt: float):
 
 
 def state_vector(state) -> np.ndarray:
-    """Flatten the evolving degrees of freedom into one real vector."""
+    """Flatten the evolving degrees of freedom into one real vector (per row)."""
     if isinstance(state, SGState):
-        return np.concatenate([state.u, state.v])
+        return np.concatenate([state.u, state.v], axis=-1)
     if isinstance(state, GLState):
-        return np.concatenate([state.q.real, state.q.imag])
+        return np.concatenate([state.q.real, state.q.imag], axis=-1)
     raise ValidationError(f"no state vector for type {type(state).__name__}")
 
 
 def with_state_vector(state, vec: np.ndarray):
-    """Rebuild a state of the same kind (and clock) from a flat vector."""
+    """Rebuild a state of the same kind (and clock) from a flat vector (per
+    row); slots the parity forbids are set to zero."""
     if isinstance(state, SGState):
         n = state.params.n_modes + 1
-        return dataclasses.replace(state, u=vec[:n].copy(), v=vec[n:].copy())
+        u, v = vec[..., :n].copy(), vec[..., n:].copy()
+        if state.params.parity == "odd":
+            u[..., 0] = v[..., 0] = 0.0
+        return dataclasses.replace(state, u=u, v=v)
     if isinstance(state, GLState):
         n = state.params.n_modes + 1
-        return dataclasses.replace(state, q=vec[:n] + 1j * vec[n:])
+        return dataclasses.replace(state, q=vec[..., :n] + 1j * vec[..., n:])
     raise ValidationError(f"no state vector for type {type(state).__name__}")
+
+
+def stack_states(*states):
+    """One batch state with the given states (one kind, params and clock) as rows."""
+    first = states[0]
+    return dataclasses.replace(first, **{f: np.stack([getattr(s, f) for s in states]) for f in first.DATA})
+
+
+def state_row(state, i: int):
+    """Row i of a batch state, as a state of its own."""
+    return dataclasses.replace(state, **{f: getattr(state, f)[i] for f in state.DATA})

@@ -104,6 +104,18 @@ class EigTrajectory:
     label: str = "Unresolved"
     ambiguous: bool = False
 
+    def record(self, cls: ModeClass) -> dict:
+        """The JSON record of this trajectory of class cls, as zvtrack writes it."""
+        return {
+            "class": [cls.k1, cls.k2],
+            "nus": [float(nu) for nu in self.nus],
+            "re": [float(v.real) for v in self.values],
+            "im": [float(v.imag) for v in self.values],
+            "label": self.label,
+            "limit_re": float(self.limit.real),
+            "limit_im": float(self.limit.imag),
+        }
+
 
 @dataclass(frozen=True)
 class Classification:

@@ -8,8 +8,12 @@ values with a tolerance where a change of eigensolver may move the last bits.
 The spectra corpus was generated from the code before the spectra of the
 (k1, 0) classes were split into reflection sectors; the commands corpus
 (transport and chaos commands, and the bytes of field snapshots) from the
-code before the 2D and 3D field classes were merged into one.  Regenerate a
-corpus only on purpose, and say why in CHANGES.md.
+code before the 2D and 3D field classes were merged into one.  Its entries
+for the section search, the kicked and odd-parity wave and the pnls
+envelope were added from the code before the chaos steppers took a batch
+axis; ``lyapunov_sg_odd`` was added after the odd-parity shadow was fixed
+(it exited 2 before).  Regenerate a corpus only on purpose, and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -51,6 +55,13 @@ COMMAND_CASES = {
     "poincare_sg": ["poincare", "--model", "sg", "--u0", "3.0", "--iterates", "4"],
     "lyapunov_abc": ["lyapunov", "--model", "abc", "--t-end", "50"],
     "lyapunov_dernls": ["lyapunov", "--model", "dernls", "--eps", "0.05", "--t-end", "3"],
+    "poincare_dernls": ["poincare", "--model", "dernls", "--eps", "0.05", "--iterates", "2"],
+    "poincare_sg_kick": ["poincare", "--model", "sg", "--u0", "3.0", "--kick", "1:0.1", "--iterates", "2"],
+    "lyapunov_sg_kick": ["lyapunov", "--model", "sg", "--kick", "1:0.1", "--t-end", "5"],
+    "simulate_pnls": ["simulate", "--model", "pnls", "--eps", "0.1", "--q0", "0.5+0.1j", "--t-end", "1"],
+    "lyapunov_pnls": ["lyapunov", "--model", "pnls", "--eps", "0.1", "--q0", "0.5+0.1j", "--t-end", "3"],
+    "simulate_sg_odd": ["simulate", "--model", "sg", "--parity", "odd", "--kick", "1:0.1"],
+    "lyapunov_sg_odd": ["lyapunov", "--model", "sg", "--parity", "odd", "--kick", "1:0.1", "--t-end", "5"],
 }
 # darboux from save_field snapshots of darboux_shear_example(nx, ny)
 DARBOUX_SNAPSHOT_SIZES = ((64, 8), (32, 16))

@@ -1,6 +1,8 @@
 """End-to-end checks of the command line driver and its file contract."""
 
 import json
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -13,6 +15,8 @@ from nel.cli import SPECTRUM_CSV_HEADER, main
 from nel.errors import ValidationError
 from nel.runio import parse_config_text, serialize_config, worker_count
 from nel.spectra import NuStarResult
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -187,6 +191,15 @@ class TestZvtrackCommand:
         labels = {json.loads(line)["label"] for line in payload}
         assert "Persistence" in labels
 
+    def test_portrait_script_writes_the_same_records(self, tmp_path):
+        out = tmp_path / "track.jsonl"
+        args = ["--trunc", "12", "--n-nus", "5"]
+        assert run_cli("zvtrack", "--k1", "2", "--k2", "1", *args, "--out", str(out)) == 0
+        script = runpy.run_path(str(ROOT / "scripts" / "zero_viscosity_portrait.py"))
+        assert script["main"](["--classes", "2,1", *args, "--outdir", str(tmp_path / "portrait")]) == 0
+        portrait = (tmp_path / "portrait" / "class_2_1.jsonl").read_text().splitlines()
+        assert portrait == read_out(out)[1]
+
 
 class TestLaxcheckCommand:
     def test_payloads_are_deterministic(self, tmp_path):
@@ -241,8 +254,13 @@ class TestDarbouxCommand:
                 f' "components": 2, "re": {[0.0] * 32}, "im": {[0.0] * 32}}}',
                 "2D scalar",
             ),
+            (
+                '{"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4},'
+                f' "re": [NaN, {", ".join(["0.0"] * 15)}], "im": {[0.0] * 16}}}',
+                "non-finite",
+            ),
         ],
-        ids=["not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector"],
+        ids=["not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector", "nan-coefficient"],
     )
     def test_malformed_snapshot_exits_2(self, tmp_path, capsys, snapshot, message):
         bad = tmp_path / "bad.json"
@@ -346,6 +364,18 @@ class TestLyapunovCommand:
         assert header["summary"]["lambda"] < -0.5
         rec = json.loads(payload[-1])
         assert rec["t"] == pytest.approx(10.0)
+
+    def test_odd_parity_wave(self, tmp_path):
+        # the shadow direction skips slot 0 of u and v, which odd parity forbids
+        out = tmp_path / "lyap.csv"
+        code = run_cli(
+            "lyapunov", "--model", "sg", "--parity", "odd", "--kick", "1:0.1",
+            "--n-modes", "16", "--t-end", "2", "--out", str(out),
+        )
+        assert code == 0
+        header, payload = read_out(out)
+        assert np.isfinite(header["summary"]["lambda"])
+        assert len(payload) == 1 + 4
 
 
 class TestInterpreterEntry:

@@ -1,5 +1,6 @@
 """Section sampling and Lyapunov diagnostics on the model steppers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,26 @@ class TestLyapunovMax:
         r = lyapunov_max(gl_uniform_state(p, 5.0 + 0j), 10.0, dt=1.0, renorm_dt=1.0)
         assert r.escaped
         assert r.series == () and math.isnan(r.lam)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowing_up_shadow_truncates_at_its_window(self, monkeypatch):
+        p = GLParams(variant="dernls", eps=0.01, mu=6.0, n_modes=16, K=8)
+        st = gl_uniform_state(p, 0.7 + 0j)
+        ref = lyapunov_max(st, 5.0, dt=0.05, seed=3)  # 10 windows of 10 steps
+        step, calls = diagnostics.model_step, []
+
+        def shadow_blows_up(state, dt):
+            calls.append(dt)
+            if len(calls) == 25:  # inside window 3: the shadow row goes infinite
+                q = state.q.copy()
+                q[1, 3] = np.inf
+                state = dataclasses.replace(state, q=q)
+            return step(state, dt)
+
+        monkeypatch.setattr(diagnostics, "model_step", shadow_blows_up)
+        r = lyapunov_max(st, 5.0, dt=0.05, seed=3)
+        assert r.escaped and len(ref.series) == 10
+        assert r.series == ref.series[:2] and r.lam == ref.series[1][1]
 
     def test_validation(self):
         st = sg_zero_state(SGParams(n_modes=8))

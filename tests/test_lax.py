@@ -293,6 +293,15 @@ class TestDarboux:
         with pytest.raises(ValidationError, match="eta"):
             darboux_apply(dataclasses.replace(inp, eta=0.0))
 
+    @pytest.mark.parametrize("name", ["p", "F"])
+    def test_nan_residual_fails_preconditions(self, name):
+        _, inp = worked_example()
+        coeffs = getattr(inp, name).coeffs.copy()
+        coeffs[1, 0] = np.nan
+        bad = dataclasses.replace(inp, **{name: SpectralField(inp.omega.grid, coeffs)})
+        with pytest.raises(ValidationError, match="residual|gauge constraints"):
+            darboux_apply(bad)
+
 
 class TestGaugeIdentity:
     def test_two_quotients_agree(self):

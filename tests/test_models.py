@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from nel import models
 from nel.errors import ComputationalError, ValidationError
 from nel.forcing import ForcingSpec
 from nel.models import (
@@ -23,6 +24,8 @@ from nel.models import (
     sg_step,
     sg_uniform_state,
     sg_zero_state,
+    stack_states,
+    state_row,
     state_vector,
     with_state_vector,
 )
@@ -247,3 +250,71 @@ class TestStateVectorRoundTrip:
             state_vector(object())
         with pytest.raises(ValidationError):
             model_step(object(), 0.1)
+
+
+def random_state(case, rng):
+    """One state of each batch case, with every mode of the truncation excited."""
+    quasi = ForcingSpec(mode="quasiperiodic", betas=(0.3, 0.2, 0.1, 0.1), eps=0.1)
+    if case.startswith("sg"):
+        parity = case.split("_")[1]
+        p = SGParams(eps=0.1, parity=parity, n_modes=16, forcing=quasi if parity == "odd" else ForcingSpec())
+        u, v = rng.normal(0.0, 0.2, (2, 17))
+        if parity == "odd":
+            u[0] = v[0] = 0.0
+        return sg_state(p, u, v)
+    variant, eps = {"dernls_eps0": ("dernls", 0.0), "dernls_eps": ("dernls", 0.05), "pnls": ("pnls", 0.1)}[case]
+    p = GLParams(variant=variant, eps=eps, n_modes=16, K=8)
+    return gl_state(p, rng.normal(0.0, 0.2, 17) + 1j * rng.normal(0.0, 0.2, 17))
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("case", ["sg_even", "sg_odd", "dernls_eps0", "dernls_eps", "pnls"])
+    def test_stacked_step_equals_rows_alone(self, case):
+        rng = np.random.default_rng(11)
+        rows = [random_state(case, rng), random_state(case, rng)]
+        pair = stack_states(*rows)
+        assert state_vector(pair).shape == (2, 34)
+        for _ in range(5):
+            pair = model_step(pair, 0.02)
+            rows = [model_step(r, 0.02) for r in rows]
+        for i, row in enumerate(rows):
+            assert np.array_equal(state_vector(state_row(pair, i)), state_vector(row))
+            assert state_row(pair, i).t == row.t
+        if case.startswith("sg"):
+            assert pair.forcing == rows[0].forcing
+
+    def test_cached_factors_are_read_only(self):
+        gl = GLParams(variant="dernls", eps=0.05, n_modes=8, K=4)
+        arrays = [
+            *models._gl_factors(gl, 0.01),
+            *models._sg_factors(SGParams(n_modes=8), 0.01),
+        ]
+        assert len(arrays) == 10
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_validation_covers_every_row(self):
+        p = SGParams(parity="odd", n_modes=8)
+        u = np.zeros((2, 9))
+        u[1, 0] = 0.5
+        with pytest.raises(ValidationError, match="slot 0"):
+            sg_state(p, u, np.zeros((2, 9)))
+        with pytest.raises(ValidationError, match="shaped as u"):
+            sg_state(p, np.zeros((2, 9)), np.zeros(9))
+        with pytest.raises(ValidationError, match="trailing length"):
+            gl_state(GLParams(n_modes=8, K=4), np.zeros((2, 8), complex))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_in_one_row_raises(self):
+        p = GLParams(variant="dernls", eps=0.0, K=8, n_modes=16)
+        st = stack_states(gl_uniform_state(p, 0.1 + 0j), gl_uniform_state(p, 5.0 + 0j))
+        with pytest.raises(ComputationalError, match="last valid time"):
+            for _ in range(100):
+                st = gl_step(st, 1.0)
+
+    def test_odd_rebuild_zeroes_slot_0(self):
+        st = sg_zero_state(SGParams(parity="odd", n_modes=8))
+        rebuilt = with_state_vector(st, np.ones((2, 18)))
+        assert np.array_equal(state_vector(rebuilt)[:, [0, 9]], np.zeros((2, 2)))
+        assert np.all(np.delete(state_vector(rebuilt), [0, 9], axis=1) == 1.0)
