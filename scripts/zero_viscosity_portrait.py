@@ -4,7 +4,9 @@
 Tracks every eigenvalue of a set of invariant classes along a descending
 viscosity schedule, classifies the limits against the inviscid spectrum, and
 writes one JSONL file per class plus a one-line-per-class summary CSV.  The
-output is plain data; point any plotting tool at it.
+output is plain data; point any plotting tool at it.  A class with no
+isolated inviscid eigenvalue has an empty ``lambda0`` cell (``nel zvtrack``
+writes null there).
 
     python3 scripts/zero_viscosity_portrait.py --outdir portrait/
     python3 scripts/zero_viscosity_portrait.py --classes "1,0;2,0;1,1" --trunc 96
@@ -59,10 +61,10 @@ def main(argv=None):
             for traj in result.trajectories:
                 fh.write(json_payload_line(traj.record(cls)) + "\n")
 
-        lam0 = float(max((v.real for v in euler.points), default=float("nan")))
+        lam0 = max((v.real for v in euler.points), default=None)
         summary_rows.append(
             f"{cls.k1},{cls.k2},{result.class_label},{len(result.trajectories)},"
-            f"{lam0!r},{float(euler.cluster_extent)!r}"
+            f"{'' if lam0 is None else repr(float(lam0))},{float(euler.cluster_extent)!r}"
         )
         print(f"({cls.k1},{cls.k2}) -> {result.class_label}  [{path}]")
 

@@ -13,10 +13,14 @@ with the Poisson bracket {f, g} = f_x g_y - f_y g_x and velocity
 dealiased with the grid's mask (2/3 rule by default, 1/2 rule when triple
 products must be exact).  The (0,0) mode of every dynamical field is kept at
 zero; stream functions are only defined for mean-zero vorticity.
+
+Transforms to grid values skip lines that are exactly zero, those back skip
+lines the dealias mask drops; both equal numpy's but for the sign of a zero.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -56,7 +60,7 @@ class SpectralField:
 
     def physical(self) -> np.ndarray:
         """Grid values; complex in general, take .real for Hermitian fields."""
-        return np.fft.ifftn(self.coeffs, axes=self.grid.axes) * self.grid.size
+        return _inverse(self.grid, self.coeffs.copy())
 
     def hermitian_error(self) -> float:
         return float(np.max(np.abs(self.coeffs - _conj_reversed(self))))
@@ -88,6 +92,50 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
+
+
+def _inverse(grid, c: np.ndarray) -> np.ndarray:
+    """``ifftn(c) * grid.size`` over the grid axes, computed in c (any leading axes).
+
+    As in ``ifftn`` the last axis goes first.  Where an axis's dealiased-away
+    modes are exactly zero, the later axes skip the lines through them, which
+    are zeros: only the sign of a zero can differ from ``ifftn``.
+    """
+    nd = len(grid.shape)
+    lines = [
+        (slice(None),) if c[(Ellipsis, dropped) + (slice(None),) * (nd - 1 - a)].any() else (low, high)
+        for a, (low, high, dropped) in enumerate(grid.dealias_slices[:-1])
+    ]
+    for a in reversed(range(nd)):
+        for block in itertools.product(*lines[:a]):
+            v = c[(Ellipsis, *block) + (slice(None),) * (nd - a)]
+            np.fft.ifft(v, axis=a - nd, out=v)
+    return np.multiply(c, grid.size, out=c)
+
+
+def _forward_dealiased(grid, x: np.ndarray) -> np.ndarray:
+    """``np.where(mask, fftn(x) / grid.size, 0)`` over the grid axes, mean
+    zeroed, computed in x (any leading axes).  As in ``fftn`` the last axis
+    goes first; the later axes skip lines the mask drops on the axes done.
+    """
+    nd = len(grid.shape)
+    for a in reversed(range(nd)):
+        for block in itertools.product(*(s[:2] for s in grid.dealias_slices[a + 1 :])):
+            v = x[(Ellipsis,) + (slice(None),) * (a + 1) + block]
+            np.fft.fft(v, axis=a - nd, out=v)
+    for a, (_, _, dropped) in enumerate(grid.dealias_slices):
+        x[(Ellipsis, dropped) + (slice(None),) * (nd - 1 - a)] = 0.0
+    x /= grid.size
+    x[_zero_mode(grid)] = 0.0
+    return x
+
+
+def gradient_values(f: SpectralField) -> np.ndarray:
+    """Grid values of the gradient of f, direction first: ``(d, *f.coeffs.shape)``."""
+    ik = np.empty((len(f.grid.shape), *f.coeffs.shape), complex)
+    for j, kj in enumerate(f.grid.k):
+        np.multiply(f.coeffs, 1j * kj, out=ik[j])
+    return _inverse(f.grid, ik)
 
 
 def _zero_mode(grid) -> tuple:
@@ -142,22 +190,22 @@ def invert_laplacian(f: SpectralField) -> SpectralField:
 
 
 def dx(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.kx))
+    return SpectralField(f.grid, f.coeffs * (1j * f.grid.k[0]))
 
 
 def dy(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.ky))
+    return SpectralField(f.grid, f.coeffs * (1j * f.grid.k[1]))
 
 
-def bracket_core(f: SpectralField, g: SpectralField) -> SpectralField:
-    """{f, g} = f_x g_y - f_y g_x for fields of any (complex) value type."""
+def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -> SpectralField:
+    """{f, g} = f_x g_y - f_y g_x for fields of any (complex) value type.
+
+    A caller may share ``gradient_values`` of f or g between brackets.
+    """
     _check_same_grid(f, g)
-    fx = dx(f).physical()
-    fy = dy(f).physical()
-    gx = dx(g).physical()
-    gy = dy(g).physical()
-    out = SpectralField.from_physical(f.grid, fx * gy - fy * gx)
-    return project_mean(dealias(out))
+    fx, fy = gradient_values(f) if f_grad is None else f_grad
+    gx, gy = gradient_values(g) if g_grad is None else g_grad
+    return SpectralField(f.grid, _forward_dealiased(f.grid, fx * gy - fy * gx))
 
 
 def bracket(f: SpectralField, g: SpectralField) -> SpectralField:

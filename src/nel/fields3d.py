@@ -19,7 +19,9 @@ from .errors import ValidationError
 from .fields import (
     SpectralField,
     _check_same_grid,
+    _forward_dealiased,
     _scaled,
+    gradient_values,
     invert_laplacian,
     laplacian,
     project_mean,
@@ -63,25 +65,18 @@ def biot_savart_3d(omega: SpectralField) -> SpectralField:
     return invert_laplacian(curl_3d(omega)) * (-1.0)
 
 
-def _advected(a_phys, fc, grid) -> np.ndarray:
-    """Coefficients of (a . grad) of one component: dealiased, mean zeroed in place."""
-    gf = [np.fft.ifftn(fc * (1j * kk)) * grid.size for kk in grid.k]
-    prod = sum(a_phys[j] * gf[j] for j in range(3))
-    c = np.where(grid.dealias_mask, np.fft.fftn(prod) / grid.size, 0.0)
-    c[0, 0, 0] = 0.0
-    return c
+def advect_3d(a: SpectralField, f: SpectralField, a_values=None) -> SpectralField:
+    """(a . grad) f for scalar or vector f, dealiased and mean-projected.
 
-
-def advect_3d(a: SpectralField, f: SpectralField) -> SpectralField:
-    """(a . grad) f for scalar or vector f, dealiased and mean-projected."""
+    A caller may share ``a_values = a.physical()`` between advections by a.
+    """
     _check_same_grid(a, f)
-    a_phys = a.physical()
-    if f.coeffs.ndim == 3:
-        return SpectralField(a.grid, _advected(a_phys, f.coeffs, a.grid))
-    out = np.empty_like(f.coeffs)
-    for i in range(3):
-        out[i] = _advected(a_phys, f.coeffs[i], a.grid)
-    return SpectralField(a.grid, out)
+    av = a.physical() if a_values is None else a_values
+    grad = gradient_values(f)
+    np.multiply(av.reshape(3, *(1,) * (f.coeffs.ndim - 3), *a.grid.shape), grad, out=grad)
+    prod = grad[0] + grad[1]
+    prod += grad[2]
+    return SpectralField(a.grid, _forward_dealiased(a.grid, prod))
 
 
 def ns_rhs_3d(

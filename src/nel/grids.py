@@ -5,12 +5,14 @@ Spectral layout follows numpy's FFT ordering.  A 2D coefficient array c[m, n]
 holds the amplitude of exp(i(alpha*m*x + n*y)), so the x wavenumber of row m
 is alpha*m with integer m.  Both grids give the ``shape`` of a scalar
 coefficient array, its ``size`` and the transform ``axes``, which the one
-spectral field of ``fields`` works with.  Grids are immutable; derived index
-arrays are cached on first use.
+spectral field of ``fields`` works with, and ``dealias_slices``, the modes
+the dealias mask keeps and drops on each axis, which its transforms use.
+Grids are immutable; derived index arrays are cached on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,18 +39,31 @@ def _check_sizes(grid, names) -> None:
         )
 
 
-def _dealias_mask(shape, fraction) -> np.ndarray:
-    # keep |m| <= floor(fraction * n/2) on every axis, and never the Nyquist mode
-    mask = np.ones(shape, dtype=bool)
-    for axis, n in enumerate(shape):
-        cut = min(int(np.floor(fraction * (n // 2))), n // 2 - 1)
-        m = _int_freqs(n).reshape([n if a == axis else 1 for a in range(len(shape))])
-        mask &= np.abs(m) <= cut
-    return mask
+class _Torus:
+    """What both grids derive from their ``shape`` and ``dealias_fraction``."""
+
+    @cached_property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    @cached_property
+    def dealias_slices(self) -> tuple[tuple[slice, slice, slice], ...]:
+        """Per axis: the kept modes 0..cut and n-cut..n-1, and the dropped
+        modes cut+1..n-cut-1 between them, as slices in FFT order."""
+        # keep |m| <= floor(fraction * n/2), and never the Nyquist mode
+        cuts = [min(int(np.floor(self.dealias_fraction * (n // 2))), n // 2 - 1) for n in self.shape]
+        return tuple((slice(0, c + 1), slice(n - c, n), slice(c + 1, n - c)) for n, c in zip(self.shape, cuts))
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        mask = np.zeros(self.shape, dtype=bool)
+        for block in itertools.product(*(s[:2] for s in self.dealias_slices)):
+            mask[block] = True
+        return mask
 
 
 @dataclass(frozen=True)
-class TorusGrid2D:
+class TorusGrid2D(_Torus):
     """Uniform grid on [0, 2pi/alpha] x [0, 2pi]."""
 
     alpha: float
@@ -68,10 +83,6 @@ class TorusGrid2D:
         return (self.nx, self.ny)
 
     @cached_property
-    def size(self) -> int:
-        return self.nx * self.ny
-
-    @cached_property
     def mx(self) -> np.ndarray:
         return _int_freqs(self.nx)[:, None]
 
@@ -80,20 +91,13 @@ class TorusGrid2D:
         return _int_freqs(self.ny)[None, :]
 
     @cached_property
-    def kx(self) -> np.ndarray:
-        return self.alpha * self.mx
-
-    @cached_property
-    def ky(self) -> np.ndarray:
-        return self.ny_modes.astype(np.float64)
+    def k(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.alpha * self.mx, self.ny_modes.astype(np.float64)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        return self.kx**2 + self.ky**2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return _dealias_mask(self.shape, self.dealias_fraction)
+        kx, ky = self.k
+        return kx**2 + ky**2
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -105,7 +109,7 @@ class TorusGrid2D:
 
 
 @dataclass(frozen=True)
-class TorusGrid3D:
+class TorusGrid3D(_Torus):
     """Uniform grid on the cube [0, 2pi]^3."""
 
     nx: int
@@ -123,10 +127,6 @@ class TorusGrid3D:
         return (self.nx, self.ny, self.nz)
 
     @cached_property
-    def size(self) -> int:
-        return self.nx * self.ny * self.nz
-
-    @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         kx = _int_freqs(self.nx).astype(np.float64)[:, None, None]
         ky = _int_freqs(self.ny).astype(np.float64)[None, :, None]
@@ -137,7 +137,3 @@ class TorusGrid3D:
     def k_squared(self) -> np.ndarray:
         kx, ky, kz = self.k
         return kx**2 + ky**2 + kz**2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return _dealias_mask(self.shape, self.dealias_fraction)

@@ -28,8 +28,7 @@ from .errors import ComputationalError, ValidationError
 from .fields import (
     SpectralField,
     bracket_core,
-    dx,
-    dy,
+    gradient_values,
     invert_laplacian,
     laplacian,
     require_mean_zero,
@@ -64,6 +63,10 @@ class LaxState2D:
     def psi(self) -> SpectralField:
         return invert_laplacian(self.omega)
 
+    def operators(self):
+        """(L phi, A phi) = ({Omega, phi}, {Psi, phi})."""
+        return bracket_core(self.omega, self.phi), bracket_core(self.psi, self.phi)
+
 
 @dataclass(frozen=True)
 class LaxState3D:
@@ -86,25 +89,14 @@ class LaxState3D:
             return biot_savart_3d(self.omega)
         return self.prescribed_u
 
-
-def lax_operators_2d(state: LaxState2D):
-    """(L phi, A phi) = ({Omega, phi}, {Psi, phi})."""
-    return (
-        bracket_core(state.omega, state.phi),
-        bracket_core(state.psi, state.phi),
-    )
+    def operators(self):
+        """(L phi, A phi) = ((Omega . grad) phi, (u . grad) phi)."""
+        return advect_3d(self.omega, self.phi), advect_3d(self.u, self.phi)
 
 
-def lax_operators_3d(state: LaxState3D):
-    """(L phi, A phi) = ((Omega . grad) phi, (u . grad) phi)."""
-    return advect_3d(state.omega, state.phi), advect_3d(state.u, state.phi)
-
-
-def eigen_residual(state) -> float:
+def eigen_residual(state: LaxState2D | LaxState3D) -> float:
     """sup-norm of L phi - lam phi for a user-supplied candidate pair."""
-    lphi = lax_operators_2d(state)[0] if isinstance(state, LaxState2D) else \
-        lax_operators_3d(state)[0]
-    return (lphi - state.lam * state.phi).norm_inf()
+    return (state.operators()[0] - state.lam * state.phi).norm_inf()
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +176,11 @@ def transported_eigenfield_check_2d(
     def rhs(state, t):
         om, phi, q = state
         psi = invert_laplacian(om)
+        dpsi = gradient_values(psi)  # shared by the three brackets
         return (
-            sign * bracket_core(psi, om),
-            -1.0 * bracket_core(psi, phi),
-            -1.0 * bracket_core(psi, q),
+            sign * bracket_core(psi, om, dpsi),
+            -1.0 * bracket_core(psi, phi, dpsi),
+            -1.0 * bracket_core(psi, q, dpsi),
         )
 
     state = (omega0, phi0, bracket_core(omega0, phi0))
@@ -238,8 +231,9 @@ def transported_eigenfield_check_3d(
     def rhs(state, t):
         om, phi, q = state
         u = biot_savart_3d(om) if enforce_curl else velocity(t)
-        dom = stretch * advect_3d(om, u) - advect_3d(u, om)
-        return (dom, -1.0 * advect_3d(u, phi), -1.0 * advect_3d(u, q))
+        uv = u.physical()  # shared by the three advections by u
+        dom = stretch * advect_3d(om, u) - advect_3d(u, om, uv)
+        return (dom, -1.0 * advect_3d(u, phi, uv), -1.0 * advect_3d(u, q, uv))
 
     state = (omega0, phi0, advect_3d(omega0, phi0))
     (om, phi, q), steps = _march(state, t_end, dt, rhs, "3d transport check")
@@ -283,25 +277,33 @@ class DarbouxResult:
     masked_fraction: float = 0.0
 
 
-def _check_eigen_preconditions(inp: DarbouxInput):
+def _check_eigen_preconditions(inp: DarbouxInput, om_grad):
+    """Raise unless p, f are eigenfields, F is a gauge and f does not vanish;
+    return p's and f's gradients and f's values.  Lap F goes first, to free it."""
     om = inp.omega
+    lapF = laplacian(inp.F)
+    lapF_grad = gradient_values(lapF)
+    r1 = bracket_core(om, lapF, om_grad, lapF_grad).norm_inf()
+    r2 = bracket_core(lapF, inp.F, lapF_grad).norm_inf()
+    del lapF, lapF_grad
+    grads = []
     for name, g in (("p", inp.p), ("f", inp.f)):
-        r = bracket_core(om, g).norm_inf()
+        grads.append(gradient_values(g))
+        r = bracket_core(om, g, om_grad, grads[-1]).norm_inf()
         if not r <= CONSTRAINT_TOL:  # a NaN residual fails too
             raise ValidationError(
                 f"{{Omega, {name}}} residual {r:.3e} exceeds {CONSTRAINT_TOL}"
             )
-    lapF = laplacian(inp.F)
-    r1 = bracket_core(om, lapF).norm_inf()
-    r2 = bracket_core(lapF, inp.F).norm_inf()
     if not (r1 <= CONSTRAINT_TOL and r2 <= CONSTRAINT_TOL):
         raise ValidationError(
             f"gauge constraints violated: |{{Omega, Lap F}}|={r1:.3e}, "
             f"|{{Lap F, F}}|={r2:.3e}"
         )
-    fvals = np.abs(inp.f.physical())
+    f_v = inp.f.physical()
+    fvals = np.abs(f_v)
     if np.min(fvals) < 1e-12 * np.max(fvals):
         raise ValidationError("f vanishes on the grid; log f is undefined")
+    return (*grads, f_v)
 
 
 def darboux_apply(inp: DarbouxInput) -> DarbouxResult:
@@ -312,16 +314,15 @@ def darboux_apply(inp: DarbouxInput) -> DarbouxResult:
     """
     if inp.eta <= 0:
         raise ValidationError("eta must be positive")
-    _check_eigen_preconditions(inp)
-    om, p, f = inp.omega, inp.p, inp.f
-    om_x = dx(om).physical().real
-    p_x = dx(p).physical()
-    f_x = dx(f).physical()
-    p_v = p.physical()
-    f_v = f.physical()
+    om, p = inp.omega, inp.p
+    # each derivative is transformed once, for the checks and the quotient
+    om_grad = gradient_values(om)
+    p_grad, f_grad, f_v = _check_eigen_preconditions(inp, om_grad)
+    om_x = om_grad[0].real
     mask = np.abs(om_x) < inp.eta * np.max(np.abs(om_x))
-    numer = p_x * f_v - f_x * p_v
+    numer = p_grad[0] * f_v - f_grad[0] * p.physical()
     denom = f_v * om_x
+    del om_grad, p_grad, f_grad, f_v, om_x  # freed before p~ and the new pair are built
     p_t = np.zeros_like(numer)
     np.divide(numer, denom, out=p_t, where=~mask)
     p_t[mask] = 0.0
@@ -349,8 +350,9 @@ def darboux_verify(
         res = darboux_apply(inp)
     grid = inp.omega.grid
     p_t_field = SpectralField.from_physical(grid, res.p_t)
-    r_eig = bracket_core(res.omega_t, p_t_field).physical()
-    r_time = bracket_core(res.psi_t, p_t_field).physical()
+    p_t_grad = gradient_values(p_t_field)
+    r_eig = bracket_core(res.omega_t, p_t_field, g_grad=p_t_grad).physical()
+    r_time = bracket_core(res.psi_t, p_t_field, g_grad=p_t_grad).physical()
     keep = ~res.mask
     vals = [np.abs(r_eig[keep]), np.abs(r_time[keep])]
     if series is not None:
@@ -387,10 +389,9 @@ def gauge_identity_residual(
     On eigenfields ({Omega, p} = 0) the x- and y-quotients agree wherever
     both |Omega_x| and |Omega_y| exceed floor * their max.
     """
-    om_x = dx(omega).physical().real
-    om_y = dy(omega).physical().real
-    p_x, p_y = dx(p).physical(), dy(p).physical()
-    f_x, f_y = dx(f).physical(), dy(f).physical()
+    om_x, om_y = gradient_values(omega).real
+    p_x, p_y = gradient_values(p)
+    f_x, f_y = gradient_values(f)
     pv, fv = p.physical(), f.physical()
     good = (np.abs(om_x) > floor * np.max(np.abs(om_x))) & (
         np.abs(om_y) > floor * np.max(np.abs(om_y))

@@ -12,8 +12,11 @@ code before the 2D and 3D field classes were merged into one.  Its entries
 for the section search, the kicked and odd-parity wave and the pnls
 envelope were added from the code before the chaos steppers took a batch
 axis; ``lyapunov_sg_odd`` was added after the odd-parity shadow was fixed
-(it exited 2 before).  Regenerate a corpus only on purpose, and say why in
-CHANGES.md.
+(it exited 2 before).  ``laxcheck_2d_alpha``, ``laxcheck_3d_*_32``,
+``laxcheck_3d_curl_control`` and ``darboux_256x32`` were added from the code
+before the transport transforms were pruned to the dealiased support and
+derivatives were shared.  Regenerate a corpus only on purpose, and say why
+in CHANGES.md.
 """
 
 import hashlib
@@ -62,6 +65,13 @@ COMMAND_CASES = {
     "lyapunov_pnls": ["lyapunov", "--model", "pnls", "--eps", "0.1", "--q0", "0.5+0.1j", "--t-end", "3"],
     "simulate_sg_odd": ["simulate", "--model", "sg", "--parity", "odd", "--kick", "1:0.1"],
     "lyapunov_sg_odd": ["lyapunov", "--model", "sg", "--parity", "odd", "--kick", "1:0.1", "--t-end", "5"],
+    "laxcheck_2d_alpha": ["laxcheck", "--grid", "32", "--t-end", "0.05", "--dt", "0.005", "--alpha", "0.5"],
+    "laxcheck_3d_curl_32": ["laxcheck", "--dim", "3", "--grid", "32", "--dt", "0.005", "--t-end", "0.01", "--mode", "curl"],
+    "laxcheck_3d_free_32": ["laxcheck", "--dim", "3", "--grid", "32", "--dt", "0.005", "--t-end", "0.01", "--mode", "free"],
+    "laxcheck_3d_curl_control": [
+        "laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--mode", "curl", "--control", "true",
+    ],
+    "darboux_256x32": ["darboux", "--nx", "256", "--ny", "32", "--eta", "0.01"],
 }
 # darboux from save_field snapshots of darboux_shear_example(nx, ny)
 DARBOUX_SNAPSHOT_SIZES = ((64, 8), (32, 16))

@@ -200,6 +200,16 @@ class TestZvtrackCommand:
         portrait = (tmp_path / "portrait" / "class_2_1.jsonl").read_text().splitlines()
         assert portrait == read_out(out)[1]
 
+    def test_portrait_summary_leaves_missing_lambda0_empty(self, tmp_path):
+        # class (0,1) has no isolated inviscid eigenvalue: zvtrack writes null
+        script = runpy.run_path(str(ROOT / "scripts" / "zero_viscosity_portrait.py"))
+        argv = ["--classes", "0,1", "--trunc", "8", "--n-nus", "4", "--outdir", str(tmp_path)]
+        assert script["main"](argv) == 0
+        header, row = (tmp_path / "summary.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["lambda0"] == ""
+        assert float(cells["cluster_extent"]) >= 0.0
+
 
 class TestLaxcheckCommand:
     def test_payloads_are_deterministic(self, tmp_path):

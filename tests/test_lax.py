@@ -18,8 +18,6 @@ from nel.lax import (
     darboux_verify,
     eigen_residual,
     gauge_identity_residual,
-    lax_operators_2d,
-    lax_operators_3d,
     reflect_xy,
     transported_eigenfield_check_2d,
     transported_eigenfield_check_3d,
@@ -39,7 +37,7 @@ class TestOperators:
         g = TorusGrid2D(alpha=0.7, nx=32, ny=32)
         om = random_real_field(g, 4, np.random.default_rng(0))
         st = LaxState2D(omega=om, phi=om)
-        lphi, _ = lax_operators_2d(st)
+        lphi, _ = st.operators()
         assert lphi.norm_inf() < 1e-14
 
     def test_x_only_eigenfield(self):
@@ -47,7 +45,7 @@ class TestOperators:
         g = TorusGrid2D(alpha=1.0, nx=32, ny=32)
         om = field_of(g, lambda X, Y: np.cos(X))
         phi = field_of(g, lambda X, Y: np.sin(2 * X) + 0.3 * np.cos(X))
-        lphi, aphi = lax_operators_2d(LaxState2D(omega=om, phi=phi))
+        lphi, aphi = LaxState2D(omega=om, phi=phi).operators()
         assert lphi.norm_inf() < 1e-14
         assert aphi.norm_inf() < 1e-14  # Psi = -cos x is x-only too
 
@@ -60,7 +58,7 @@ class TestOperators:
         c = np.zeros((32, 32), np.complex128)
         c[1, 0] = 1.0
         phi = SpectralField(g, c)
-        lphi, aphi = lax_operators_2d(LaxState2D(omega=om, phi=phi))
+        lphi, aphi = LaxState2D(omega=om, phi=phi).operators()
         X, Y = g.x[:, None], g.y[None, :]
         expect = 1j * alpha * np.sin(Y) * np.exp(1j * alpha * X)
         assert np.max(np.abs(lphi.physical() - expect)) < 1e-13
@@ -97,7 +95,7 @@ class TestOperators:
         om = random_solenoidal_field(g, 2, rng, amplitude=0.5)
         phi = random_scalar_3d(g, 2, rng, amplitude=1.0)
         st = LaxState3D(omega=om, phi=phi)
-        lphi, aphi = lax_operators_3d(st)
+        lphi, aphi = st.operators()
         assert np.isfinite(lphi.norm_inf()) and np.isfinite(aphi.norm_inf())
         assert eigen_residual(st) == pytest.approx(lphi.norm_inf())
         with pytest.raises(ValidationError, match="prescribed"):

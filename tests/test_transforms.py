@@ -1,0 +1,107 @@
+"""The dealiased-support transforms of ``nel.fields`` against numpy's full
+n-D transforms.
+
+The inverse must equal ``ifftn(c) * size`` in value (so only the sign of an
+exact zero may differ), whatever the support of c: lines it skips are lines
+that are exactly zero.  The forward must equal
+``np.where(mask, fftn(x) / size, 0)`` with the mean mode zeroed, byte for
+byte.  Inputs cover 2D and 3D grids, n = 4, a non-cubic 3D grid, the 2/3, 1/2
+and 1.0 dealias fractions, and scalar, vector and d x d component stacks.
+"""
+
+import numpy as np
+import pytest
+
+from nel.fields import (
+    SpectralField,
+    _forward_dealiased,
+    _inverse,
+    bracket_core,
+    dx,
+    dy,
+    gradient_values,
+    random_real_field,
+)
+from nel.grids import TorusGrid2D, TorusGrid3D
+
+SHAPES = [(4, 4), (64, 48), (4, 4, 4), (16, 16, 16), (8, 12, 6)]
+FRACTIONS = [2 / 3, 1 / 2, 1.0]
+
+
+def make_grid(shape, fraction):
+    if len(shape) == 2:
+        return TorusGrid2D(alpha=0.7, nx=shape[0], ny=shape[1], dealias_fraction=fraction)
+    return TorusGrid3D(*shape, dealias_fraction=fraction)
+
+
+def stacks(g):
+    """Leading shapes of a scalar, a vector and a d x d stack (9 in 3D)."""
+    d = len(g.shape)
+    return [(), (d,), (d, d)]
+
+
+def random_coeffs(lead, g, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, *g.shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def ifftn_ref(g, c):
+    return np.fft.ifftn(c, axes=g.axes) * g.size
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_inverse_of_dealiased_input_equals_ifftn(shape, fraction):
+    g = make_grid(shape, fraction)
+    for i, lead in enumerate(stacks(g)):
+        c = np.where(g.dealias_mask, random_coeffs(lead, g, i), 0.0)
+        want = ifftn_ref(g, c)
+        assert np.array_equal(_inverse(g, c), want), lead
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_coefficient_off_the_mask_gives_the_full_transform(shape, fraction):
+    g = make_grid(shape, fraction)
+    for i, lead in enumerate(stacks(g)):
+        for axis, n in enumerate(g.shape):
+            c = np.where(g.dealias_mask, random_coeffs(lead, g, i), 0.0)
+            # the Nyquist mode is dropped on every axis, at every fraction
+            c[(0,) * len(lead) + tuple(n // 2 if a == axis else 0 for a in range(len(g.shape)))] = 1.0 - 2.0j
+            want = ifftn_ref(g, c)
+            assert np.array_equal(_inverse(g, c), want), (lead, axis)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_forward_equals_masked_fftn_bytes(shape, fraction):
+    g = make_grid(shape, fraction)
+    for i, lead in enumerate(stacks(g)):
+        x = random_coeffs(lead, g, 10 + i)
+        want = np.where(g.dealias_mask, np.fft.fftn(x, axes=g.axes) / g.size, 0.0)
+        want[(Ellipsis, *(0,) * len(g.shape))] = 0.0
+        got = _forward_dealiased(g, x.copy())
+        assert got.tobytes() == want.tobytes(), lead
+
+
+def test_inverse_works_in_its_argument_and_physical_copies():
+    g = make_grid((16, 16, 16), 2 / 3)
+    c = np.where(g.dealias_mask, random_coeffs((3,), g, 5), 0.0)
+    want = ifftn_ref(g, c)
+    f = SpectralField(g, c.copy())  # the field freezes its array
+    assert np.array_equal(f.physical(), want)
+    assert f.coeffs.tobytes() == c.tobytes()
+    assert _inverse(g, c) is c
+    assert np.array_equal(c, want)
+
+
+def test_gradient_values_and_shared_gradients():
+    g = TorusGrid2D(alpha=0.7, nx=32, ny=24)
+    f = random_real_field(g, 5, np.random.default_rng(1))
+    h = random_real_field(g, 5, np.random.default_rng(2))
+    grad = gradient_values(f)
+    assert np.array_equal(grad[0], dx(f).physical())
+    assert np.array_equal(grad[1], dy(f).physical())
+    shared = bracket_core(f, h, grad, gradient_values(h))
+    assert shared.coeffs.tobytes() == bracket_core(f, h).coeffs.tobytes()
