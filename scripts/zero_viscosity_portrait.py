@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from nel.runio import json_payload_line, worker_count
+from nel.runio import json_payload_line
 from nel.spectra import ModeClass, classify_limits, euler_spectrum, track_zero_viscosity
 
 
@@ -47,12 +47,10 @@ def main(argv=None):
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     nus = np.geomspace(args.nu_max, args.nu_min, args.n_nus)
-    workers = worker_count(args.n_nus)
 
     summary_rows = ["class_k1,class_k2,label,n_trajectories,lambda0,cluster_extent"]
     for cls in parse_classes(args.classes):
-        track = track_zero_viscosity(cls, args.alpha, args.gamma, nus, args.trunc,
-                                     workers=workers)
+        track = track_zero_viscosity(cls, args.alpha, args.gamma, nus, args.trunc)
         euler = euler_spectrum(cls, args.alpha, args.gamma, args.trunc)
         result = classify_limits(track, euler, args.tol)
 

@@ -64,7 +64,6 @@ from .runio import (
     json_payload_line,
     parse_config_lines,
     write_result,
-    worker_count,
 )
 from .spectra import (
     ModeClass,
@@ -72,6 +71,7 @@ from .spectra import (
     classify_limits,
     critical_viscosity,
     euler_spectrum,
+    refine_rightmost,
     track_zero_viscosity,
 )
 
@@ -164,7 +164,7 @@ SPECTRUM_CSV_HEADER = "class_k1,class_k2,alpha,gamma,nu,trunc,re,im"
 def _run_spectrum(p, cfg):
     cls = ModeClass(p["k1"], p["k2"])
     spec = class_spectrum(cls, p["alpha"], p["gamma"], p["nu"], p["trunc"])
-    refined = class_spectrum(cls, p["alpha"], p["gamma"], p["nu"], 2 * p["trunc"])
+    _, refine_delta = refine_rightmost(spec)
     lines = []
     if cfg.fmt == "csv":
         lines.append(SPECTRUM_CSV_HEADER)
@@ -178,7 +178,7 @@ def _run_spectrum(p, cfg):
     summary = {
         "n_eigenvalues": len(spec.values),
         "rightmost_re": spec.values[0].real,
-        "rightmost_refine_delta": float(abs(spec.values[0] - refined.values[0])),
+        "rightmost_refine_delta": refine_delta,
     }
     return lines, summary, None
 
@@ -209,8 +209,7 @@ def _run_zvtrack(p, cfg):
         raise ValidationError(f"n_nus must be >= 3, got {p['n_nus']}")
     cls = ModeClass(p["k1"], p["k2"])
     nus = np.geomspace(p["nu_max"], p["nu_min"], p["n_nus"])
-    workers = worker_count(p["n_nus"])
-    track = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"], workers=workers)
+    track = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
     euler = euler_spectrum(cls, p["alpha"], p["gamma"], p["trunc"])
     cl = classify_limits(track, euler, p["tol"])
     refined = euler_spectrum(cls, p["alpha"], p["gamma"], 2 * p["trunc"])
@@ -225,7 +224,6 @@ def _run_zvtrack(p, cfg):
         "cluster_extent_refined": refined.cluster_extent,
         "lambda0": lam0,
         "lambda0_refine_delta": None if None in (lam0, lam0_ref) else abs(lam0 - lam0_ref),
-        "workers": workers,
     }
     return lines, summary, None
 

@@ -208,17 +208,3 @@ def _fmt_cell(c) -> str:
 
 def json_payload_line(obj) -> str:
     return _json_line(obj)
-
-
-def worker_count(n_tasks: int) -> int:
-    """Worker cap: min(tasks, cpu count); NEL_THREADS overrides the cpu cap."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get("NEL_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"NEL_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ValidationError(f"NEL_THREADS must be >= 1, got {env!r}")
-    return max(1, min(n_tasks, cap))

@@ -26,6 +26,21 @@ solve's (m the matrix size, u the unit roundoff, kappa_i = ||x|| ||y|| /
 |y^H x| from the right and left eigenvectors; the tests assert it at N = 16
 and 40, and it held with a margin of 1.8 at N = 150).
 
+The three bands of A are the primary object (class_bands); the dense matrix
+is built from them only for an eigensolve.  A scaled three-term recurrence on
+the bands (the continued fraction of Meshalkin & Sinai, run as the pivots of
+the continuant) gives the sign of det(A - lambda I) and its log-derivative in
+O(N).  nu* is the viscosity where det(A+) changes sign at lambda = 0, A+ the
+P = +1 block of class (1,0): critical_viscosity bisects on that sign down to
+adjacent doubles at N and at 2N, reports |nu*(2N) - nu*(N)| as the refine
+delta, and confirms with two dense 2N solves at nu* -/+ tol/2 that the
+crossing eigenvalue is real and rightmost.  The rightmost eigenvalue lambda(N)
+of a spectrum is continued to 2N by Newton's method on the 2N recurrence of
+its own block (refine_rightmost).  The root is kept only if Newton converged
+and it lies within 1e-8 max(1, |lambda(N)|) of lambda(N); otherwise the class
+is solved densely at 2N, since an under-resolved start may converge to an
+eigenvalue other than the rightmost.
+
 Zero-viscosity limits are studied by tracking eigenvalues along a descending
 viscosity schedule with globally optimal matching and extrapolating each
 trajectory to nu = 0.  Limits are labeled against the inviscid reference
@@ -36,8 +51,10 @@ the negative real axis at every positive viscosity).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +65,9 @@ from .grids import TorusGrid2D
 DEFAULT_GAMMA = 0.5  # shear amplitude used throughout the acceptance runs
 AXIS_TOL = 1e-6  # |Re| below this counts as "on the imaginary axis"
 TIE_TOL = 1e-12  # assignment ambiguity threshold
+NEWTON_GAP = 1e-8  # a 2N Newton root is kept within this relative distance of lambda(N)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -63,6 +83,27 @@ class ModeClass:
 
 
 @dataclass(frozen=True)
+class Tridiagonal:
+    """A tridiagonal matrix by its bands: diag[i] = A[i, i],
+    lower[i] = A[i + 1, i] and upper[i] = A[i, i + 1]."""
+
+    diag: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        A = np.diag(self.diag)
+        i = np.arange(len(self.lower))
+        A[i + 1, i] = self.lower
+        A[i, i + 1] = self.upper
+        return A
+
+    def trailing(self, start: int) -> Tridiagonal:
+        """The trailing principal block from row start on."""
+        return Tridiagonal(self.diag[start:], self.lower[start:], self.upper[start:])
+
+
+@dataclass(frozen=True)
 class SubOperator:
     cls: ModeClass
     alpha: float
@@ -70,7 +111,11 @@ class SubOperator:
     nu: float
     trunc: int
     offsets: tuple[int, ...]  # n values in row order
-    matrix: np.ndarray = field(repr=False)
+    bands: Tridiagonal = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.bands.dense()
 
     def index_of(self, n: int) -> int:
         return self.offsets.index(n)
@@ -84,6 +129,7 @@ class Spectrum:
     nu: float
     trunc: int
     values: np.ndarray  # sorted by descending real part, then descending imag
+    sectors: np.ndarray | None = field(default=None, repr=False)  # block of each value: P = +1, -1, or 0 unsplit
 
 
 @dataclass(frozen=True)
@@ -137,12 +183,10 @@ def _validate_params(alpha: float, gamma: float, nu: float, trunc: int):
         pass
 
 
-def assemble_suboperator(
+def class_bands(
     cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
-) -> SubOperator:
-    """Dense truncated matrix of the linearized operator on one mode class.
-
-    Every entry is real, so the matrix is float64."""
+) -> tuple[tuple[int, ...], Tridiagonal]:
+    """Row offsets and bands of the truncated operator on one mode class."""
     _validate_params(alpha, gamma, nu, trunc)
     n = np.arange(-trunc, trunc + 1)
     if cls.k1 == 0:
@@ -150,37 +194,115 @@ def assemble_suboperator(
     ksq = (alpha * cls.k1) ** 2 + (cls.k2 + n) ** 2
     rho = 1.0 - 1.0 / ksq
     c = gamma * alpha * cls.k1 / 2.0
-    A = np.diag(-nu * ksq)
-    i = np.flatnonzero(np.diff(n) == 1)  # the excluded mean mode breaks the chain
-    A[i + 1, i] = c * rho[i]
-    A[i, i + 1] = -c * rho[i + 1]
-    return SubOperator(cls, alpha, gamma, nu, trunc, tuple(n.tolist()), A)
+    chain = np.diff(n) == 1  # the excluded mean mode breaks the chain
+    lower = np.where(chain, c * rho[:-1], 0.0)
+    upper = np.where(chain, -c * rho[1:], 0.0)
+    return tuple(n.tolist()), Tridiagonal(-nu * ksq, lower, upper)
+
+
+def assemble_suboperator(
+    cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
+) -> SubOperator:
+    """The truncated operator on one mode class; its dense matrix (float64,
+    every entry is real) is built from the bands on first use."""
+    offsets, bands = class_bands(cls, alpha, gamma, nu, trunc)
+    return SubOperator(cls, alpha, gamma, nu, trunc, offsets, bands)
+
+
+def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[int, Tridiagonal]]:
+    """(parity, block) pairs whose spectra make up the class spectrum: the
+    P = +1 and P = -1 blocks for k2 = 0, else the whole operator (parity 0)."""
+    if cls.k2 != 0:
+        return [(0, bands)]
+    even = bands.trailing(trunc)
+    upper = even.upper.copy()
+    upper[0] *= 2.0  # w_{-1} = -w_1
+    return [(1, replace(even, upper=upper)), (-1, bands.trailing(trunc + 1))]
 
 
 def compute_spectrum(op: SubOperator) -> Spectrum:
     """Dense eigenvalues, deterministically sorted; a (k1, 0) class is solved
     as its two reflection sectors."""
-    A, N = op.matrix, op.trunc
-    if op.cls.k2 == 0:
-        even = A[N:, N:].copy()
-        even[0, 1] *= 2.0
-        blocks = (even, A[N + 1 :, N + 1 :])
-    else:
-        blocks = (A,)
+    blocks = sector_blocks(op.cls, op.trunc, op.bands)
     try:
-        vals = np.concatenate([np.linalg.eigvals(b) for b in blocks], dtype=np.complex128)
+        parts = [np.linalg.eigvals(b.dense()) for _, b in blocks]
     except np.linalg.LinAlgError as e:  # pragma: no cover - eig rarely fails
         raise ComputationalError(f"eigensolver failed: {e}") from e
+    vals = np.concatenate(parts, dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
         raise ComputationalError("eigensolver produced non-finite eigenvalues")
-    vals = vals[np.lexsort((-vals.imag, -vals.real))]
-    return Spectrum(op.cls, op.alpha, op.gamma, op.nu, op.trunc, vals)
+    sectors = np.repeat([p for p, _ in blocks], [len(v) for v in parts])
+    order = np.lexsort((-vals.imag, -vals.real))
+    return Spectrum(op.cls, op.alpha, op.gamma, op.nu, op.trunc, vals[order], sectors[order])
 
 
 def class_spectrum(
     cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
 ) -> Spectrum:
     return compute_spectrum(assemble_suboperator(cls, alpha, gamma, nu, trunc))
+
+
+# ---------------------------------------------------------------------------
+# the characteristic recurrence of a tridiagonal block
+
+
+def _pivot_products(t: Tridiagonal) -> tuple[list, float]:
+    """The products l_k u_k (padded with a zero) and dstebz's pivmin."""
+    prods = t.lower * t.upper
+    pivmin = _TINY * max(1.0, float(np.max(np.abs(prods), initial=0.0)))
+    return prods.tolist() + [0.0], pivmin
+
+
+def det_sign(t: Tridiagonal, lam: float) -> int:
+    """Sign of det(T - lam I) for real lam, in O(m) without forming T.
+
+    The continuant f_k = (d_k - lam) f_{k-1} - l_{k-1} u_{k-1} f_{k-2} is run
+    on the pivots r_k = f_k / f_{k-1}, so det = prod r_k neither overflows nor
+    underflows.  A pivot below pivmin is replaced by -pivmin, as LAPACK's
+    dstebz does: an exact zero pivot (lam a diagonal entry of a decoupled
+    row) then gives a huge finite pivot rather than 0/0.
+    """
+    prods, pivmin = _pivot_products(t)
+    negative, q = False, 0.0
+    for d, p in zip(t.diag.tolist(), prods):
+        r = d - lam - q
+        if -pivmin < r < pivmin:
+            r = -pivmin
+        if r < 0:
+            negative = not negative
+        q = p / r
+    return -1 if negative else 1
+
+
+def log_derivative(t: Tridiagonal, lam) -> complex:
+    """d/dlam log det(T - lam I) = sum r_k' / r_k over the pivots of det_sign,
+    with r_k' = q_{k-1} r_{k-1}' / r_{k-1} - 1 and q_{k-1} = l_{k-1} u_{k-1} / r_{k-1}."""
+    prods, pivmin = _pivot_products(t)
+    q, s, total = 0.0, 0.0, 0.0
+    for d, p in zip(t.diag.tolist(), prods):
+        r = d - lam - q
+        dr = q * s - 1.0
+        if abs(r) < pivmin:
+            r = -pivmin
+        s = dr / r
+        total += s
+        q = p / r
+    return total
+
+
+def newton_root(t: Tridiagonal, lam):
+    """Newton's method on det(T - lam I) from lam: the root once a step falls
+    to a few units of roundoff, or None if none did within eight steps."""
+    mu = lam
+    for _ in range(8):
+        dlog = log_derivative(t, mu)
+        if dlog == 0 or not cmath.isfinite(dlog):
+            return None
+        step = 1.0 / dlog
+        mu = mu - step
+        if abs(step) <= 4 * _EPS * max(1.0, abs(mu)):
+            return mu
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +421,28 @@ class UnstableEig:
     trunc: int
 
 
+def refine_rightmost(spec: Spectrum) -> tuple[complex, float]:
+    """The rightmost eigenvalue lambda(N) of spec continued to 2N = 2*trunc,
+    and |lambda(2N) - lambda(N)|.
+
+    Newton runs from lambda(N) on the 2N recurrence of the block lambda(N)
+    came from; its root is kept only if Newton converged within
+    NEWTON_GAP * max(1, |lambda(N)|) of lambda(N).  Otherwise the class is
+    solved densely at 2N: far from lambda(N), Newton may have found an
+    eigenvalue other than the rightmost one.
+    """
+    lam = spec.values[0]
+    n2 = 2 * spec.trunc
+    _, bands = class_bands(spec.cls, spec.alpha, spec.gamma, spec.nu, n2)
+    block = dict(sector_blocks(spec.cls, n2, bands))[spec.sectors[0]]
+    start = complex(lam) if lam.imag else float(lam.real)
+    mu = newton_root(block, start)
+    if mu is not None and abs(mu - start) <= NEWTON_GAP * max(1.0, abs(start)):
+        return complex(mu), float(abs(mu - start))
+    dense = class_spectrum(spec.cls, spec.alpha, spec.gamma, spec.nu, n2).values[0]
+    return complex(dense), float(abs(lam - dense))
+
+
 def unstable_eigenvalue(
     alpha: float,
     nu: float,
@@ -306,16 +450,13 @@ def unstable_eigenvalue(
     cls: ModeClass = ModeClass(1, 0),
     trunc: int = 100,
 ) -> UnstableEig | None:
-    """Rightmost eigenvalue of the class when it is unstable, else None.
-
-    Computed at trunc and 2*trunc; the difference is reported so truncation
-    convergence is never silent.
-    """
-    lam_n = class_spectrum(cls, alpha, gamma, nu, trunc).values[0]
-    lam_2n = class_spectrum(cls, alpha, gamma, nu, 2 * trunc).values[0]
-    if lam_2n.real <= AXIS_TOL:
+    """Rightmost eigenvalue of the class at 2*trunc when it is unstable, else
+    None; the distance from the trunc value is reported so truncation
+    convergence is never silent."""
+    value, delta = refine_rightmost(class_spectrum(cls, alpha, gamma, nu, trunc))
+    if value.real <= AXIS_TOL:
         return None
-    return UnstableEig(complex(lam_2n), float(abs(lam_2n - lam_n)), 2 * trunc)
+    return UnstableEig(value, delta, 2 * trunc)
 
 
 @dataclass(frozen=True)
@@ -327,36 +468,44 @@ class NuStarResult:
     trunc: int
 
 
-def _bisect_nustar(alpha, gamma, trunc, tol):
+def truncated_nustar(alpha: float, gamma: float, trunc: int) -> tuple[float, int]:
+    """nu* of the trunc truncation and the number of bisection steps.
+
+    Bisects on the sign of det(A+) down to adjacent doubles, A+ the P = +1
+    block of class (1,0).  A spectrum in the left half-plane gives det(A+) the
+    sign (-1)^m (m rows: complex pairs have positive products), and the real
+    unstable eigenvalue flips it.  Returns the smallest double found stable.
+    """
+    cls = ModeClass(1, 0)
+    _, bands = class_bands(cls, alpha, gamma, 1.0, trunc)  # the diagonal -nu |k|^2 scales with nu
+    (_, even), _ = sector_blocks(cls, trunc, bands)
+    left_sign = (-1) ** len(even.diag)
+
+    def stable(nu):
+        return det_sign(replace(even, diag=nu * even.diag), 0.0) == left_sign
+
     lo_est, hi_est = critical_viscosity_bounds(alpha, gamma)
     lo, hi = 0.5 * lo_est, 1.5 * hi_est
-
-    def growth(nu):
-        return float(class_spectrum(ModeClass(1, 0), alpha, gamma, nu, trunc).values[0].real)
-
     expand = 0
-    while growth(lo) <= 0.0:
+    while stable(lo):
         lo *= 0.5
         expand += 1
         if expand > 8:
             raise ComputationalError("no unstable viscosity found below the bracket")
     expand = 0
-    while growth(hi) >= 0.0:
+    while not stable(hi):
         hi *= 2.0
         expand += 1
         if expand > 8:
             raise ComputationalError("no stable viscosity found above the bracket")
     iters = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if growth(mid) > 0.0:
-            lo = mid
-        else:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if stable(mid):
             hi = mid
+        else:
+            lo = mid
         iters += 1
-        if iters > 200:  # pragma: no cover
-            raise ComputationalError("critical-viscosity bisection did not converge")
-    return 0.5 * (lo + hi), iters
+    return hi, iters
 
 
 def critical_viscosity(
@@ -365,12 +514,26 @@ def critical_viscosity(
     trunc: int = 100,
     tol: float = 1e-6,
 ) -> NuStarResult:
-    """Viscosity where the rightmost eigenvalue of class (1,0) crosses zero."""
+    """Viscosity where the rightmost eigenvalue of class (1,0) crosses zero,
+    at 2*trunc, with |nu*(2N) - nu*(N)| as its refine delta.
+
+    The determinant sign cannot tell a real crossing from other changes in
+    the spectrum, so two dense solves at nu* -/+ tol/2 must show the rightmost
+    eigenvalue real, positive below and negative above; otherwise
+    ComputationalError.
+    """
     if tol <= 0:
         raise ValidationError("tol must be positive")
     _validate_params(alpha, gamma, 0.0, trunc)
-    ns_n, iters = _bisect_nustar(alpha, gamma, trunc, tol)
-    ns_2n, _ = _bisect_nustar(alpha, gamma, 2 * trunc, tol)
+    ns_n, iters = truncated_nustar(alpha, gamma, trunc)
+    ns_2n, _ = truncated_nustar(alpha, gamma, 2 * trunc)
+    for nu, below in ((max(0.0, ns_2n - tol / 2), True), (ns_2n + tol / 2, False)):
+        v = class_spectrum(ModeClass(1, 0), alpha, gamma, nu, 2 * trunc).values[0]
+        if v.imag != 0 or not (v.real > 0 if below else v.real < 0):
+            raise ComputationalError(
+                f"the rightmost eigenvalue at nu = {nu!r} is {complex(v)}: no real "
+                f"crossing within tol = {tol!r} of nu* = {ns_2n!r}"
+            )
     return NuStarResult(
         nu_star=ns_2n,
         bracket=critical_viscosity_bounds(alpha, gamma),
@@ -448,7 +611,6 @@ def track_zero_viscosity(
     gamma: float,
     nu_schedule,
     trunc: int,
-    workers: int = 1,
 ) -> ZeroViscosityTrack:
     """Follow every eigenvalue along a descending viscosity schedule.
 
@@ -465,15 +627,7 @@ def track_zero_viscosity(
     if nus[-1] <= 0:
         raise ValidationError("schedule must stay positive; nu = 0 is the reference")
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            spectra = list(
-                ex.map(lambda nu: class_spectrum(cls, alpha, gamma, nu, trunc), nus)
-            )
-    else:
-        spectra = [class_spectrum(cls, alpha, gamma, nu, trunc) for nu in nus]
+    spectra = [class_spectrum(cls, alpha, gamma, nu, trunc) for nu in nus]
 
     paths = np.empty((len(nus), len(spectra[0].values)), dtype=np.complex128)
     paths[0] = spectra[0].values

@@ -11,9 +11,9 @@ import pytest
 
 import nel.cli
 import nel.runio
+import nel.spectra
 from nel.cli import SPECTRUM_CSV_HEADER, main
-from nel.errors import ValidationError
-from nel.runio import parse_config_text, serialize_config, worker_count
+from nel.runio import parse_config_text, serialize_config
 from nel.spectra import NuStarResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -99,18 +99,6 @@ class TestValidationFailures:
         assert code == 3
         assert not list(tmp_path.iterdir())
 
-    def test_bad_threads_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("NEL_THREADS", "many")
-        assert run_cli("zvtrack", "--trunc", "8", "--n-nus", "3") == 2
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("NEL_THREADS", "3")
-        assert worker_count(10) == 3
-        assert worker_count(2) == 2
-        monkeypatch.setenv("NEL_THREADS", "0")
-        with pytest.raises(ValidationError):
-            worker_count(10)
-
 
 class TestSpectrumCommand:
     def test_diffusion_class_csv(self, tmp_path):
@@ -157,6 +145,48 @@ class TestNuStarCommand:
         assert 0.16 < rec["nu_star"] < 0.17
         assert rec["trunc"] == 80  # doubled for the refinement check
         assert header["summary"]["nu_star"] == rec["nu_star"]
+
+    def test_at_most_two_eigensolves(self, tmp_path, eig_counter):
+        assert run_cli("nustar", "--trunc", "20", "--out", str(tmp_path / "ns.jsonl")) == 0
+        assert 0 < len(eig_counter) <= 2
+
+
+@pytest.fixture
+def eig_counter(monkeypatch):
+    """The truncations of every dense class eigensolve of the test."""
+    calls = []
+    solve = nel.spectra.compute_spectrum
+
+    def counted(op):
+        calls.append(op.trunc)
+        return solve(op)
+
+    monkeypatch.setattr(nel.spectra, "compute_spectrum", counted)
+    return calls
+
+
+class TestSpectrumRefine:
+    def summary(self, tmp_path, *argv):
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", *argv, "--out", str(out)) == 0
+        return read_out(out)[0]["summary"]
+
+    def test_newton_replaces_the_dense_2n_solve(self, tmp_path, eig_counter):
+        s = self.summary(tmp_path, "--k1", "1", "--k2", "0", "--nu", "0.05", "--trunc", "400")
+        assert eig_counter == [400]
+        assert s["rightmost_refine_delta"] < 1e-12
+
+    def test_under_resolved_start_falls_back_to_the_dense_solve(self, tmp_path, eig_counter):
+        # lambda(4) is 0.065 from lambda(8): Newton's root there is not trusted
+        s = self.summary(tmp_path, "--k1", "2", "--k2", "0", "--nu", "0.001", "--trunc", "4")
+        assert eig_counter == [4, 8]
+        assert s["rightmost_refine_delta"] == pytest.approx(0.0654187, rel=1e-5)
+
+    def test_diagonal_class_zero_pivot_is_finite(self, tmp_path, eig_counter):
+        # k1 = 0: lambda(N) is an exact diagonal entry, an exact zero pivot
+        s = self.summary(tmp_path, "--k1", "0", "--k2", "1", "--nu", "0.1", "--trunc", "8")
+        assert eig_counter == [8]
+        assert s["rightmost_refine_delta"] == 0.0
 
 
 class TestZvtrackCommand:
@@ -407,6 +437,16 @@ class TestInterpreterEntry:
     def test_import_leaves_scipy_unloaded(self):
         # scipy is imported by the first spectrum match (zvtrack), not at start-up
         code = "import sys, nel.cli; sys.exit(3 if 'scipy' in sys.modules else 0)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [["nustar", "--trunc", "20"], ["spectrum", "--k1", "1", "--k2", "0", "--nu", "0.05"]]
+    )
+    def test_spectra_commands_leave_scipy_unloaded(self, argv, tmp_path):
+        # only zvtrack's assignment needs scipy; nu* and the refine stay numpy-only
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        code = f"import sys, nel.cli; assert nel.cli.main({argv!r}) == 0; sys.exit(3 if 'scipy' in sys.modules else 0)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

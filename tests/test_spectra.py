@@ -11,24 +11,33 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import nel.spectra
-from nel.errors import ValidationError
+from nel.errors import ComputationalError, ValidationError
 from nel.spectra import (
+    NEWTON_GAP,
     TIE_TOL,
     ModeClass,
     Spectrum,
+    Tridiagonal,
     assemble_suboperator,
+    class_bands,
     class_spectrum,
     classify_limits,
     compute_spectrum,
     critical_viscosity,
     critical_viscosity_bounds,
+    det_sign,
     euler_spectrum,
     five_mode_lambda0,
     jacobian_oracle_check,
     lambda0_bounds,
+    log_derivative,
+    newton_root,
+    refine_rightmost,
+    sector_blocks,
     three_mode_lambda0,
     three_mode_nustar,
     track_zero_viscosity,
+    truncated_nustar,
     unstable_eig_bounds,
     unstable_eigenvalue,
 )
@@ -231,6 +240,104 @@ class TestCriticalViscosity:
         above = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, res.nu_star + 1e-4, 60)
         below = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, res.nu_star - 1e-4, 60)
         assert above.values[0].real < 0 < below.values[0].real
+
+
+    def test_small_truncation_shows_its_error(self):
+        res = critical_viscosity(ALPHA, GAMMA, trunc=3)
+        assert res.refine_delta == pytest.approx(3.64e-7, rel=2e-3)
+        nu_3, _ = truncated_nustar(ALPHA, GAMMA, 3)
+        assert res.refine_delta == abs(res.nu_star - nu_3)
+
+    def test_sign_bisection_matches_dense_bisection(self):
+        def growth(nu):
+            return class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 40).values[0].real
+
+        lo, hi = critical_viscosity_bounds(ALPHA, GAMMA)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if growth(mid) > 0 else (lo, mid)
+        nu, iterations = truncated_nustar(ALPHA, GAMMA, 40)
+        assert abs(nu - 0.5 * (lo + hi)) < 1e-9
+
+        def sign(nu):
+            _, bands = class_bands(ModeClass(1, 0), ALPHA, GAMMA, nu, 40)
+            (_, even), _ = sector_blocks(ModeClass(1, 0), 40, bands)
+            return det_sign(even, 0.0)
+
+        assert sign(nu) != sign(math.nextafter(nu, 0.0))  # stopped at adjacent doubles
+        assert 40 < iterations < 64
+
+    def test_crossing_that_is_not_real_and_rightmost_is_refused(self, monkeypatch):
+        monkeypatch.setattr(nel.spectra, "truncated_nustar", lambda a, g, n: (0.1, 1))
+        with pytest.raises(ComputationalError, match="no real crossing"):
+            critical_viscosity(ALPHA, GAMMA, trunc=20)
+
+
+def random_tridiagonal(rng, m):
+    return Tridiagonal(rng.normal(size=m), rng.normal(size=m - 1), rng.normal(size=m - 1))
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sign_and_log_derivative_match_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_tridiagonal(rng, 2 + 7 * seed)
+        A = t.dense()
+        for lam in rng.normal(size=4):
+            sign, _ = np.linalg.slogdet(A - lam * np.eye(len(A)))
+            assert det_sign(t, float(lam)) == sign
+        for lam in rng.normal(size=4) + 1j * rng.normal(size=4):
+            want = -np.trace(np.linalg.inv(A - lam * np.eye(len(A))))
+            assert abs(log_derivative(t, complex(lam)) - want) < 1e-9 * max(1.0, abs(want))
+
+    def test_bands_build_the_dense_matrix(self):
+        for cls in (ModeClass(1, 0), ModeClass(0, 2), ModeClass(2, -1)):
+            op = assemble_suboperator(cls, ALPHA, GAMMA, 0.03, 6)
+            _, bands = class_bands(cls, ALPHA, GAMMA, 0.03, 6)
+            assert np.array_equal(op.matrix, bands.dense())
+            assert np.array_equal(np.diag(op.matrix, -1), bands.lower)
+            assert np.array_equal(np.diag(op.matrix, 1), bands.upper)
+
+    def test_newton_finds_a_sector_eigenvalue(self):
+        cls = ModeClass(1, 0)
+        _, bands = class_bands(cls, ALPHA, GAMMA, 0.05, 30)
+        for parity, block in sector_blocks(cls, 30, bands):
+            want = np.linalg.eigvals(block.dense())
+            start = want[np.argmax(want.real)] + 1e-6
+            root = newton_root(block, complex(start))
+            assert np.min(np.abs(want - root)) < 1e-12, parity
+
+    def test_zero_pivot_of_a_decoupled_row(self):
+        _, bands = class_bands(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 8)
+        lam = float(bands.diag[3])
+        assert math.isfinite(log_derivative(bands, lam))
+        assert newton_root(bands, lam) == lam
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, -2)])
+def test_kept_newton_roots_are_the_dense_rightmost(k1, k2, monkeypatch):
+    """Over under- and well-resolved truncations, a root refine_rightmost keeps
+    is an eigenvalue of the 2N class and rightmost up to roundoff; the others
+    reproduce the dense 2N solve exactly."""
+    cls = ModeClass(k1, k2)
+    kept = 0
+    for nu in (0.0, 1e-3, 0.01, 0.05, 0.1):
+        for trunc in (4, 8, 16, 32):
+            spec = class_spectrum(cls, ALPHA, GAMMA, nu, trunc)
+            dense = class_spectrum(cls, ALPHA, GAMMA, nu, 2 * trunc).values
+            calls = []
+            monkeypatch.setattr(nel.spectra, "class_spectrum", lambda *a: calls.append(a) or class_spectrum(*a))
+            value, delta = refine_rightmost(spec)
+            monkeypatch.undo()
+            scale = max(1.0, abs(dense[0]))
+            if calls:
+                assert value == dense[0] and delta == abs(spec.values[0] - dense[0])
+            else:
+                kept += 1
+                assert delta <= NEWTON_GAP * max(1.0, abs(spec.values[0]))
+                assert np.min(np.abs(dense - value)) < 1e-9 * scale
+                assert value.real > dense[0].real - 1e-9 * scale
+    assert kept > 0
 
 
 class TestEulerSpectrum:
