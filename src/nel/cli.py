@@ -34,7 +34,7 @@ from .diagnostics import lyapunov_max, poincare_samples
 from .errors import ComputationalError, ValidationError
 from .fields import load_field, random_real_field
 from .fields3d import random_scalar_field, random_solenoidal_field
-from .forcing import ABCState, ForcingSpec, abc_lyapunov, abc_step
+from .forcing import ABCState, ForcingSpec
 from .grids import TorusGrid2D, TorusGrid3D
 from .lax import (
     DarbouxInput,
@@ -50,9 +50,7 @@ from .models import (
     gl_limit_cycle,
     gl_limit_cycle_state,
     gl_uniform_state,
-    model_step,
     sg_state,
-    state_vector,
 )
 from .runio import (
     CONFIG_SCHEMA_VERSION,
@@ -310,14 +308,6 @@ MODEL_KEYS = {
 }
 
 
-def _check_model_keys(model: str, p: dict):
-    bad = sorted(set(p["_provided"]) - MODEL_KEYS[model] - SHARED_SIM_KEYS)
-    if bad:
-        raise ValidationError(f"parameters {bad} do not apply to model {model!r}")
-    if model == "dernls" and not p["kcut"]:
-        p["kcut"] = max(1, p["n_modes"] // 2)  # resolve the 0 sentinel
-
-
 def _model_echo(model: str, p: dict) -> dict:
     keep = MODEL_KEYS[model] | SHARED_SIM_KEYS
     return _echo({k: v for k, v in p.items() if k in keep and v is not None})
@@ -342,7 +332,24 @@ def _build_forcing(p) -> ForcingSpec:
     )
 
 
-def _build_state(model: str, p: dict):
+def _cycle_error(st) -> float:
+    """Sup distance of a dernls state from the reference limit cycle at its time."""
+    ref = np.zeros_like(st.q)
+    ref[0] = gl_limit_cycle(st.params, st.t)
+    return float(np.max(np.abs(st.q - ref)))
+
+
+def _build_state(p: dict):
+    """Check the model's keys and build its initial state; also return
+    ``_cycle_error`` for a dernls start on the limit cycle, else None."""
+    model = p["model"]
+    bad = sorted(set(p["_provided"]) - MODEL_KEYS[model] - SHARED_SIM_KEYS)
+    if bad:
+        raise ValidationError(f"parameters {bad} do not apply to model {model!r}")
+    if model == "dernls" and not p["kcut"]:
+        p["kcut"] = max(1, p["n_modes"] // 2)  # resolve the 0 sentinel
+    if model == "abc":
+        return ABCState(theta=p["theta0"], abc=p["abc"]), None
     if model == "sg":
         params = SGParams(
             c=p["c"], a=p["a"], eps=p["eps"], parity=p["parity"],
@@ -355,7 +362,7 @@ def _build_state(model: str, p: dict):
             if not (0 <= k <= p["n_modes"]):
                 raise ValidationError(f"kick mode {k} outside [0, {p['n_modes']}]")
             u[k] += amp
-        return sg_state(params, u, v)
+        return sg_state(params, u, v), None
     kw = dict(variant=model, eps=p["eps"], gamma=p["gamma"], n_modes=p["n_modes"])
     if model == "dernls":
         kw.update(mu=p["mu"], K=p["kcut"])
@@ -365,99 +372,66 @@ def _build_state(model: str, p: dict):
     if str(p["q0"]).strip() == "limit-cycle":
         if model != "dernls":
             raise ValidationError("the limit-cycle initial state is specific to dernls")
-        return gl_limit_cycle_state(params)
-    return gl_uniform_state(params, _complex(p["q0"]))
+        return gl_limit_cycle_state(params), _cycle_error
+    return gl_uniform_state(params, _complex(p["q0"])), None
 
 
 def _record(model: str, t: float, state) -> str:
-    if model == "abc":
-        re, im = list(state.theta), []
-    elif model == "sg":
-        re, im = state.u.tolist(), state.v.tolist()
-    else:
-        re, im = state.q.real.tolist(), state.q.imag.tolist()
+    re, im = state.coeffs()
     return json_payload_line({"model": model, "t": round(t, 12), "coeffs_re": re, "coeffs_im": im})
 
 
 def _run_simulate(p, cfg):
     model = p["model"]
-    _check_model_keys(model, p)
+    st, cycle_error = _build_state(p)
     steps = int(round(p["t_end"] / p["dt"]))
     if steps < 1:
         raise ValidationError("t_end must cover at least one step")
     if p["sample_every"] < 1:
         raise ValidationError(f"sample_every must be >= 1, got {p['sample_every']}")
-    track_cycle = model == "dernls" and str(p["q0"]).strip() == "limit-cycle"
-
-    if model == "abc":
-        st = ABCState(theta=p["theta0"], abc=p["abc"])
-        step = abc_step
-    else:
-        st = _build_state(model, p)
-        step = model_step
     lines = [_record(model, 0.0, st)]
     worst = 0.0
     for i in range(1, steps + 1):
-        st = step(st, p["dt"])
-        if track_cycle:
-            ref = np.zeros_like(st.q)
-            ref[0] = gl_limit_cycle(st.params, st.t)
-            worst = max(worst, float(np.max(np.abs(st.q - ref))))
+        st = st.step(p["dt"])
+        if cycle_error:
+            worst = max(worst, cycle_error(st))
         if i % p["sample_every"] == 0 or i == steps:
             lines.append(_record(model, i * p["dt"], st))
     summary = {"n_records": len(lines), "t_end": steps * p["dt"]}
-    if track_cycle:
+    if cycle_error:
         summary["max_limit_cycle_err"] = worst
     return lines, summary, _model_echo(model, p)
 
 
 def _run_poincare(p, cfg):
-    model = p["model"]
-    if model == "abc":
+    if p["model"] == "abc":
         raise ValidationError("poincare supports the wave and envelope models, not abc")
-    _check_model_keys(model, p)
-    st = _build_state(model, p)
+    st, _ = _build_state(p)
     res = poincare_samples(st, p["iterates"], dt=p["dt"], period=p["period"])
-    dim = state_vector(st).size
-    lines = []
+    rows = list(enumerate(zip(res.samples, res.times), start=1))
     if cfg.fmt == "csv":
-        lines.append("iterate,t," + ",".join(f"s{j}" for j in range(dim)))
-        for i, (s, t) in enumerate(zip(res.samples, res.times), start=1):
-            lines.append(csv_line(i, t, *state_vector(s)))
+        lines = ["iterate,t," + ",".join(f"s{j}" for j in range(st.vector().size))]
+        lines += [csv_line(i, t, *s.vector()) for i, (s, t) in rows]
     else:
-        for i, (s, t) in enumerate(zip(res.samples, res.times), start=1):
-            lines.append(json_payload_line({"iterate": i, "t": t, "state": state_vector(s).tolist()}))
+        lines = [json_payload_line({"iterate": i, "t": t, "state": s.vector().tolist()}) for i, (s, t) in rows]
     summary = {"n_samples": len(res.samples), "escaped": res.escaped}
-    return lines, summary, _model_echo(model, p)
+    return lines, summary, _model_echo(p["model"], p)
 
 
 def _run_lyapunov(p, cfg):
-    model = p["model"]
-    _check_model_keys(model, p)
-    if model == "abc":
-        res = abc_lyapunov(
-            p["abc"], p["t_end"], renorm_dt=p["renorm_dt"], dt=p["dt"], d0=p["d0"], theta0=p["theta0"]
-        )
-    else:
-        st = _build_state(model, p)
-        res = lyapunov_max(
-            st, p["t_end"], dt=p["dt"], renorm_dt=p["renorm_dt"], d0=p["d0"], seed=cfg.seed
-        )
-    lines = []
+    st, _ = _build_state(p)
+    res = lyapunov_max(st, p["t_end"], dt=p["dt"], renorm_dt=p["renorm_dt"], d0=p["d0"], seed=cfg.seed)
     if cfg.fmt == "csv":
-        lines.append("t,lambda_running")
-        for t, lam in res.series:
-            lines.append(csv_line(t, lam))
+        lines = ["t,lambda_running", *(csv_line(t, lam) for t, lam in res.series)]
     else:
-        for t, lam in res.series:
-            lines.append(json_payload_line({"t": t, "lambda_running": lam}))
+        lines = [json_payload_line({"t": t, "lambda_running": lam}) for t, lam in res.series]
     spread = res.last_decade_spread()
     summary = {
         "lambda": None if np.isnan(res.lam) else res.lam,
         "escaped": res.escaped,
         "last_decade_spread": None if not np.isfinite(spread) else spread,
     }
-    return lines, summary, _model_echo(model, p)
+    return lines, summary, _model_echo(p["model"], p)
 
 
 # ---------------------------------------------------------------------------

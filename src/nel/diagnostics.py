@@ -1,15 +1,18 @@
 """Section/strobe sampling and largest-Lyapunov-exponent estimates.
 
-Works on the wave and envelope states from `models`.  Periodically driven
-wave runs are strobed at the forcing period (2*pi for the cos t drive); the
-autonomous envelopes use a phase section anchored to the spatial-mean mode,
-arg(q_0) = -gamma mod 2*pi, with crossings located by bisection on the step.
+Works on any state of one flow protocol, which the wave and envelope states
+of `models` and the angle flow `forcing.ABCState` share: ``step(dt)``; the
+flat real ``vector()`` and ``with_vector(vec)``; ``separation(other)`` (the
+torus metric for angles) and ``toward(other, s)``, the state s of the way to
+other; the Lyapunov ``shadow(d0, seed)``; ``advance(shadow, n, h)``, both
+after n steps of h; ``frozen``, true for a flow that does not move; and
+``coeffs()``, the (re, im) lists of an output record.
 
-The Lyapunov estimator is the standard two-orbit method: displace a shadow
-trajectory by 1e-8 in a random direction of the flattened coefficient space
-(not in slots the parity forbids), step the pair as one (2, n) batch state,
-renormalize the separation on a fixed cadence, and average the log growth.
-The three-angle clock flow has its own torus-aware estimator in `forcing`.
+Driven states (those with a forcing clock) are strobed at the forcing period
+(2*pi for the cos t drive); states with a ``section_angle`` (the autonomous
+envelopes) are cut by that phase section, crossings located by bisection on
+the step.  The Lyapunov estimate is the two-orbit method: renormalize the
+shadow's separation to d0 after every window and average the log growth.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationalError, ValidationError
-from .forcing import LyapunovResult
-from .models import GLState, SGState, model_step, stack_states, state_row, state_vector, with_state_vector
 
-__all__ = ["PoincareResult", "poincare_samples", "lyapunov_max"]
+__all__ = ["LyapunovResult", "PoincareResult", "poincare_samples", "lyapunov_max"]
 
 ESCAPE_NORM = 1e6
 BISECT_TOL = 1e-10
@@ -39,40 +40,56 @@ class PoincareResult:
     escaped: bool = False
 
 
-def _section_angle(state: GLState) -> float:
-    q0 = state.q[0]  # arg(q_0) + gamma, wrapped into [-pi, pi)
-    return (math.atan2(q0.imag, q0.real) + state.params.gamma + math.pi) % (2.0 * math.pi) - math.pi
+@dataclass(frozen=True)
+class LyapunovResult:
+    lam: float
+    series: tuple  # (t, running estimate) pairs, one per renormalization
+    escaped: bool = False
+
+    def last_decade_spread(self) -> float:
+        """Relative spread of the running estimate over the last 10x of time."""
+        if not self.series:
+            return math.inf
+        t_end = self.series[-1][0]
+        tail = [lam for t, lam in self.series if t >= t_end / 10.0]
+        lo, hi = min(tail), max(tail)
+        scale = max(abs(hi), abs(lo), 1e-12)
+        return (hi - lo) / scale
+
+
+def model_step(state, dt: float):
+    """One step of any protocol state; the strobe and section searches step through it."""
+    return state.step(dt)
 
 
 def _escaped(state) -> bool:
-    v = state_vector(state)
-    return bool(np.abs(v).max() > ESCAPE_NORM) or not np.all(np.isfinite(v))
+    return not np.abs(state.vector()).max() <= ESCAPE_NORM  # also true for nan
 
 
 def poincare_samples(state0, n_iterates: int, dt: float = 0.01, period: float | None = None) -> PoincareResult:
-    """Sample the flow map: strobe each forcing period (wave model) or cut
-    the mode-0 phase section (envelope models).
+    """Sample the flow map: strobe each forcing period (driven states) or cut
+    the state's phase section (autonomous states that define one).
 
     A trajectory whose sup norm passes 1e6, or that stops being finite,
-    truncates the sample list and sets the escaped flag.  An envelope orbit
-    that goes MAX_SECTION_WAIT time units without crossing the section (a
-    phase-locked state never returns to it) raises ComputationalError rather
-    than integrating forever.
+    truncates the sample list and sets the escaped flag.  An orbit that goes
+    MAX_SECTION_WAIT time units without crossing the section (a phase-locked
+    state never returns to it) raises ComputationalError rather than
+    integrating forever.
     """
     if n_iterates < 1:
         raise ValidationError(f"n_iterates must be >= 1, got {n_iterates}")
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    if isinstance(state0, SGState):
+    if getattr(state0, "forcing", None) is not None:
         return _strobe_samples(state0, n_iterates, dt, period)
-    if isinstance(state0, GLState):
-        if period is not None:
-            raise ValidationError("the envelope section map takes no period")
-        return _section_samples(state0, n_iterates, dt)
-    raise ValidationError(f"no section map for state of type {type(state0).__name__}")
+    if not hasattr(state0, "section_angle"):
+        raise ValidationError(f"no section map for state of type {type(state0).__name__}")
+    if period is not None:
+        raise ValidationError("the phase section map takes no period")
+    return _section_samples(state0, n_iterates, dt)
 
 
-def _strobe_samples(state0: SGState, n_iterates: int, dt: float, period: float | None) -> PoincareResult:
+def _strobe_samples(state0, n_iterates: int, dt: float, period: float | None) -> PoincareResult:
     if period is None:
         if state0.forcing.mode != "cos_t":
             raise ValidationError(
@@ -98,10 +115,10 @@ def _strobe_samples(state0: SGState, n_iterates: int, dt: float, period: float |
     return PoincareResult(tuple(samples), tuple(times))
 
 
-def _section_samples(state0: GLState, n_iterates: int, dt: float) -> PoincareResult:
+def _section_samples(state0, n_iterates: int, dt: float) -> PoincareResult:
     samples, times = [], []
     st = state0
-    s_prev = _section_angle(st)
+    s_prev = st.section_angle()
     waited = 0.0
     while len(samples) < n_iterates:
         try:
@@ -110,13 +127,13 @@ def _section_samples(state0: GLState, n_iterates: int, dt: float) -> PoincareRes
             return PoincareResult(tuple(samples), tuple(times), escaped=True)
         if _escaped(nxt):
             return PoincareResult(tuple(samples), tuple(times), escaped=True)
-        s_new = _section_angle(nxt)
+        s_new = nxt.section_angle()
         # downward pass through 0; the pi -> -pi seam is not the section
         if s_prev > 0.0 >= s_new and s_prev - s_new < math.pi:
             lo, hi = 0.0, dt
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                if _section_angle(model_step(st, mid)) > 0.0:
+                if model_step(st, mid).section_angle() > 0.0:
                     lo = mid
                 else:
                     hi = mid
@@ -144,47 +161,41 @@ def lyapunov_max(
     d0: float = 1e-8,
     seed: int = 0,
 ) -> LyapunovResult:
-    """Largest Lyapunov exponent of a model trajectory by shadow separation.
+    """Largest Lyapunov exponent of a trajectory by shadow separation.
 
-    The shadow starts displaced by d0 along a seeded random direction of the
-    flat state vector and both orbits share the forcing clock.  Returns the
-    final estimate and the running series (t, S(t)/t); an escaping or
-    blowing-up pair truncates the series and sets the escaped flag.
+    The run is round(t_end / renorm_dt) windows (at least one) of exactly
+    renorm_dt >= dt, each taken in round(renorm_dt / dt) equal steps, so the
+    k-th entry of the running series (t, S(t)/t) sits at t = k * renorm_dt.
+    The shadow starts as ``state0.shadow(d0, seed)``; a driven pair shares
+    the forcing clock.  An escaping or blowing-up pair truncates the series
+    and sets the escaped flag, a separation that collapses to exactly zero
+    raises, and a frozen flow returns exactly 0.
     """
     if t_end <= 0 or dt <= 0 or d0 <= 0:
         raise ValidationError("t_end, dt, and d0 must all be positive")
     if renorm_dt < dt:
         raise ValidationError("renorm_dt must be at least dt")
-    rng = np.random.default_rng(seed)
-    v0 = state_vector(state0)
-    direction = rng.standard_normal(v0.size)
-    # zero the slots the parity forbids: the rebuilt ones are 1 where free
-    direction *= state_vector(with_state_vector(state0, np.ones(v0.size)))
-    direction /= np.linalg.norm(direction)
-    x = state0
-    y = with_state_vector(state0, v0 + d0 * direction)
-
-    steps_per = max(1, round(renorm_dt / dt))
-    n_windows = max(1, round(t_end / (steps_per * dt)))
+    steps = max(1, round(renorm_dt / dt))
+    h = renorm_dt / steps
+    n_windows = max(1, round(t_end / renorm_dt))
+    if state0.frozen:
+        return LyapunovResult(0.0, tuple((w * renorm_dt, 0.0) for w in range(1, n_windows + 1)))
+    x, y = state0, state0.shadow(d0, seed)
     log_sum = 0.0
     series = []
     for w in range(1, n_windows + 1):
-        pair = stack_states(x, y)
         try:
-            for _ in range(steps_per):
-                pair = model_step(pair, dt)
-            escaped = _escaped(pair)
+            x, y = x.advance(y, steps, h)
+            escaped = _escaped(x) or _escaped(y)
         except ComputationalError:
             escaped = True
         if escaped:
             return LyapunovResult(lam=series[-1][1] if series else math.nan, series=tuple(series), escaped=True)
-        vx, vy = state_vector(pair)
-        d = float(np.linalg.norm(vy - vx))
+        d = x.separation(y)
         if d == 0.0:
             raise ComputationalError("shadow separation collapsed to zero; increase d0")
         log_sum += math.log(d / d0)
-        t = w * steps_per * dt
+        t = w * renorm_dt
         series.append((t, log_sum / t))
-        x = state_row(pair, 0)
-        y = with_state_vector(x, vx + (d0 / d) * (vy - vx))
+        y = x.toward(y, d0 / d)
     return LyapunovResult(lam=series[-1][1], series=tuple(series))

@@ -15,6 +15,11 @@ where the three slow angles are driven by the ABC flow
 so the forcing carries a chaotic clock when (A, B, C) is in the chaotic
 regime.  Everything here is plain-float arithmetic: the ABC integration is
 the hot loop of the Lyapunov runs.
+
+`ABCState` is the angle flow as a state of the flow protocol of
+`diagnostics`: separations use the torus metric, so angle reduction never
+produces spurious jumps, and `advance` takes each orbit through a whole
+window in one `_advance` call, reducing the angles mod 2*pi once at its end.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from .diagnostics import LyapunovResult, lyapunov_max
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -31,25 +39,45 @@ TWO_PI = 2.0 * math.pi
 # ABC flow
 
 
-def abc_rhs(theta, abc):
-    t1, t2, t3 = theta
-    a, b, c = abc
-    return (
-        a * math.sin(t3) + c * math.cos(t2),
-        b * math.sin(t1) + a * math.cos(t3),
-        c * math.sin(t2) + b * math.cos(t1),
-    )
-
-
 @dataclass(frozen=True)
 class ABCState:
     theta: tuple[float, float, float]
     abc: tuple[float, float, float]  # (A, B, C)
 
+    @property
+    def frozen(self) -> bool:
+        return self.abc == (0.0, 0.0, 0.0)
 
-def abc_step(state: ABCState, dt: float) -> ABCState:
-    """One classical RK4 step; angles are reduced mod 2*pi."""
-    return replace(state, theta=_advance(state.theta, state.abc, dt, dt))
+    def step(self, dt: float) -> ABCState:
+        """One classical RK4 step; angles are reduced mod 2*pi."""
+        return ABCState(_advance(self.theta, self.abc, dt, dt), self.abc)
+
+    def vector(self) -> np.ndarray:
+        return np.array(self.theta)
+
+    def with_vector(self, vec) -> ABCState:
+        return ABCState(tuple(float(v) for v in vec), self.abc)
+
+    def _gap(self, other):
+        """other - self per angle, wrapped into [-pi, pi)."""
+        return tuple((b - a + math.pi) % TWO_PI - math.pi for a, b in zip(self.theta, other.theta))
+
+    def separation(self, other) -> float:
+        return math.sqrt(sum(v * v for v in self._gap(other)))
+
+    def toward(self, other, s: float) -> ABCState:
+        return ABCState(tuple(a + v * s for a, v in zip(self.theta, self._gap(other))), self.abc)
+
+    def shadow(self, d0: float, seed: int) -> ABCState:
+        """Angle 1 shifted by d0; the seed is not used."""
+        return ABCState((self.theta[0] + d0, *self.theta[1:]), self.abc)
+
+    def advance(self, shadow, n: int, h: float):
+        """Both orbits after n RK4 steps of h, one `_advance` call each."""
+        return tuple(ABCState(_advance(s.theta, s.abc, n * h, h), s.abc) for s in (self, shadow))
+
+    def coeffs(self):
+        return list(self.theta), []
 
 
 def _advance(theta, abc, delta, dt_sub):
@@ -82,23 +110,6 @@ def _advance(theta, abc, delta, dt_sub):
     return (t1 % TWO_PI, t2 % TWO_PI, t3 % TWO_PI)
 
 
-@dataclass(frozen=True)
-class LyapunovResult:
-    lam: float
-    series: tuple  # (t, running estimate) pairs, one per renormalization
-    escaped: bool = False
-
-    def last_decade_spread(self) -> float:
-        """Relative spread of the running estimate over the last 10x of time."""
-        if not self.series:
-            return math.inf
-        t_end = self.series[-1][0]
-        tail = [lam for t, lam in self.series if t >= t_end / 10.0]
-        lo, hi = min(tail), max(tail)
-        scale = max(abs(hi), abs(lo), 1e-12)
-        return (hi - lo) / scale
-
-
 def abc_lyapunov(
     abc: tuple[float, float, float],
     t_end: float,
@@ -107,39 +118,15 @@ def abc_lyapunov(
     d0: float = 1e-8,
     theta0: tuple[float, float, float] = (4.0, 1.0, 5.5),
 ) -> LyapunovResult:
-    """Largest Lyapunov exponent of the ABC flow by two-orbit renormalization.
-
-    Distances are measured with the torus metric so angle reduction never
-    produces spurious jumps.  The frozen flow A=B=C=0 returns exactly 0.
+    """Largest Lyapunov exponent of the ABC flow: `diagnostics.lyapunov_max`
+    on an `ABCState`.  The frozen flow A=B=C=0 returns exactly 0.
 
     The default start sits in the chaotic web of the 1:1:1 flow.  Beware the
     diagonal t1=t2=t3: it is invariant and falls into the saddle at 3*pi/4,
     where the two-orbit estimate returns the saddle eigenvalue sqrt(2)/2
     instead of a streamline exponent.
     """
-    if t_end <= 0 or renorm_dt <= 0 or dt <= 0 or d0 <= 0:
-        raise ValidationError("t_end, renorm_dt, dt, d0 must all be positive")
-    if abc == (0.0, 0.0, 0.0):
-        n = max(1, int(round(t_end / renorm_dt)))
-        return LyapunovResult(0.0, tuple((i * renorm_dt, 0.0) for i in range(1, n + 1)))
-    x = tuple(theta0)
-    y = (theta0[0] + d0, theta0[1], theta0[2])
-    steps_per = max(1, int(round(renorm_dt / dt)))
-    h = renorm_dt / steps_per
-    t, log_sum = 0.0, 0.0
-    series = []
-    n_renorm = int(round(t_end / renorm_dt))
-    for _ in range(n_renorm):
-        x = _advance(x, abc, renorm_dt, h)
-        y = _advance(y, abc, renorm_dt, h)
-        diff = tuple((b - a + math.pi) % TWO_PI - math.pi for a, b in zip(x, y))
-        d = math.sqrt(sum(v * v for v in diff))
-        t += renorm_dt
-        if d != 0.0:
-            log_sum += math.log(d / d0)
-            y = tuple(a + v * (d0 / d) for a, v in zip(x, diff))
-        series.append((t, log_sum / t))
-    return LyapunovResult(series[-1][1], tuple(series))
+    return lyapunov_max(ABCState(tuple(theta0), tuple(abc)), t_end, dt=dt, renorm_dt=renorm_dt, d0=d0)
 
 
 # ---------------------------------------------------------------------------

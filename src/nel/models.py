@@ -18,9 +18,14 @@ exactly in coefficient space (a 2x2 wave rotation per mode for sine-Gordon,
 a complex exponential per mode for the envelopes) and nonlinearities are
 evaluated on a physical grid of ~4x the retained modes, which keeps cubic
 products alias-free.  Coefficient arrays may carry leading batch axes (one
-orbit per row, on one clock; transforms run along the last axis), so a
-(2, n) state steps an orbit and its Lyapunov shadow at once.  The factors
-e^{lam h} and the wave propagators are cached, read-only, per (params, dt).
+orbit per row, on one clock; transforms run along the last axis).  The
+factors e^{lam h} and the wave propagators are cached, read-only, per
+(params, dt).
+
+Both state classes implement the flow protocol of `diagnostics` in one base
+class: Euclidean separations of the flat coefficient vector, a shadow along a
+seeded random direction, and `advance` stepping the orbit and its shadow as
+one (2, n) batch state.
 
 The chaos windows quoted for these models (the (eps, a) rectangle for the
 wave equation, |mu| > 5.8 for the derivative envelope, the alpha = 1/kappa
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +61,43 @@ __all__ = [
     "gl_state",
     "gl_step",
     "gl_mass",
-    "model_step",
-    "state_vector",
-    "with_state_vector",
-    "stack_states",
-    "state_row",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the flow protocol, shared by both families
+
+
+class _CoefficientState:
+    """The protocol on top of `step`, `vector` and `with_vector`."""
+
+    frozen = False  # both flows always move
+
+    def separation(self, other) -> float:
+        return float(np.linalg.norm(other.vector() - self.vector()))
+
+    def toward(self, other, s: float):
+        v = self.vector()
+        return self.with_vector(v + s * (other.vector() - v))
+
+    def shadow(self, d0: float, seed: int):
+        """Displaced by d0 along a seeded random direction of the flat vector,
+        zero on the slots the parity forbids."""
+        v = self.vector()
+        direction = np.random.default_rng(seed).standard_normal(v.size)
+        direction *= self.with_vector(np.ones(v.size)).vector()  # rebuilt ones are 1 where free
+        direction /= np.linalg.norm(direction)
+        return self.with_vector(v + d0 * direction)
+
+    def advance(self, shadow, n: int, h: float):
+        pair = self.with_vector(np.stack([self.vector(), shadow.vector()]))
+        for _ in range(n):
+            pair = pair.step(h)
+        return tuple(pair.with_vector(v) for v in pair.vector())
+
+    def coeffs(self):
+        v = self.vector()
+        return v[: v.size // 2].tolist(), v[v.size // 2 :].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +129,7 @@ class SGParams:
 
 
 @dataclass(frozen=True)
-class SGState:
+class SGState(_CoefficientState):
     """(u, u_t) as parity coefficient vectors of length n_modes+1.
 
     Slot k holds the amplitude of cos(kx) (even) or sin(kx) (odd); for odd
@@ -101,7 +138,6 @@ class SGState:
     per row, all on this clock.
     """
 
-    DATA = ("u", "v")  # the evolving arrays, which stack_states and state_row batch
     params: SGParams
     u: np.ndarray = field(repr=False, default=None)
     v: np.ndarray = field(repr=False, default=None)
@@ -118,6 +154,21 @@ class SGState:
             raise ValidationError("odd parity has no uniform mode; slot 0 must be 0")
         if self.forcing is None:
             object.__setattr__(self, "forcing", self.params.forcing)
+
+    def step(self, dt: float) -> SGState:
+        return sg_step(self, dt)
+
+    def vector(self) -> np.ndarray:
+        return np.concatenate([self.u, self.v], axis=-1)
+
+    def with_vector(self, vec: np.ndarray) -> SGState:
+        """Same kind and clock, from a flat vector (per row); slots the
+        parity forbids are set to zero."""
+        n = self.params.n_modes + 1
+        u, v = vec[..., :n].copy(), vec[..., n:].copy()
+        if self.params.parity == "odd":
+            u[..., 0] = v[..., 0] = 0.0
+        return dataclasses.replace(self, u=u, v=v)
 
 
 def sg_state(params: SGParams, u, v, t: float = 0.0) -> SGState:
@@ -196,8 +247,9 @@ def _sg_factors(params: SGParams, dt: float):
 
 def _sg_nonlinear(params: SGParams, u_coeffs: np.ndarray, f: float) -> np.ndarray:
     u = _sg_to_phys(params, u_coeffs)
-    s = np.sin(u)
-    g = s + params.eps * (-params.a * u + f * s * s * s)
+    g = np.sin(u)
+    if params.eps:
+        g = g + params.eps * (-params.a * u + f * g * g * g)
     return _sg_from_phys(params, g)
 
 
@@ -298,11 +350,10 @@ class GLParams:
 
 
 @dataclass(frozen=True)
-class GLState:
+class GLState(_CoefficientState):
     """Complex cosine coefficients q_k, k = 0..n_modes, at time t; q may
     carry leading batch axes, one orbit per row."""
 
-    DATA = ("q",)  # the evolving arrays, which stack_states and state_row batch
     params: GLParams
     q: np.ndarray = field(repr=False, default=None)
     t: float = 0.0
@@ -311,6 +362,23 @@ class GLState:
         n = self.params.n_modes + 1
         if not isinstance(self.q, np.ndarray) or self.q.shape[-1:] != (n,) or not np.iscomplexobj(self.q):
             raise ValidationError(f"q must be a complex array of trailing length {n}")
+
+    def step(self, dt: float) -> GLState:
+        return gl_step(self, dt)
+
+    def vector(self) -> np.ndarray:
+        return np.concatenate([self.q.real, self.q.imag], axis=-1)
+
+    def with_vector(self, vec: np.ndarray) -> GLState:
+        n = self.params.n_modes + 1
+        q = np.empty((*vec.shape[:-1], n), dtype=complex)
+        q.real, q.imag = vec[..., :n], vec[..., n:]  # exact: keeps -0.0 and infinities
+        return dataclasses.replace(self, q=q)
+
+    def section_angle(self) -> float:
+        """arg(q_0) + gamma, wrapped into [-pi, pi); the section is its zero."""
+        q0 = self.q[0]
+        return (math.atan2(q0.imag, q0.real) + self.params.gamma + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def gl_state(params: GLParams, q, t: float = 0.0) -> GLState:
@@ -425,50 +493,3 @@ def gl_mass(state: GLState) -> float:
     """Grid quadrature of int |q|^2 dx (conserved by the eps = 0 flow)."""
     qp = _gl_to_phys(state.params, state.q)[..., 0, :]
     return float((qp.real**2 + qp.imag**2).mean() * 2.0 * np.pi)
-
-
-# ---------------------------------------------------------------------------
-# a uniform face for the diagnostics: step / flatten / unflatten
-
-
-def model_step(state, dt: float):
-    if isinstance(state, SGState):
-        return sg_step(state, dt)
-    if isinstance(state, GLState):
-        return gl_step(state, dt)
-    raise ValidationError(f"no stepper for state of type {type(state).__name__}")
-
-
-def state_vector(state) -> np.ndarray:
-    """Flatten the evolving degrees of freedom into one real vector (per row)."""
-    if isinstance(state, SGState):
-        return np.concatenate([state.u, state.v], axis=-1)
-    if isinstance(state, GLState):
-        return np.concatenate([state.q.real, state.q.imag], axis=-1)
-    raise ValidationError(f"no state vector for type {type(state).__name__}")
-
-
-def with_state_vector(state, vec: np.ndarray):
-    """Rebuild a state of the same kind (and clock) from a flat vector (per
-    row); slots the parity forbids are set to zero."""
-    if isinstance(state, SGState):
-        n = state.params.n_modes + 1
-        u, v = vec[..., :n].copy(), vec[..., n:].copy()
-        if state.params.parity == "odd":
-            u[..., 0] = v[..., 0] = 0.0
-        return dataclasses.replace(state, u=u, v=v)
-    if isinstance(state, GLState):
-        n = state.params.n_modes + 1
-        return dataclasses.replace(state, q=vec[..., :n] + 1j * vec[..., n:])
-    raise ValidationError(f"no state vector for type {type(state).__name__}")
-
-
-def stack_states(*states):
-    """One batch state with the given states (one kind, params and clock) as rows."""
-    first = states[0]
-    return dataclasses.replace(first, **{f: np.stack([getattr(s, f) for s in states]) for f in first.DATA})
-
-
-def state_row(state, i: int):
-    """Row i of a batch state, as a state of its own."""
-    return dataclasses.replace(state, **{f: getattr(state, f)[i] for f in state.DATA})

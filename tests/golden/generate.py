@@ -15,7 +15,10 @@ axis; ``lyapunov_sg_odd`` was added after the odd-parity shadow was fixed
 (it exited 2 before).  ``laxcheck_2d_alpha``, ``laxcheck_3d_*_32``,
 ``laxcheck_3d_curl_control`` and ``darboux_256x32`` were added from the code
 before the transport transforms were pruned to the dealiased support and
-derivatives were shared.  Regenerate a corpus only on purpose, and say why
+derivatives were shared.  ``simulate_sg_quasi``, ``lyapunov_sg_quasi`` and
+``lyapunov_abc_110_theta0`` were added from the code before the wave,
+envelope and angle states shared one flow protocol and one two-orbit
+Lyapunov loop.  Regenerate a corpus only on purpose, and say why
 in CHANGES.md.
 """
 
@@ -46,6 +49,12 @@ CASES = {
 }
 HASHED = ("spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1")
 
+# a small kicked wave under the quasiperiodic drive, whose ABC clock runs inside force_eval
+SG_QUASI = (
+    "--eps", "0.1", "--n-modes", "16", "--kick", "1:0.1", "--forcing-mode", "quasiperiodic",
+    "--forcing-betas", "0.3,0.2,0.1,0.1", "--forcing-abc-state", "4,1,5.5",
+)
+
 # every payload of these is pinned by hash
 COMMAND_CASES = {
     "laxcheck_2d": ["laxcheck", "--grid", "32", "--t-end", "0.05", "--dt", "0.005"],
@@ -72,6 +81,9 @@ COMMAND_CASES = {
         "laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--mode", "curl", "--control", "true",
     ],
     "darboux_256x32": ["darboux", "--nx", "256", "--ny", "32", "--eta", "0.01"],
+    "simulate_sg_quasi": ["simulate", "--model", "sg", *SG_QUASI, "--t-end", "2"],
+    "lyapunov_sg_quasi": ["lyapunov", "--model", "sg", *SG_QUASI, "--t-end", "3"],
+    "lyapunov_abc_110_theta0": ["lyapunov", "--model", "abc", "--abc", "1,1,0", "--theta0", "0.5,2,3", "--t-end", "50"],
 }
 # darboux from save_field snapshots of darboux_shear_example(nx, ny)
 DARBOUX_SNAPSHOT_SIZES = ((64, 8), (32, 16))

@@ -9,9 +9,10 @@ import pytest
 from nel import diagnostics
 from nel.diagnostics import lyapunov_max, poincare_samples
 from nel.errors import ComputationalError, ValidationError
-from nel.forcing import ForcingSpec
+from nel.forcing import ABCState, ForcingSpec
 from nel.models import (
     GLParams,
+    GLState,
     SGParams,
     gl_limit_cycle_state,
     gl_uniform_state,
@@ -123,7 +124,7 @@ class TestLyapunovMax:
         p = GLParams(variant="dernls", eps=0.01, mu=6.0, n_modes=16, K=8)
         st = gl_uniform_state(p, 0.7 + 0j)
         ref = lyapunov_max(st, 5.0, dt=0.05, seed=3)  # 10 windows of 10 steps
-        step, calls = diagnostics.model_step, []
+        step, calls = GLState.step, []
 
         def shadow_blows_up(state, dt):
             calls.append(dt)
@@ -133,10 +134,29 @@ class TestLyapunovMax:
                 state = dataclasses.replace(state, q=q)
             return step(state, dt)
 
-        monkeypatch.setattr(diagnostics, "model_step", shadow_blows_up)
+        monkeypatch.setattr(GLState, "step", shadow_blows_up)
         r = lyapunov_max(st, 5.0, dt=0.05, seed=3)
         assert r.escaped and len(ref.series) == 10
         assert r.series == ref.series[:2] and r.lam == ref.series[1][1]
+
+    @pytest.mark.parametrize("kind", ["sg", "dernls", "abc"])
+    def test_windows_at_a_non_integer_step_ratio(self, kind):
+        # 0.5 / 0.03 is no integer: every window is still exactly renorm_dt
+        # long (17 steps of 0.5/17), so the series sits on multiples of 0.5
+        st = {
+            "sg": sg_uniform_state(SGParams(eps=0.1, n_modes=8), 2.0),
+            "dernls": gl_uniform_state(GLParams(variant="dernls", eps=0.01, n_modes=8, K=4), 0.7 + 0j),
+            "abc": ABCState(theta=(4.0, 1.0, 5.5), abc=(1.0, 1.0, 1.0)),
+        }[kind]
+        r = lyapunov_max(st, 2.2, dt=0.03, renorm_dt=0.5)
+        assert [t for t, _ in r.series] == [0.5, 1.0, 1.5, 2.0]
+        assert not r.escaped and math.isfinite(r.lam)
+
+    def test_collapsed_separation_raises(self):
+        # a shadow closer than one ulp coincides with the orbit
+        st = ABCState(theta=(4.0, 1.0, 5.5), abc=(1.0, 1.0, 1.0))
+        with pytest.raises(ComputationalError, match="collapsed"):
+            lyapunov_max(st, 1.0, d0=1e-300)
 
     def test_validation(self):
         st = sg_zero_state(SGParams(n_modes=8))

@@ -1,6 +1,8 @@
-"""Wave and envelope steppers: oracles, conservation, parity, convergence."""
+"""Wave and envelope steppers: oracles, conservation, parity, convergence,
+and the flow protocol they share with the angle flow."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from nel import models
 from nel.errors import ComputationalError, ValidationError
-from nel.forcing import ForcingSpec
+from nel.forcing import ABCState, ForcingSpec
 from nel.models import (
     GLParams,
     SGParams,
@@ -18,22 +20,17 @@ from nel.models import (
     gl_state,
     gl_step,
     gl_uniform_state,
-    model_step,
     sg_energy,
     sg_state,
     sg_step,
     sg_uniform_state,
     sg_zero_state,
-    stack_states,
-    state_row,
-    state_vector,
-    with_state_vector,
 )
 
 
 def march(state, t_end, dt):
     for _ in range(round(t_end / dt)):
-        state = model_step(state, dt)
+        state = state.step(dt)
     return state
 
 
@@ -225,35 +222,13 @@ class TestGLEnvelope:
             GLParams(variant="dernls", K=100, n_modes=32)
 
 
-class TestStateVectorRoundTrip:
-    def test_sg(self):
-        p = SGParams(n_modes=8)
-        rng = np.random.default_rng(0)
-        st = sg_state(p, rng.normal(size=9), rng.normal(size=9))
-        vec = state_vector(st)
-        assert vec.shape == (18,)
-        st2 = with_state_vector(st, vec)
-        assert np.array_equal(st2.u, st.u) and np.array_equal(st2.v, st.v)
-        assert st2.t == st.t and st2.forcing is st.forcing
-
-    def test_gl(self):
-        p = GLParams(n_modes=8, K=4)
-        rng = np.random.default_rng(1)
-        st = gl_state(p, rng.normal(size=9) + 1j * rng.normal(size=9))
-        vec = state_vector(st)
-        assert vec.shape == (18,)
-        st2 = with_state_vector(st, vec)
-        assert np.allclose(st2.q, st.q, atol=0, rtol=0)
-
-    def test_unknown_type(self):
-        with pytest.raises(ValidationError):
-            state_vector(object())
-        with pytest.raises(ValidationError):
-            model_step(object(), 0.1)
+KINDS = ["sg_even", "sg_odd", "dernls_eps0", "dernls_eps", "pnls", "abc"]
 
 
 def random_state(case, rng):
-    """One state of each batch case, with every mode of the truncation excited."""
+    """One state of each kind, with every mode of the truncation excited."""
+    if case == "abc":
+        return ABCState(theta=tuple(rng.uniform(0.0, 2.0 * math.pi, 3)), abc=(1.0, 0.7, 0.4))
     quasi = ForcingSpec(mode="quasiperiodic", betas=(0.3, 0.2, 0.1, 0.1), eps=0.1)
     if case.startswith("sg"):
         parity = case.split("_")[1]
@@ -267,21 +242,81 @@ def random_state(case, rng):
     return gl_state(p, rng.normal(0.0, 0.2, 17) + 1j * rng.normal(0.0, 0.2, 17))
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestStateVectorRoundTrip:
+    def test_sg(self):
+        p = SGParams(n_modes=8)
+        rng = np.random.default_rng(0)
+        st = sg_state(p, rng.normal(size=9), rng.normal(size=9))
+        vec = st.vector()
+        assert vec.shape == (18,)
+        st2 = st.with_vector(vec)
+        assert np.array_equal(st2.u, st.u) and np.array_equal(st2.v, st.v)
+        assert st2.t == st.t and st2.forcing is st.forcing
+
+    def test_gl(self):
+        p = GLParams(n_modes=8, K=4)
+        rng = np.random.default_rng(1)
+        st = gl_state(p, rng.normal(size=9) + 1j * rng.normal(size=9))
+        vec = st.vector()
+        assert vec.shape == (18,)
+        st2 = st.with_vector(vec)
+        assert np.allclose(st2.q, st.q, atol=0, rtol=0)
+        # signed zeros and an infinite imaginary part survive bit for bit
+        q = np.array([complex(-0.0, 1.0), complex(0.5, -0.0), complex(1.0, math.inf)])
+        st = gl_state(GLParams(n_modes=4, K=2), np.concatenate([q, np.zeros(2)]))
+        assert np.array_equal(bits(st.with_vector(st.vector()).q.view(float)), bits(st.q.view(float)))
+
+    @pytest.mark.parametrize("case", KINDS)
+    def test_protocol(self, case):
+        st = random_state(case, np.random.default_rng(5))
+        vec = st.vector()
+        assert np.array_equal(bits(st.with_vector(vec).vector()), bits(vec))
+        assert st.separation(st) == 0.0
+        d0 = 1e-3
+        shadow = st.shadow(d0, seed=2)
+        assert st.separation(shadow) == pytest.approx(d0, rel=1e-9)
+        direction = (shadow.vector() - vec) / d0
+        assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-9)
+        if case == "sg_odd":  # slot 0 of u and of v
+            assert np.array_equal(direction[[0, 17]], [0.0, 0.0])
+        half = st.toward(shadow, 0.5)
+        assert st.separation(half) == pytest.approx(0.5 * d0, rel=1e-9)
+        assert half.separation(shadow) == pytest.approx(0.5 * d0, rel=1e-9)
+        re, im = st.coeffs()
+        assert re + im == vec.tolist() and len(im) == (0 if case == "abc" else len(re))
+        assert st.frozen is False
+
+    def test_abc_separation_across_the_seam(self):
+        a = ABCState(theta=(2.0 * math.pi - 1e-3, 1.0, 2.0), abc=(1.0, 1.0, 1.0))
+        b = ABCState(theta=(1e-3, 1.0, 2.0), abc=(1.0, 1.0, 1.0))
+        assert a.separation(b) == pytest.approx(2e-3, rel=1e-9)
+        assert b.separation(a) == pytest.approx(2e-3, rel=1e-9)
+        assert a.toward(b, 0.5).theta[0] == pytest.approx(2.0 * math.pi, rel=1e-12)
+        assert ABCState(theta=a.theta, abc=(0.0, 0.0, 0.0)).frozen
+
+
 class TestBatchAxis:
-    @pytest.mark.parametrize("case", ["sg_even", "sg_odd", "dernls_eps0", "dernls_eps", "pnls"])
+    @pytest.mark.parametrize("case", KINDS)
     def test_stacked_step_equals_rows_alone(self, case):
+        # `advance` steps the orbit and its shadow as one (2, n) batch state
+        # (one `_advance` call per orbit for the angle flow)
         rng = np.random.default_rng(11)
         rows = [random_state(case, rng), random_state(case, rng)]
-        pair = stack_states(*rows)
-        assert state_vector(pair).shape == (2, 34)
+        pair = rows[0].advance(rows[1], 5, 0.02)
         for _ in range(5):
-            pair = model_step(pair, 0.02)
-            rows = [model_step(r, 0.02) for r in rows]
-        for i, row in enumerate(rows):
-            assert np.array_equal(state_vector(state_row(pair, i)), state_vector(row))
-            assert state_row(pair, i).t == row.t
+            rows = [r.step(0.02) for r in rows]
+        for got, row in zip(pair, rows):
+            if case == "abc":  # a window reduces the angles mod 2*pi once, not every step
+                assert got.separation(row) < 1e-12
+            else:
+                assert np.array_equal(got.vector(), row.vector())
+                assert got.t == row.t
         if case.startswith("sg"):
-            assert pair.forcing == rows[0].forcing
+            assert pair[0].forcing == pair[1].forcing == rows[0].forcing
 
     def test_cached_factors_are_read_only(self):
         gl = GLParams(variant="dernls", eps=0.05, n_modes=8, K=4)
@@ -308,13 +343,15 @@ class TestBatchAxis:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_in_one_row_raises(self):
         p = GLParams(variant="dernls", eps=0.0, K=8, n_modes=16)
-        st = stack_states(gl_uniform_state(p, 0.1 + 0j), gl_uniform_state(p, 5.0 + 0j))
+        q = np.zeros((2, 17), complex)
+        q[:, 0] = 0.1, 5.0
+        st = gl_state(p, q)
         with pytest.raises(ComputationalError, match="last valid time"):
             for _ in range(100):
                 st = gl_step(st, 1.0)
 
     def test_odd_rebuild_zeroes_slot_0(self):
         st = sg_zero_state(SGParams(parity="odd", n_modes=8))
-        rebuilt = with_state_vector(st, np.ones((2, 18)))
-        assert np.array_equal(state_vector(rebuilt)[:, [0, 9]], np.zeros((2, 2)))
-        assert np.all(np.delete(state_vector(rebuilt), [0, 9], axis=1) == 1.0)
+        rebuilt = st.with_vector(np.ones((2, 18)))
+        assert np.array_equal(rebuilt.vector()[:, [0, 9]], np.zeros((2, 2)))
+        assert np.all(np.delete(rebuilt.vector(), [0, 9], axis=1) == 1.0)
