@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -408,12 +409,12 @@ def _run_poincare(p, cfg):
         raise ValidationError("poincare supports the wave and envelope models, not abc")
     st, _ = _build_state(p)
     res = poincare_samples(st, p["iterates"], dt=p["dt"], period=p["period"])
-    rows = list(enumerate(zip(res.samples, res.times), start=1))
+    rows = list(enumerate(res.samples, start=1))
     if cfg.fmt == "csv":
         lines = ["iterate,t," + ",".join(f"s{j}" for j in range(st.vector().size))]
-        lines += [csv_line(i, t, *s.vector()) for i, (s, t) in rows]
+        lines += [csv_line(i, s.t, *s.vector()) for i, s in rows]
     else:
-        lines = [json_payload_line({"iterate": i, "t": t, "state": s.vector().tolist()}) for i, (s, t) in rows]
+        lines = [json_payload_line({"iterate": i, "t": s.t, "state": s.vector().tolist()}) for i, s in rows]
     summary = {"n_samples": len(res.samples), "escaped": res.escaped}
     return lines, summary, _model_echo(p["model"], p)
 
@@ -574,6 +575,7 @@ _register(
 # argument plumbing
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nel", description="numerical laboratory for shear spectra and wave chaos"

@@ -33,10 +33,9 @@ MAX_SECTION_WAIT = 1000.0  # time units allowed between consecutive section hits
 
 @dataclass(frozen=True)
 class PoincareResult:
-    """Successive map iterates (initial state excluded) and their times."""
+    """Successive map iterates (initial state excluded); each carries its time ``t``."""
 
     samples: tuple
-    times: tuple
     escaped: bool = False
 
 
@@ -100,23 +99,22 @@ def _strobe_samples(state0, n_iterates: int, dt: float, period: float | None) ->
         raise ValidationError(f"period must be positive, got {period}")
     steps = max(1, round(period / dt))
     h = period / steps
-    samples, times = [], []
+    samples = []
     st = state0
     for _ in range(n_iterates):
         try:
             for _ in range(steps):
                 st = model_step(st, h)
         except ComputationalError:
-            return PoincareResult(tuple(samples), tuple(times), escaped=True)
+            return PoincareResult(tuple(samples), escaped=True)
         if _escaped(st):
-            return PoincareResult(tuple(samples), tuple(times), escaped=True)
+            return PoincareResult(tuple(samples), escaped=True)
         samples.append(st)
-        times.append(st.t)
-    return PoincareResult(tuple(samples), tuple(times))
+    return PoincareResult(tuple(samples))
 
 
 def _section_samples(state0, n_iterates: int, dt: float) -> PoincareResult:
-    samples, times = [], []
+    samples = []
     st = state0
     s_prev = st.section_angle()
     waited = 0.0
@@ -124,9 +122,9 @@ def _section_samples(state0, n_iterates: int, dt: float) -> PoincareResult:
         try:
             nxt = model_step(st, dt)
         except ComputationalError:
-            return PoincareResult(tuple(samples), tuple(times), escaped=True)
+            return PoincareResult(tuple(samples), escaped=True)
         if _escaped(nxt):
-            return PoincareResult(tuple(samples), tuple(times), escaped=True)
+            return PoincareResult(tuple(samples), escaped=True)
         s_new = nxt.section_angle()
         # downward pass through 0; the pi -> -pi seam is not the section
         if s_prev > 0.0 >= s_new and s_prev - s_new < math.pi:
@@ -137,9 +135,7 @@ def _section_samples(state0, n_iterates: int, dt: float) -> PoincareResult:
                     lo = mid
                 else:
                     hi = mid
-            hit = model_step(st, hi)
-            samples.append(hit)
-            times.append(hit.t)
+            samples.append(model_step(st, hi))
             waited = 0.0
         else:
             waited += dt
@@ -150,7 +146,7 @@ def _section_samples(state0, n_iterates: int, dt: float) -> PoincareResult:
                     "locked off the section or rotates the wrong way"
                 )
         st, s_prev = nxt, s_new
-    return PoincareResult(tuple(samples), tuple(times))
+    return PoincareResult(tuple(samples))
 
 
 def lyapunov_max(

@@ -1,8 +1,9 @@
 """The spectral field, the 2D spectral calculus, and field snapshots.
 
-``SpectralField`` holds a scalar or a vector field on a periodic grid
-(``TorusGrid2D`` or ``TorusGrid3D``) by its Fourier coefficients; the 3D
-vector calculus built on it lives in ``fields3d``.
+``SpectralField`` holds a field on a periodic grid (``TorusGrid2D`` or
+``TorusGrid3D``) by its Fourier coefficients: a scalar, a vector, or any
+stack of them on leading axes, which every transform and operator here
+batches over; the 3D vector calculus built on it lives in ``fields3d``.
 
 2D fields live on [0, 2pi/alpha] x [0, 2pi] in the vorticity formulation
 
@@ -38,7 +39,8 @@ class SpectralField:
     """A field stored by its Fourier coefficients (immutable).
 
     A scalar field has ``coeffs.shape == grid.shape``; a vector field has one
-    component per dimension on a leading axis, ``(len(grid.shape), *grid.shape)``.
+    component per dimension on a leading axis, ``(len(grid.shape), *grid.shape)``;
+    a stack of fields has any leading axes, ``(..., *grid.shape)``.
     """
 
     grid: TorusGrid2D | TorusGrid3D
@@ -46,7 +48,7 @@ class SpectralField:
 
     def __post_init__(self):
         shape = self.grid.shape
-        if self.coeffs.shape not in (shape, (len(shape), *shape)):
+        if self.coeffs.shape[self.coeffs.ndim - len(shape) :] != shape:
             raise ValidationError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {shape}"
             )
@@ -69,7 +71,7 @@ class SpectralField:
         return self.hermitian_error() <= tol
 
     def mean(self):
-        """The zero mode: a complex, or an array of one per component."""
+        """The zero mode: a complex, or an array of one per stacked field."""
         m = self.coeffs[_zero_mode(self.grid)]
         return complex(m) if m.ndim == 0 else m.copy()
 
@@ -139,7 +141,7 @@ def gradient_values(f: SpectralField) -> np.ndarray:
 
 
 def _zero_mode(grid) -> tuple:
-    # index of the (0, ..., 0) coefficient, of every component of a vector
+    # index of the (0, ..., 0) coefficient, of every field of a stack
     return (Ellipsis, *(0,) * len(grid.axes))
 
 
@@ -198,14 +200,21 @@ def dy(f: SpectralField) -> SpectralField:
 
 
 def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -> SpectralField:
-    """{f, g} = f_x g_y - f_y g_x for fields of any (complex) value type.
+    """{f, g} = f_x g_y - f_y g_x for a field f and a field or stack g, of any
+    (complex) value type.
 
     A caller may share ``gradient_values`` of f or g between brackets.
     """
     _check_same_grid(f, g)
     fx, fy = gradient_values(f) if f_grad is None else f_grad
-    gx, gy = gradient_values(g) if g_grad is None else g_grad
-    return SpectralField(f.grid, _forward_dealiased(f.grid, fx * gy - fy * gx))
+    if g_grad is None:  # no one else holds g's gradient: form the product in it
+        gx, prod = gradient_values(g)
+        prod *= fx
+        gx *= fy
+    else:
+        prod, gx = fx * g_grad[1], fy * g_grad[0]
+    prod -= gx
+    return SpectralField(f.grid, _forward_dealiased(f.grid, prod))
 
 
 def bracket(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -301,6 +310,8 @@ def load_field(path) -> SpectralField:
         else:
             raise ValidationError(f"unknown field snapshot kind {d['kind']!r}")
         comps = d.get("components", 1)
+        if comps not in (1, len(grid.shape)):
+            raise ValidationError(f"{comps} components, not 1 or {len(grid.shape)}")  # the handler below names the file
         flat = np.array(d["re"], dtype=np.float64) + 1j * np.array(d["im"], dtype=np.float64)
         if not np.all(np.isfinite(flat)):
             raise ValidationError(f"field snapshot {path} has non-finite coefficients")

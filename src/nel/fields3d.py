@@ -65,13 +65,10 @@ def biot_savart_3d(omega: SpectralField) -> SpectralField:
     return invert_laplacian(curl_3d(omega)) * (-1.0)
 
 
-def advect_3d(a: SpectralField, f: SpectralField, a_values=None) -> SpectralField:
-    """(a . grad) f for scalar or vector f, dealiased and mean-projected.
-
-    A caller may share ``a_values = a.physical()`` between advections by a.
-    """
+def advect_3d(a: SpectralField, f: SpectralField) -> SpectralField:
+    """(a . grad) f for a scalar, vector or any stack f, dealiased and mean-projected."""
     _check_same_grid(a, f)
-    av = a.physical() if a_values is None else a_values
+    av = a.physical()
     grad = gradient_values(f)
     np.multiply(av.reshape(3, *(1,) * (f.coeffs.ndim - 3), *a.grid.shape), grad, out=grad)
     prod = grad[0] + grad[1]

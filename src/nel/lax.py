@@ -7,6 +7,9 @@ q = {Omega, phi} are advected passively, then q(t) = {Omega(t), phi(t)} stays
 true (Jacobi identity).  3D: the same holds for L(phi) = (Omega . grad) phi
 and A(phi) = (u . grad) phi -- remarkably with no constraint tying u to Omega
 (neither div u = 0 nor Omega = curl u is needed for the compatibility).
+Both checks march (Omega, phi, q) as one stacked ``SpectralField`` -- the
+rows of Omega, then phi, then q -- so each RK4 stage transports the whole
+stack with one bracket by Psi (2D) or one advection by u (3D).
 
 The gauge transform acts on eigenfields of the 2D system at lam = 0:
 
@@ -100,36 +103,6 @@ def eigen_residual(state: LaxState2D | LaxState3D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# small RK4 combinator over tuples of fields
-
-
-def _axpy(state, a, incr):
-    return tuple(s + a * k for s, k in zip(state, incr))
-
-
-def _rk4(state, t, dt, rhs):
-    k1 = rhs(state, t)
-    k2 = rhs(_axpy(state, 0.5 * dt, k1), t + 0.5 * dt)
-    k3 = rhs(_axpy(state, 0.5 * dt, k2), t + 0.5 * dt)
-    k4 = rhs(_axpy(state, dt, k3), t + dt)
-    out = state
-    for c, k in ((dt / 6, k1), (dt / 3, k2), (dt / 3, k3), (dt / 6, k4)):
-        out = _axpy(out, c, k)
-    return out
-
-
-def _march(state, t_end, dt, rhs, what):
-    steps = int(round(t_end / dt))
-    t = 0.0
-    for _ in range(steps):
-        state = _rk4(state, t, dt, rhs)
-        t += dt
-        if not all(np.isfinite(f.coeffs).all() for f in state):
-            raise ComputationalError(f"{what} blew up at t={t:.4g}; reduce dt")
-    return state, steps
-
-
-# ---------------------------------------------------------------------------
 # compatibility checks
 
 
@@ -155,6 +128,43 @@ class LaxCheckResult:
         }
 
 
+def _rk4(y: SpectralField, t, dt, rhs) -> SpectralField:
+    k1 = rhs(y, t)
+    k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(y + dt * k3, t + dt)
+    return y + dt / 6 * k1 + dt / 3 * k2 + dt / 3 * k3 + dt / 6 * k4
+
+
+def _transport_check(check, omega0, phi0, t_end, dt, rhs, L) -> LaxCheckResult:
+    """March the stack y = (Omega rows, phi, q), q(0) = L(Omega0, phi0), by
+    RK4 of ``rhs(y, t)`` and measure L(Omega(T), phi(T)) - q(T)."""
+    if dt <= 0 or t_end <= 0:
+        raise ValidationError("t_end and dt must be positive")
+    grid = omega0.grid
+    q0 = L(omega0, phi0)
+    rows = (omega0.coeffs.reshape(-1, *grid.shape), phi0.coeffs[None], q0.coeffs[None])
+    y = SpectralField(grid, np.concatenate(rows))
+    steps = int(round(t_end / dt))
+    t = 0.0
+    for _ in range(steps):
+        y = _rk4(y, t, dt, rhs)
+        t += dt
+        if not np.isfinite(y.coeffs).all():
+            raise ComputationalError(f"{check} blew up at t={t:.4g}; reduce dt")
+    om = SpectralField(grid, y.coeffs[:-2].reshape(omega0.coeffs.shape))
+    phi, q = (SpectralField(grid, c) for c in y.coeffs[-2:])
+    resid = L(om, phi) - q
+    return LaxCheckResult(
+        check=check,
+        residual_inf=resid.norm_inf(),
+        residual_l2=resid.norm_l2(),
+        grid=grid.shape,
+        dt=dt,
+        steps=steps,
+    )
+
+
 def transported_eigenfield_check_2d(
     omega0: SpectralField,
     phi0: SpectralField,
@@ -169,31 +179,13 @@ def transported_eigenfield_check_2d(
     arithmetic.  The negative control flips the sign of the vorticity's own
     advection, which destroys the compatibility.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValidationError("t_end and dt must be positive")
-    sign = 1.0 if negative_control else -1.0
+    signs = np.array([1.0 if negative_control else -1.0, -1.0, -1.0])[:, None, None]
 
-    def rhs(state, t):
-        om, phi, q = state
-        psi = invert_laplacian(om)
-        dpsi = gradient_values(psi)  # shared by the three brackets
-        return (
-            sign * bracket_core(psi, om, dpsi),
-            -1.0 * bracket_core(psi, phi, dpsi),
-            -1.0 * bracket_core(psi, q, dpsi),
-        )
+    def rhs(y, t):  # one bracket by Psi of the whole stack
+        return bracket_core(invert_laplacian(SpectralField(y.grid, y.coeffs[0])), y) * signs
 
-    state = (omega0, phi0, bracket_core(omega0, phi0))
-    (om, phi, q), steps = _march(state, t_end, dt, rhs, "2d transport check")
-    resid = bracket_core(om, phi) - q
-    return LaxCheckResult(
-        check="transport-compatibility-2d" + ("-control" if negative_control else ""),
-        residual_inf=resid.norm_inf(),
-        residual_l2=resid.norm_l2(),
-        grid=omega0.grid.shape,
-        dt=dt,
-        steps=steps,
-    )
+    check = "transport-compatibility-2d" + ("-control" if negative_control else "")
+    return _transport_check(check, omega0, phi0, t_end, dt, rhs, bracket_core)
 
 
 def transported_eigenfield_check_3d(
@@ -214,8 +206,6 @@ def transported_eigenfield_check_3d(
     compatibility holds with no constraint tying u to Omega.  The negative
     control flips the sign of the stretching term.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValidationError("t_end and dt must be positive")
     require_mean_zero(omega0, "omega0")
     if enforce_curl:
         if velocity is not None:
@@ -228,27 +218,17 @@ def transported_eigenfield_check_3d(
 
     stretch = -1.0 if negative_control else 1.0
 
-    def rhs(state, t):
-        om, phi, q = state
+    def rhs(y, t):  # one advection by u of the whole stack, one of u by Omega
+        om = SpectralField(y.grid, y.coeffs[:3])
         u = biot_savart_3d(om) if enforce_curl else velocity(t)
-        uv = u.physical()  # shared by the three advections by u
-        dom = stretch * advect_3d(om, u) - advect_3d(u, om, uv)
-        return (dom, -1.0 * advect_3d(u, phi, uv), -1.0 * advect_3d(u, q, uv))
+        adv = advect_3d(u, y).coeffs
+        dom = stretch * advect_3d(om, u).coeffs - adv[:3]
+        return SpectralField(y.grid, np.concatenate([dom, -1.0 * adv[3:]]))
 
-    state = (omega0, phi0, advect_3d(omega0, phi0))
-    (om, phi, q), steps = _march(state, t_end, dt, rhs, "3d transport check")
-    resid = advect_3d(om, phi) - q
     tag = "-curl" if enforce_curl else "-free"
     if negative_control:
         tag += "-control"
-    return LaxCheckResult(
-        check="transport-compatibility-3d" + tag,
-        residual_inf=resid.norm_inf(),
-        residual_l2=resid.norm_l2(),
-        grid=omega0.grid.shape,
-        dt=dt,
-        steps=steps,
-    )
+    return _transport_check("transport-compatibility-3d" + tag, omega0, phi0, t_end, dt, rhs, advect_3d)
 
 
 # ---------------------------------------------------------------------------

@@ -171,23 +171,20 @@ class Classification:
     cluster_extent: float
 
 
-def _validate_params(alpha: float, gamma: float, nu: float, trunc: int):
+def _validate_params(alpha: float, nu: float, trunc: int):
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     if nu < 0:
         raise ValidationError(f"nu must be nonnegative, got {nu}")
     if trunc < 1:
         raise ValidationError(f"trunc must be >= 1, got {trunc}")
-    if gamma == 0:
-        # allowed (pure diffusion) but the shear terms vanish identically
-        pass
 
 
 def class_bands(
     cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
 ) -> tuple[tuple[int, ...], Tridiagonal]:
     """Row offsets and bands of the truncated operator on one mode class."""
-    _validate_params(alpha, gamma, nu, trunc)
+    _validate_params(alpha, nu, trunc)
     n = np.arange(-trunc, trunc + 1)
     if cls.k1 == 0:
         n = n[cls.k2 + n != 0]
@@ -524,7 +521,7 @@ def critical_viscosity(
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    _validate_params(alpha, gamma, 0.0, trunc)
+    _validate_params(alpha, 0.0, trunc)
     ns_n, iters = truncated_nustar(alpha, gamma, trunc)
     ns_2n, _ = truncated_nustar(alpha, gamma, 2 * trunc)
     for nu, below in ((max(0.0, ns_2n - tol / 2), True), (ns_2n + tol / 2, False)):

@@ -18,7 +18,9 @@ before the transport transforms were pruned to the dealiased support and
 derivatives were shared.  ``simulate_sg_quasi``, ``lyapunov_sg_quasi`` and
 ``lyapunov_abc_110_theta0`` were added from the code before the wave,
 envelope and angle states shared one flow protocol and one two-orbit
-Lyapunov loop.  Regenerate a corpus only on purpose, and say why
+Lyapunov loop.  ``laxcheck_3d_free_control``, ``laxcheck_2d_kmax12`` and
+``laxcheck_3d_curl_kmax12`` were added from the code before the transport
+checks marched (Omega, phi, q) as one stacked field.  Regenerate a corpus only on purpose, and say why
 in CHANGES.md.
 """
 
@@ -84,6 +86,14 @@ COMMAND_CASES = {
     "simulate_sg_quasi": ["simulate", "--model", "sg", *SG_QUASI, "--t-end", "2"],
     "lyapunov_sg_quasi": ["lyapunov", "--model", "sg", *SG_QUASI, "--t-end", "3"],
     "lyapunov_abc_110_theta0": ["lyapunov", "--model", "abc", "--abc", "1,1,0", "--theta0", "0.5,2,3", "--t-end", "50"],
+    "laxcheck_3d_free_control": [
+        "laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--mode", "free", "--control", "true",
+    ],
+    # the initial fields carry modes the 2/3 mask drops, so transforms of the state take the full path
+    "laxcheck_2d_kmax12": ["laxcheck", "--grid", "32", "--t-end", "0.05", "--dt", "0.005", "--kmax", "12"],
+    "laxcheck_3d_curl_kmax12": [
+        "laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--kmax", "12", "--mode", "curl",
+    ],
 }
 # darboux from save_field snapshots of darboux_shear_example(nx, ny)
 DARBOUX_SNAPSHOT_SIZES = ((64, 8), (32, 16))

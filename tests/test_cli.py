@@ -296,11 +296,16 @@ class TestDarbouxCommand:
             ),
             (
                 '{"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4},'
+                f' "components": 3, "re": {[0.0] * 48}, "im": {[0.0] * 48}}}',
+                "3 components, not 1 or 2",
+            ),
+            (
+                '{"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4},'
                 f' "re": [NaN, {", ".join(["0.0"] * 15)}], "im": {[0.0] * 16}}}',
                 "non-finite",
             ),
         ],
-        ids=["not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector", "nan-coefficient"],
+        ids=["not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector", "2d-three-components", "nan-coefficient"],
     )
     def test_malformed_snapshot_exits_2(self, tmp_path, capsys, snapshot, message):
         bad = tmp_path / "bad.json"

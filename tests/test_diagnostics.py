@@ -36,7 +36,7 @@ class TestPoincare:
         p = GLParams(variant="dernls", eps=0.02, mu=6.0, gamma=0.4)
         res = poincare_samples(gl_limit_cycle_state(p), 4, dt=0.01)
         assert not res.escaped
-        gaps = np.diff([0.0, *res.times])
+        gaps = np.diff([0.0, *(s.t for s in res.samples)])
         assert np.abs(gaps - 16.0 * math.pi / 9.0).max() < 1e-6
 
     def test_libration_strobe_stays_on_invariant_curve(self):

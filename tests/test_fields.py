@@ -50,7 +50,11 @@ class TestTransforms:
         g = grid(n=8)
         assert SpectralField(g, np.zeros((8, 8))).mean() == 0
         assert SpectralField(g, np.zeros((2, 8, 8))).mean().shape == (2,)
-        for shape in ((8, 10), (3, 8, 8), (1, 8, 8), (8,)):
+        # any stack of fields on leading axes
+        assert SpectralField(g, np.zeros((3, 8, 8))).mean().shape == (3,)
+        assert SpectralField(g, np.zeros((1, 8, 8))).mean().shape == (1,)
+        assert SpectralField(g, np.zeros((2, 3, 8, 8))).mean().shape == (2, 3)
+        for shape in ((8, 10), (8,), (8, 8, 3)):
             with pytest.raises(ValidationError, match="does not match grid"):
                 SpectralField(g, np.zeros(shape))
 

@@ -11,7 +11,7 @@ from nel.fields3d import random_scalar_field, random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import (
     DarbouxInput,
-    _march,
+    _transport_check,
     LaxState2D,
     LaxState3D,
     darboux_apply,
@@ -133,16 +133,17 @@ class TestTransport2D:
             transported_eigenfield_check_2d(om0, ph0, t_end=5.0, dt=0.5)
 
     def test_blowup_in_any_marched_field_raises(self):
-        # omega stays finite; only the passive field goes non-finite
+        # omega stays finite; only the passive row phi of the stack goes non-finite
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
         om = field_of(g, lambda X, Y: np.cos(Y))
-        nan = SpectralField(g, np.full((16, 16), np.nan + 0j))
+        k = np.zeros((3, 16, 16), complex)
+        k[1] = np.nan
 
-        def rhs(state, t):
-            return (0.0 * state[0], nan, 0.0 * state[2])
+        def rhs(y, t):
+            return SpectralField(g, k)
 
-        with pytest.raises(ComputationalError, match="blew up"):
-            _march((om, om, om), 0.1, 0.05, rhs, "test march")
+        with pytest.raises(ComputationalError, match="test march blew up at t=0.05"):
+            _transport_check("test march", om, om, 0.1, 0.05, rhs, bracket_core)
 
     def test_rejects_bad_steps(self):
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)

@@ -6,7 +6,8 @@ exact zero may differ), whatever the support of c: lines it skips are lines
 that are exactly zero.  The forward must equal
 ``np.where(mask, fftn(x) / size, 0)`` with the mean mode zeroed, byte for
 byte.  Inputs cover 2D and 3D grids, n = 4, a non-cubic 3D grid, the 2/3, 1/2
-and 1.0 dealias fractions, and scalar, vector and d x d component stacks.
+and 1.0 dealias fractions, and scalar, vector and d x d component stacks; the bracket and the advection
+of a stack equal those of its rows, byte for byte.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from nel.fields import (
     gradient_values,
     random_real_field,
 )
+from nel.fields3d import advect_3d, random_scalar_field, random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
 
 SHAPES = [(4, 4), (64, 48), (4, 4, 4), (16, 16, 16), (8, 12, 6)]
@@ -105,3 +107,17 @@ def test_gradient_values_and_shared_gradients():
     assert np.array_equal(grad[1], dy(f).physical())
     shared = bracket_core(f, h, grad, gradient_values(h))
     assert shared.coeffs.tobytes() == bracket_core(f, h).coeffs.tobytes()
+    # a stack of fields goes through the bracket row by row, to the byte
+    k = SpectralField(g, 1j * random_real_field(g, 5, np.random.default_rng(3)).coeffs)
+    rows = (f, h, k)
+    stacked = bracket_core(f, SpectralField(g, np.stack([r.coeffs for r in rows])))
+    for r, got in zip(rows, stacked.coeffs):
+        assert got.tobytes() == bracket_core(f, r).coeffs.tobytes()
+    # and so does the 3D advection, a vector and a scalar stacked as in the transport check
+    g3 = TorusGrid3D(8, 12, 6)
+    u = random_solenoidal_field(g3, 2, np.random.default_rng(1))
+    om = random_solenoidal_field(g3, 2, np.random.default_rng(2))
+    phi = random_scalar_field(g3, 2, np.random.default_rng(3))
+    got = advect_3d(u, SpectralField(g3, np.concatenate([om.coeffs, phi.coeffs[None]]))).coeffs
+    assert got[:3].tobytes() == advect_3d(u, om).coeffs.tobytes()
+    assert got[3].tobytes() == advect_3d(u, phi).coeffs.tobytes()
