@@ -1,9 +1,11 @@
 """The spectral field, the 2D spectral calculus, and field snapshots.
 
-``SpectralField`` holds a field on a periodic grid (``TorusGrid2D`` or
-``TorusGrid3D``) by its Fourier coefficients: a scalar, a vector, or any
-stack of them on leading axes, which every transform and operator here
-batches over; the 3D vector calculus built on it lives in ``fields3d``.
+``SpectralField`` holds a real field on a periodic grid (``TorusGrid2D`` or
+``TorusGrid3D``) by its half spectrum, ``rfftn(values) / size``: a scalar, a
+vector, or any stack of them on leading axes, which every transform and
+operator here batches over; the 3D vector calculus built on it lives in
+``fields3d``.  A complex-valued field is carried as two real rows (re, im)
+on a leading axis: every operator is real-linear in the field it acts on.
 
 2D fields live on [0, 2pi/alpha] x [0, 2pi] in the vorticity formulation
 
@@ -15,8 +17,12 @@ dealiased with the grid's mask (2/3 rule by default, 1/2 rule when triple
 products must be exact).  The (0,0) mode of every dynamical field is kept at
 zero; stream functions are only defined for mean-zero vorticity.
 
-Transforms to grid values skip lines that are exactly zero, those back skip
-lines the dealias mask drops; both equal numpy's but for the sign of a zero.
+Transforms to grid values are ``irfftn`` and skip lines that are exactly
+zero; those back are ``rfftn`` and skip lines the dealias mask drops.  Both
+equal numpy's but for the sign of a zero.  A half spectrum's zero column (and
+its Nyquist column) must be conjugate-symmetric over the other axes: ``irfft``
+silently drops the antisymmetric part, so a field built from coefficients by
+hand must mirror them there.  The dealias cut never keeps the Nyquist mode.
 """
 
 from __future__ import annotations
@@ -28,59 +34,62 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import TorusGrid2D, TorusGrid3D
+from .grids import TorusGrid2D, TorusGrid3D, _int_freqs
 
 MEAN_TOL = 1e-12
-HERMITIAN_TOL = 1e-10
+HERMITIAN_TOL = 1e-10  # relative: a snapshot's spectrum must be Hermitian to this
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A field stored by its Fourier coefficients (immutable).
+    """A real field stored by its half spectrum (immutable).
 
-    A scalar field has ``coeffs.shape == grid.shape``; a vector field has one
-    component per dimension on a leading axis, ``(len(grid.shape), *grid.shape)``;
-    a stack of fields has any leading axes, ``(..., *grid.shape)``.
+    A scalar field has ``coeffs.shape == grid.spectral_shape``; a vector field
+    has one component per dimension on a leading axis; a stack of fields has
+    any leading axes, ``(..., *grid.spectral_shape)``.  The field keeps a
+    read-only view of the caller's array, which stays writable.
     """
 
     grid: TorusGrid2D | TorusGrid3D
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = self.grid.shape
+        shape = self.grid.spectral_shape
         if self.coeffs.shape[self.coeffs.ndim - len(shape) :] != shape:
             raise ValidationError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {shape}"
+                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape} (half spectrum {shape})"
             )
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
+        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128).view()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_physical(cls, grid, values: np.ndarray) -> "SpectralField":
-        return cls(grid, np.fft.fftn(values, axes=grid.axes) / grid.size)
+        """The field of real grid values; a complex field as (re, im) rows.
+
+        The zero and Nyquist columns are made conjugate-symmetric to the bit.
+        """
+        c = np.fft.rfftn(values, axes=grid.axes) / grid.size
+        c[..., [0, -1]] = 0.5 * (c[..., [0, -1]] + np.conj(c[_mirror(grid, [0, grid.shape[-1] // 2])]))
+        return cls(grid, c)
 
     def physical(self) -> np.ndarray:
-        """Grid values; complex in general, take .real for Hermitian fields."""
+        """Grid values (real)."""
         return _inverse(self.grid, self.coeffs.copy())
 
-    def hermitian_error(self) -> float:
-        return float(np.max(np.abs(self.coeffs - _conj_reversed(self))))
-
-    def is_real(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermitian_error() <= tol
-
     def mean(self):
-        """The zero mode: a complex, or an array of one per stacked field."""
-        m = self.coeffs[_zero_mode(self.grid)]
-        return complex(m) if m.ndim == 0 else m.copy()
+        """The zero mode: a float, or an array of one per stacked field."""
+        m = self.coeffs[_zero_mode(self.grid)].real
+        return float(m) if m.ndim == 0 else m.copy()
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.physical())))
 
     def norm_l2(self) -> float:
-        # sqrt of the mean square over the torus (Parseval)
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+        # sqrt of the mean square over the torus (Parseval); the interior
+        # columns of a half spectrum stand for their mirror images too
+        w = np.abs(self.coeffs) ** 2
+        return float(np.sqrt(w.sum() + w[..., 1:-1].sum()))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
@@ -91,45 +100,60 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
+        if np.iscomplexobj(scalar):
+            raise ValidationError("a real field times a complex number is not real; carry it as (re, im) rows")
         return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
 
-def _inverse(grid, c: np.ndarray) -> np.ndarray:
-    """``ifftn(c) * grid.size`` over the grid axes, computed in c (any leading axes).
+def complex_norm_inf(f: SpectralField) -> float:
+    """sup |f| over the grid of a real scalar, or of re + i im for a complex
+    scalar carried as (re, im) rows."""
+    v = f.physical()
+    return float(np.max(np.hypot(v[0], v[1]) if v.ndim > len(f.grid.shape) else np.abs(v)))
 
-    As in ``ifftn`` the last axis goes first.  Where an axis's dealiased-away
-    modes are exactly zero, the later axes skip the lines through them, which
-    are zeros: only the sign of a zero can differ from ``ifftn``.
+
+def _inverse(grid, c: np.ndarray) -> np.ndarray:
+    """Grid values ``irfftn(c, grid.shape, norm="forward")`` over the grid
+    axes (any leading axes), computed in c, which is overwritten.
+
+    As in ``irfftn`` the complex axes go first, in order, and the real
+    transform of the last axis last.  Where an axis's dealiased-away modes are
+    exactly zero, the axes before it skip the lines through them, which are
+    zeros: only the sign of a zero can differ from ``irfftn``.
     """
     nd = len(grid.shape)
     lines = [
-        (slice(None),) if c[(Ellipsis, dropped) + (slice(None),) * (nd - 1 - a)].any() else (low, high)
-        for a, (low, high, dropped) in enumerate(grid.dealias_slices[:-1])
+        (slice(None),) if c[(Ellipsis, dropped) + (slice(None),) * (nd - 1 - a)].any() else kept
+        for a, (kept, dropped) in enumerate(grid.dealias_slices)
+        if a > 0
     ]
-    for a in reversed(range(nd)):
-        for block in itertools.product(*lines[:a]):
-            v = c[(Ellipsis, *block) + (slice(None),) * (nd - a)]
-            np.fft.ifft(v, axis=a - nd, out=v)
-    return np.multiply(c, grid.size, out=c)
+    for a in range(nd - 1):
+        for block in itertools.product(*lines[a:]):
+            v = c[(Ellipsis,) + (slice(None),) * (a + 1) + block]
+            np.fft.ifft(v, axis=a - nd, norm="forward", out=v)
+    return np.fft.irfft(c, grid.shape[-1], axis=-1, norm="forward")
 
 
 def _forward_dealiased(grid, x: np.ndarray) -> np.ndarray:
-    """``np.where(mask, fftn(x) / grid.size, 0)`` over the grid axes, mean
-    zeroed, computed in x (any leading axes).  As in ``fftn`` the last axis
-    goes first; the later axes skip lines the mask drops on the axes done.
+    """``np.where(mask, rfftn(x) / grid.size, 0)`` over the grid axes of real
+    x (any leading axes), mean zeroed.  As in ``rfftn`` the real transform of
+    the last axis goes first and the complex axes follow from the back, in
+    place; each skips the lines the mask drops on the axes done.
     """
     nd = len(grid.shape)
-    for a in reversed(range(nd)):
-        for block in itertools.product(*(s[:2] for s in grid.dealias_slices[a + 1 :])):
-            v = x[(Ellipsis,) + (slice(None),) * (a + 1) + block]
+    c = np.fft.rfft(x, axis=-1)
+    kept = [k for k, _ in grid.dealias_slices]
+    for a in reversed(range(nd - 1)):
+        for block in itertools.product(*kept[a + 1 :]):
+            v = c[(Ellipsis,) + (slice(None),) * (a + 1) + block]
             np.fft.fft(v, axis=a - nd, out=v)
-    for a, (_, _, dropped) in enumerate(grid.dealias_slices):
-        x[(Ellipsis, dropped) + (slice(None),) * (nd - 1 - a)] = 0.0
-    x /= grid.size
-    x[_zero_mode(grid)] = 0.0
-    return x
+    for a, (_, dropped) in enumerate(grid.dealias_slices):
+        c[(Ellipsis, dropped) + (slice(None),) * (nd - 1 - a)] = 0.0
+    c /= grid.size
+    c[_zero_mode(grid)] = 0.0
+    return c
 
 
 def gradient_values(f: SpectralField) -> np.ndarray:
@@ -145,10 +169,24 @@ def _zero_mode(grid) -> tuple:
     return (Ellipsis, *(0,) * len(grid.axes))
 
 
-def _conj_reversed(f: SpectralField) -> np.ndarray:
-    # conj(c) at -m mod n on every axis: equals c for a real field
-    rev = np.ix_(*[(-np.arange(n)) % n for n in f.grid.shape])
-    return np.conj(f.coeffs[(Ellipsis, *rev)])
+def _mirror(grid, columns) -> tuple:
+    # index of the coefficients at -k of the given last-axis columns, every other axis reversed mod n
+    return (Ellipsis, *np.ix_(*[(-np.arange(n)) % n for n in grid.shape[:-1]], np.asarray(columns)))
+
+
+def _real_and_imag(grid, c: np.ndarray) -> np.ndarray:
+    """Half spectra (re, im) of the complex field with full spectrum c:
+    (c(k) + conj c(-k)) / 2 and (c(k) - conj c(-k)) / 2i."""
+    n = grid.shape[-1]
+    half, mirror = c[..., : n // 2 + 1], np.conj(c[_mirror(grid, (-np.arange(n // 2 + 1)) % n)])
+    return np.stack([0.5 * (half + mirror), -0.5j * (half - mirror)])
+
+
+def full_spectrum(f: SpectralField) -> np.ndarray:
+    """``fftn(values) / size`` of f: its half spectrum, and as columns
+    n/2+1..n-1 the mirror images conj c(-k) of columns n/2-1..1."""
+    n = f.grid.shape[-1]
+    return np.concatenate([f.coeffs, np.conj(f.coeffs[_mirror(f.grid, np.arange(n // 2 - 1, 0, -1))])], axis=-1)
 
 
 def _check_same_grid(a, b):
@@ -160,10 +198,6 @@ def require_mean_zero(f: SpectralField, name: str) -> None:
     mean = np.abs(f.mean()).max()
     if mean > MEAN_TOL:
         raise ValidationError(f"{name} must be mean-zero, got |mean| {mean:.3e}")
-
-
-def hermitianize(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, 0.5 * (f.coeffs + _conj_reversed(f)))
 
 
 def project_mean(f: SpectralField) -> SpectralField:
@@ -200,8 +234,7 @@ def dy(f: SpectralField) -> SpectralField:
 
 
 def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -> SpectralField:
-    """{f, g} = f_x g_y - f_y g_x for a field f and a field or stack g, of any
-    (complex) value type.
+    """{f, g} = f_x g_y - f_y g_x for a field f and a field or stack g.
 
     A caller may share ``gradient_values`` of f or g between brackets.
     """
@@ -217,19 +250,7 @@ def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -
     return SpectralField(f.grid, _forward_dealiased(f.grid, prod))
 
 
-def bracket(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Poisson bracket of two real-valued fields.
-
-    Mean-zero and dealiased by construction; raises if either input fails the
-    Hermitian-symmetry (realness) check.
-    """
-    for name, h in (("f", f), ("g", g)):
-        if not h.is_real():
-            raise ValidationError(
-                f"bracket argument {name} is not real-valued "
-                f"(Hermitian error {h.hermitian_error():.3e})"
-            )
-    return hermitianize(bracket_core(f, g))
+bracket = bracket_core  # fields are real by construction: no realness check is left to make
 
 
 def velocity_from_stream(psi: SpectralField):
@@ -259,18 +280,20 @@ def ns_rhs_2d(
 def random_real_field(
     grid: TorusGrid2D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SpectralField:
-    """Random mean-zero real trig polynomial with |m|,|n| <= kmax, sup-norm ~ amplitude."""
+    """Random mean-zero real trig polynomial with |m|,|n| <= kmax, sup-norm ~ amplitude.
+
+    Complex coefficients are drawn on the full spectrum; the field is their real part.
+    """
     c = np.zeros(grid.shape, dtype=np.complex128)
-    sel_x = np.abs(grid.mx[:, 0]) <= kmax
-    sel_y = np.abs(grid.ny_modes[0, :]) <= kmax
+    sel_x, sel_y = (np.abs(_int_freqs(n)) <= kmax for n in grid.shape)
     shape = (sel_x.sum(), sel_y.sum())
     c[np.ix_(sel_x, sel_y)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c[0, 0] = 0.0
-    return _scaled(hermitianize(SpectralField(grid, c)), amplitude)
+    return _scaled(SpectralField(grid, _real_and_imag(grid, c)[0]), amplitude)
 
 
-def _scaled(f: SpectralField, amplitude: float) -> SpectralField:
-    scale = f.norm_inf()
+def _scaled(f: SpectralField, amplitude: float, norm=SpectralField.norm_inf) -> SpectralField:
+    scale = norm(f)
     return f if scale == 0.0 else f * (amplitude / scale)
 
 
@@ -279,15 +302,19 @@ def _scaled(f: SpectralField, amplitude: float) -> SpectralField:
 
 
 def save_field(path, f: SpectralField) -> None:
-    """Write a versioned JSON snapshot of a 2D or 3D, scalar or vector field."""
+    """Write a versioned JSON snapshot of a 2D or 3D, scalar or vector field:
+    its full spectrum, ``fftn(values) / size``, mirrored from the half one."""
     g = f.grid
-    flat = f.coeffs.reshape(-1)
+    lead = f.coeffs.shape[: f.coeffs.ndim - len(g.shape)]
+    if lead not in ((), (len(g.shape),)):  # what load_field would refuse
+        raise ValidationError(f"a field snapshot holds a scalar or a {len(g.shape)}-vector, not a {lead} stack")
+    flat = full_spectrum(f).reshape(-1)
     snapshot = {
         "version": 1,
         "kind": f"field{len(g.shape)}d",
         "grid": {"alpha": getattr(g, "alpha", 1.0), **dict(zip(("nx", "ny", "nz"), g.shape))},
         "layout": "row-major, last index fastest",
-        "components": f.coeffs.size // g.size,
+        "components": flat.size // g.size,
         "re": flat.real.tolist(),
         "im": flat.imag.tolist(),
     }
@@ -296,26 +323,34 @@ def save_field(path, f: SpectralField) -> None:
 
 
 def load_field(path) -> SpectralField:
-    """Read a ``save_field`` snapshot; a malformed one raises ValidationError."""
+    """Read a ``save_field`` snapshot; a malformed one, or one that is not a
+    real field (a Hermitian full spectrum), raises ValidationError."""
     try:
         with open(path) as fh:
             d = json.load(fh)
         if d.get("version") != 1:
-            raise ValidationError(f"unsupported field snapshot version {d.get('version')}")
+            raise ValidationError(f"unsupported version {d.get('version')}")
         g = d["grid"]
         if d["kind"] == "field2d":
             grid = TorusGrid2D(alpha=g["alpha"], nx=g["nx"], ny=g["ny"])
         elif d["kind"] == "field3d":
             grid = TorusGrid3D(nx=g["nx"], ny=g["ny"], nz=g["nz"])
         else:
-            raise ValidationError(f"unknown field snapshot kind {d['kind']!r}")
+            raise ValidationError(f"unknown kind {d['kind']!r}")
         comps = d.get("components", 1)
         if comps not in (1, len(grid.shape)):
-            raise ValidationError(f"{comps} components, not 1 or {len(grid.shape)}")  # the handler below names the file
+            raise ValidationError(f"{comps} components, not 1 or {len(grid.shape)}")
+        lead = () if comps == 1 else (comps,)
         flat = np.array(d["re"], dtype=np.float64) + 1j * np.array(d["im"], dtype=np.float64)
         if not np.all(np.isfinite(flat)):
-            raise ValidationError(f"field snapshot {path} has non-finite coefficients")
-        return SpectralField(grid, flat.reshape(grid.shape if comps == 1 else (comps, *grid.shape)))
+            raise ValidationError("non-finite coefficients")
+        re, im = _real_and_imag(grid, flat.reshape(*lead, *grid.shape))
+        worst = np.max(np.abs(im))
+        if worst > HERMITIAN_TOL * max(1.0, np.max(np.abs(flat))):
+            raise ValidationError(f"not a real field (spectrum not Hermitian by {worst:.3e})")
+        return SpectralField(grid, re)
+    except ValidationError as exc:
+        raise ValidationError(f"field snapshot {path}: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"field snapshot {path} has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:  # JSON errors are ValueErrors

@@ -6,9 +6,11 @@ Implements the vorticity form of 3D flow,
 
 with u recovered from mean-zero vorticity by u = -Lap^{-1}(curl Omega)
 (Biot-Savart on the torus; divergence-free by construction).  Fields are
-``fields.SpectralField``s on a ``TorusGrid3D``: scalars, or vectors with the
-three components on a leading axis.  Products are dealiased with the grid
-mask and the mean of every product is projected out.
+``fields.SpectralField``s on a ``TorusGrid3D``, held as half spectra:
+scalars, or vectors with the three components on a leading axis.  A complex
+scalar, such as a transported eigenfield, is carried as (re, im) rows.
+Products are dealiased with the grid mask and the mean of every product is
+projected out.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ from .fields import (
     SpectralField,
     _check_same_grid,
     _forward_dealiased,
+    _real_and_imag,
     _scaled,
+    complex_norm_inf,
     gradient_values,
     invert_laplacian,
     laplacian,
     project_mean,
     require_mean_zero,
 )
-from .grids import TorusGrid3D
+from .grids import TorusGrid3D, _int_freqs
 
 __all__ = [
     "curl_3d",
@@ -98,8 +102,9 @@ def ns_rhs_3d(
 
 
 def _low_modes(grid: TorusGrid3D, kmax: int) -> np.ndarray:
-    kx, ky, kz = grid.k
-    return (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax) & (np.abs(kz) <= kmax)
+    # |m_i| <= kmax on every axis, on the full spectrum; its first nz/2+1 columns are the half one's
+    kx, ky, kz = (np.abs(_int_freqs(n)) <= kmax for n in grid.shape)
+    return kx[:, None, None] & ky[None, :, None] & kz[None, None, :]
 
 
 def random_solenoidal_field(
@@ -107,7 +112,8 @@ def random_solenoidal_field(
 ) -> SpectralField:
     """Random real divergence-free vector field with modes |k_i| <= kmax."""
     vals = rng.standard_normal((3, *grid.shape))
-    c = np.where(_low_modes(grid, kmax), SpectralField.from_physical(grid, vals).coeffs, 0.0)
+    low = _low_modes(grid, kmax)[..., : grid.spectral_shape[-1]]
+    c = np.where(low, SpectralField.from_physical(grid, vals).coeffs, 0.0)
     # Leray projection: remove the gradient part so div = 0 exactly
     kx, ky, kz = grid.k
     k2 = grid.k_squared.copy()
@@ -121,6 +127,8 @@ def random_solenoidal_field(
 def random_scalar_field(
     grid: TorusGrid3D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SpectralField:
-    """Random complex scalar with modes |k_i| <= kmax, sup-norm ~ amplitude."""
+    """Random complex scalar with modes |k_i| <= kmax, sup-norm ~ amplitude,
+    as (re, im) rows; the complex coefficients are drawn on the full spectrum."""
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return _scaled(SpectralField(grid, np.where(_low_modes(grid, kmax), vals, 0.0)), amplitude)
+    f = SpectralField(grid, _real_and_imag(grid, np.where(_low_modes(grid, kmax), vals, 0.0)))
+    return _scaled(f, amplitude, complex_norm_inf)

@@ -1,13 +1,16 @@
 """Periodic grids for the rectangular torus [0, 2pi/alpha] x [0, 2pi] and the
 cube [0, 2pi]^3.
 
-Spectral layout follows numpy's FFT ordering.  A 2D coefficient array c[m, n]
-holds the amplitude of exp(i(alpha*m*x + n*y)), so the x wavenumber of row m
-is alpha*m with integer m.  Both grids give the ``shape`` of a scalar
-coefficient array, its ``size`` and the transform ``axes``, which the one
-spectral field of ``fields`` works with, and ``dealias_slices``, the modes
-the dealias mask keeps and drops on each axis, which its transforms use.
-Grids are immutable; derived index arrays are cached on first use.
+Fields are real, so a coefficient array is a half spectrum, as ``rfftn``
+lays it out: numpy's FFT ordering on every axis but the last, which holds
+only the modes 0..n/2.  A 2D coefficient array c[m, n] holds the amplitude
+of exp(i(alpha*m*x + n*y)), n >= 0, so the x wavenumber of row m is alpha*m
+with integer m.  Both grids give the ``shape`` of the grid values, the
+``spectral_shape`` of a scalar's coefficients, the ``size`` and the transform
+``axes``, which the one spectral field of ``fields`` works with, and
+``dealias_slices``, the modes the dealias mask keeps and drops on each axis,
+which its transforms use.  Grids are immutable; derived index arrays are
+cached on first use.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ DEALIAS_DEFAULT = 2.0 / 3.0
 def _int_freqs(n: int) -> np.ndarray:
     # integer mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+
+
+def _wavenumbers(shape) -> list[np.ndarray]:
+    # per axis, the mode numbers of a half spectrum, shaped to broadcast
+    freqs = [_int_freqs(n) for n in shape[:-1]] + [np.arange(shape[-1] // 2 + 1)]
+    return [f.astype(np.float64).reshape([-1 if a == b else 1 for b in range(len(shape))]) for a, f in enumerate(freqs)]
 
 
 def _check_sizes(grid, names) -> None:
@@ -47,17 +56,31 @@ class _Torus:
         return int(np.prod(self.shape))
 
     @cached_property
-    def dealias_slices(self) -> tuple[tuple[slice, slice, slice], ...]:
-        """Per axis: the kept modes 0..cut and n-cut..n-1, and the dropped
-        modes cut+1..n-cut-1 between them, as slices in FFT order."""
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of a scalar's half spectrum: the last axis holds modes 0..n/2."""
+        return (*self.shape[:-1], self.shape[-1] // 2 + 1)
+
+    @cached_property
+    def k_squared(self) -> np.ndarray:
+        return sum(kj**2 for kj in self.k)
+
+    @cached_property
+    def dealias_slices(self) -> tuple[tuple[tuple[slice, ...], slice], ...]:
+        """Per spectral axis: the kept modes, as slices in FFT order (0..cut
+        and n-cut..n-1; on the last, half axis 0..cut only), and the dropped
+        modes after them."""
         # keep |m| <= floor(fraction * n/2), and never the Nyquist mode
         cuts = [min(int(np.floor(self.dealias_fraction * (n // 2))), n // 2 - 1) for n in self.shape]
-        return tuple((slice(0, c + 1), slice(n - c, n), slice(c + 1, n - c)) for n, c in zip(self.shape, cuts))
+        *full, (n, c) = zip(self.shape, cuts)
+        return (
+            *(((slice(0, c + 1), slice(n - c, n)), slice(c + 1, n - c)) for n, c in full),
+            ((slice(0, c + 1),), slice(c + 1, n // 2 + 1)),
+        )
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        for block in itertools.product(*(s[:2] for s in self.dealias_slices)):
+        mask = np.zeros(self.spectral_shape, dtype=bool)
+        for block in itertools.product(*(kept for kept, _ in self.dealias_slices)):
             mask[block] = True
         return mask
 
@@ -83,21 +106,10 @@ class TorusGrid2D(_Torus):
         return (self.nx, self.ny)
 
     @cached_property
-    def mx(self) -> np.ndarray:
-        return _int_freqs(self.nx)[:, None]
-
-    @cached_property
-    def ny_modes(self) -> np.ndarray:
-        return _int_freqs(self.ny)[None, :]
-
-    @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.alpha * self.mx, self.ny_modes.astype(np.float64)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        kx, ky = self.k
-        return kx**2 + ky**2
+        """Wavenumbers of a half spectrum, shaped to broadcast."""
+        mx, ny = _wavenumbers(self.shape)
+        return self.alpha * mx, ny
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -128,12 +140,5 @@ class TorusGrid3D(_Torus):
 
     @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        kx = _int_freqs(self.nx).astype(np.float64)[:, None, None]
-        ky = _int_freqs(self.ny).astype(np.float64)[None, :, None]
-        kz = _int_freqs(self.nz).astype(np.float64)[None, None, :]
-        return kx, ky, kz
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        kx, ky, kz = self.k
-        return kx**2 + ky**2 + kz**2
+        """Wavenumbers of a half spectrum, shaped to broadcast."""
+        return tuple(_wavenumbers(self.shape))

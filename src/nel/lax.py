@@ -7,9 +7,11 @@ q = {Omega, phi} are advected passively, then q(t) = {Omega(t), phi(t)} stays
 true (Jacobi identity).  3D: the same holds for L(phi) = (Omega . grad) phi
 and A(phi) = (u . grad) phi -- remarkably with no constraint tying u to Omega
 (neither div u = 0 nor Omega = curl u is needed for the compatibility).
-Both checks march (Omega, phi, q) as one stacked ``SpectralField`` -- the
-rows of Omega, then phi, then q -- so each RK4 stage transports the whole
-stack with one bracket by Psi (2D) or one advection by u (3D).
+Both checks march (Omega, phi, q) as one stacked ``SpectralField`` of real
+rows -- the rows of Omega, then phi, then q -- so each RK4 stage transports
+the whole stack with one bracket by Psi (2D) or one advection by u (3D).  A
+complex phi (and so q) is carried as its (re, im) rows: in 3D the stack is
+(Omega_1..3, Re phi, Im phi, Re q, Im q).  The residual is measured on |q|.
 
 The gauge transform acts on eigenfields of the 2D system at lam = 0:
 
@@ -31,6 +33,8 @@ from .errors import ComputationalError, ValidationError
 from .fields import (
     SpectralField,
     bracket_core,
+    complex_norm_inf,
+    full_spectrum,
     gradient_values,
     invert_laplacian,
     laplacian,
@@ -48,7 +52,8 @@ CONSTRAINT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LaxState2D:
-    """Vorticity, a complex-valued eigenfield candidate, and its eigenvalue.
+    """Vorticity, an eigenfield candidate (real, or complex as (re, im)
+    rows), and its eigenvalue.
 
     The stream function is always derived from omega, never stored.
     """
@@ -58,8 +63,8 @@ class LaxState2D:
     lam: complex = 0j
 
     def __post_init__(self):
-        if not self.omega.is_real():
-            raise ValidationError("omega must be real-valued")
+        if self.omega.coeffs.ndim != 2:
+            raise ValidationError("omega must be one real scalar field")
         require_mean_zero(self.omega, "omega")
 
     @property
@@ -98,8 +103,13 @@ class LaxState3D:
 
 
 def eigen_residual(state: LaxState2D | LaxState3D) -> float:
-    """sup-norm of L phi - lam phi for a user-supplied candidate pair."""
-    return (state.operators()[0] - state.lam * state.phi).norm_inf()
+    """sup-norm of L phi - lam phi for a user-supplied candidate pair; phi is
+    real, or complex as (re, im) rows."""
+    lphi, phi, lam = state.operators()[0].coeffs, state.phi.coeffs, complex(state.lam)
+    if phi.ndim == len(state.phi.grid.shape):  # a real phi: its imaginary row is 0
+        lphi, phi = (np.stack([c, np.zeros_like(c)]) for c in (lphi, phi))
+    lam_phi = np.stack([lam.real * phi[0] - lam.imag * phi[1], lam.real * phi[1] + lam.imag * phi[0]])
+    return complex_norm_inf(SpectralField(state.phi.grid, lphi - lam_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +146,20 @@ def _rk4(y: SpectralField, t, dt, rhs) -> SpectralField:
     return y + dt / 6 * k1 + dt / 3 * k2 + dt / 3 * k3 + dt / 6 * k4
 
 
+def _rows(f: SpectralField) -> np.ndarray:
+    return f.coeffs.reshape(-1, *f.grid.spectral_shape)
+
+
 def _transport_check(check, omega0, phi0, t_end, dt, rhs, L) -> LaxCheckResult:
-    """March the stack y = (Omega rows, phi, q), q(0) = L(Omega0, phi0), by
-    RK4 of ``rhs(y, t)`` and measure L(Omega(T), phi(T)) - q(T)."""
+    """March the stack y = (Omega rows, phi rows, q rows), q(0) = L(Omega0,
+    phi0), by RK4 of ``rhs(y, t)`` and measure L(Omega(T), phi(T)) - q(T);
+    phi is a real scalar or a complex one as (re, im) rows."""
     if dt <= 0 or t_end <= 0:
         raise ValidationError("t_end and dt must be positive")
     grid = omega0.grid
     q0 = L(omega0, phi0)
-    rows = (omega0.coeffs.reshape(-1, *grid.shape), phi0.coeffs[None], q0.coeffs[None])
-    y = SpectralField(grid, np.concatenate(rows))
+    n_om = len(_rows(omega0))
+    y = SpectralField(grid, np.concatenate([_rows(omega0), _rows(phi0), _rows(q0)]))
     steps = int(round(t_end / dt))
     t = 0.0
     for _ in range(steps):
@@ -152,12 +167,12 @@ def _transport_check(check, omega0, phi0, t_end, dt, rhs, L) -> LaxCheckResult:
         t += dt
         if not np.isfinite(y.coeffs).all():
             raise ComputationalError(f"{check} blew up at t={t:.4g}; reduce dt")
-    om = SpectralField(grid, y.coeffs[:-2].reshape(omega0.coeffs.shape))
-    phi, q = (SpectralField(grid, c) for c in y.coeffs[-2:])
+    om = SpectralField(grid, y.coeffs[:n_om].reshape(omega0.coeffs.shape))
+    phi, q = (SpectralField(grid, c.reshape(phi0.coeffs.shape)) for c in np.split(y.coeffs[n_om:], 2))
     resid = L(om, phi) - q
     return LaxCheckResult(
         check=check,
-        residual_inf=resid.norm_inf(),
+        residual_inf=complex_norm_inf(resid),
         residual_l2=resid.norm_l2(),
         grid=grid.shape,
         dt=dt,
@@ -176,10 +191,12 @@ def transported_eigenfield_check_2d(
 
     Omega follows inviscid vorticity transport, phi and q are passively
     advected, q(0) = {Omega(0), phi(0)}; the final mismatch vanishes in exact
-    arithmetic.  The negative control flips the sign of the vorticity's own
-    advection, which destroys the compatibility.
+    arithmetic.  phi is real, or complex as (re, im) rows.  The negative
+    control flips the sign of the vorticity's own advection, which destroys
+    the compatibility.
     """
-    signs = np.array([1.0 if negative_control else -1.0, -1.0, -1.0])[:, None, None]
+    signs = np.full((1 + 2 * len(_rows(phi0)), 1, 1), -1.0)
+    signs[0] = 1.0 if negative_control else -1.0
 
     def rhs(y, t):  # one bracket by Psi of the whole stack
         return bracket_core(invert_laplacian(SpectralField(y.grid, y.coeffs[0])), y) * signs
@@ -197,7 +214,8 @@ def transported_eigenfield_check_3d(
     velocity=None,
     negative_control: bool = False,
 ) -> LaxCheckResult:
-    """Co-evolve (Omega, phi, q) in 3D; q(0) = (Omega . grad) phi.
+    """Co-evolve (Omega, phi, q) in 3D; q(0) = (Omega . grad) phi, with phi
+    real or complex as (re, im) rows.
 
     enforce_curl=True transports by the Biot-Savart velocity of Omega (the
     self-consistent flow; omega0 must be divergence-free).  With
@@ -298,7 +316,7 @@ def darboux_apply(inp: DarbouxInput) -> DarbouxResult:
     # each derivative is transformed once, for the checks and the quotient
     om_grad = gradient_values(om)
     p_grad, f_grad, f_v = _check_eigen_preconditions(inp, om_grad)
-    om_x = om_grad[0].real
+    om_x = om_grad[0]
     mask = np.abs(om_x) < inp.eta * np.max(np.abs(om_x))
     numer = p_grad[0] * f_v - f_grad[0] * p.physical()
     denom = f_v * om_x
@@ -369,7 +387,7 @@ def gauge_identity_residual(
     On eigenfields ({Omega, p} = 0) the x- and y-quotients agree wherever
     both |Omega_x| and |Omega_y| exceed floor * their max.
     """
-    om_x, om_y = gradient_values(omega).real
+    om_x, om_y = gradient_values(omega)
     p_x, p_y = gradient_values(p)
     f_x, f_y = gradient_values(f)
     pv, fv = p.physical(), f.physical()
@@ -389,26 +407,30 @@ def reflect_xy(fld: SpectralField) -> SpectralField:
     g = fld.grid
     if g.nx != g.ny or g.alpha != 1.0:
         raise ValidationError("reflection requires a square grid with alpha = 1")
-    return SpectralField(g, fld.coeffs.T.copy())
+    return SpectralField(g, full_spectrum(fld).swapaxes(-1, -2)[..., : g.ny // 2 + 1])
 
 
 def darboux_shear_example(nx: int = 128, ny: int = 8, eta: float = 1e-3) -> DarbouxInput:
     """Fully solvable x-only configuration on a square-period torus.
 
     Omega = cos x (gradient vanishes on two grid columns, exercising the
-    mask), p = sin x, f = 2 + sin x, F = -cos(2x)/4.  Closed forms:
+    mask), p = sin x, f = 2 + sin x, F = -cos(2x)/4, each built from its exact
+    Fourier coefficients, so every other mode is an exact zero and the
+    transforms skip the dropped lines.  Closed forms:
     p~ = -2 cos x / (sin x (2 + sin x)) off the mask, Omega~ = cos x + cos 2x.
     """
     grid = TorusGrid2D(alpha=1.0, nx=nx, ny=ny)
-    x = grid.x[:, None] + 0.0 * grid.y[None, :]
 
-    def fld(vals):
-        return SpectralField.from_physical(grid, vals)
+    def fld(modes):  # {m: coefficient of e^{imx}, m >= 0} of a real x-only field
+        c = np.zeros(grid.spectral_shape, complex)
+        for m, a in modes.items():
+            c[-m, 0], c[m, 0] = np.conj(a), a
+        return SpectralField(grid, c)
 
     return DarbouxInput(
-        omega=fld(np.cos(x)),
-        p=fld(np.sin(x)),
-        f=fld(2.0 + np.sin(x)),
-        F=fld(-np.cos(2.0 * x) / 4.0),
+        omega=fld({1: 0.5}),
+        p=fld({1: -0.5j}),
+        f=fld({0: 2.0, 1: -0.5j}),
+        F=fld({2: -0.125}),
         eta=eta,
     )

@@ -218,7 +218,7 @@ def test_a12_gauge_transform_exactness_and_worked_example():
     res = darboux_apply(dataclasses.replace(inp, p=inp.f))
     assert np.all(res.p_t == 0.0)
 
-    zero_F = dataclasses.replace(inp, F=SpectralField(inp.omega.grid, np.zeros(inp.omega.grid.shape)))
+    zero_F = dataclasses.replace(inp, F=SpectralField(inp.omega.grid, np.zeros(inp.omega.grid.spectral_shape)))
     res = darboux_apply(zero_F)
     assert np.array_equal(res.omega_t.coeffs, inp.omega.coeffs)
     assert np.array_equal(res.psi_t.coeffs, inp.psi.coeffs)

@@ -304,8 +304,16 @@ class TestDarbouxCommand:
                 f' "re": [NaN, {", ".join(["0.0"] * 15)}], "im": {[0.0] * 16}}}',
                 "non-finite",
             ),
+            (  # e^{i(x + y)} alone: a complex field, which is two real snapshots
+                '{"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4},'
+                f' "re": {[0.0] * 5 + [1.0] + [0.0] * 10}, "im": {[0.0] * 16}}}',
+                "not a real field",
+            ),
         ],
-        ids=["not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector", "2d-three-components", "nan-coefficient"],
+        ids=[
+            "not-json", "no-grid", "too-few-coefficients", "3d-field", "2d-vector", "2d-three-components",
+            "nan-coefficient", "not-real",
+        ],
     )
     def test_malformed_snapshot_exits_2(self, tmp_path, capsys, snapshot, message):
         bad = tmp_path / "bad.json"
@@ -315,6 +323,7 @@ class TestDarbouxCommand:
         assert run_cli("darboux", *map(str, argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("nel: error:") and message in err
+        assert err.count(str(bad)) <= 1  # a snapshot error names the file once, never wrapped twice
         assert not out.exists()
 
 

@@ -1,6 +1,9 @@
 """Spectral calculus on the rectangular torus: hand-derived oracle cases and
 algebraic properties of the Poisson bracket."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from nel.fields import (
     dealias,
     dx,
     dy,
+    full_spectrum,
     invert_laplacian,
     laplacian,
     load_field,
@@ -23,7 +27,10 @@ from nel.fields import (
     save_field,
     velocity_from_stream,
 )
-from nel.grids import TorusGrid2D
+from nel.fields3d import random_solenoidal_field
+from nel.grids import TorusGrid2D, TorusGrid3D
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def grid(alpha=1.0, n=64, frac=2 / 3):
@@ -47,24 +54,39 @@ class TestTransforms:
         assert np.max(np.abs(f2.coeffs - f.coeffs)) < 1e-14
 
     def test_scalar_or_vector_shapes_only(self):
-        g = grid(n=8)
-        assert SpectralField(g, np.zeros((8, 8))).mean() == 0
-        assert SpectralField(g, np.zeros((2, 8, 8))).mean().shape == (2,)
+        g = grid(n=8)  # half spectra of shape (8, 5)
+        assert SpectralField(g, np.zeros((8, 5))).mean() == 0
+        assert SpectralField(g, np.zeros((2, 8, 5))).mean().shape == (2,)
         # any stack of fields on leading axes
-        assert SpectralField(g, np.zeros((3, 8, 8))).mean().shape == (3,)
-        assert SpectralField(g, np.zeros((1, 8, 8))).mean().shape == (1,)
-        assert SpectralField(g, np.zeros((2, 3, 8, 8))).mean().shape == (2, 3)
-        for shape in ((8, 10), (8,), (8, 8, 3)):
+        assert SpectralField(g, np.zeros((3, 8, 5))).mean().shape == (3,)
+        assert SpectralField(g, np.zeros((1, 8, 5))).mean().shape == (1,)
+        assert SpectralField(g, np.zeros((2, 3, 8, 5))).mean().shape == (2, 3)
+        for shape in ((8, 10), (8,), (8, 8, 3), (8, 8)):
             with pytest.raises(ValidationError, match="does not match grid"):
                 SpectralField(g, np.zeros(shape))
 
-    def test_realness_check(self):
+    def test_realness_check(self, tmp_path):
+        # fields are real by construction; a snapshot's full spectrum must be Hermitian
         g = grid()
         f = random_trig(g, 5, seed=1)
-        assert f.is_real()
-        c = f.coeffs.copy()
-        c[1, 2] += 0.5  # break Hermitian symmetry
-        assert not SpectralField(g, c).is_real()
+        assert f.physical().dtype == np.float64
+        p = tmp_path / "f.json"
+        save_field(p, f)
+        d = json.loads(p.read_text())
+        d["re"][1 * g.ny + 2] += 0.5  # break Hermitian symmetry at (1, 2)
+        p.write_text(json.dumps(d))
+        with pytest.raises(ValidationError, match="not a real field"):
+            load_field(p)
+
+    def test_caller_array_stays_writable(self):
+        g = grid(n=8)
+        c = np.zeros(g.spectral_shape, complex)
+        f = SpectralField(g, c)
+        c[1, 1] = 1.0
+        assert c.flags.writeable and not f.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            f.coeffs[0, 0] = 1.0
+
 
     def test_derivative_single_mode(self):
         g = grid(alpha=0.7)
@@ -97,13 +119,13 @@ class TestBracketOracles:
         assert bracket(f, h).norm_inf() < 1e-13
 
     def test_rejects_complex_input(self):
+        # a complex field is carried as (re, im) rows; it cannot enter as complex values
         g = grid()
-        c = np.zeros((g.nx, g.ny), complex)
-        c[1, 0] = 1.0  # exp(ix) alone is not a real field
-        f = SpectralField(g, c)
         h = random_trig(g, 3, seed=3)
         with pytest.raises(ValidationError, match="not real"):
-            bracket(f, h)
+            bracket(h * 1j, h)
+        with pytest.raises(TypeError):
+            SpectralField.from_physical(g, np.exp(1j * g.x)[:, None] + 0 * g.y)
 
     def test_output_mean_zero_and_dealiased(self):
         g = grid()
@@ -170,7 +192,7 @@ class TestLaplacian:
 
     def test_mean_rejected(self):
         g = grid()
-        c = np.zeros((g.nx, g.ny), complex)
+        c = np.zeros(g.spectral_shape, complex)
         c[0, 0] = 1.0
         with pytest.raises(ValidationError, match="mean-zero"):
             invert_laplacian(SpectralField(g, c))
@@ -224,7 +246,7 @@ class TestDealias:
         g = grid(n=64, frac=2 / 3)
         f = random_trig(g, 30, seed=20)
         out = dealias(f)
-        mx = np.abs(g.mx[:, 0])
+        mx = np.abs(g.k[0][:, 0])
         keep = mx <= 21
         assert np.all(out.coeffs[~keep, :] == 0)
 
@@ -239,9 +261,10 @@ class TestDealias:
         hb = field_from_fn(gg, lambda x, y: np.sin(2 * x - 4 * y))
         ref = bracket(fb, hb)
         # compare the shared coefficients
+        out, ref = full_spectrum(out), full_spectrum(ref)
         for m in range(-10, 11):
             for n in range(-10, 11):
-                assert abs(out.coeffs[m, n] - ref.coeffs[m, n]) < 1e-13
+                assert abs(out[m, n] - ref[m, n]) < 1e-13
 
 
 class TestSnapshotIO:
@@ -256,12 +279,60 @@ class TestSnapshotIO:
         assert f2.grid == f.grid
 
     def test_complex_core_bracket_linearity(self):
-        # bracket_core extends bilinearly to complex-valued fields
+        # a complex field a + ib is carried as (re, im) rows; the bracket acts row by row
         g = grid()
         om = random_trig(g, 5, seed=31)
         a = random_trig(g, 5, seed=32)
         b = random_trig(g, 5, seed=33)
-        phi = SpectralField(g, a.coeffs + 1j * b.coeffs)
+        phi = SpectralField(g, np.stack([a.coeffs, b.coeffs]))
         lhs = bracket_core(om, phi)
-        rhs = bracket(om, a).coeffs + 1j * bracket(om, b).coeffs
+        rhs = np.stack([bracket(om, a).coeffs, bracket(om, b).coeffs])
         assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
+
+    def test_roundtrip_3d_vector_writes_a_hermitian_spectrum(self, tmp_path):
+        g = TorusGrid3D(8, 6, 8)
+        f = random_solenoidal_field(g, 2, np.random.default_rng(34), 1.0)
+        p = tmp_path / "u.json"
+        save_field(p, f)
+        d = json.loads(p.read_text())
+        full = (np.array(d["re"]) + 1j * np.array(d["im"])).reshape(3, *g.shape)
+        mirror = np.conj(full[:, (-np.arange(8)) % 8][:, :, (-np.arange(6)) % 6][:, :, :, (-np.arange(8)) % 8])
+        assert np.array_equal(full, mirror)
+        assert np.array_equal(full, full_spectrum(f))
+        assert load_field(p).coeffs.tobytes() == f.coeffs.tobytes()
+
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        g = grid(n=8)
+        with pytest.raises(ValidationError, match=r"not a \(3,\) stack"):
+            save_field(tmp_path / "s.json", SpectralField(g, np.zeros((3, *g.spectral_shape))))
+        with pytest.raises(ValidationError, match=r"not a \(2, 2\) stack"):
+            save_field(tmp_path / "s.json", SpectralField(g, np.zeros((2, 2, *g.spectral_shape))))
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("edit", [{}, {"version": 2}, {"kind": "field4d"}, {"grid": {"alpha": 1.0, "nx": 3, "ny": 4}}])
+    def test_errors_name_the_path_once(self, tmp_path, edit):
+        # a NaN coefficient, and with it an unsupported version, an unknown kind or an odd grid size
+        snapshot = {"version": 1, "kind": "field2d", "grid": {"alpha": 1.0, "nx": 4, "ny": 4},
+                    "re": [float("nan")] + [0.0] * 15, "im": [0.0] * 16}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**snapshot, **edit}))
+        with pytest.raises(ValidationError) as exc:
+            load_field(p)
+        assert str(exc.value).count(str(p)) == 1, exc.value
+        assert "malformed" not in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["scalar_2d", "vector_3d"])
+    def test_loads_a_snapshot_written_before_half_spectra(self, name):
+        # written by save_field when fields held full spectra; the same draws as here
+        want = {
+            "scalar_2d": lambda: random_real_field(TorusGrid2D(alpha=0.7, nx=8, ny=6), 2, np.random.default_rng(1), 0.5),
+            "vector_3d": lambda: random_solenoidal_field(TorusGrid3D(4, 6, 4), 1, np.random.default_rng(3), 1.5),
+        }[name]()
+        got = load_field(GOLDEN / f"snapshot_v1_{name}.json")
+        assert got.grid == want.grid
+        assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-15
+
+    def test_rejects_a_complex_snapshot(self):
+        # a complex scalar saved when fields held full spectra; it is two real fields now
+        with pytest.raises(ValidationError, match="not a real field"):
+            load_field(GOLDEN / "snapshot_v1_complex_3d.json")

@@ -90,7 +90,7 @@ def test_rhs_mean_free():
 
 def test_mean_vorticity_rejected():
     g = grid()
-    c = np.zeros((3, g.nx, g.ny, g.nz), complex)
+    c = np.zeros((3, *g.spectral_shape), complex)
     c[0, 0, 0, 0] = 1.0
     with pytest.raises(ValidationError, match="mean-zero"):
         biot_savart_3d(SpectralField(g, c))
@@ -100,6 +100,6 @@ def test_prescribed_velocity_path():
     # ns_rhs_3d accepts an independent velocity; at nu=0 with u = 0 the rhs vanishes
     g = grid()
     om = random_solenoidal_field(g, 2, np.random.default_rng(3), 0.5)
-    zero_u = SpectralField(g, np.zeros((3, *g.shape)))
+    zero_u = SpectralField(g, np.zeros((3, *g.spectral_shape)))
     r = ns_rhs_3d(om, 0.0, zero_u, velocity=zero_u)
     assert r.norm_inf() == 0

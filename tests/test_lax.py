@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nel.errors import ComputationalError, ValidationError
-from nel.fields import SpectralField, bracket_core, ns_rhs_2d, random_real_field
+from nel.fields import SpectralField, bracket_core, complex_norm_inf, ns_rhs_2d, random_real_field
 from nel.fields3d import random_scalar_field, random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import (
@@ -27,6 +27,13 @@ from nel.lax import (
 def field_of(grid, fn):
     X, Y = grid.x[:, None], grid.y[None, :]
     return SpectralField.from_physical(grid, fn(X, Y) + 0.0 * X + 0.0 * Y)
+
+
+def pair_of(grid, fn):
+    """A complex field as its (re, im) rows."""
+    X, Y = grid.x[:, None], grid.y[None, :]
+    z = fn(X, Y) + 0.0 * X + 0.0 * Y
+    return SpectralField.from_physical(grid, np.stack([z.real, z.imag]))
 
 
 random_scalar_3d = random_scalar_field
@@ -55,12 +62,11 @@ class TestOperators:
         alpha = 0.7
         g = TorusGrid2D(alpha=alpha, nx=32, ny=32)
         om = field_of(g, lambda X, Y: np.cos(Y))
-        c = np.zeros((32, 32), np.complex128)
-        c[1, 0] = 1.0
-        phi = SpectralField(g, c)
+        phi = pair_of(g, lambda X, Y: np.exp(1j * alpha * X))
         lphi, aphi = LaxState2D(omega=om, phi=phi).operators()
         X, Y = g.x[:, None], g.y[None, :]
         expect = 1j * alpha * np.sin(Y) * np.exp(1j * alpha * X)
+        expect = np.stack([expect.real, expect.imag])
         assert np.max(np.abs(lphi.physical() - expect)) < 1e-13
         # A = {Psi, .} with Psi = -cos y flips the sign
         assert np.max(np.abs(aphi.physical() + expect)) < 1e-13
@@ -68,18 +74,14 @@ class TestOperators:
     def test_eigen_residual(self):
         g = TorusGrid2D(alpha=1.0, nx=32, ny=32)
         om = field_of(g, lambda X, Y: np.cos(Y))
-        c = np.zeros((32, 32), np.complex128)
-        c[0, 1] = 1.0  # e^{iy} is a lam=0 eigenfield of {cos y, .}
-        phi = SpectralField(g, c)
+        phi = pair_of(g, lambda X, Y: np.exp(1j * Y))  # a lam=0 eigenfield of {cos y, .}
         assert eigen_residual(LaxState2D(omega=om, phi=phi, lam=0j)) < 1e-14
         r = eigen_residual(LaxState2D(omega=om, phi=phi, lam=1.0 + 0j))
         assert abs(r - 1.0) < 1e-12
 
     def test_state_validation(self):
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
-        c = np.zeros((16, 16), np.complex128)
-        c[1, 2] = 1.0  # not Hermitian-symmetric
-        bad = SpectralField(g, c)
+        bad = pair_of(g, lambda X, Y: np.exp(1j * X))  # a complex omega, as (re, im) rows
         ok = field_of(g, lambda X, Y: np.cos(X))
         with pytest.raises(ValidationError, match="real"):
             LaxState2D(omega=bad, phi=ok)
@@ -97,7 +99,7 @@ class TestOperators:
         st = LaxState3D(omega=om, phi=phi)
         lphi, aphi = st.operators()
         assert np.isfinite(lphi.norm_inf()) and np.isfinite(aphi.norm_inf())
-        assert eigen_residual(st) == pytest.approx(lphi.norm_inf())
+        assert eigen_residual(st) == pytest.approx(complex_norm_inf(lphi))
         with pytest.raises(ValidationError, match="prescribed"):
             LaxState3D(omega=om, phi=phi, enforce_curl=False)
 
@@ -136,7 +138,7 @@ class TestTransport2D:
         # omega stays finite; only the passive row phi of the stack goes non-finite
         g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
         om = field_of(g, lambda X, Y: np.cos(Y))
-        k = np.zeros((3, 16, 16), complex)
+        k = np.zeros((3, *g.spectral_shape), complex)
         k[1] = np.nan
 
         def rhs(y, t):
@@ -158,7 +160,7 @@ class TestTransport3D:
         pts = np.arange(16) * 2 * np.pi / 16
         _, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
         om = SpectralField.from_physical(g, np.stack([0 * z, np.cos(z), 0 * z]))
-        phi = SpectralField.from_physical(g, np.exp(1j * y))
+        phi = SpectralField.from_physical(g, np.stack([np.cos(y), np.sin(y)]))  # e^{iy} as (re, im)
         r = transported_eigenfield_check_3d(om, phi, t_end=0.2, dt=5e-3)
         assert r.residual_inf < 1e-13
 
@@ -199,7 +201,7 @@ class TestTransport3D:
         rng = np.random.default_rng(1)
         om0 = random_solenoidal_field(g, 2, rng, amplitude=0.3)
         ph0 = random_scalar_3d(g, 2, rng, amplitude=1.0)
-        c = np.zeros((3, 16, 16, 16), np.complex128)
+        c = np.zeros((3, *g.spectral_shape), np.complex128)
         c[0, 1, 0, 0] = 1.0  # k . c != 0: not solenoidal
         bad = SpectralField(g, c)
         with pytest.raises(ValidationError, match="divergence"):
@@ -237,7 +239,7 @@ class TestDarboux:
 
     def test_zero_F_is_identity(self):
         g, inp = worked_example()
-        inp = dataclasses.replace(inp, F=SpectralField(g, np.zeros(g.shape)))
+        inp = dataclasses.replace(inp, F=SpectralField(g, np.zeros(g.spectral_shape)))
         res = darboux_apply(inp)
         assert np.array_equal(res.omega_t.coeffs, inp.omega.coeffs)
         assert np.array_equal(res.psi_t.coeffs, inp.psi.coeffs)
@@ -361,7 +363,7 @@ class TestSwapSymmetry:
         g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
         rng = np.random.default_rng(13)
         om = random_real_field(g, 4, rng)
-        zero = SpectralField(g, np.zeros(g.shape))
+        zero = SpectralField(g, np.zeros(g.spectral_shape))
         lhs = ns_rhs_2d(reflect_xy(om), 0.0, zero)
         rhs = reflect_xy(ns_rhs_2d(om, 0.0, zero))
         assert (lhs + rhs).norm_inf() < 1e-12
