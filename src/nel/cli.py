@@ -274,8 +274,9 @@ def _run_darboux(p, cfg):
         if not all(paths):
             raise ValidationError("pass all four of --omega/--p/--f/--bigf or none")
         fields = [load_field(path) for path in paths]
-        if any(fld.coeffs.ndim != 2 for fld in fields):
-            raise ValidationError("darboux inputs must be 2D scalar field snapshots")
+        for path, fld in zip(paths, fields):
+            if fld.coeffs.ndim != 2:
+                raise ValidationError(f"field snapshot {path}: darboux inputs must be 2D scalar field snapshots")
         inp = DarbouxInput(*fields, eta=p["eta"])
     else:
         inp = darboux_shear_example(p["nx"], p["ny"], p["eta"])

@@ -101,18 +101,21 @@ def ns_rhs_3d(
     return project_mean(stretch + (laplacian(omega) + forcing) * nu)
 
 
-def _low_modes(grid: TorusGrid3D, kmax: int) -> np.ndarray:
-    # |m_i| <= kmax on every axis, on the full spectrum; its first nz/2+1 columns are the half one's
-    kx, ky, kz = (np.abs(_int_freqs(n)) <= kmax for n in grid.shape)
+def _low_modes(grid: TorusGrid3D, kmax: int, nyquist: bool = True) -> np.ndarray:
+    # |m_i| <= kmax on every axis (and |m_i| < n_i/2 without the Nyquist modes),
+    # on the full spectrum; its first nz/2+1 columns are the half one's
+    kx, ky, kz = (np.abs(_int_freqs(n)) <= (kmax if nyquist else min(kmax, n // 2 - 1)) for n in grid.shape)
     return kx[:, None, None] & ky[None, :, None] & kz[None, None, :]
 
 
 def random_solenoidal_field(
     grid: TorusGrid3D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SpectralField:
-    """Random real divergence-free vector field with modes |k_i| <= kmax."""
+    """Random real divergence-free vector field with modes |k_i| <= kmax and
+    |k_i| < n_i/2: the projection of a Nyquist mode, whose wavenumber has no
+    sign, would not be Hermitian, so the field would not be real."""
     vals = rng.standard_normal((3, *grid.shape))
-    low = _low_modes(grid, kmax)[..., : grid.spectral_shape[-1]]
+    low = _low_modes(grid, kmax, nyquist=False)[..., : grid.spectral_shape[-1]]
     c = np.where(low, SpectralField.from_physical(grid, vals).coeffs, 0.0)
     # Leray projection: remove the gradient part so div = 0 exactly
     kx, ky, kz = grid.k

@@ -20,7 +20,13 @@ evaluated on a physical grid of ~4x the retained modes, which keeps cubic
 products alias-free.  Coefficient arrays may carry leading batch axes (one
 orbit per row, on one clock; transforms run along the last axis).  The
 factors e^{lam h} and the wave propagators are cached, read-only, per
-(params, dt).
+(params, dt), and a transform plan (grid size, extension slots and weights)
+per params.  The envelope FFTs are normalised "forward" (inverse unscaled,
+forward times 1/N), which gives the values of scaling the coefficients by N
+for a backward inverse and dividing the forward by N: N is a power of two,
+so each scaling is exact unless a value is subnormal or within a factor N of
+overflow.  The wave grid 4*n_modes need not be one, so the wave transforms
+keep the backward normalisation and divide by n after weighting.
 
 Both state classes implement the flow protocol of `diagnostics` in one base
 class: Euclidean separations of the flat coefficient vector, a shadow along a
@@ -191,42 +197,33 @@ def sg_uniform_state(params: SGParams, u0: float, v0: float = 0.0) -> SGState:
     return SGState(params=params, u=u, v=v)
 
 
-def _sg_to_phys(params: SGParams, coeffs: np.ndarray, deriv: bool = False):
-    m = params.n_modes
-    n = 4 * m
-    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
-    if params.parity == "even":
-        spec[..., 0] = n * coeffs[..., 0]
-        spec[..., 1 : m + 1] = 0.5 * n * coeffs[..., 1:]
-    else:
-        spec[..., 1 : m + 1] = -0.5j * n * coeffs[..., 1:]
-    u = np.fft.irfft(spec, n)
-    if not deriv:
-        return u
-    dspec = spec * (1j * np.arange(n // 2 + 1))
-    return u, np.fft.irfft(dspec, n)
-
-
-def _sg_from_phys(params: SGParams, g: np.ndarray) -> np.ndarray:
-    # taking the real (even) or negated-imaginary (odd) part of the half
-    # spectrum is the exact parity projection; slot 0 of an odd state stays
-    # bitwise zero because mode 0 of an rfft of real data is purely real
-    m = params.n_modes
-    n = 4 * m
-    r = np.fft.rfft(g)
-    out = np.zeros((*g.shape[:-1], m + 1))
-    if params.parity == "even":
-        out[..., 0] = r[..., 0].real / n
-        out[..., 1:] = 2.0 * r[..., 1 : m + 1].real / n
-    else:
-        out[..., 1:] = -2.0 * r[..., 1 : m + 1].imag / n
-    return out
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _sg_plan(params: SGParams):
+    """(n, lo, w_in, w_out): grid size n, the first slot the parity leaves free,
+    and read-only weights of slots lo..n_modes: [n, n/2, ...] on the way in and
+    [1, 2, ...] (then / n) on the way out, on the real part of the half
+    spectrum for even parity, negated and on its imaginary part for odd."""
+    m, n = params.n_modes, 4 * params.n_modes
+    lo = 0 if params.parity == "even" else 1
+    w_in, w_out = np.full(m + 1, (1 - 2 * lo) * 0.5 * n), np.full(m + 1, (1 - 2 * lo) * 2.0)
+    w_in[0], w_out[0] = n, 1.0  # even parity only
+    return (n, lo, *_read_only(w_in[lo:], w_out[lo:]))
+
+
+def _sg_to_phys(plan, coeffs: np.ndarray, deriv: bool = False):
+    n, lo, w_in, _ = plan
+    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
+    np.multiply(coeffs[..., lo:], w_in, out=(spec.imag if lo else spec.real)[..., lo : coeffs.shape[-1]])
+    u = np.fft.irfft(spec, n)
+    if not deriv:
+        return u
+    return u, np.fft.irfft(spec * (1j * np.arange(n // 2 + 1)), n)
 
 
 @functools.lru_cache(maxsize=8)  # the section bisection steps at many dt values
@@ -245,12 +242,19 @@ def _sg_factors(params: SGParams, dt: float):
     return _read_only(*factors)
 
 
-def _sg_nonlinear(params: SGParams, u_coeffs: np.ndarray, f: float) -> np.ndarray:
-    u = _sg_to_phys(params, u_coeffs)
+def _sg_nonlinear(params: SGParams, u_coeffs: np.ndarray, f: float, plan) -> np.ndarray:
+    u = _sg_to_phys(plan, u_coeffs)
     g = np.sin(u)
     if params.eps:
         g = g + params.eps * (-params.a * u + f * g * g * g)
-    return _sg_from_phys(params, g)
+    # taking the real (even) or negated-imaginary (odd) part of the half
+    # spectrum is the exact parity projection; slot 0 of odd parity stays zero
+    n, lo, _, w_out = plan
+    r = np.fft.rfft(g)
+    out = np.zeros(u_coeffs.shape)
+    np.multiply((r.imag if lo else r.real)[..., lo : out.shape[-1]], w_out, out=out[..., lo:])
+    out[..., lo:] /= n
+    return out
 
 
 def sg_step(state: SGState, dt: float) -> SGState:
@@ -271,6 +275,7 @@ def sg_step(state: SGState, dt: float) -> SGState:
     t = state.t
     h = 0.5 * dt
     a00, a01, a10, b00, b01, b10 = _sg_factors(p, dt)  # E(h), E(dt)
+    plan = _sg_plan(p)
     u, v = state.u, state.v
 
     fs = state.forcing
@@ -279,31 +284,27 @@ def sg_step(state: SGState, dt: float) -> SGState:
     f4, fs = force_eval(fs, t + dt, h)
 
     with np.errstate(over="ignore", invalid="ignore"):  # blowup caught below
-        n1 = _sg_nonlinear(p, u, f1)
-        n2 = _sg_nonlinear(p, a00 * u + a01 * (v + h * n1), f2)
-        eu = a00 * u + a01 * v
-        n3 = _sg_nonlinear(p, eu, f2)
+        n1 = _sg_nonlinear(p, u, f1, plan)
+        n2 = _sg_nonlinear(p, a00 * u + a01 * (v + h * n1), f2, plan)
+        n3 = _sg_nonlinear(p, a00 * u + a01 * v, f2, plan)
         bu = b00 * u + b01 * v
-        n4 = _sg_nonlinear(p, bu + dt * a01 * n3, f4)
+        n4 = _sg_nonlinear(p, bu + dt * a01 * n3, f4, plan)
 
         w = dt / 6.0
-        u_new = bu + w * (b01 * n1 + 2.0 * a01 * (n2 + n3))
-        v_new = b10 * u + b00 * v + w * (b00 * n1 + 2.0 * a00 * (n2 + n3) + n4)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise ComputationalError(
-            f"wave state blew up; last valid time t={state.t:.6g}, reduce dt"
-        )
+        n2 += n3
+        u_new = bu + w * (b01 * n1 + 2.0 * a01 * n2)
+        v_new = b10 * u + b00 * v + w * (b00 * n1 + 2.0 * a00 * n2 + n4)
+    if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
+        raise ComputationalError(f"wave state blew up; last valid time t={state.t:.6g}, reduce dt")
     return SGState(params=p, u=u_new, v=v_new, t=t + dt, forcing=fs)
 
 
 def sg_energy(state: SGState) -> float:
-    """Grid quadrature of int [v^2/2 + c^2 u_x^2/2 + cos u] dx.
-
-    Conserved by the flow when eps = 0.
-    """
+    """Grid quadrature of int [v^2/2 + c^2 u_x^2/2 + cos u] dx (conserved when eps = 0)."""
     p = state.params
-    u, ux = _sg_to_phys(p, state.u, deriv=True)
-    v = _sg_to_phys(p, state.v)
+    plan = _sg_plan(p)
+    u, ux = _sg_to_phys(plan, state.u, deriv=True)
+    v = _sg_to_phys(plan, state.v)
     dens = 0.5 * v * v + 0.5 * p.c * p.c * ux * ux + np.cos(u)
     return float(dens.mean() * 2.0 * np.pi)
 
@@ -405,66 +406,66 @@ def gl_limit_cycle_state(params: GLParams, t: float = 0.0) -> GLState:
     return dataclasses.replace(st, t=t)
 
 
-def _gl_grid_size(n_modes: int) -> int:
-    # smallest power of two with all cubic products of modes <= n_modes
-    # landing below the fold line
-    return 1 << (4 * n_modes + 1).bit_length()
+@functools.lru_cache(maxsize=8)
+def _gl_plan(params: GLParams):
+    """(n, m, rows, slots, src, w): grid size n, n_modes m and, read-only, the
+    even extension onto `rows` physical rows.
 
-
-def _gl_to_phys(params: GLParams, q: np.ndarray, dx=None) -> np.ndarray:
-    """q, and given the Dx multipliers dx also Dx q = -sum_{k=1..K} k q_k sin kx,
-    on the physical grid as rows of a (..., 1 or 2, N) array: one inverse FFT."""
+    Slot slots[j] of the flattened (rows, n) spectrum takes w[j] * q[src[j]]:
+    row 0 takes q_0 at 0 and q_k/2 at k and n-k, k = 1..m; row 1, there only
+    when the |Dx q|^2 term is on, takes (i k/2) q_k at k and (-i k/2) q_k at
+    n-k, k = 1..K."""
     m = params.n_modes
-    n = _gl_grid_size(m)
-    a = np.zeros((*q.shape[:-1], 1 if dx is None else 2, n), dtype=complex)
-    a[..., 0, 0] = n * q[..., 0]
-    a[..., 0, 1 : m + 1] = 0.5 * n * q[..., 1:]
-    a[..., 0, n - m :] = 0.5 * n * q[..., :0:-1]
-    if dx is not None:
-        kk = params.K
-        a[..., 1, 1 : kk + 1] = dx[0] * q[..., 1 : kk + 1] * n
-        a[..., 1, n - kk :] = (dx[1] * q[..., 1 : kk + 1] * n)[..., ::-1]
-    return np.fft.ifft(a)
+    n = 1 << (4 * m + 1).bit_length()  # the smallest power of two keeping cubic products below the fold
+    k = np.arange(1, m + 1)
+    slots, src, w = [[0], k, n - k], [[0], k, k], [[1.0], np.full(2 * m, 0.5)]
+    rows = 2 if params.variant == "dernls" and params.eps != 0.0 else 1
+    if rows == 2:
+        kk = np.arange(1, params.K + 1)
+        slots, src, w = slots + [n + kk, 2 * n - kk], src + [kk, kk], w + [0.5j * kk, -0.5j * kk]
+    cat = np.concatenate
+    return (n, m, rows, *_read_only(cat(slots), cat(src), cat(w).astype(complex)))
 
 
-def _gl_from_phys(params: GLParams, g: np.ndarray) -> np.ndarray:
-    # folding a[k] + a[-k] is the exact even projection
-    m = params.n_modes
-    n = _gl_grid_size(m)
-    a = np.fft.fft(g) / n
-    out = np.empty((*g.shape[:-1], m + 1), dtype=complex)
-    out[..., 0] = a[..., 0]
-    out[..., 1:] = a[..., 1 : m + 1] + a[..., n - 1 : n - m - 1 : -1]
-    return out
+def _gl_to_phys(plan, q: np.ndarray) -> np.ndarray:
+    """q, and on a plan of two rows also Dx q = -sum_{k=1..K} k q_k sin kx, on
+    the physical grid as the rows of a (..., rows, n) array: one inverse FFT."""
+    n, _, rows, slots, src, w = plan
+    a = np.zeros((*q.shape[:-1], rows, n), dtype=complex)
+    a.reshape(*q.shape[:-1], rows * n)[..., slots] = q[..., src] * w
+    return np.fft.ifft(a, norm="forward")
 
 
 @functools.lru_cache(maxsize=8)  # the section bisection steps at many dt values
 def _gl_factors(params: GLParams, dt: float):
-    """e^{lam dt/2}, e^{lam dt} and the Dx multipliers (i k/2, -i k/2), k = 1..K,
-    read-only; lam is the diagonal linear symbol per cosine mode (the i q_xx
-    part, plus the viscous/damping part for pnls)."""
+    """e^{lam dt/2} and e^{lam dt}, read-only; lam is the diagonal linear
+    symbol per cosine mode (the i q_xx part, plus the viscous/damping part
+    for pnls)."""
     k2 = np.arange(params.n_modes + 1, dtype=float) ** 2
     lam = 1j * k2 if params.variant == "dernls" else 1j * k2 - params.eps * k2 - params.eps * params.alpha
-    k = np.arange(1, params.K + 1)
-    return _read_only(np.exp(lam * (0.5 * dt)), np.exp(lam * dt), 0.5j * k, -0.5j * k)
+    return _read_only(np.exp(lam * (0.5 * dt)), np.exp(lam * dt))
 
 
-def _gl_nonlinear(params: GLParams, q: np.ndarray, dx) -> np.ndarray:
-    deriv = params.variant == "dernls" and params.eps != 0.0
-    phys = _gl_to_phys(params, q, dx if deriv else None)
-    qp = phys[..., 0, :]
-    aq2 = qp.real * qp.real + qp.imag * qp.imag
+def _gl_nonlinear(params: GLParams, q: np.ndarray, plan) -> np.ndarray:
+    n, m, rows = plan[:3]
+    phys = _gl_to_phys(plan, q)
+    sq = phys.real * phys.real
+    sq += phys.imag * phys.imag  # |q|^2 and |Dx q|^2 at once
+    qp, aq2 = phys[..., 0, :], sq[..., 0, :]
     if params.variant == "dernls":
-        g = -2j * aq2 * qp
-        if deriv:
-            dq = phys[..., 1, :]
-            ad2 = dq.real * dq.real + dq.imag * dq.imag
-            g = g + params.eps * ((0.5625 - aq2) * qp + params.mu * ad2 * np.conj(qp))
+        g = aq2 * -2j
+        g *= qp
+        if rows == 2:
+            g += params.eps * ((0.5625 - aq2) * qp + params.mu * sq[..., 1, :] * np.conj(qp))
     else:
-        g = -2j * (aq2 - params.omega**2) * qp
+        g = (aq2 - params.omega**2) * -2j
+        g *= qp
         if params.eps:
-            g = g + params.eps * params.beta
-    return _gl_from_phys(params, g)
+            g += params.eps * params.beta
+    a = np.fft.fft(g, norm="forward")
+    out = a[..., : m + 1].copy()
+    out[..., 1:] += a[..., n - 1 : n - m - 1 : -1]  # folding a[k] + a[-k] is the exact even projection
+    return out
 
 
 def gl_step(state: GLState, dt: float) -> GLState:
@@ -472,24 +473,23 @@ def gl_step(state: GLState, dt: float) -> GLState:
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     p = state.params
-    e1, e2, *dx = _gl_factors(p, dt)
+    e1, e2 = _gl_factors(p, dt)
+    plan = _gl_plan(p)
     q = state.q
     h = 0.5 * dt
 
     with np.errstate(over="ignore", invalid="ignore"):  # blowup caught below
-        n1 = _gl_nonlinear(p, q, dx)
-        n2 = _gl_nonlinear(p, e1 * (q + h * n1), dx)
-        n3 = _gl_nonlinear(p, e1 * q + h * n2, dx)
-        n4 = _gl_nonlinear(p, e2 * q + dt * e1 * n3, dx)
+        n1 = _gl_nonlinear(p, q, plan)
+        n2 = _gl_nonlinear(p, e1 * (q + h * n1), plan)
+        n3 = _gl_nonlinear(p, e1 * q + h * n2, plan)
+        n4 = _gl_nonlinear(p, e2 * q + dt * e1 * n3, plan)
         q_new = e2 * q + (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
-    if not np.all(np.isfinite(q_new)):
-        raise ComputationalError(
-            f"envelope state blew up; last valid time t={state.t:.6g}, reduce dt"
-        )
+    if not np.isfinite(q_new).all():
+        raise ComputationalError(f"envelope state blew up; last valid time t={state.t:.6g}, reduce dt")
     return GLState(params=p, q=q_new, t=state.t + dt)
 
 
 def gl_mass(state: GLState) -> float:
     """Grid quadrature of int |q|^2 dx (conserved by the eps = 0 flow)."""
-    qp = _gl_to_phys(state.params, state.q)[..., 0, :]
+    qp = _gl_to_phys(_gl_plan(state.params), state.q)[..., 0, :]
     return float((qp.real**2 + qp.imag**2).mean() * 2.0 * np.pi)

@@ -25,9 +25,15 @@ half spectra, the transport and ``save_field_*`` entries were re-pinned (the
 transforms move the residuals by roundoff) and ``save_field_scalar_3d``
 became a real field, the first component of a solenoidal draw, whose
 parent-written bytes were recorded before ``src/`` changed; the darboux
-entries held.  ``snapshot_v1_*.json`` are snapshots written by ``save_field``
-when fields held full spectra.  Regenerate a corpus only on purpose, and say
-why in CHANGES.md.
+entries held.  ``simulate_sg_kick_n50`` (a 200-point wave grid, not a power
+of two) and ``lyapunov_dernls_n13_kcut5`` (odd n_modes, a derivative cutoff
+below n_modes/2) were added from the code before the wave and envelope
+transforms took per-params plans and forward-normalised envelope FFTs.
+``laxcheck_3d_curl_kmax12`` was re-pinned when ``random_solenoidal_field``
+stopped drawing the Nyquist modes, which made its draws real fields.
+``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
+held full spectra.  Regenerate a corpus only on purpose, and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -99,6 +105,14 @@ COMMAND_CASES = {
     "laxcheck_2d_kmax12": ["laxcheck", "--grid", "32", "--t-end", "0.05", "--dt", "0.005", "--kmax", "12"],
     "laxcheck_3d_curl_kmax12": [
         "laxcheck", "--dim", "3", "--grid", "16", "--t-end", "0.05", "--dt", "0.01", "--kmax", "12", "--mode", "curl",
+    ],
+    # a 200-point wave grid (4 * n_modes, not a power of two)
+    "simulate_sg_kick_n50": [
+        "simulate", "--model", "sg", "--eps", "0.1", "--n-modes", "50", "--kick", "1:0.1,7:0.05", "--t-end", "2",
+    ],
+    # odd n_modes, and a derivative cutoff below n_modes/2; the shadow orbit is not uniform
+    "lyapunov_dernls_n13_kcut5": [
+        "lyapunov", "--model", "dernls", "--eps", "0.05", "--n-modes", "13", "--kcut", "5", "--t-end", "3",
     ],
 }
 # darboux from save_field snapshots of darboux_shear_example(nx, ny)

@@ -1,8 +1,8 @@
 """The traced benchmark sessions wrap nel's layer functions by module and name
 (``perfbench/layers.py``); a renamed or removed one must fail here, not in a
 benchmark run.  The probe also runs small chaos commands under the wrappers,
-so a step, section search or angle-flow window that no longer passes through
-a wrapped name reads as a zero count here."""
+so a wave or envelope step, strobe, section search or angle-flow window that
+no longer passes through a wrapped name reads as a zero count here."""
 
 import os
 import pathlib
@@ -24,12 +24,19 @@ for (m, f), original in originals.items():
     now = getattr(sys.modules[m], f)
     assert now is not original and now.__wrapped__ is original, f"{m}.{f} not wrapped"
 with tempfile.TemporaryDirectory() as tmp:
+    def run(argv):
+        assert nel.cli.main([*argv, "--out", os.path.join(tmp, "out")]) == 0, argv
+
+    run(["poincare", "--model", "sg", "--u0", "3.0", "--n-modes", "8", "--iterates", "1"])
+    totals = tr.totals(tr.table())  # only the wave model has stepped so far
+    for span in ("models.step", "models.nonlinear", "diagnostics.strobe"):
+        assert totals.get(span, (0, 0.0))[0] > 0, "sg " + span
     for argv in (
         ["poincare", "--model", "dernls", "--eps", "0.05", "--n-modes", "8", "--iterates", "1"],
         ["lyapunov", "--model", "abc", "--t-end", "2"],
         ["lyapunov", "--model", "dernls", "--eps", "0.05", "--n-modes", "8", "--t-end", "1"],
     ):
-        assert nel.cli.main([*argv, "--out", os.path.join(tmp, "out")]) == 0, argv
+        run(argv)
 totals = tr.totals(tr.table())
 for span in ("models.step", "models.nonlinear", "forcing.abc", "diagnostics.section", "diagnostics.lyapunov"):
     assert totals.get(span, (0, 0.0))[0] > 0, span

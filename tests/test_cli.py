@@ -274,6 +274,23 @@ class TestDarbouxCommand:
         assert run_cli("darboux", "--omega", "omega.json") == 2
         assert "all four" in capsys.readouterr().err
 
+    def test_wrong_kind_names_its_file(self, tmp_path, capsys):
+        from nel.fields import SpectralField, save_field
+        from nel.grids import TorusGrid3D
+        from nel.lax import darboux_shear_example
+
+        inp = darboux_shear_example(16, 8)
+        argv = []
+        for flag, fld in (("--omega", inp.omega), ("--p", inp.p), ("--f", inp.f)):
+            save_field(tmp_path / flag[2:], fld)
+            argv += [flag, str(tmp_path / flag[2:])]
+        grid = TorusGrid3D(4, 4, 4)
+        save_field(tmp_path / "bigf", SpectralField(grid, np.zeros(grid.spectral_shape, complex)))
+        assert run_cli("darboux", *argv, "--bigf", str(tmp_path / "bigf")) == 2
+        err = capsys.readouterr().err
+        assert f"field snapshot {tmp_path / 'bigf'}: " in err and "2D scalar" in err
+        assert str(tmp_path / "omega") not in err
+
     @pytest.mark.parametrize(
         "snapshot, message",
         [
@@ -323,7 +340,7 @@ class TestDarbouxCommand:
         assert run_cli("darboux", *map(str, argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("nel: error:") and message in err
-        assert err.count(str(bad)) <= 1  # a snapshot error names the file once, never wrapped twice
+        assert err.count(str(bad)) == 1  # a snapshot error names the file once, never wrapped twice
         assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 """3D vector calculus: curl/Biot-Savart identities and the shear fixed point."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nel.errors import ValidationError
-from nel.fields import SpectralField
+from nel.fields import SpectralField, save_field
 from nel.fields3d import (
     advect_3d,
     biot_savart_3d,
@@ -103,3 +105,15 @@ def test_prescribed_velocity_path():
     zero_u = SpectralField(g, np.zeros((3, *g.spectral_shape)))
     r = ns_rhs_3d(om, 0.0, zero_u, velocity=zero_u)
     assert r.norm_inf() == 0
+
+
+def test_solenoidal_draw_is_real_at_kmax_past_nyquist(tmp_path):
+    # kmax = 2 reaches the Nyquist mode of the nx = 4 axis; the written full
+    # spectrum c must satisfy c(-m) = conj(c(m)) on every component
+    g = TorusGrid3D(4, 6, 8)
+    save_field(tmp_path / "u.json", random_solenoidal_field(g, 2, np.random.default_rng(34)))
+    snap = json.loads((tmp_path / "u.json").read_text())
+    c = (np.array(snap["re"]) + 1j * np.array(snap["im"])).reshape(3, *g.shape)
+    mirror = np.conj(np.roll(c[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3)))
+    assert np.abs(c).max() > 0.01
+    assert np.abs(c - mirror).max() < 1e-15

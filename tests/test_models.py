@@ -318,13 +318,15 @@ class TestBatchAxis:
         if case.startswith("sg"):
             assert pair[0].forcing == pair[1].forcing == rows[0].forcing
 
-    def test_cached_factors_are_read_only(self):
+    def test_cached_factors_are_read_only(self):  # and the transform plans
         gl = GLParams(variant="dernls", eps=0.05, n_modes=8, K=4)
         arrays = [
             *models._gl_factors(gl, 0.01),
             *models._sg_factors(SGParams(n_modes=8), 0.01),
+            *models._gl_plan(gl)[3:],
+            *models._sg_plan(SGParams(n_modes=8))[2:],
         ]
-        assert len(arrays) == 10
+        assert len(arrays) == 13
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -355,3 +357,248 @@ class TestBatchAxis:
         rebuilt = st.with_vector(np.ones((2, 18)))
         assert np.array_equal(rebuilt.vector()[:, [0, 9]], np.zeros((2, 2)))
         assert np.all(np.delete(rebuilt.vector(), [0, 9], axis=1) == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the steppers as they were before their transforms took per-params plans and
+# forward-normalised envelope FFTs, kept as a bitwise oracle: the arithmetic is
+# verbatim; names carry a _ref_ prefix, and docstrings and the dt check are cut
+
+
+def _ref_sg_to_phys(params, coeffs, deriv=False):
+    m = params.n_modes
+    n = 4 * m
+    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
+    if params.parity == "even":
+        spec[..., 0] = n * coeffs[..., 0]
+        spec[..., 1 : m + 1] = 0.5 * n * coeffs[..., 1:]
+    else:
+        spec[..., 1 : m + 1] = -0.5j * n * coeffs[..., 1:]
+    u = np.fft.irfft(spec, n)
+    if not deriv:
+        return u
+    dspec = spec * (1j * np.arange(n // 2 + 1))
+    return u, np.fft.irfft(dspec, n)
+
+
+def _ref_sg_from_phys(params, g):
+    m = params.n_modes
+    n = 4 * m
+    r = np.fft.rfft(g)
+    out = np.zeros((*g.shape[:-1], m + 1))
+    if params.parity == "even":
+        out[..., 0] = r[..., 0].real / n
+        out[..., 1:] = 2.0 * r[..., 1 : m + 1].real / n
+    else:
+        out[..., 1:] = -2.0 * r[..., 1 : m + 1].imag / n
+    return out
+
+
+def _ref_sg_factors(params, dt):
+    w = params.c * np.arange(params.n_modes + 1, dtype=float)
+    factors = []
+    for tau in (0.5 * dt, dt):
+        wt = w * tau
+        p01 = np.empty_like(w)
+        p01[0] = tau
+        p01[1:] = np.sin(wt[1:]) / w[1:]
+        factors += [np.cos(wt), p01, -w * np.sin(wt)]
+    return factors
+
+
+def _ref_sg_nonlinear(params, u_coeffs, f):
+    u = _ref_sg_to_phys(params, u_coeffs)
+    g = np.sin(u)
+    if params.eps:
+        g = g + params.eps * (-params.a * u + f * g * g * g)
+    return _ref_sg_from_phys(params, g)
+
+
+def _ref_sg_step(state, dt):
+    p = state.params
+    t = state.t
+    h = 0.5 * dt
+    a00, a01, a10, b00, b01, b10 = _ref_sg_factors(p, dt)
+    u, v = state.u, state.v
+
+    fs = state.forcing
+    f1, fs = models.force_eval(fs, t, h)
+    f2, fs = models.force_eval(fs, t + h, h)
+    f4, fs = models.force_eval(fs, t + dt, h)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = _ref_sg_nonlinear(p, u, f1)
+        n2 = _ref_sg_nonlinear(p, a00 * u + a01 * (v + h * n1), f2)
+        eu = a00 * u + a01 * v
+        n3 = _ref_sg_nonlinear(p, eu, f2)
+        bu = b00 * u + b01 * v
+        n4 = _ref_sg_nonlinear(p, bu + dt * a01 * n3, f4)
+
+        w = dt / 6.0
+        u_new = bu + w * (b01 * n1 + 2.0 * a01 * (n2 + n3))
+        v_new = b10 * u + b00 * v + w * (b00 * n1 + 2.0 * a00 * (n2 + n3) + n4)
+    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        raise ComputationalError(f"wave state blew up; last valid time t={state.t:.6g}, reduce dt")
+    return models.SGState(params=p, u=u_new, v=v_new, t=t + dt, forcing=fs)
+
+
+def _ref_gl_grid_size(n_modes):
+    return 1 << (4 * n_modes + 1).bit_length()
+
+
+def _ref_gl_to_phys(params, q, dx=None):
+    m = params.n_modes
+    n = _ref_gl_grid_size(m)
+    a = np.zeros((*q.shape[:-1], 1 if dx is None else 2, n), dtype=complex)
+    a[..., 0, 0] = n * q[..., 0]
+    a[..., 0, 1 : m + 1] = 0.5 * n * q[..., 1:]
+    a[..., 0, n - m :] = 0.5 * n * q[..., :0:-1]
+    if dx is not None:
+        kk = params.K
+        a[..., 1, 1 : kk + 1] = dx[0] * q[..., 1 : kk + 1] * n
+        a[..., 1, n - kk :] = (dx[1] * q[..., 1 : kk + 1] * n)[..., ::-1]
+    return np.fft.ifft(a)
+
+
+def _ref_gl_from_phys(params, g):
+    m = params.n_modes
+    n = _ref_gl_grid_size(m)
+    a = np.fft.fft(g) / n
+    out = np.empty((*g.shape[:-1], m + 1), dtype=complex)
+    out[..., 0] = a[..., 0]
+    out[..., 1:] = a[..., 1 : m + 1] + a[..., n - 1 : n - m - 1 : -1]
+    return out
+
+
+def _ref_gl_factors(params, dt):
+    k2 = np.arange(params.n_modes + 1, dtype=float) ** 2
+    lam = 1j * k2 if params.variant == "dernls" else 1j * k2 - params.eps * k2 - params.eps * params.alpha
+    k = np.arange(1, params.K + 1)
+    return np.exp(lam * (0.5 * dt)), np.exp(lam * dt), 0.5j * k, -0.5j * k
+
+
+def _ref_gl_nonlinear(params, q, dx):
+    deriv = params.variant == "dernls" and params.eps != 0.0
+    phys = _ref_gl_to_phys(params, q, dx if deriv else None)
+    qp = phys[..., 0, :]
+    aq2 = qp.real * qp.real + qp.imag * qp.imag
+    if params.variant == "dernls":
+        g = -2j * aq2 * qp
+        if deriv:
+            dq = phys[..., 1, :]
+            ad2 = dq.real * dq.real + dq.imag * dq.imag
+            g = g + params.eps * ((0.5625 - aq2) * qp + params.mu * ad2 * np.conj(qp))
+    else:
+        g = -2j * (aq2 - params.omega**2) * qp
+        if params.eps:
+            g = g + params.eps * params.beta
+    return _ref_gl_from_phys(params, g)
+
+
+def _ref_gl_step(state, dt):
+    p = state.params
+    e1, e2, *dx = _ref_gl_factors(p, dt)
+    q = state.q
+    h = 0.5 * dt
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = _ref_gl_nonlinear(p, q, dx)
+        n2 = _ref_gl_nonlinear(p, e1 * (q + h * n1), dx)
+        n3 = _ref_gl_nonlinear(p, e1 * q + h * n2, dx)
+        n4 = _ref_gl_nonlinear(p, e2 * q + dt * e1 * n3, dx)
+        q_new = e2 * q + (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
+    if not np.all(np.isfinite(q_new)):
+        raise ComputationalError(f"envelope state blew up; last valid time t={state.t:.6g}, reduce dt")
+    return models.GLState(params=p, q=q_new, t=state.t + dt)
+
+
+def raw_bytes(a):
+    """Every byte of an array, so a flipped sign of zero counts."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+QUASI = ForcingSpec(mode="quasiperiodic", betas=(0.3, 0.2, 0.1, 0.1), eps=0.1)
+ORACLE_PARAMS = {
+    "dernls_eps0": GLParams(variant="dernls", eps=0.0, n_modes=16, K=8),
+    "dernls_eps": GLParams(variant="dernls", eps=0.05, mu=6.0, n_modes=13, K=5),
+    "pnls_eps0": GLParams(variant="pnls", eps=0.0, n_modes=16),
+    "pnls_eps": GLParams(variant="pnls", eps=0.1, n_modes=16),
+    "sg_even_cos": SGParams(eps=0.1, n_modes=16, forcing=ForcingSpec(mode="cos_t")),
+    "sg_odd_cos": SGParams(eps=0.1, parity="odd", n_modes=12, forcing=ForcingSpec(mode="cos_t")),
+    "sg_even_quasi": SGParams(eps=0.1, n_modes=50, forcing=QUASI),  # a 200-point grid
+    "sg_odd_quasi": SGParams(eps=0.1, parity="odd", n_modes=16, forcing=QUASI),
+}
+
+
+def oracle_state(name, batch, rng):
+    """Low modes excited, the rest exact zeros of both signs; row 0 of a batch
+    is a uniform state, whose high modes stay zero."""
+    p = ORACLE_PARAMS[name]
+    n = p.n_modes + 1
+    shape = (*batch, n)
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    live = np.arange(n) < 6
+    if batch:
+        live = live & (np.arange(batch[0])[:, None] > 0)
+    if name.startswith("sg"):
+        u, v = (np.where(live, rng.normal(0.0, 0.3, shape), zeros) for _ in range(2))
+        if p.parity == "odd":
+            u[..., 0] = v[..., 0] = 0.0
+        elif batch:
+            u[0, 0], v[0, 0] = 0.4, -0.1
+        return sg_state(p, u, v)
+    q = np.empty(shape, dtype=complex)
+    q.real = np.where(live, rng.normal(0.0, 0.3, shape), zeros)
+    q.imag = np.where(live, rng.normal(0.0, 0.3, shape), zeros[..., ::-1])
+    if batch:
+        q[0, 0] = gl_limit_cycle(p, 0.0)
+    return gl_state(p, q)
+
+
+class TestBitwiseOracle:
+    """The steppers match their verbatim predecessors byte for byte."""
+
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["row", "batch"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
+    def test_steps_match_reference(self, name, batch):
+        st = ref = oracle_state(name, batch, np.random.default_rng(sorted(ORACLE_PARAMS).index(name)))
+        ref_step, ref_nonlinear = (
+            (_ref_sg_step, _ref_sg_nonlinear) if name.startswith("sg") else (_ref_gl_step, _ref_gl_nonlinear)
+        )
+        for dt in (0.02,) * 25 + (0.013, 0.037):  # new dt values rebuild the factors
+            st, ref = st.step(dt), ref_step(ref, dt)
+            assert np.array_equal(raw_bytes(st.vector()), raw_bytes(ref.vector()))
+            assert st.t == ref.t
+        if name.startswith("sg"):
+            assert st.forcing == ref.forcing
+            plan = models._sg_plan(st.params)
+            got = models._sg_nonlinear(st.params, st.u, 0.7, plan)
+            want = ref_nonlinear(st.params, st.u, 0.7)
+        else:
+            plan = models._gl_plan(st.params)
+            got = models._gl_nonlinear(st.params, st.q, plan)
+            want = ref_nonlinear(st.params, st.q, _ref_gl_factors(st.params, 0.02)[2:])
+        assert np.array_equal(raw_bytes(got), raw_bytes(want))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["gl", "sg"])
+    def test_blowup_raises_at_the_same_step(self, kind):
+        if kind == "gl":
+            p = GLParams(variant="dernls", eps=0.05, K=8, n_modes=16)
+            st = gl_state(p, np.array([[0.1] + [0.0] * 16, [3.0, 0.2] + [0.0] * 15], dtype=complex))
+            ref_step, dt = _ref_gl_step, 0.3
+        else:
+            p = SGParams(c=0.9, a=100.0, eps=1.0, n_modes=16)
+            st = sg_uniform_state(p, 1.0)
+            ref_step, dt = _ref_sg_step, 1.0
+
+        def steps_until_blowup(step, st):
+            for i in range(500):
+                try:
+                    st = step(st, dt)
+                except ComputationalError as exc:
+                    return i, str(exc)
+            return None
+
+        got, want = steps_until_blowup(lambda s, h: s.step(h), st), steps_until_blowup(ref_step, st)
+        assert want is not None and got == want
