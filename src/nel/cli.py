@@ -35,7 +35,7 @@ from .diagnostics import lyapunov_max, poincare_samples
 from .errors import ComputationalError, ValidationError
 from .fields import load_field, random_real_field
 from .fields3d import random_scalar_field, random_solenoidal_field
-from .forcing import ABCState, ForcingSpec
+from .forcing import ABC_THETA0, ABCState, ForcingSpec
 from .grids import TorusGrid2D, TorusGrid3D
 from .lax import (
     DarbouxInput,
@@ -136,7 +136,6 @@ class Command:
     help: str
     schema: dict  # key -> caster
     defaults: dict  # fully typed; keys absent here are required
-    required: frozenset
     formats: tuple  # supported output formats, native first
     run: object  # (params, cfg) -> (payload_lines, summary, params_echo|None)
 
@@ -456,25 +455,27 @@ _SIM_STATE_SCHEMA = {
     "abc": _floats(3), "theta0": _floats(3),
 }
 
+
+def _field_defaults(cls, prefix: str = "") -> dict:
+    """Defaults of the dataclass fields of cls that are keys, as prefix + name."""
+    fields = dataclasses.fields(cls)
+    return {prefix + f.name: f.default for f in fields if prefix + f.name in _SIM_STATE_SCHEMA}
+
+
+# the model parameters default as their dataclasses do; the rest are CLI-only
 _SIM_STATE_DEFAULTS = {
-    "dt": 0.01,
-    "c": 0.9, "a": 1.0, "parity": "even", "u0": 0.0, "v0": 0.0, "kick": (),
-    "forcing_mode": "cos_t", "forcing_alpha0": 0.0,
-    "forcing_betas": (0.0, 0.0, 0.0, 0.0),
-    "forcing_omegas": (1.0, float(np.sqrt(2)), float(np.sqrt(3)), float(np.sqrt(5))),
-    "forcing_phases": (0.0, 0.0, 0.0, 0.0),
-    "forcing_mu": 2.0, "forcing_eps": None, "forcing_abc": (1.0, 1.0, 1.0),
-    "forcing_abc_state": (0.0, 0.0, 0.0),
-    "eps": 0.0, "mu": 6.0, "kcut": 0, "gamma": 0.0,
-    "omega": 0.8, "alpha": 1.0, "beta": 1.0, "n_modes": 64, "q0": "limit-cycle",
-    "abc": (1.0, 1.0, 1.0), "theta0": (4.0, 1.0, 5.5),
+    **_field_defaults(ForcingSpec, "forcing_"), **_field_defaults(SGParams), **_field_defaults(GLParams),
+    "dt": 0.01, "u0": 0.0, "v0": 0.0, "kick": (), "q0": "limit-cycle", "abc": (1.0, 1.0, 1.0),
+    "theta0": ABC_THETA0,
+    "forcing_eps": None,  # None: the model's eps (_build_forcing)
+    "kcut": 0,  # 0: max(1, n_modes // 2) (_build_state)
 }
 
 COMMANDS = {}
 
 
-def _register(name, help, schema, defaults, required, formats, run):
-    COMMANDS[name] = Command(name, help, schema, defaults, frozenset(required), formats, run)
+def _register(name, help, schema, defaults, formats, run):
+    COMMANDS[name] = Command(name, help, schema, defaults, formats, run)
 
 
 _register(
@@ -482,7 +483,6 @@ _register(
     "eigenvalues of one invariant-class suboperator",
     {"k1": int, "k2": int, "alpha": float, "gamma": float, "nu": float, "trunc": int},
     {"alpha": 0.7, "gamma": 0.5, "trunc": 64},
-    {"k1", "k2", "nu"},
     ("csv", "jsonl"),
     _run_spectrum,
 )
@@ -492,7 +492,6 @@ _register(
     "critical viscosity where the first unstable class restabilizes",
     {"alpha": float, "gamma": float, "trunc": int, "tol": float},
     {"alpha": 0.7, "gamma": 0.5, "trunc": 100, "tol": 1e-6},
-    set(),
     ("jsonl",),
     _run_nustar,
 )
@@ -508,7 +507,6 @@ _register(
         "k1": 1, "k2": 0, "alpha": 0.7, "gamma": 0.5, "trunc": 64,
         "nu_max": 0.1, "nu_min": 1e-4, "n_nus": 25, "tol": 0.02,
     },
-    set(),
     ("jsonl",),
     _run_zvtrack,
 )
@@ -526,7 +524,6 @@ _register(
         "amp_omega": 0.1, "amp_phi": 5.0, "amp_u": 0.2, "alpha": 1.0,
         "mode": "curl", "control": False,
     },
-    set(),
     ("jsonl",),
     _run_laxcheck,
 )
@@ -536,7 +533,6 @@ _register(
     "gauge transform of a shear eigenfunction pair",
     {"omega": str, "p": str, "f": str, "bigf": str, "eta": float, "nx": int, "ny": int},
     {"omega": None, "p": None, "f": None, "bigf": None, "eta": 1e-3, "nx": 128, "ny": 8},
-    set(),
     ("jsonl",),
     _run_darboux,
 )
@@ -546,7 +542,6 @@ _register(
     "time integration of the wave / envelope / angle models",
     {**_SIM_STATE_SCHEMA, "t_end": float, "sample_every": int},
     {**_SIM_STATE_DEFAULTS, "t_end": 10.0, "sample_every": 10},
-    {"model"},
     ("jsonl",),
     _run_simulate,
 )
@@ -556,7 +551,6 @@ _register(
     "strobe or section samples of a trajectory",
     {**_SIM_STATE_SCHEMA, "iterates": int, "period": float},
     {**_SIM_STATE_DEFAULTS, "iterates": 20, "period": None},
-    {"model"},
     ("csv", "jsonl"),
     _run_poincare,
 )
@@ -566,7 +560,6 @@ _register(
     "largest Lyapunov exponent by two-orbit renormalization",
     {**_SIM_STATE_SCHEMA, "t_end": float, "renorm_dt": float, "d0": float},
     {**_SIM_STATE_DEFAULTS, "t_end": 1000.0, "renorm_dt": 0.5, "d0": 1e-8},
-    {"model"},
     ("csv", "jsonl"),
     _run_lyapunov,
 )
@@ -618,7 +611,7 @@ def _execute(args) -> int:
     cmd = COMMANDS[args.command]
     raw, lines = _collect(args, cmd)
     typed = coerce_params(raw, cmd.schema, lines)
-    missing = sorted(cmd.required - set(typed))
+    missing = sorted(cmd.schema.keys() - cmd.defaults.keys() - typed.keys())
     if missing:
         raise ValidationError(f"missing required parameters: {', '.join(missing)}")
     merged = {**cmd.defaults, **typed}

@@ -253,11 +253,6 @@ def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -
 bracket = bracket_core  # fields are real by construction: no realness check is left to make
 
 
-def velocity_from_stream(psi: SpectralField):
-    """(u, v) = (-psi_y, psi_x)."""
-    return dy(psi) * (-1.0), dx(psi)
-
-
 def ns_rhs_2d(
     omega: SpectralField, nu: float, forcing: SpectralField
 ) -> SpectralField:

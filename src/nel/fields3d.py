@@ -1,6 +1,6 @@
 """Vector spectral calculus on the periodic cube [0, 2pi]^3.
 
-Implements the vorticity form of 3D flow,
+The operators of the vorticity form of 3D flow,
 
     d/dt Omega + (u . grad) Omega - (Omega . grad) u = nu [Lap(Omega) + f],
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .fields import (
     SpectralField,
     _check_same_grid,
@@ -27,8 +26,6 @@ from .fields import (
     complex_norm_inf,
     gradient_values,
     invert_laplacian,
-    laplacian,
-    project_mean,
     require_mean_zero,
 )
 from .grids import TorusGrid3D, _int_freqs
@@ -38,7 +35,6 @@ __all__ = [
     "divergence_3d",
     "biot_savart_3d",
     "advect_3d",
-    "ns_rhs_3d",
     "random_solenoidal_field",
     "random_scalar_field",
 ]
@@ -78,27 +74,6 @@ def advect_3d(a: SpectralField, f: SpectralField) -> SpectralField:
     prod = grad[0] + grad[1]
     prod += grad[2]
     return SpectralField(a.grid, _forward_dealiased(a.grid, prod))
-
-
-def ns_rhs_3d(
-    omega: SpectralField,
-    nu: float,
-    forcing: SpectralField,
-    velocity: SpectralField | None = None,
-) -> SpectralField:
-    """-(u.grad)Omega + (Omega.grad)u + nu[Lap(Omega) + f].
-
-    By default u is the Biot-Savart velocity of omega; a prescribed velocity
-    can be supplied instead (the transport structure does not require
-    Omega = curl u).
-    """
-    if nu < 0:
-        raise ValidationError(f"viscosity must be nonnegative, got {nu}")
-    require_mean_zero(omega, "omega")
-    require_mean_zero(forcing, "forcing")
-    u = biot_savart_3d(omega) if velocity is None else velocity
-    stretch = advect_3d(omega, u) - advect_3d(u, omega)
-    return project_mean(stretch + (laplacian(omega) + forcing) * nu)
 
 
 def _low_modes(grid: TorusGrid3D, kmax: int, nyquist: bool = True) -> np.ndarray:

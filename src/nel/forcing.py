@@ -29,10 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import LyapunovResult, lyapunov_max
+from . import diagnostics
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
+ABC_THETA0 = (4.0, 1.0, 5.5)  # the start of abc_lyapunov and of the CLI's abc model
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +117,8 @@ def abc_lyapunov(
     renorm_dt: float = 0.5,
     dt: float = 0.02,
     d0: float = 1e-8,
-    theta0: tuple[float, float, float] = (4.0, 1.0, 5.5),
-) -> LyapunovResult:
+    theta0: tuple[float, float, float] = ABC_THETA0,
+) -> diagnostics.LyapunovResult:
     """Largest Lyapunov exponent of the ABC flow: `diagnostics.lyapunov_max`
     on an `ABCState`.  The frozen flow A=B=C=0 returns exactly 0.
 
@@ -126,7 +127,7 @@ def abc_lyapunov(
     where the two-orbit estimate returns the saddle eigenvalue sqrt(2)/2
     instead of a streamline exponent.
     """
-    return lyapunov_max(ABCState(tuple(theta0), tuple(abc)), t_end, dt=dt, renorm_dt=renorm_dt, d0=d0)
+    return diagnostics.lyapunov_max(ABCState(tuple(theta0), tuple(abc)), t_end, dt=dt, renorm_dt=renorm_dt, d0=d0)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .fields import (
     SpectralField,
     bracket_core,
     complex_norm_inf,
-    full_spectrum,
     gradient_values,
     invert_laplacian,
     laplacian,
@@ -44,72 +43,6 @@ from .fields3d import advect_3d, biot_savart_3d, divergence_3d
 from .grids import TorusGrid2D
 
 CONSTRAINT_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# states
-
-
-@dataclass(frozen=True)
-class LaxState2D:
-    """Vorticity, an eigenfield candidate (real, or complex as (re, im)
-    rows), and its eigenvalue.
-
-    The stream function is always derived from omega, never stored.
-    """
-
-    omega: SpectralField
-    phi: SpectralField
-    lam: complex = 0j
-
-    def __post_init__(self):
-        if self.omega.coeffs.ndim != 2:
-            raise ValidationError("omega must be one real scalar field")
-        require_mean_zero(self.omega, "omega")
-
-    @property
-    def psi(self) -> SpectralField:
-        return invert_laplacian(self.omega)
-
-    def operators(self):
-        """(L phi, A phi) = ({Omega, phi}, {Psi, phi})."""
-        return bracket_core(self.omega, self.phi), bracket_core(self.psi, self.phi)
-
-
-@dataclass(frozen=True)
-class LaxState3D:
-    """3D analogue; the transport velocity is Biot-Savart of omega when the
-    curl constraint is active, otherwise a prescribed velocity field."""
-
-    omega: SpectralField  # vector
-    phi: SpectralField  # scalar
-    lam: complex = 0j
-    enforce_curl: bool = True
-    prescribed_u: SpectralField | None = None
-
-    def __post_init__(self):
-        if not self.enforce_curl and self.prescribed_u is None:
-            raise ValidationError("constraint-free state needs a prescribed velocity")
-
-    @property
-    def u(self) -> SpectralField:
-        if self.enforce_curl:
-            return biot_savart_3d(self.omega)
-        return self.prescribed_u
-
-    def operators(self):
-        """(L phi, A phi) = ((Omega . grad) phi, (u . grad) phi)."""
-        return advect_3d(self.omega, self.phi), advect_3d(self.u, self.phi)
-
-
-def eigen_residual(state: LaxState2D | LaxState3D) -> float:
-    """sup-norm of L phi - lam phi for a user-supplied candidate pair; phi is
-    real, or complex as (re, im) rows."""
-    lphi, phi, lam = state.operators()[0].coeffs, state.phi.coeffs, complex(state.lam)
-    if phi.ndim == len(state.phi.grid.shape):  # a real phi: its imaginary row is 0
-        lphi, phi = (np.stack([c, np.zeros_like(c)]) for c in (lphi, phi))
-    lam_phi = np.stack([lam.real * phi[0] - lam.imag * phi[1], lam.real * phi[1] + lam.imag * phi[0]])
-    return complex_norm_inf(SpectralField(state.phi.grid, lphi - lam_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +56,6 @@ class LaxCheckResult:
     residual_l2: float
     grid: tuple[int, ...]
     dt: float
-    steps: int
     masked_fraction: float | None = None
 
     def to_json_dict(self, params: dict | None = None) -> dict:
@@ -176,7 +108,6 @@ def _transport_check(check, omega0, phi0, t_end, dt, rhs, L) -> LaxCheckResult:
         residual_l2=resid.norm_l2(),
         grid=grid.shape,
         dt=dt,
-        steps=steps,
     )
 
 
@@ -195,6 +126,9 @@ def transported_eigenfield_check_2d(
     control flips the sign of the vorticity's own advection, which destroys
     the compatibility.
     """
+    if omega0.coeffs.ndim != 2:
+        raise ValidationError("omega0 must be one real scalar field")
+    require_mean_zero(omega0, "omega0")
     signs = np.full((1 + 2 * len(_rows(phi0)), 1, 1), -1.0)
     signs[0] = 1.0 if negative_control else -1.0
 
@@ -333,81 +267,27 @@ def darboux_apply(inp: DarbouxInput) -> DarbouxResult:
     )
 
 
-def darboux_verify(
-    inp: DarbouxInput,
-    res: DarbouxResult | None = None,
-    series: tuple[list[DarbouxResult], list[float]] | None = None,
-) -> LaxCheckResult:
+def darboux_verify(inp: DarbouxInput, res: DarbouxResult) -> LaxCheckResult:
     """Residuals of the eigen-system at the transformed pair, off the mask.
 
-    The stationary residual is {Omega~, p~}.  For a steady configuration the
-    time equation reduces to {Psi~, p~}; when a time series of transforms is
-    supplied, the discrete d/dt p~ (centered differences) is added to it.
+    The stationary residual is {Omega~, p~}; for a steady configuration the
+    time equation reduces to {Psi~, p~}.
     """
-    if res is None:
-        res = darboux_apply(inp)
     grid = inp.omega.grid
     p_t_field = SpectralField.from_physical(grid, res.p_t)
     p_t_grad = gradient_values(p_t_field)
     r_eig = bracket_core(res.omega_t, p_t_field, g_grad=p_t_grad).physical()
     r_time = bracket_core(res.psi_t, p_t_field, g_grad=p_t_grad).physical()
     keep = ~res.mask
-    vals = [np.abs(r_eig[keep]), np.abs(r_time[keep])]
-    if series is not None:
-        snaps, times = series
-        if len(snaps) != len(times) or len(snaps) < 3:
-            raise ValidationError("series needs >= 3 snapshots with matching times")
-        for i in range(1, len(snaps) - 1):
-            dt2 = times[i + 1] - times[i - 1]
-            ddt = (snaps[i + 1].p_t - snaps[i - 1].p_t) / dt2
-            mid = SpectralField.from_physical(grid, snaps[i].p_t)
-            adv = bracket_core(snaps[i].psi_t, mid).physical()
-            m = ~(snaps[i - 1].mask | snaps[i].mask | snaps[i + 1].mask)
-            vals.append(np.abs(ddt + adv)[m])
-    allv = np.concatenate([v.ravel() for v in vals])
+    allv = np.concatenate([np.abs(r_eig[keep]), np.abs(r_time[keep])])
     return LaxCheckResult(
         check="gauge-transform",
         residual_inf=float(np.max(allv)) if allv.size else 0.0,
         residual_l2=float(np.sqrt(np.mean(allv**2))) if allv.size else 0.0,
         grid=grid.shape,
         dt=0.0,
-        steps=0,
         masked_fraction=res.masked_fraction,
     )
-
-
-def gauge_identity_residual(
-    omega: SpectralField,
-    p: SpectralField,
-    f: SpectralField,
-    floor: float = 0.2,
-) -> float:
-    """Max mismatch of the two quotient forms of the transform.
-
-    On eigenfields ({Omega, p} = 0) the x- and y-quotients agree wherever
-    both |Omega_x| and |Omega_y| exceed floor * their max.
-    """
-    om_x, om_y = gradient_values(omega)
-    p_x, p_y = gradient_values(p)
-    f_x, f_y = gradient_values(f)
-    pv, fv = p.physical(), f.physical()
-    good = (np.abs(om_x) > floor * np.max(np.abs(om_x))) & (
-        np.abs(om_y) > floor * np.max(np.abs(om_y))
-    )
-    if not np.any(good):
-        raise ValidationError("no grid points clear the gauge floor")
-    qx = (p_x - (f_x / fv) * pv) / om_x
-    qy = (p_y - (f_y / fv) * pv) / om_y
-    return float(np.max(np.abs((qx - qy)[good])))
-
-
-def reflect_xy(fld: SpectralField) -> SpectralField:
-    """The spatial part of the (t, x, y) -> (-t, y, x) symmetry (needs a square
-    grid with alpha = 1)."""
-    g = fld.grid
-    if g.nx != g.ny or g.alpha != 1.0:
-        raise ValidationError("reflection requires a square grid with alpha = 1")
-    return SpectralField(g, full_spectrum(fld).swapaxes(-1, -2)[..., : g.ny // 2 + 1])
 
 
 def darboux_shear_example(nx: int = 128, ny: int = 8, eta: float = 1e-3) -> DarbouxInput:

@@ -56,7 +56,6 @@ __all__ = [
     "SGState",
     "GLParams",
     "GLState",
-    "sg_zero_state",
     "sg_uniform_state",
     "sg_state",
     "sg_step",
@@ -64,9 +63,7 @@ __all__ = [
     "gl_uniform_state",
     "gl_limit_cycle",
     "gl_limit_cycle_state",
-    "gl_state",
     "gl_step",
-    "gl_mass",
 ]
 
 
@@ -118,7 +115,7 @@ class SGParams:
     a: float = 1.0
     eps: float = 0.0
     parity: str = "even"
-    n_modes: int = 128
+    n_modes: int = 64
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
 
     def __post_init__(self):
@@ -181,11 +178,6 @@ def sg_state(params: SGParams, u, v, t: float = 0.0) -> SGState:
     u = np.asarray(u, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     return SGState(params=params, u=u, v=v, t=t)
-
-
-def sg_zero_state(params: SGParams) -> SGState:
-    n = params.n_modes + 1
-    return SGState(params=params, u=np.zeros(n), v=np.zeros(n))
 
 
 def sg_uniform_state(params: SGParams, u0: float, v0: float = 0.0) -> SGState:
@@ -382,10 +374,6 @@ class GLState(_CoefficientState):
         return (math.atan2(q0.imag, q0.real) + self.params.gamma + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def gl_state(params: GLParams, q, t: float = 0.0) -> GLState:
-    return GLState(params=params, q=np.asarray(q, dtype=complex).copy(), t=t)
-
-
 def gl_uniform_state(params: GLParams, q0: complex) -> GLState:
     q = np.zeros(params.n_modes + 1, dtype=complex)
     q[0] = q0
@@ -487,9 +475,3 @@ def gl_step(state: GLState, dt: float) -> GLState:
     if not np.isfinite(q_new).all():
         raise ComputationalError(f"envelope state blew up; last valid time t={state.t:.6g}, reduce dt")
     return GLState(params=p, q=q_new, t=state.t + dt)
-
-
-def gl_mass(state: GLState) -> float:
-    """Grid quadrature of int |q|^2 dx (conserved by the eps = 0 flow)."""
-    qp = _gl_to_phys(_gl_plan(state.params), state.q)[..., 0, :]
-    return float((qp.real**2 + qp.imag**2).mean() * 2.0 * np.pi)

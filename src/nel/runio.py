@@ -7,7 +7,8 @@ and serialized files are byte-stable.
 
 Every output file starts with one OutputRecord header line (JSON) carrying
 the schema version, the command echo with its fully resolved parameters, a
-build identifier, and the wall-clock duration.  Payload lines follow.  The
+build identifier (the git commit, marked ``-dirty`` when a tracked file
+differs from it), and the wall-clock duration.  Payload lines follow.  The
 header is the only place timing lives, which keeps payloads byte-identical
 across reruns of the same config and seed.
 
@@ -58,10 +59,6 @@ def parse_config_lines(text: str) -> tuple[dict[str, str], dict[str, int]]:
         out[key] = value
         lines_seen[key] = lineno
     return out, lines_seen
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    return parse_config_lines(text)[0]
 
 
 def serialize_config(params: dict) -> str:
@@ -125,23 +122,34 @@ class RunConfig:
 _BUILD_ID: str | None = None
 
 
+def build_from_status(text: str) -> str | None:
+    """``<short oid>``, or ``<short oid>-dirty`` when a tracked file differs
+    from it, from ``git status --porcelain=v2 --branch`` output; None when
+    there is no commit."""
+    lines = text.splitlines()
+    oid = next((ln.split()[2] for ln in lines if ln.startswith("# branch.oid ")), "(initial)")
+    if oid == "(initial)":
+        return None
+    return oid[:7] + ("-dirty" if any(not ln.startswith("#") for ln in lines) else "")
+
+
 def build_id() -> str:
     global _BUILD_ID
     if _BUILD_ID is None:
         try:
-            _BUILD_ID = (
-                subprocess.run(
-                    ["git", "rev-parse", "--short", "HEAD"],
-                    cwd=os.path.dirname(os.path.abspath(__file__)),
-                    capture_output=True,
-                    text=True,
-                    check=True,
-                    timeout=5,
-                ).stdout.strip()
-                or f"pkg-{__version__}"
-            )
-        except Exception:
-            _BUILD_ID = f"pkg-{__version__}"
+            status = subprocess.run(
+                # --no-optional-locks: never write the index, which a concurrent git command may hold
+                ["git", "--no-optional-locks", "status", "--porcelain=v2", "--branch", "--untracked-files=no"],
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+                capture_output=True,
+                text=True,
+                errors="replace",  # paths may be any bytes; only the header lines are read
+                check=True,
+                timeout=5,
+            ).stdout
+        except (OSError, subprocess.SubprocessError):
+            status = ""
+        _BUILD_ID = build_from_status(status) or f"pkg-{__version__}"
     return _BUILD_ID
 
 

@@ -364,30 +364,6 @@ def three_mode_lambda0(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
     return math.sqrt(gamma**2 * alpha**2 * (1 - alpha**2) / (2 * (alpha**2 + 1)))
 
 
-def five_mode_lambda0(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
-    """Growth rate of the N=2 truncation; a lower bound for the full rate."""
-    if not (0 < alpha < 1):
-        raise ValidationError("the unstable class requires 0 < alpha < 1")
-    inner = alpha**2 * (1 - alpha**2) / (2 * (alpha**2 + 1)) - alpha**4 * (
-        alpha**2 + 3
-    ) / (4 * (alpha**2 + 1) * (alpha**2 + 4))
-    return gamma * math.sqrt(inner)
-
-
-def lambda0_bounds(alpha: float, gamma: float = DEFAULT_GAMMA) -> tuple[float, float]:
-    """Two-sided analytic bracket for the inviscid growth rate."""
-    return five_mode_lambda0(alpha, gamma), three_mode_lambda0(alpha, gamma)
-
-
-def unstable_eig_bounds(
-    alpha: float, nu: float, gamma: float = DEFAULT_GAMMA
-) -> tuple[float, float]:
-    """Viscous growth-rate bracket: the inviscid bracket shifted by the
-    diffusion rates of the widest and narrowest class modes."""
-    lo, hi = lambda0_bounds(alpha, gamma)
-    return lo - nu * (alpha**2 + 1), hi - nu * alpha**2
-
-
 def three_mode_nustar(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
     """Critical viscosity of the N=1 truncation (an upper estimate)."""
     if not (0 < alpha < 1):

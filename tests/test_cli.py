@@ -1,7 +1,11 @@
 """End-to-end checks of the command line driver and its file contract."""
 
+import dataclasses
+import importlib
+import inspect
 import json
 import pathlib
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -9,11 +13,14 @@ import sys
 import numpy as np
 import pytest
 
+import nel
 import nel.cli
 import nel.runio
 import nel.spectra
-from nel.cli import SPECTRUM_CSV_HEADER, main
-from nel.runio import parse_config_text, serialize_config
+from nel.cli import COMMANDS, SPECTRUM_CSV_HEADER, main
+from nel.forcing import ForcingSpec, abc_lyapunov
+from nel.models import GLParams, SGParams
+from nel.runio import build_from_status, parse_config_lines, serialize_config
 from nel.spectra import NuStarResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,10 +42,10 @@ def read_out(path):
 class TestConfigContract:
     def test_roundtrip_is_byte_identical(self, tmp_path):
         text = "# comment\nnu = 0.05\nk1 = 1   # trailing\n\nk2 = 0\n"
-        first = parse_config_text(text)
+        first, _ = parse_config_lines(text)
         canon = serialize_config(first)
-        assert parse_config_text(canon) == first
-        assert serialize_config(parse_config_text(canon)) == canon
+        assert parse_config_lines(canon)[0] == first
+        assert serialize_config(parse_config_lines(canon)[0]) == canon
         assert canon == "k1 = 1\nk2 = 0\nnu = 0.05\n"  # alphabetical
 
     def test_duplicate_key_exits_2_with_line(self, tmp_path, capsys):
@@ -62,6 +69,16 @@ class TestConfigContract:
         assert run_cli("spectrum", "--config", str(cfg), "--nu", "0.2", "--out", str(out)) == 0
         header, _ = read_out(out)
         assert header["params"]["nu"] == 0.2
+
+    @pytest.mark.parametrize("command", ["simulate", "poincare", "lyapunov"])
+    def test_model_keys_default_as_their_dataclasses(self, command):
+        defaults = COMMANDS[command].defaults
+        for cls, prefix in ((SGParams, ""), (GLParams, ""), (ForcingSpec, "forcing_")):
+            for f in dataclasses.fields(cls):
+                key = prefix + f.name
+                if key in defaults and key != "forcing_eps":  # None: the model's eps
+                    assert defaults[key] == f.default, (cls.__name__, key)
+        assert defaults["theta0"] == inspect.signature(abc_lyapunov).parameters["theta0"].default
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
@@ -447,6 +464,27 @@ class TestLyapunovCommand:
         header, payload = read_out(out)
         assert np.isfinite(header["summary"]["lambda"])
         assert len(payload) == 1 + 4
+
+
+class TestBuildId:
+    OID = "# branch.oid 0123456789abcdef0123456789abcdef01234567\n# branch.head main\n"
+
+    def test_clean_tree(self):
+        assert build_from_status(self.OID + "# branch.ab +0 -0\n") == "0123456"
+
+    def test_modified_tree_is_dirty(self):
+        entry = "1 .M N... 100644 100644 100644 0123 0123 src/nel/cli.py\n"
+        assert build_from_status(self.OID + entry) == "0123456-dirty"
+
+    def test_no_commit_or_no_output(self):
+        assert build_from_status("# branch.oid (initial)\n# branch.head main\n") is None
+        assert build_from_status("") is None
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(nel.__path__)))
+def test_module_all_resolves(module):
+    mod = importlib.import_module(f"nel.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestInterpreterEntry:

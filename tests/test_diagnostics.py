@@ -17,14 +17,13 @@ from nel.models import (
     gl_limit_cycle_state,
     gl_uniform_state,
     sg_uniform_state,
-    sg_zero_state,
 )
 
 
 class TestPoincare:
     def test_zero_state_is_fixed_point(self):
         p = SGParams(eps=0.1, n_modes=8, forcing=ForcingSpec(mode="cos_t"))
-        res = poincare_samples(sg_zero_state(p), 4, dt=0.01)
+        res = poincare_samples(sg_uniform_state(p, 0.0), 4, dt=0.01)
         assert not res.escaped and len(res.samples) == 4
         for m, s in enumerate(res.samples, start=1):
             assert np.all(s.u == 0.0) and np.all(s.v == 0.0)
@@ -63,7 +62,7 @@ class TestPoincare:
             poincare_samples(st, 50, dt=0.01)
 
     def test_validation(self):
-        sg = sg_zero_state(SGParams(n_modes=8))
+        sg = sg_uniform_state(SGParams(n_modes=8), 0.0)
         with pytest.raises(ValidationError, match="n_iterates"):
             poincare_samples(sg, 0)
         with pytest.raises(ValidationError, match="dt"):
@@ -159,7 +158,7 @@ class TestLyapunovMax:
             lyapunov_max(st, 1.0, d0=1e-300)
 
     def test_validation(self):
-        st = sg_zero_state(SGParams(n_modes=8))
+        st = sg_uniform_state(SGParams(n_modes=8), 0.0)
         with pytest.raises(ValidationError):
             lyapunov_max(st, -1.0)
         with pytest.raises(ValidationError, match="renorm"):

@@ -25,7 +25,6 @@ from nel.fields import (
     project_mean,
     random_real_field,
     save_field,
-    velocity_from_stream,
 )
 from nel.fields3d import random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
@@ -199,15 +198,6 @@ class TestLaplacian:
 
 
 class TestVelocityAndRhs:
-    def test_velocity_from_stream(self):
-        # psi = sin x sin y -> u = -sin x cos y, v = cos x sin y
-        g = grid()
-        psi = field_from_fn(g, lambda x, y: np.sin(x) * np.sin(y))
-        u, v = velocity_from_stream(psi)
-        X, Y = np.meshgrid(g.x, g.y, indexing="ij")
-        assert np.max(np.abs(u.physical().real + np.sin(X) * np.cos(Y))) < 1e-13
-        assert np.max(np.abs(v.physical().real - np.cos(X) * np.sin(Y))) < 1e-13
-
     def test_shear_is_fixed_point(self):
         # Omega = G cos y with forcing f = G cos y is steady for any nu
         g = grid(alpha=0.7)

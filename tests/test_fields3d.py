@@ -12,10 +12,10 @@ from nel.fields3d import (
     biot_savart_3d,
     curl_3d,
     divergence_3d,
-    ns_rhs_3d,
     random_solenoidal_field,
 )
 from nel.grids import TorusGrid3D
+from oracles import ns_rhs_3d
 
 
 def grid(n=16):

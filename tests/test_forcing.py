@@ -7,13 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nel.errors import ValidationError
-from nel.forcing import (
-    ABCState,
-    ForcingSpec,
-    LyapunovResult,
-    abc_lyapunov,
-    force_eval,
-)
+from nel.diagnostics import LyapunovResult
+from nel.forcing import ABCState, ForcingSpec, abc_lyapunov, force_eval
 
 
 def abc_rhs(theta, abc):

@@ -13,19 +13,18 @@ from nel.errors import ComputationalError, ValidationError
 from nel.forcing import ABCState, ForcingSpec
 from nel.models import (
     GLParams,
+    GLState,
     SGParams,
     gl_limit_cycle,
     gl_limit_cycle_state,
-    gl_mass,
-    gl_state,
     gl_step,
     gl_uniform_state,
     sg_energy,
     sg_state,
     sg_step,
     sg_uniform_state,
-    sg_zero_state,
 )
+from oracles import gl_mass
 
 
 def march(state, t_end, dt):
@@ -48,7 +47,7 @@ def pendulum_ref(u0, v0, t_end):
 class TestSGWave:
     def test_zero_stays_zero(self):
         p = SGParams(eps=0.1, n_modes=16, forcing=ForcingSpec(mode="cos_t"))
-        st = march(sg_zero_state(p), 1.0, 0.01)
+        st = march(sg_uniform_state(p, 0.0), 1.0, 0.01)
         assert np.all(st.u == 0.0) and np.all(st.v == 0.0)
 
     def test_uniform_mode_matches_pendulum(self):
@@ -126,7 +125,7 @@ class TestSGWave:
         with pytest.raises(ValidationError, match="slot 0"):
             sg_state(p, u, np.zeros(9))
         with pytest.raises(ValidationError, match="dt"):
-            sg_step(sg_zero_state(p), -0.1)
+            sg_step(sg_state(p, np.zeros(9), np.zeros(9)), -0.1)
 
 
 class TestGLEnvelope:
@@ -146,7 +145,7 @@ class TestGLEnvelope:
         rng = np.random.default_rng(5)
         q = np.zeros(65, complex)
         q[:4] = rng.normal(0, 0.2, 4) + 1j * rng.normal(0, 0.2, 4)
-        st = gl_state(p, q)
+        st = GLState(p, q)
         m0 = gl_mass(st)
         st = march(st, 10.0, 0.005)
         assert abs(gl_mass(st) - m0) / m0 < 1e-8
@@ -171,7 +170,7 @@ class TestGLEnvelope:
         q = np.zeros(65, complex)
         q[0] = om
         q[1] = 1e-3
-        st = march(gl_state(p, q), 10.0, 0.01)
+        st = march(GLState(p, q), 10.0, 0.01)
         assert abs(st.q[1]) < 1e-4  # perturbation decayed, not grown
 
     def test_eps_continuity(self):
@@ -181,7 +180,7 @@ class TestGLEnvelope:
             q[0] = 0.7
             q[1] = 0.2 + 0.1j
             q[2] = -0.1j
-            return march(gl_state(p, q), 1.0, 0.01)
+            return march(GLState(p, q), 1.0, 0.01)
 
         base = run(0.0)
         d3 = np.abs(run(1e-3).q - base.q).max()
@@ -197,7 +196,7 @@ class TestGLEnvelope:
 
         def one_step(kk, mu):
             p = GLParams(variant="dernls", eps=0.1, mu=mu, K=kk, n_modes=32)
-            return gl_step(gl_state(p, q), 0.01).q
+            return gl_step(GLState(p, q), 0.01).q
 
         ref = one_step(4, 0.0)
         assert np.array_equal(one_step(4, 50.0), ref)
@@ -239,7 +238,7 @@ def random_state(case, rng):
         return sg_state(p, u, v)
     variant, eps = {"dernls_eps0": ("dernls", 0.0), "dernls_eps": ("dernls", 0.05), "pnls": ("pnls", 0.1)}[case]
     p = GLParams(variant=variant, eps=eps, n_modes=16, K=8)
-    return gl_state(p, rng.normal(0.0, 0.2, 17) + 1j * rng.normal(0.0, 0.2, 17))
+    return GLState(p, rng.normal(0.0, 0.2, 17) + 1j * rng.normal(0.0, 0.2, 17))
 
 
 def bits(a):
@@ -260,14 +259,14 @@ class TestStateVectorRoundTrip:
     def test_gl(self):
         p = GLParams(n_modes=8, K=4)
         rng = np.random.default_rng(1)
-        st = gl_state(p, rng.normal(size=9) + 1j * rng.normal(size=9))
+        st = GLState(p, rng.normal(size=9) + 1j * rng.normal(size=9))
         vec = st.vector()
         assert vec.shape == (18,)
         st2 = st.with_vector(vec)
         assert np.allclose(st2.q, st.q, atol=0, rtol=0)
         # signed zeros and an infinite imaginary part survive bit for bit
         q = np.array([complex(-0.0, 1.0), complex(0.5, -0.0), complex(1.0, math.inf)])
-        st = gl_state(GLParams(n_modes=4, K=2), np.concatenate([q, np.zeros(2)]))
+        st = GLState(GLParams(n_modes=4, K=2), np.concatenate([q, np.zeros(2)]))
         assert np.array_equal(bits(st.with_vector(st.vector()).q.view(float)), bits(st.q.view(float)))
 
     @pytest.mark.parametrize("case", KINDS)
@@ -340,20 +339,20 @@ class TestBatchAxis:
         with pytest.raises(ValidationError, match="shaped as u"):
             sg_state(p, np.zeros((2, 9)), np.zeros(9))
         with pytest.raises(ValidationError, match="trailing length"):
-            gl_state(GLParams(n_modes=8, K=4), np.zeros((2, 8), complex))
+            GLState(GLParams(n_modes=8, K=4), np.zeros((2, 8), complex))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_in_one_row_raises(self):
         p = GLParams(variant="dernls", eps=0.0, K=8, n_modes=16)
         q = np.zeros((2, 17), complex)
         q[:, 0] = 0.1, 5.0
-        st = gl_state(p, q)
+        st = GLState(p, q)
         with pytest.raises(ComputationalError, match="last valid time"):
             for _ in range(100):
                 st = gl_step(st, 1.0)
 
     def test_odd_rebuild_zeroes_slot_0(self):
-        st = sg_zero_state(SGParams(parity="odd", n_modes=8))
+        st = sg_state(SGParams(parity="odd", n_modes=8), np.zeros(9), np.zeros(9))
         rebuilt = st.with_vector(np.ones((2, 18)))
         assert np.array_equal(rebuilt.vector()[:, [0, 9]], np.zeros((2, 2)))
         assert np.all(np.delete(rebuilt.vector(), [0, 9], axis=1) == 1.0)
@@ -552,7 +551,7 @@ def oracle_state(name, batch, rng):
     q.imag = np.where(live, rng.normal(0.0, 0.3, shape), zeros[..., ::-1])
     if batch:
         q[0, 0] = gl_limit_cycle(p, 0.0)
-    return gl_state(p, q)
+    return GLState(p, q)
 
 
 class TestBitwiseOracle:
@@ -585,7 +584,7 @@ class TestBitwiseOracle:
     def test_blowup_raises_at_the_same_step(self, kind):
         if kind == "gl":
             p = GLParams(variant="dernls", eps=0.05, K=8, n_modes=16)
-            st = gl_state(p, np.array([[0.1] + [0.0] * 16, [3.0, 0.2] + [0.0] * 15], dtype=complex))
+            st = GLState(p, np.array([[0.1] + [0.0] * 16, [3.0, 0.2] + [0.0] * 15], dtype=complex))
             ref_step, dt = _ref_gl_step, 0.3
         else:
             p = SGParams(c=0.9, a=100.0, eps=1.0, n_modes=16)

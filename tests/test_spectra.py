@@ -27,9 +27,7 @@ from nel.spectra import (
     critical_viscosity_bounds,
     det_sign,
     euler_spectrum,
-    five_mode_lambda0,
     jacobian_oracle_check,
-    lambda0_bounds,
     log_derivative,
     newton_root,
     refine_rightmost,
@@ -38,9 +36,9 @@ from nel.spectra import (
     three_mode_nustar,
     track_zero_viscosity,
     truncated_nustar,
-    unstable_eig_bounds,
     unstable_eigenvalue,
 )
+from oracles import five_mode_lambda0, lambda0_bounds, unstable_eig_bounds
 
 ALPHA = 0.7
 GAMMA = 0.5
