@@ -23,8 +23,10 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
+import math
 import sys
 import time
 
@@ -78,10 +80,15 @@ from .spectra import (
 # casters shared by flags and config files
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    low = str(text).strip().lower()
+def _real(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValidationError(f"expected a finite real, got {text!r}")
+    return v
+
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
@@ -90,40 +97,37 @@ def _bool(text) -> bool:
 
 
 def _floats(n: int):
-    def cast(text):
-        if isinstance(text, tuple):
-            return text
-        parts = [p.strip() for p in str(text).split(",")]
+    def cast(text: str):
+        parts = [p.strip() for p in text.split(",")]
         if len(parts) != n:
             raise ValidationError(f"expected {n} comma-separated reals, got {text!r}")
-        return tuple(float(p) for p in parts)
+        return tuple(_real(p) for p in parts)
 
     return cast
 
 
-def _kick(text):
+def _kick(text: str):
     """'k:amp,k:amp' -> ((k, amp), ...); empty string -> ()."""
-    if isinstance(text, tuple):
-        return text
     out = []
-    for item in str(text).split(","):
+    for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         k, sep, amp = item.partition(":")
         if not sep:
             raise ValidationError(f"kick entries look like 'mode:amplitude', got {item!r}")
-        out.append((int(k), float(amp)))
+        out.append((int(k), _real(amp)))
     return tuple(out)
 
 
-def _complex(text) -> complex:
-    if isinstance(text, complex):
-        return text
+def _complex(text: str) -> complex:
     try:
-        return complex(str(text).strip().replace(" ", ""))
+        z = complex(text.strip().replace(" ", ""))
     except ValueError:
         raise ValidationError(f"expected a complex literal like 0.3+0.1j, got {text!r}")
+    if not cmath.isfinite(z):
+        raise ValidationError(f"q0: expected finite real and imaginary parts, got {text!r}")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +144,8 @@ class Command:
     run: object  # (params, cfg) -> (payload_lines, summary, params_echo|None)
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _echo(params: dict) -> dict:
-    return {k: _jsonable(v) for k, v in sorted(params.items()) if not k.startswith("_")}
+    return {k: v for k, v in params.items() if not k.startswith("_")}
 
 
 # -- spectrum ---------------------------------------------------------------
@@ -244,22 +238,15 @@ def _run_laxcheck(p, cfg):
         grid3 = TorusGrid3D(nx=n, ny=n, nz=n)
         om0 = random_solenoidal_field(grid3, p["kmax"], rng, p["amp_omega"])
         ph0 = random_scalar_field(grid3, p["kmax"], rng, p["amp_phi"])
-        if p["mode"] == "curl":
-            res = transported_eigenfield_check_3d(
-                om0, ph0, p["t_end"], p["dt"], negative_control=p["control"]
-            )
-        else:
+        velocity = None
+        if p["mode"] == "free":
             u1 = random_solenoidal_field(grid3, p["kmax"], rng, p["amp_u"])
             u2 = random_solenoidal_field(grid3, p["kmax"], rng, p["amp_u"])
-            res = transported_eigenfield_check_3d(
-                om0,
-                ph0,
-                p["t_end"],
-                p["dt"],
-                enforce_curl=False,
-                velocity=lambda t: u1 * np.cos(t) + u2 * np.sin(t),
-                negative_control=p["control"],
-            )
+            velocity = lambda t: u1 * np.cos(t) + u2 * np.sin(t)  # noqa: E731
+        res = transported_eigenfield_check_3d(
+            om0, ph0, p["t_end"], p["dt"], enforce_curl=velocity is None, velocity=velocity,
+            negative_control=p["control"],
+        )
     rec = res.to_json_dict(_echo(p))
     return [json_payload_line(rec)], {"check": res.check, "residual_inf": res.residual_inf}, None
 
@@ -314,23 +301,21 @@ def _model_echo(model: str, p: dict) -> dict:
     return _echo({k: v for k, v in p.items() if k in keep and v is not None})
 
 
+def _model_fields(cls, p: dict, prefix: str = "") -> dict:
+    """The fields of dataclass cls that are keys of p's model, as prefix + name, valued from p."""
+    keys = MODEL_KEYS[p["model"]]
+    return {f.name: p[prefix + f.name] for f in dataclasses.fields(cls) if prefix + f.name in keys}
+
+
 def _build_forcing(p) -> ForcingSpec:
     if p["forcing_mode"] == "cos_t":
         return ForcingSpec(mode="cos_t")
-    # the drive's phase coupling strength follows the model's eps unless
-    # overridden: the two are one parameter in the perturbed wave problem
-    eps = p["forcing_eps"] if p["forcing_eps"] is not None else p["eps"]
-    return ForcingSpec(
-        mode="quasiperiodic",
-        alpha0=p["forcing_alpha0"],
-        betas=p["forcing_betas"],
-        omegas=p["forcing_omegas"],
-        phases=p["forcing_phases"],
-        mu=p["forcing_mu"],
-        eps=eps,
-        abc=p["forcing_abc"],
-        abc_state=p["forcing_abc_state"],
-    )
+    kw = _model_fields(ForcingSpec, p, "forcing_")
+    if kw["eps"] is None:
+        # the drive's phase coupling strength follows the model's eps unless
+        # overridden: the two are one parameter in the perturbed wave problem
+        kw["eps"] = p["eps"]
+    return ForcingSpec(**kw)
 
 
 def _cycle_error(st) -> float:
@@ -352,10 +337,7 @@ def _build_state(p: dict):
     if model == "abc":
         return ABCState(theta=p["theta0"], abc=p["abc"]), None
     if model == "sg":
-        params = SGParams(
-            c=p["c"], a=p["a"], eps=p["eps"], parity=p["parity"],
-            n_modes=p["n_modes"], forcing=_build_forcing(p),
-        )
+        params = SGParams(**_model_fields(SGParams, p), forcing=_build_forcing(p))
         u = np.zeros(p["n_modes"] + 1)
         v = np.zeros(p["n_modes"] + 1)
         u[0], v[0] = p["u0"], p["v0"]
@@ -364,13 +346,11 @@ def _build_state(p: dict):
                 raise ValidationError(f"kick mode {k} outside [0, {p['n_modes']}]")
             u[k] += amp
         return sg_state(params, u, v), None
-    kw = dict(variant=model, eps=p["eps"], gamma=p["gamma"], n_modes=p["n_modes"])
+    kw = _model_fields(GLParams, p)
     if model == "dernls":
-        kw.update(mu=p["mu"], K=p["kcut"])
-    else:
-        kw.update(omega=p["omega"], alpha=p["alpha"], beta=p["beta"])
-    params = GLParams(**kw)
-    if str(p["q0"]).strip() == "limit-cycle":
+        kw["K"] = p["kcut"]
+    params = GLParams(variant=model, **kw)
+    if p["q0"].strip() == "limit-cycle":
         if model != "dernls":
             raise ValidationError("the limit-cycle initial state is specific to dernls")
         return gl_limit_cycle_state(params), _cycle_error
@@ -385,6 +365,8 @@ def _record(model: str, t: float, state) -> str:
 def _run_simulate(p, cfg):
     model = p["model"]
     st, cycle_error = _build_state(p)
+    if p["dt"] <= 0:
+        raise ValidationError(f"dt must be positive, got {p['dt']}")
     steps = int(round(p["t_end"] / p["dt"]))
     if steps < 1:
         raise ValidationError("t_end must cover at least one step")
@@ -440,17 +422,17 @@ def _run_lyapunov(p, cfg):
 
 _SIM_STATE_SCHEMA = {
     "model": enum_of("sg", "dernls", "pnls", "abc"),
-    "dt": float,
+    "dt": _real,
     # wave model
-    "c": float, "a": float, "parity": enum_of("even", "odd"),
-    "u0": float, "v0": float, "kick": _kick,
+    "c": _real, "a": _real, "parity": enum_of("even", "odd"),
+    "u0": _real, "v0": _real, "kick": _kick,
     "forcing_mode": enum_of("cos_t", "quasiperiodic"),
-    "forcing_alpha0": float, "forcing_betas": _floats(4), "forcing_omegas": _floats(4),
-    "forcing_phases": _floats(4), "forcing_mu": float, "forcing_eps": float,
+    "forcing_alpha0": _real, "forcing_betas": _floats(4), "forcing_omegas": _floats(4),
+    "forcing_phases": _floats(4), "forcing_mu": _real, "forcing_eps": _real,
     "forcing_abc": _floats(3), "forcing_abc_state": _floats(3),
     # envelope models
-    "eps": float, "mu": float, "kcut": int, "gamma": float,
-    "omega": float, "alpha": float, "beta": float, "n_modes": int, "q0": str,
+    "eps": _real, "mu": _real, "kcut": int, "gamma": _real,
+    "omega": _real, "alpha": _real, "beta": _real, "n_modes": int, "q0": str,
     # angle model
     "abc": _floats(3), "theta0": _floats(3),
 }
@@ -481,7 +463,7 @@ def _register(name, help, schema, defaults, formats, run):
 _register(
     "spectrum",
     "eigenvalues of one invariant-class suboperator",
-    {"k1": int, "k2": int, "alpha": float, "gamma": float, "nu": float, "trunc": int},
+    {"k1": int, "k2": int, "alpha": _real, "gamma": _real, "nu": _real, "trunc": int},
     {"alpha": 0.7, "gamma": 0.5, "trunc": 64},
     ("csv", "jsonl"),
     _run_spectrum,
@@ -490,7 +472,7 @@ _register(
 _register(
     "nustar",
     "critical viscosity where the first unstable class restabilizes",
-    {"alpha": float, "gamma": float, "trunc": int, "tol": float},
+    {"alpha": _real, "gamma": _real, "trunc": int, "tol": _real},
     {"alpha": 0.7, "gamma": 0.5, "trunc": 100, "tol": 1e-6},
     ("jsonl",),
     _run_nustar,
@@ -500,8 +482,8 @@ _register(
     "zvtrack",
     "eigenvalue trajectories along a descending viscosity schedule",
     {
-        "k1": int, "k2": int, "alpha": float, "gamma": float, "trunc": int,
-        "nu_max": float, "nu_min": float, "n_nus": int, "tol": float,
+        "k1": int, "k2": int, "alpha": _real, "gamma": _real, "trunc": int,
+        "nu_max": _real, "nu_min": _real, "n_nus": int, "tol": _real,
     },
     {
         "k1": 1, "k2": 0, "alpha": 0.7, "gamma": 0.5, "trunc": 64,
@@ -515,9 +497,9 @@ _register(
     "laxcheck",
     "transported-eigenfield residual of the vorticity pair",
     {
-        "dim": enum_of("2", "3"), "grid": int, "dt": float, "t_end": float,
-        "kmax": int, "amp_omega": float, "amp_phi": float, "amp_u": float,
-        "alpha": float, "mode": enum_of("curl", "free"), "control": _bool,
+        "dim": enum_of("2", "3"), "grid": int, "dt": _real, "t_end": _real,
+        "kmax": int, "amp_omega": _real, "amp_phi": _real, "amp_u": _real,
+        "alpha": _real, "mode": enum_of("curl", "free"), "control": _bool,
     },
     {
         "dim": "2", "grid": 0, "dt": 1e-3, "t_end": 1.0, "kmax": 4,
@@ -531,7 +513,7 @@ _register(
 _register(
     "darboux",
     "gauge transform of a shear eigenfunction pair",
-    {"omega": str, "p": str, "f": str, "bigf": str, "eta": float, "nx": int, "ny": int},
+    {"omega": str, "p": str, "f": str, "bigf": str, "eta": _real, "nx": int, "ny": int},
     {"omega": None, "p": None, "f": None, "bigf": None, "eta": 1e-3, "nx": 128, "ny": 8},
     ("jsonl",),
     _run_darboux,
@@ -540,7 +522,7 @@ _register(
 _register(
     "simulate",
     "time integration of the wave / envelope / angle models",
-    {**_SIM_STATE_SCHEMA, "t_end": float, "sample_every": int},
+    {**_SIM_STATE_SCHEMA, "t_end": _real, "sample_every": int},
     {**_SIM_STATE_DEFAULTS, "t_end": 10.0, "sample_every": 10},
     ("jsonl",),
     _run_simulate,
@@ -549,7 +531,7 @@ _register(
 _register(
     "poincare",
     "strobe or section samples of a trajectory",
-    {**_SIM_STATE_SCHEMA, "iterates": int, "period": float},
+    {**_SIM_STATE_SCHEMA, "iterates": int, "period": _real},
     {**_SIM_STATE_DEFAULTS, "iterates": 20, "period": None},
     ("csv", "jsonl"),
     _run_poincare,
@@ -558,7 +540,7 @@ _register(
 _register(
     "lyapunov",
     "largest Lyapunov exponent by two-orbit renormalization",
-    {**_SIM_STATE_SCHEMA, "t_end": float, "renorm_dt": float, "d0": float},
+    {**_SIM_STATE_SCHEMA, "t_end": _real, "renorm_dt": _real, "d0": _real},
     {**_SIM_STATE_DEFAULTS, "t_end": 1000.0, "renorm_dt": 0.5, "d0": 1e-8},
     ("csv", "jsonl"),
     _run_lyapunov,

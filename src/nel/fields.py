@@ -206,10 +206,6 @@ def project_mean(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
-
-
 def laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * (-f.grid.k_squared))
 
@@ -223,14 +219,6 @@ def invert_laplacian(f: SpectralField) -> SpectralField:
     c = f.coeffs / (-k2)
     c[zero] = 0.0
     return SpectralField(f.grid, c)
-
-
-def dx(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.k[0]))
-
-
-def dy(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.k[1]))
 
 
 def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -> SpectralField:

@@ -218,7 +218,7 @@ def _sg_to_phys(plan, coeffs: np.ndarray, deriv: bool = False):
     return u, np.fft.irfft(spec * (1j * np.arange(n // 2 + 1)), n)
 
 
-@functools.lru_cache(maxsize=8)  # the section bisection steps at many dt values
+@functools.lru_cache(maxsize=8)  # the wave model is strobed, never bisected: few dt values per run
 def _sg_factors(params: SGParams, dt: float):
     """E(dt/2) and E(dt), read-only: per-mode matrix exponentials of
     (u, v)' = (v, -c^2 k^2 u), each as (P00, P01, P10) with P11 = P00.  Mode 0

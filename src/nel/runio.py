@@ -20,6 +20,7 @@ requested name.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import re
@@ -115,11 +116,6 @@ class RunConfig:
 
     def __post_init__(self):
         uint64(self.seed)
-        if self.fmt not in ("csv", "jsonl"):
-            raise ValidationError(f"format must be csv or jsonl, got {self.fmt!r}")
-
-
-_BUILD_ID: str | None = None
 
 
 def build_from_status(text: str) -> str | None:
@@ -133,28 +129,26 @@ def build_from_status(text: str) -> str | None:
     return oid[:7] + ("-dirty" if any(not ln.startswith("#") for ln in lines) else "")
 
 
+@functools.cache
 def build_id() -> str:
-    global _BUILD_ID
-    if _BUILD_ID is None:
-        try:
-            status = subprocess.run(
-                # --no-optional-locks: never write the index, which a concurrent git command may hold
-                ["git", "--no-optional-locks", "status", "--porcelain=v2", "--branch", "--untracked-files=no"],
-                cwd=os.path.dirname(os.path.abspath(__file__)),
-                capture_output=True,
-                text=True,
-                errors="replace",  # paths may be any bytes; only the header lines are read
-                check=True,
-                timeout=5,
-            ).stdout
-        except (OSError, subprocess.SubprocessError):
-            status = ""
-        _BUILD_ID = build_from_status(status) or f"pkg-{__version__}"
-    return _BUILD_ID
+    try:
+        status = subprocess.run(
+            # --no-optional-locks: never write the index, which a concurrent git command may hold
+            ["git", "--no-optional-locks", "status", "--porcelain=v2", "--branch", "--untracked-files=no"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            errors="replace",  # paths may be any bytes; only the header lines are read
+            check=True,
+            timeout=5,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        status = ""
+    return build_from_status(status) or f"pkg-{__version__}"
 
 
-def output_record(cfg: RunConfig, duration_s: float, summary: dict | None = None) -> dict:
-    rec = {
+def output_record(cfg: RunConfig, duration_s: float, summary: dict) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
         "params": cfg.params,
@@ -162,10 +156,8 @@ def output_record(cfg: RunConfig, duration_s: float, summary: dict | None = None
         "format": cfg.fmt,
         "build": build_id(),
         "duration_s": round(duration_s, 6),
+        "summary": summary,
     }
-    if summary is not None:
-        rec["summary"] = summary
-    return rec
 
 
 def _json_line(obj) -> str:
@@ -180,7 +172,7 @@ def _json_line(obj) -> str:
         raise ComputationalError(f"non-finite value in the output: {exc}") from None
 
 
-def write_result(cfg: RunConfig, payload_lines: list[str], duration_s: float, summary: dict | None = None) -> None:
+def write_result(cfg: RunConfig, payload_lines: list[str], duration_s: float, summary: dict) -> None:
     """Emit header + payload atomically to cfg.out, or to stdout when unset."""
     header = _json_line(output_record(cfg, duration_s, summary))
     if cfg.fmt == "csv":

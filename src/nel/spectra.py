@@ -27,10 +27,10 @@ solve's (m the matrix size, u the unit roundoff, kappa_i = ||x|| ||y|| /
 and 40, and it held with a margin of 1.8 at N = 150).
 
 The three bands of A are the primary object (class_bands); the dense matrix
-is built from them only for an eigensolve.  A scaled three-term recurrence on
-the bands (the continued fraction of Meshalkin & Sinai, run as the pivots of
-the continuant) gives the sign of det(A - lambda I) and its log-derivative in
-O(N).  nu* is the viscosity where det(A+) changes sign at lambda = 0, A+ the
+is built from them only for an eigensolve.  One pass of a scaled three-term
+recurrence on the bands (continuant: the continued fraction of Meshalkin &
+Sinai) gives the sign of det(A - lambda I) and its log-derivative in O(N).
+nu* is the viscosity where det(A+) changes sign at lambda = 0, A+ the
 P = +1 block of class (1,0): critical_viscosity bisects on that sign down to
 adjacent doubles at N and at 2N, reports |nu*(2N) - nu*(N)| as the refine
 delta, and confirms with two dense 2N solves at nu* -/+ tol/2 that the
@@ -46,7 +46,8 @@ viscosity schedule with globally optimal matching and extrapolating each
 trajectory to nu = 0.  Limits are labeled against the inviscid reference
 spectrum: survival of an isolated point eigenvalue, condensation onto the
 imaginary-axis cluster, or neither (the diagonal classes, whose spectra sweep
-the negative real axis at every positive viscosity).
+the negative real axis at every positive viscosity).  A limit condenses only
+onto a nondegenerate cluster, and a class condenses when any trajectory does.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class SubOperator:
     def matrix(self) -> np.ndarray:
         return self.bands.dense()
 
-    def index_of(self, n: int) -> int:
-        return self.offsets.index(n)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -136,7 +134,6 @@ class Spectrum:
 class EulerSpectrum:
     """Inviscid reference: isolated point eigenvalues plus the imaginary cluster."""
 
-    spectrum: Spectrum
     points: np.ndarray
     cluster: np.ndarray
     cluster_extent: float
@@ -168,7 +165,6 @@ class Classification:
     trajectories: list[EigTrajectory]
     class_label: str
     addition_set: list[complex]
-    cluster_extent: float
 
 
 def _validate_params(alpha: float, nu: float, trunc: int):
@@ -243,48 +239,31 @@ def class_spectrum(
 # the characteristic recurrence of a tridiagonal block
 
 
-def _pivot_products(t: Tridiagonal) -> tuple[list, float]:
-    """The products l_k u_k (padded with a zero) and dstebz's pivmin."""
-    prods = t.lower * t.upper
-    pivmin = _TINY * max(1.0, float(np.max(np.abs(prods), initial=0.0)))
-    return prods.tolist() + [0.0], pivmin
-
-
-def det_sign(t: Tridiagonal, lam: float) -> int:
-    """Sign of det(T - lam I) for real lam, in O(m) without forming T.
+def continuant(t: Tridiagonal, lam) -> tuple[int, complex]:
+    """Sign of det(T - lam I) (for real lam) and d/dlam log det(T - lam I),
+    in one O(m) pass without forming T.
 
     The continuant f_k = (d_k - lam) f_{k-1} - l_{k-1} u_{k-1} f_{k-2} is run
     on the pivots r_k = f_k / f_{k-1}, so det = prod r_k neither overflows nor
-    underflows.  A pivot below pivmin is replaced by -pivmin, as LAPACK's
-    dstebz does: an exact zero pivot (lam a diagonal entry of a decoupled
-    row) then gives a huge finite pivot rather than 0/0.
+    underflows; the log-derivative is sum r_k' / r_k, with r_k' = q_{k-1}
+    r_{k-1}' / r_{k-1} - 1 and q_{k-1} = l_{k-1} u_{k-1} / r_{k-1}.  A pivot
+    below pivmin in modulus is replaced by -pivmin, as LAPACK's dstebz does:
+    an exact zero pivot (lam a diagonal entry of a decoupled row) then gives
+    a huge finite pivot rather than 0/0.
     """
-    prods, pivmin = _pivot_products(t)
-    negative, q = False, 0.0
-    for d, p in zip(t.diag.tolist(), prods):
-        r = d - lam - q
-        if -pivmin < r < pivmin:
-            r = -pivmin
-        if r < 0:
-            negative = not negative
-        q = p / r
-    return -1 if negative else 1
-
-
-def log_derivative(t: Tridiagonal, lam) -> complex:
-    """d/dlam log det(T - lam I) = sum r_k' / r_k over the pivots of det_sign,
-    with r_k' = q_{k-1} r_{k-1}' / r_{k-1} - 1 and q_{k-1} = l_{k-1} u_{k-1} / r_{k-1}."""
-    prods, pivmin = _pivot_products(t)
-    q, s, total = 0.0, 0.0, 0.0
-    for d, p in zip(t.diag.tolist(), prods):
+    prods = t.lower * t.upper
+    pivmin = _TINY * max(1.0, float(np.max(np.abs(prods), initial=0.0)))
+    negative, q, s, dlog = False, 0.0, 0.0, 0.0
+    for d, p in zip(t.diag.tolist(), prods.tolist() + [0.0]):
         r = d - lam - q
         dr = q * s - 1.0
         if abs(r) < pivmin:
             r = -pivmin
+        negative ^= r.real < 0
         s = dr / r
-        total += s
+        dlog += s
         q = p / r
-    return total
+    return -1 if negative else 1, dlog
 
 
 def newton_root(t: Tridiagonal, lam):
@@ -292,7 +271,7 @@ def newton_root(t: Tridiagonal, lam):
     to a few units of roundoff, or None if none did within eight steps."""
     mu = lam
     for _ in range(8):
-        dlog = log_derivative(t, mu)
+        _, dlog = continuant(t, mu)
         if dlog == 0 or not cmath.isfinite(dlog):
             return None
         step = 1.0 / dlog
@@ -327,12 +306,7 @@ def jacobian_oracle_check(
     nx = 1 << max(4, math.ceil(math.log2(3 * (abs(cls.k1) + 2))))
     grid = TorusGrid2D(alpha=alpha, nx=nx, ny=ny)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    base = SpectralField.from_physical(grid, gamma * np.cos(Y))
-    forcing = base  # makes the shear a fixed point at every nu
-
-    def rhs(f):
-        return ns_rhs_2d(f, nu, forcing)
-
+    base = SpectralField.from_physical(grid, gamma * np.cos(Y))  # also the forcing: a fixed point at every nu
     worst = 0.0
     for j, n in enumerate(op.offsets):
         kx = cls.k1
@@ -343,8 +317,8 @@ def jacobian_oracle_check(
         parts = []
         for pert in (np.cos(phase), np.sin(phase)):
             m = SpectralField.from_physical(grid, pert)
-            plus = rhs(SpectralField(grid, base.coeffs + delta * m.coeffs))
-            minus = rhs(SpectralField(grid, base.coeffs - delta * m.coeffs))
+            plus = ns_rhs_2d(SpectralField(grid, base.coeffs + delta * m.coeffs), nu, base)
+            minus = ns_rhs_2d(SpectralField(grid, base.coeffs - delta * m.coeffs), nu, base)
             parts.append(full_spectrum(plus - minus) / (2 * delta))
         fd = parts[0] + 1j * parts[1]
         for i, nn in enumerate(op.offsets):
@@ -455,7 +429,8 @@ def truncated_nustar(alpha: float, gamma: float, trunc: int) -> tuple[float, int
     left_sign = (-1) ** len(even.diag)
 
     def stable(nu):
-        return det_sign(replace(even, diag=nu * even.diag), 0.0) == left_sign
+        sign, _ = continuant(replace(even, diag=nu * even.diag), 0.0)
+        return sign == left_sign
 
     lo_est, hi_est = critical_viscosity_bounds(alpha, gamma)
     lo, hi = 0.5 * lo_est, 1.5 * hi_est
@@ -543,7 +518,7 @@ def euler_spectrum(
             if nearest > 10 * spacing:
                 points.append(v)
     extent = float(np.max(np.abs(cluster.imag))) if len(cluster) else 0.0
-    return EulerSpectrum(spec, np.array(points), cluster, extent)
+    return EulerSpectrum(np.array(points), cluster, extent)
 
 
 def linear_sum_assignment(cost):
@@ -570,11 +545,6 @@ def _extrapolate_to_zero(nus: np.ndarray, vals: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class ZeroViscosityTrack:
-    cls: ModeClass
-    alpha: float
-    gamma: float
-    trunc: int
-    nus: np.ndarray
     trajectories: list[EigTrajectory]
 
 
@@ -618,7 +588,7 @@ def track_zero_viscosity(
         EigTrajectory(nus=nus, values=vals, limit=_extrapolate_to_zero(nus, vals), ambiguous=bool(amb))
         for vals, amb in zip(paths.T, ambiguous)
     ]
-    return ZeroViscosityTrack(cls, alpha, gamma, trunc, nus, trajectories)
+    return ZeroViscosityTrack(trajectories)
 
 
 def classify_limits(
@@ -627,14 +597,14 @@ def classify_limits(
     """Label each trajectory by where its extrapolated limit lands.
 
     Per trajectory: Persistence if the limit sits within tol of an isolated
-    inviscid point eigenvalue, Condensation if within tol of the imaginary
-    cluster, Singularity otherwise, Unresolved if the matching was ambiguous.
+    inviscid point eigenvalue, Condensation if within tol of a nondegenerate
+    imaginary cluster (extent > tol), Singularity otherwise, Unresolved if the
+    matching was ambiguous.  The diagonal classes collapse to the single point
+    0 while their spectra sweep the negative real axis at every positive
+    viscosity, which is exactly the Singularity phenomenon.
 
-    The class label requires structure: Persistence wins if present; otherwise
-    Condensation requires a nondegenerate cluster (extent > tol) -- the
-    diagonal classes collapse to the single point 0 while their spectra sweep
-    the negative real axis at every positive viscosity, which is exactly the
-    Singularity phenomenon.
+    The class label is the first of Persistence and Condensation that any
+    trajectory has, else Unresolved if all are, else Singularity.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -652,7 +622,7 @@ def classify_limits(
             d_seg = math.hypot(lim.real, max(0.0, abs(lim.imag) - ext))
             if d_pt <= tol:
                 lab = "Persistence"
-            elif d_seg <= tol:
+            elif d_seg <= tol and ext > tol:
                 lab = "Condensation"
             else:
                 lab = "Singularity"
@@ -660,7 +630,7 @@ def classify_limits(
         labeled.append(replace(tr, label=lab))
     if counts["Persistence"]:
         class_label = "Persistence"
-    elif counts["Condensation"] and ext > tol:
+    elif counts["Condensation"]:
         class_label = "Condensation"
     elif counts["Unresolved"] == len(labeled):
         class_label = "Unresolved"
@@ -675,4 +645,4 @@ def classify_limits(
     if ext > tol and counts["Condensation"] == 0:
         # the whole segment went unattained; report its endpoints
         addition.extend([complex(0, -ext), complex(0, ext)])
-    return Classification(labeled, class_label, addition, ext)
+    return Classification(labeled, class_label, addition)

@@ -31,6 +31,12 @@ below n_modes/2) were added from the code before the wave and envelope
 transforms took per-params plans and forward-normalised envelope FFTs.
 ``laxcheck_3d_curl_kmax12`` was re-pinned when ``random_solenoidal_field``
 stopped drawing the Nyquist modes, which made its draws real fields.
+``simulate_sg_quasi_params``, ``lyapunov_dernls_mu_gamma``,
+``simulate_pnls_params`` and ``poincare_pnls_params``, which set every model
+key of the three dataclasses off its default, were added from the code
+before the CLI built those dataclasses from their fields; ``zvtrack_0_1``
+(spectra corpus) after one rule came to decide Condensation for a trajectory
+and for its class.
 ``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
 held full spectra.  Regenerate a corpus only on purpose, and say why in
 CHANGES.md.
@@ -60,8 +66,9 @@ CASES = {
     "nustar": ["nustar", "--trunc", "20", "--tol", "1e-6"],
     "zvtrack_1_0": ["zvtrack", "--k1", "1", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
     "zvtrack_2_0": ["zvtrack", "--k1", "2", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
+    "zvtrack_0_1": ["zvtrack", "--k1", "0", "--k2", "1", "--trunc", "20", "--n-nus", "8"],
 }
-HASHED = ("spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1")
+HASHED = ("spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1", "zvtrack_0_1")
 
 # a small kicked wave under the quasiperiodic drive, whose ABC clock runs inside force_eval
 SG_QUASI = (
@@ -113,6 +120,27 @@ COMMAND_CASES = {
     # odd n_modes, and a derivative cutoff below n_modes/2; the shadow orbit is not uniform
     "lyapunov_dernls_n13_kcut5": [
         "lyapunov", "--model", "dernls", "--eps", "0.05", "--n-modes", "13", "--kcut", "5", "--t-end", "3",
+    ],
+    # every model key the CLI maps onto SGParams, GLParams or ForcingSpec set off its default
+    "simulate_sg_quasi_params": [
+        "simulate", "--model", "sg", "--c", "0.8", "--a", "1.5", "--eps", "0.1", "--n-modes", "16", "--v0", "0.2",
+        "--kick", "1:0.1", "--forcing-mode", "quasiperiodic", "--forcing-alpha0", "0.05",
+        "--forcing-betas", "0.3,0.2,0.1,0.1", "--forcing-omegas", "1,1.5,2,2.5", "--forcing-phases", "0.1,0.2,0.3,0.4",
+        "--forcing-mu", "1.5", "--forcing-eps", "0.2", "--forcing-abc", "1,0.5,0.8", "--forcing-abc-state", "4,1,5.5",
+        "--t-end", "2",
+    ],
+    # mu acts through |q_x|^2, so the shadow starts far enough off the uniform cycle to feel it
+    "lyapunov_dernls_mu_gamma": [
+        "lyapunov", "--model", "dernls", "--eps", "0.05", "--mu", "4", "--gamma", "0.3", "--d0", "1e-3", "--t-end", "3",
+    ],
+    "simulate_pnls_params": [
+        "simulate", "--model", "pnls", "--eps", "0.1", "--omega", "0.7", "--alpha", "0.8", "--beta", "1.2",
+        "--q0", "0.5+0.1j", "--t-end", "1",
+    ],
+    # gamma only places the section
+    "poincare_pnls_params": [
+        "poincare", "--model", "pnls", "--eps", "0.1", "--omega", "0.7", "--alpha", "0.8", "--beta", "1.2",
+        "--gamma", "0.5", "--q0", "0.5+0.1j", "--iterates", "1",
     ],
 }
 # darboux from save_field snapshots of darboux_shear_example(nx, ny)

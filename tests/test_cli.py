@@ -99,6 +99,36 @@ class TestValidationFailures:
         assert "nu" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("simulate", "--model", "abc", "--dt", "0"), "dt"),
+            (("simulate", "--model", "abc", "--t-end", "nan"), "t_end"),
+            (("lyapunov", "--model", "abc", "--t-end", "nan"), "t_end"),
+            (("laxcheck", "--t-end", "nan"), "t_end"),
+            (("simulate", "--model", "abc", "--t-end", "inf"), "t_end"),
+            (("poincare", "--model", "sg", "--period", "nan"), "period"),
+            (("lyapunov", "--model", "abc", "--renorm-dt", "nan"), "renorm_dt"),
+            (("spectrum", "--k1", "1", "--k2", "0", "--nu", "nan"), "nu"),
+            (("nustar", "--tol", "nan"), "tol"),
+            (("lyapunov", "--model", "abc", "--theta0", "1,-inf,2"), "theta0"),
+            (("simulate", "--model", "sg", "--kick", "1:nan"), "kick"),
+            (("simulate", "--model", "pnls", "--q0", "nan+0j"), "q0"),
+            (("simulate", "--model", "pnls", "--q0", "0.5+infj"), "q0"),
+        ],
+    )
+    def test_invalid_real_exits_2_naming_the_key(self, argv, key, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(f"nel: error: {key}")
+        assert not list(tmp_path.iterdir())
+
+    def test_invalid_real_in_config_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = abc\n\nt_end = nan\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("nel: error: line 3: t_end: expected a finite real")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_jsonl_only_command_rejects_csv(self, capsys):
         assert run_cli("nustar", "--format", "csv") == 2
 
@@ -464,6 +494,48 @@ class TestLyapunovCommand:
         header, payload = read_out(out)
         assert np.isfinite(header["summary"]["lambda"])
         assert len(payload) == 1 + 4
+
+
+class TestParamsEcho:
+    """The resolved parameters a run echoes, exactly: tuples as lists, and a
+    model command's None values and keys of other models left out."""
+
+    def test_wave_model_header(self, tmp_path):
+        out = tmp_path / "sim.jsonl"
+        code = run_cli(
+            "simulate", "--model", "sg", "--n-modes", "8", "--kick", "1:0.1,3:-0.05",
+            "--forcing-mode", "quasiperiodic", "--forcing-betas", "0.3,0.2,0.1,0.1",
+            "--t-end", "0.02", "--sample-every", "1", "--out", str(out),
+        )
+        assert code == 0
+        header, _ = read_out(out)
+        assert header["params"] == {
+            "a": 1.0, "c": 0.9, "dt": 0.01, "eps": 0.0, "kick": [[1, 0.1], [3, -0.05]],
+            "forcing_abc": [1.0, 1.0, 1.0], "forcing_abc_state": [0.0, 0.0, 0.0],
+            "forcing_alpha0": 0.0, "forcing_betas": [0.3, 0.2, 0.1, 0.1],
+            "forcing_mode": "quasiperiodic", "forcing_mu": 2.0,
+            "forcing_omegas": [1.0, 1.4142135623730951, 1.7320508075688772, 2.23606797749979],
+            "forcing_phases": [0.0, 0.0, 0.0, 0.0], "model": "sg", "n_modes": 8,
+            "parity": "even", "sample_every": 1, "t_end": 0.02, "u0": 0.0, "v0": 0.0,
+        }
+
+    def test_angle_model_header(self, tmp_path):
+        out = tmp_path / "lyap.csv"
+        assert run_cli("lyapunov", "--model", "abc", "--theta0", "0.5,2,3", "--t-end", "2", "--out", str(out)) == 0
+        header, _ = read_out(out)
+        assert header["params"] == {
+            "abc": [1.0, 1.0, 1.0], "d0": 1e-08, "dt": 0.01, "model": "abc",
+            "renorm_dt": 0.5, "t_end": 2.0, "theta0": [0.5, 2.0, 3.0],
+        }
+
+    def test_laxcheck_payload(self, tmp_path):
+        out = tmp_path / "lax.jsonl"
+        assert run_cli("laxcheck", "--grid", "16", "--t-end", "0.01", "--dt", "0.01", "--out", str(out)) == 0
+        _, payload = read_out(out)
+        assert json.loads(payload[0])["params"] == {
+            "alpha": 1.0, "amp_omega": 0.1, "amp_phi": 5.0, "amp_u": 0.2, "control": False,
+            "dim": "2", "dt": 0.01, "grid": 16, "kmax": 4, "mode": "curl", "t_end": 0.01,
+        }
 
 
 class TestBuildId:

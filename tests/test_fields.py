@@ -14,10 +14,8 @@ from nel.fields import (
     SpectralField,
     bracket,
     bracket_core,
-    dealias,
-    dx,
-    dy,
     full_spectrum,
+    gradient_values,
     invert_laplacian,
     laplacian,
     load_field,
@@ -90,7 +88,7 @@ class TestTransforms:
     def test_derivative_single_mode(self):
         g = grid(alpha=0.7)
         f = field_from_fn(g, lambda x, y: np.cos(0.7 * 2 * x + 3 * y))
-        fx = dx(f).physical().real
+        fx = gradient_values(f)[0]
         X, Y = np.meshgrid(g.x, g.y, indexing="ij")
         expect = -1.4 * np.sin(1.4 * X + 3 * Y)
         assert np.max(np.abs(fx - expect)) < 1e-12
@@ -235,10 +233,10 @@ class TestDealias:
     def test_mask_cut(self):
         g = grid(n=64, frac=2 / 3)
         f = random_trig(g, 30, seed=20)
-        out = dealias(f)
+        out = np.where(g.dealias_mask, f.coeffs, 0.0)
         mx = np.abs(g.k[0][:, 0])
         keep = mx <= 21
-        assert np.all(out.coeffs[~keep, :] == 0)
+        assert np.all(out[~keep, :] == 0)
 
     def test_product_exact_below_cut(self):
         # quadratic products of low fields are computed without aliasing error

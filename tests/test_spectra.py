@@ -23,12 +23,11 @@ from nel.spectra import (
     class_spectrum,
     classify_limits,
     compute_spectrum,
+    continuant,
     critical_viscosity,
     critical_viscosity_bounds,
-    det_sign,
     euler_spectrum,
     jacobian_oracle_check,
-    log_derivative,
     newton_root,
     refine_rightmost,
     sector_blocks,
@@ -53,15 +52,15 @@ class TestAssembly:
             return ALPHA**2 + n**2
 
         for n in range(-3, 4):
-            i = op.index_of(n)
+            i = op.offsets.index(n)
             assert op.matrix[i, i] == pytest.approx(-0.05 * ksq(n), abs=1e-15)
             if n < 3:
-                j = op.index_of(n + 1)
+                j = op.offsets.index(n + 1)
                 # row n, super-diagonal: -c * rho_{n+1}
                 rho = 1 - 1 / ksq(n + 1)
                 assert op.matrix[i, j] == pytest.approx(-c * rho, abs=1e-15)
             if n > -3:
-                j = op.index_of(n - 1)
+                j = op.offsets.index(n - 1)
                 rho = 1 - 1 / ksq(n - 1)
                 assert op.matrix[i, j] == pytest.approx(c * rho, abs=1e-15)
 
@@ -260,7 +259,7 @@ class TestCriticalViscosity:
         def sign(nu):
             _, bands = class_bands(ModeClass(1, 0), ALPHA, GAMMA, nu, 40)
             (_, even), _ = sector_blocks(ModeClass(1, 0), 40, bands)
-            return det_sign(even, 0.0)
+            return continuant(even, 0.0)[0]
 
         assert sign(nu) != sign(math.nextafter(nu, 0.0))  # stopped at adjacent doubles
         assert 40 < iterations < 64
@@ -283,10 +282,11 @@ class TestRecurrence:
         A = t.dense()
         for lam in rng.normal(size=4):
             sign, _ = np.linalg.slogdet(A - lam * np.eye(len(A)))
-            assert det_sign(t, float(lam)) == sign
+            assert continuant(t, float(lam))[0] == sign
         for lam in rng.normal(size=4) + 1j * rng.normal(size=4):
             want = -np.trace(np.linalg.inv(A - lam * np.eye(len(A))))
-            assert abs(log_derivative(t, complex(lam)) - want) < 1e-9 * max(1.0, abs(want))
+            _, dlog = continuant(t, complex(lam))
+            assert abs(dlog - want) < 1e-9 * max(1.0, abs(want))
 
     def test_bands_build_the_dense_matrix(self):
         for cls in (ModeClass(1, 0), ModeClass(0, 2), ModeClass(2, -1)):
@@ -308,7 +308,7 @@ class TestRecurrence:
     def test_zero_pivot_of_a_decoupled_row(self):
         _, bands = class_bands(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 8)
         lam = float(bands.diag[3])
-        assert math.isfinite(log_derivative(bands, lam))
+        assert math.isfinite(continuant(bands, lam)[1])
         assert newton_root(bands, lam) == lam
 
 
@@ -384,6 +384,14 @@ class TestTracking:
             es = euler_spectrum(cls, ALPHA, GAMMA, trunc=48)
             cl = classify_limits(track, es, tol=0.02)
             assert cl.class_label == want, cls
+
+    def test_one_condensation_rule(self):
+        # the (0,1) cluster is the single point 0, onto which neither its
+        # trajectories nor the class condense
+        cls = ModeClass(0, 1)
+        track = track_zero_viscosity(cls, ALPHA, GAMMA, self.schedule(), 48)
+        cl = classify_limits(track, euler_spectrum(cls, ALPHA, GAMMA, trunc=48), tol=0.02)
+        assert {t.label for t in cl.trajectories} == {cl.class_label} == {"Singularity"}
 
     def test_schedule_validation(self):
         with pytest.raises(ValidationError, match="decreasing"):

@@ -19,8 +19,6 @@ from nel.fields import (
     _inverse,
     bracket_core,
     complex_norm_inf,
-    dx,
-    dy,
     gradient_values,
     random_real_field,
 )
@@ -137,8 +135,8 @@ def test_gradient_values_and_shared_gradients():
     f = random_real_field(g, 5, np.random.default_rng(1))
     h = random_real_field(g, 5, np.random.default_rng(2))
     grad = gradient_values(f)
-    assert np.array_equal(grad[0], dx(f).physical())
-    assert np.array_equal(grad[1], dy(f).physical())
+    for j in range(2):
+        assert np.array_equal(grad[j], SpectralField(g, f.coeffs * (1j * g.k[j])).physical())
     shared = bracket_core(f, h, grad, gradient_values(h))
     assert shared.coeffs.tobytes() == bracket_core(f, h).coeffs.tobytes()
     # a stack of fields goes through the bracket row by row, to the byte
