@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import lyapunov_max, poincare_samples
-from .errors import ComputationalError, ValidationError
+from .errors import ComputationalError, ValidationError, step_count
 from .fields import load_field, random_real_field
 from .fields3d import random_scalar_field, random_solenoidal_field
 from .forcing import ABC_THETA0, ABCState, ForcingSpec
@@ -126,8 +126,15 @@ def _complex(text: str) -> complex:
     except ValueError:
         raise ValidationError(f"expected a complex literal like 0.3+0.1j, got {text!r}")
     if not cmath.isfinite(z):
-        raise ValidationError(f"q0: expected finite real and imaginary parts, got {text!r}")
+        raise ValidationError(f"expected finite real and imaginary parts, got {text!r}")
     return z
+
+
+def _q0(text: str) -> str:
+    """'limit-cycle' or a finite complex literal, kept as given for the echo."""
+    if text.strip() != "limit-cycle":
+        _complex(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +208,9 @@ def _run_zvtrack(p, cfg):
         raise ValidationError(f"n_nus must be >= 3, got {p['n_nus']}")
     cls = ModeClass(p["k1"], p["k2"])
     nus = np.geomspace(p["nu_max"], p["nu_min"], p["n_nus"])
-    track = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
+    trajectories = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
     euler = euler_spectrum(cls, p["alpha"], p["gamma"], p["trunc"])
-    cl = classify_limits(track, euler, p["tol"])
+    cl = classify_limits(trajectories, euler, p["tol"])
     refined = euler_spectrum(cls, p["alpha"], p["gamma"], 2 * p["trunc"])
 
     lines = [json_payload_line(traj.record(cls)) for traj in cl.trajectories]
@@ -224,6 +231,11 @@ def _run_zvtrack(p, cfg):
 
 
 def _run_laxcheck(p, cfg):
+    unused = {"mode", "amp_u"} if p["dim"] == "2" else {"alpha"} if p["mode"] == "free" else {"alpha", "amp_u"}
+    bad = sorted(unused & p["_provided"])
+    if bad:
+        where = "dim 2" if p["dim"] == "2" else f"dim 3, mode {p['mode']}"
+        raise ValidationError(f"parameters {bad} do not apply to laxcheck with {where}")
     rng = np.random.default_rng(cfg.seed)
     if p["dim"] == "2":
         n = p["grid"] if p["grid"] else 64
@@ -244,8 +256,7 @@ def _run_laxcheck(p, cfg):
             u2 = random_solenoidal_field(grid3, p["kmax"], rng, p["amp_u"])
             velocity = lambda t: u1 * np.cos(t) + u2 * np.sin(t)  # noqa: E731
         res = transported_eigenfield_check_3d(
-            om0, ph0, p["t_end"], p["dt"], enforce_curl=velocity is None, velocity=velocity,
-            negative_control=p["control"],
+            om0, ph0, p["t_end"], p["dt"], velocity=velocity, negative_control=p["control"]
         )
     rec = res.to_json_dict(_echo(p))
     return [json_payload_line(rec)], {"check": res.check, "residual_inf": res.residual_inf}, None
@@ -367,7 +378,7 @@ def _run_simulate(p, cfg):
     st, cycle_error = _build_state(p)
     if p["dt"] <= 0:
         raise ValidationError(f"dt must be positive, got {p['dt']}")
-    steps = int(round(p["t_end"] / p["dt"]))
+    steps = step_count(p["t_end"], p["dt"], "t_end")
     if steps < 1:
         raise ValidationError("t_end must cover at least one step")
     if p["sample_every"] < 1:
@@ -432,7 +443,7 @@ _SIM_STATE_SCHEMA = {
     "forcing_abc": _floats(3), "forcing_abc_state": _floats(3),
     # envelope models
     "eps": _real, "mu": _real, "kcut": int, "gamma": _real,
-    "omega": _real, "alpha": _real, "beta": _real, "n_modes": int, "q0": str,
+    "omega": _real, "alpha": _real, "beta": _real, "n_modes": int, "q0": _q0,
     # angle model
     "abc": _floats(3), "theta0": _floats(3),
 }

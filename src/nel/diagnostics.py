@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationalError, ValidationError
+from .errors import ComputationalError, ValidationError, step_count
 
 __all__ = ["LyapunovResult", "PoincareResult", "poincare_samples", "lyapunov_max"]
 
@@ -97,7 +97,7 @@ def _strobe_samples(state0, n_iterates: int, dt: float, period: float | None) ->
         period = 2.0 * math.pi
     if period <= 0:
         raise ValidationError(f"period must be positive, got {period}")
-    steps = max(1, round(period / dt))
+    steps = max(1, step_count(period, dt, "period"))
     h = period / steps
     samples = []
     st = state0
@@ -171,9 +171,9 @@ def lyapunov_max(
         raise ValidationError("t_end, dt, and d0 must all be positive")
     if renorm_dt < dt:
         raise ValidationError("renorm_dt must be at least dt")
-    steps = max(1, round(renorm_dt / dt))
+    steps = max(1, step_count(renorm_dt, dt, "renorm_dt"))
     h = renorm_dt / steps
-    n_windows = max(1, round(t_end / renorm_dt))
+    n_windows = max(1, step_count(t_end, renorm_dt, "t_end"))
     if state0.frozen:
         return LyapunovResult(0.0, tuple((w * renorm_dt, 0.0) for w in range(1, n_windows + 1)))
     x, y = state0, state0.shadow(d0, seed)

@@ -11,3 +11,10 @@ class ValidationError(ValueError):
 
 class ComputationalError(RuntimeError):
     """A numerical procedure failed to produce a trustworthy result."""
+
+
+def step_count(span: float, h: float, key: str) -> int:
+    """round(span / h) for positive span and h; ValidationError naming key if the count overflows a float."""
+    if span / h == float("inf"):
+        raise ValidationError(f"{key} = {span!r} is too many steps of {h!r}")
+    return round(span / h)

@@ -200,12 +200,6 @@ def require_mean_zero(f: SpectralField, name: str) -> None:
         raise ValidationError(f"{name} must be mean-zero, got |mean| {mean:.3e}")
 
 
-def project_mean(f: SpectralField) -> SpectralField:
-    c = f.coeffs.copy()
-    c[_zero_mode(f.grid)] = 0.0
-    return SpectralField(f.grid, c)
-
-
 def laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * (-f.grid.k_squared))
 
@@ -236,28 +230,6 @@ def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -
         prod, gx = fx * g_grad[1], fy * g_grad[0]
     prod -= gx
     return SpectralField(f.grid, _forward_dealiased(f.grid, prod))
-
-
-bracket = bracket_core  # fields are real by construction: no realness check is left to make
-
-
-def ns_rhs_2d(
-    omega: SpectralField, nu: float, forcing: SpectralField
-) -> SpectralField:
-    """Right side of the vorticity equation: -{Psi, Omega} + nu [Lap(Omega) + f].
-
-    The forcing f is a full-space field on the same grid.  Both omega and f
-    must be mean-zero so the mean mode stays exactly zero.
-    """
-    _check_same_grid(omega, forcing)
-    if nu < 0:
-        raise ValidationError(f"viscosity must be nonnegative, got {nu}")
-    require_mean_zero(omega, "omega")
-    require_mean_zero(forcing, "forcing")
-    psi = invert_laplacian(omega)
-    adv = bracket_core(psi, omega)
-    visc = (laplacian(omega) + forcing) * nu
-    return project_mean(visc - adv)
 
 
 def random_real_field(

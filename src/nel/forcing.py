@@ -29,11 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import diagnostics
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
-ABC_THETA0 = (4.0, 1.0, 5.5)  # the start of abc_lyapunov and of the CLI's abc model
+# the CLI's abc start, in the chaotic web of the 1:1:1 flow; off the invariant
+# diagonal t1 = t2 = t3, which falls into the saddle at 3*pi/4, where the
+# two-orbit estimate returns its eigenvalue sqrt(2)/2, not a streamline exponent
+ABC_THETA0 = (4.0, 1.0, 5.5)
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +111,6 @@ def _advance(theta, abc, delta, dt_sub):
         t2 += h6 * (k12 + 2 * k22 + 2 * k32 + k42)
         t3 += h6 * (k13 + 2 * k23 + 2 * k33 + k43)
     return (t1 % TWO_PI, t2 % TWO_PI, t3 % TWO_PI)
-
-
-def abc_lyapunov(
-    abc: tuple[float, float, float],
-    t_end: float,
-    renorm_dt: float = 0.5,
-    dt: float = 0.02,
-    d0: float = 1e-8,
-    theta0: tuple[float, float, float] = ABC_THETA0,
-) -> diagnostics.LyapunovResult:
-    """Largest Lyapunov exponent of the ABC flow: `diagnostics.lyapunov_max`
-    on an `ABCState`.  The frozen flow A=B=C=0 returns exactly 0.
-
-    The default start sits in the chaotic web of the 1:1:1 flow.  Beware the
-    diagonal t1=t2=t3: it is invariant and falls into the saddle at 3*pi/4,
-    where the two-orbit estimate returns the saddle eigenvalue sqrt(2)/2
-    instead of a streamline exponent.
-    """
-    return diagnostics.lyapunov_max(ABCState(tuple(theta0), tuple(abc)), t_end, dt=dt, renorm_dt=renorm_dt, d0=d0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ cached on first use.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,13 +75,6 @@ class _Torus:
             *(((slice(0, c + 1), slice(n - c, n)), slice(c + 1, n - c)) for n, c in full),
             ((slice(0, c + 1),), slice(c + 1, n // 2 + 1)),
         )
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        mask = np.zeros(self.spectral_shape, dtype=bool)
-        for block in itertools.product(*(kept for kept, _ in self.dealias_slices)):
-            mask[block] = True
-        return mask
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ the associated gauge transform.
 by A(phi) = {Psi, phi}: if Omega solves the Euler equation and both phi and
 q = {Omega, phi} are advected passively, then q(t) = {Omega(t), phi(t)} stays
 true (Jacobi identity).  3D: the same holds for L(phi) = (Omega . grad) phi
-and A(phi) = (u . grad) phi -- remarkably with no constraint tying u to Omega
-(neither div u = 0 nor Omega = curl u is needed for the compatibility).
+and A(phi) = (u . grad) phi, u the Biot-Savart velocity of Omega or a given
+u(t) -- remarkably with no constraint tying u to Omega (neither div u = 0 nor
+Omega = curl u is needed for the compatibility).
 Both checks march (Omega, phi, q) as one stacked ``SpectralField`` of real
 rows -- the rows of Omega, then phi, then q -- so each RK4 stage transports
 the whole stack with one bracket by Psi (2D) or one advection by u (3D).  A
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationalError, ValidationError
+from .errors import ComputationalError, ValidationError, step_count
 from .fields import (
     SpectralField,
     bracket_core,
@@ -58,10 +59,10 @@ class LaxCheckResult:
     dt: float
     masked_fraction: float | None = None
 
-    def to_json_dict(self, params: dict | None = None) -> dict:
+    def to_json_dict(self, params: dict) -> dict:
         return {
             "check": self.check,
-            "params": params or {},
+            "params": params,
             "residual_inf": self.residual_inf,
             "residual_l2": self.residual_l2,
             "masked_fraction": self.masked_fraction,
@@ -88,11 +89,13 @@ def _transport_check(check, omega0, phi0, t_end, dt, rhs, L) -> LaxCheckResult:
     phi is a real scalar or a complex one as (re, im) rows."""
     if dt <= 0 or t_end <= 0:
         raise ValidationError("t_end and dt must be positive")
+    steps = step_count(t_end, dt, "t_end")
+    if steps < 1:
+        raise ValidationError("t_end must cover at least one step")
     grid = omega0.grid
     q0 = L(omega0, phi0)
     n_om = len(_rows(omega0))
     y = SpectralField(grid, np.concatenate([_rows(omega0), _rows(phi0), _rows(q0)]))
-    steps = int(round(t_end / dt))
     t = 0.0
     for _ in range(steps):
         y = _rk4(y, t, dt, rhs)
@@ -144,40 +147,35 @@ def transported_eigenfield_check_3d(
     phi0: SpectralField,
     t_end: float,
     dt: float,
-    enforce_curl: bool = True,
     velocity=None,
     negative_control: bool = False,
 ) -> LaxCheckResult:
     """Co-evolve (Omega, phi, q) in 3D; q(0) = (Omega . grad) phi, with phi
     real or complex as (re, im) rows.
 
-    enforce_curl=True transports by the Biot-Savart velocity of Omega (the
-    self-consistent flow; omega0 must be divergence-free).  With
-    enforce_curl=False, velocity must be a callable t -> SpectralField and
-    Omega evolves by transport-stretching under that prescribed field: the
-    compatibility holds with no constraint tying u to Omega.  The negative
-    control flips the sign of the stretching term.
+    With velocity None, Omega is transported by its own Biot-Savart velocity
+    (the self-consistent flow; omega0 must be divergence-free).  Otherwise
+    velocity is a callable t -> SpectralField and Omega evolves by
+    transport-stretching under that prescribed field: the compatibility holds
+    with no constraint tying u to Omega.  The negative control flips the sign
+    of the stretching term.
     """
     require_mean_zero(omega0, "omega0")
-    if enforce_curl:
-        if velocity is not None:
-            raise ValidationError("velocity is only used when enforce_curl=False")
+    if velocity is None:
         div = divergence_3d(omega0).norm_inf()
         if div > 1e-10:
             raise ValidationError(f"omega0 must be divergence-free, got {div:.3e}")
-    elif velocity is None:
-        raise ValidationError("enforce_curl=False requires a velocity callable")
 
     stretch = -1.0 if negative_control else 1.0
 
     def rhs(y, t):  # one advection by u of the whole stack, one of u by Omega
         om = SpectralField(y.grid, y.coeffs[:3])
-        u = biot_savart_3d(om) if enforce_curl else velocity(t)
+        u = biot_savart_3d(om) if velocity is None else velocity(t)
         adv = advect_3d(u, y).coeffs
         dom = stretch * advect_3d(om, u).coeffs - adv[:3]
         return SpectralField(y.grid, np.concatenate([dom, -1.0 * adv[3:]]))
 
-    tag = "-curl" if enforce_curl else "-free"
+    tag = "-curl" if velocity is None else "-free"
     if negative_control:
         tag += "-control"
     return _transport_check("transport-compatibility-3d" + tag, omega0, phi0, t_end, dt, rhs, advect_3d)

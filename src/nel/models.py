@@ -59,7 +59,6 @@ __all__ = [
     "sg_uniform_state",
     "sg_state",
     "sg_step",
-    "sg_energy",
     "gl_uniform_state",
     "gl_limit_cycle",
     "gl_limit_cycle_state",
@@ -208,14 +207,11 @@ def _sg_plan(params: SGParams):
     return (n, lo, *_read_only(w_in[lo:], w_out[lo:]))
 
 
-def _sg_to_phys(plan, coeffs: np.ndarray, deriv: bool = False):
+def _sg_to_phys(plan, coeffs: np.ndarray):
     n, lo, w_in, _ = plan
     spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
     np.multiply(coeffs[..., lo:], w_in, out=(spec.imag if lo else spec.real)[..., lo : coeffs.shape[-1]])
-    u = np.fft.irfft(spec, n)
-    if not deriv:
-        return u
-    return u, np.fft.irfft(spec * (1j * np.arange(n // 2 + 1)), n)
+    return np.fft.irfft(spec, n)
 
 
 @functools.lru_cache(maxsize=8)  # the wave model is strobed, never bisected: few dt values per run
@@ -289,16 +285,6 @@ def sg_step(state: SGState, dt: float) -> SGState:
     if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
         raise ComputationalError(f"wave state blew up; last valid time t={state.t:.6g}, reduce dt")
     return SGState(params=p, u=u_new, v=v_new, t=t + dt, forcing=fs)
-
-
-def sg_energy(state: SGState) -> float:
-    """Grid quadrature of int [v^2/2 + c^2 u_x^2/2 + cos u] dx (conserved when eps = 0)."""
-    p = state.params
-    plan = _sg_plan(p)
-    u, ux = _sg_to_phys(plan, state.u, deriv=True)
-    v = _sg_to_phys(plan, state.v)
-    dens = 0.5 * v * v + 0.5 * p.c * p.c * ux * ux + np.cos(u)
-    return float(dens.mean() * 2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

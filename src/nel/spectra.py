@@ -11,8 +11,7 @@ acts tridiagonally,
 
 which is the image of -{Psi*, .} - {Lap^{-1} ., Omega*} + nu Lap on the class.
 Truncation keeps n in [-N, N]; the (0,0) wavevector (n = -k2 when k1 = 0) is
-excluded.  A finite-difference Jacobian of the nonlinear right side serves as
-an independent oracle for the assembled matrix.
+excluded.
 
 For k2 = 0 the window is symmetric and |k_n| = |k_{-n}|, so A commutes with
 the signed reflection (P w)_n = (-1)^n w_{-n}.  In the coordinates w_0..w_N
@@ -26,8 +25,8 @@ solve's (m the matrix size, u the unit roundoff, kappa_i = ||x|| ||y|| /
 |y^H x| from the right and left eigenvectors; the tests assert it at N = 16
 and 40, and it held with a margin of 1.8 at N = 150).
 
-The three bands of A are the primary object (class_bands); the dense matrix
-is built from them only for an eigensolve.  One pass of a scaled three-term
+assemble_suboperator gives A by its three bands; the dense matrix is built
+from them only for an eigensolve.  One pass of a scaled three-term
 recurrence on the bands (continuant: the continued fraction of Meshalkin &
 Sinai) gives the sign of det(A - lambda I) and its log-derivative in O(N).
 nu* is the viscosity where det(A+) changes sign at lambda = 0, A+ the
@@ -55,13 +54,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ComputationalError, ValidationError
-from .fields import SpectralField, full_spectrum, ns_rhs_2d
-from .grids import TorusGrid2D
 
 DEFAULT_GAMMA = 0.5  # shear amplitude used throughout the acceptance runs
 AXIS_TOL = 1e-6  # |Re| below this counts as "on the imaginary axis"
@@ -114,10 +110,6 @@ class SubOperator:
     offsets: tuple[int, ...]  # n values in row order
     bands: Tridiagonal = field(repr=False)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.bands.dense()
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -167,20 +159,17 @@ class Classification:
     addition_set: list[complex]
 
 
-def _validate_params(alpha: float, nu: float, trunc: int):
+def assemble_suboperator(
+    cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
+) -> SubOperator:
+    """The truncated operator on one mode class, by its row offsets and bands
+    (float64: every entry is real)."""
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     if nu < 0:
         raise ValidationError(f"nu must be nonnegative, got {nu}")
     if trunc < 1:
         raise ValidationError(f"trunc must be >= 1, got {trunc}")
-
-
-def class_bands(
-    cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
-) -> tuple[tuple[int, ...], Tridiagonal]:
-    """Row offsets and bands of the truncated operator on one mode class."""
-    _validate_params(alpha, nu, trunc)
     n = np.arange(-trunc, trunc + 1)
     if cls.k1 == 0:
         n = n[cls.k2 + n != 0]
@@ -190,16 +179,7 @@ def class_bands(
     chain = np.diff(n) == 1  # the excluded mean mode breaks the chain
     lower = np.where(chain, c * rho[:-1], 0.0)
     upper = np.where(chain, -c * rho[1:], 0.0)
-    return tuple(n.tolist()), Tridiagonal(-nu * ksq, lower, upper)
-
-
-def assemble_suboperator(
-    cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
-) -> SubOperator:
-    """The truncated operator on one mode class; its dense matrix (float64,
-    every entry is real) is built from the bands on first use."""
-    offsets, bands = class_bands(cls, alpha, gamma, nu, trunc)
-    return SubOperator(cls, alpha, gamma, nu, trunc, offsets, bands)
+    return SubOperator(cls, alpha, gamma, nu, trunc, tuple(n.tolist()), Tridiagonal(-nu * ksq, lower, upper))
 
 
 def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[int, Tridiagonal]]:
@@ -282,60 +262,7 @@ def newton_root(t: Tridiagonal, lam):
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: finite differences of the nonlinear right side
-
-
-def jacobian_oracle_check(
-    cls: ModeClass,
-    alpha: float,
-    gamma: float,
-    nu: float,
-    trunc: int,
-    delta: float = 1e-5,
-) -> float:
-    """Max entrywise deviation between the assembled matrix and a centered
-    finite-difference Jacobian of ns_rhs_2d at the shear fixed point.
-
-    The right side is quadratic, so central differences are exact up to
-    rounding; a mismatch indicates a wrong sign or coefficient in assembly.
-    """
-    op = assemble_suboperator(cls, alpha, gamma, nu, trunc)
-    # grid big enough that products of class modes with cos y are unaliased
-    need_y = 3 * (abs(cls.k2) + trunc + 2)
-    ny = 1 << max(4, math.ceil(math.log2(need_y)))
-    nx = 1 << max(4, math.ceil(math.log2(3 * (abs(cls.k1) + 2))))
-    grid = TorusGrid2D(alpha=alpha, nx=nx, ny=ny)
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    base = SpectralField.from_physical(grid, gamma * np.cos(Y))  # also the forcing: a fixed point at every nu
-    worst = 0.0
-    for j, n in enumerate(op.offsets):
-        kx = cls.k1
-        ky = cls.k2 + n
-        phase = alpha * kx * X + ky * Y
-        col = np.zeros(len(op.offsets), dtype=np.complex128)
-        # complex column via two real perturbations: cos and sin of the mode
-        parts = []
-        for pert in (np.cos(phase), np.sin(phase)):
-            m = SpectralField.from_physical(grid, pert)
-            plus = ns_rhs_2d(SpectralField(grid, base.coeffs + delta * m.coeffs), nu, base)
-            minus = ns_rhs_2d(SpectralField(grid, base.coeffs - delta * m.coeffs), nu, base)
-            parts.append(full_spectrum(plus - minus) / (2 * delta))
-        fd = parts[0] + 1j * parts[1]
-        for i, nn in enumerate(op.offsets):
-            col[i] = fd[kx % nx, (cls.k2 + nn) % ny]
-        worst = max(worst, float(np.max(np.abs(col - op.matrix[:, j]))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # closed forms from low truncations (first two continued-fraction stages)
-
-
-def three_mode_lambda0(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
-    """Unstable inviscid growth rate of the N=1 truncation of class (1,0)."""
-    if not (0 < alpha < 1):
-        raise ValidationError("the unstable class requires 0 < alpha < 1")
-    return math.sqrt(gamma**2 * alpha**2 * (1 - alpha**2) / (2 * (alpha**2 + 1)))
 
 
 def three_mode_nustar(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
@@ -380,7 +307,7 @@ def refine_rightmost(spec: Spectrum) -> tuple[complex, float]:
     """
     lam = spec.values[0]
     n2 = 2 * spec.trunc
-    _, bands = class_bands(spec.cls, spec.alpha, spec.gamma, spec.nu, n2)
+    bands = assemble_suboperator(spec.cls, spec.alpha, spec.gamma, spec.nu, n2).bands
     block = dict(sector_blocks(spec.cls, n2, bands))[spec.sectors[0]]
     start = complex(lam) if lam.imag else float(lam.real)
     mu = newton_root(block, start)
@@ -424,7 +351,7 @@ def truncated_nustar(alpha: float, gamma: float, trunc: int) -> tuple[float, int
     unstable eigenvalue flips it.  Returns the smallest double found stable.
     """
     cls = ModeClass(1, 0)
-    _, bands = class_bands(cls, alpha, gamma, 1.0, trunc)  # the diagonal -nu |k|^2 scales with nu
+    bands = assemble_suboperator(cls, alpha, gamma, 1.0, trunc).bands  # the diagonal -nu |k|^2 scales with nu
     (_, even), _ = sector_blocks(cls, trunc, bands)
     left_sign = (-1) ** len(even.diag)
 
@@ -472,7 +399,6 @@ def critical_viscosity(
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    _validate_params(alpha, 0.0, trunc)
     ns_n, iters = truncated_nustar(alpha, gamma, trunc)
     ns_2n, _ = truncated_nustar(alpha, gamma, 2 * trunc)
     for nu, below in ((max(0.0, ns_2n - tol / 2), True), (ns_2n + tol / 2, False)):
@@ -543,18 +469,13 @@ def _extrapolate_to_zero(nus: np.ndarray, vals: np.ndarray) -> complex:
     return complex(out)
 
 
-@dataclass(frozen=True)
-class ZeroViscosityTrack:
-    trajectories: list[EigTrajectory]
-
-
 def track_zero_viscosity(
     cls: ModeClass,
     alpha: float,
     gamma: float,
     nu_schedule,
     trunc: int,
-) -> ZeroViscosityTrack:
+) -> list[EigTrajectory]:
     """Follow every eigenvalue along a descending viscosity schedule.
 
     Consecutive spectra are matched by the assignment minimizing total squared
@@ -584,15 +505,14 @@ def track_zero_viscosity(
         ambiguous[rows] |= np.any(near & differs, axis=1)
         paths[s, rows] = target[cols]
 
-    trajectories = [
+    return [
         EigTrajectory(nus=nus, values=vals, limit=_extrapolate_to_zero(nus, vals), ambiguous=bool(amb))
         for vals, amb in zip(paths.T, ambiguous)
     ]
-    return ZeroViscosityTrack(trajectories)
 
 
 def classify_limits(
-    track: ZeroViscosityTrack, euler: EulerSpectrum, tol: float = 0.02
+    trajectories: list[EigTrajectory], euler: EulerSpectrum, tol: float = 0.02
 ) -> Classification:
     """Label each trajectory by where its extrapolated limit lands.
 
@@ -611,7 +531,7 @@ def classify_limits(
     ext = euler.cluster_extent
     labeled = []
     counts = {"Persistence": 0, "Condensation": 0, "Singularity": 0, "Unresolved": 0}
-    for tr in track.trajectories:
+    for tr in trajectories:
         if tr.ambiguous:
             lab = "Unresolved"
         else:

@@ -1,5 +1,6 @@
 """Reference computations the tests compare nel against; no command uses them."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,16 +8,34 @@ import numpy as np
 from nel.errors import ValidationError
 from nel.fields import (
     SpectralField,
+    _check_same_grid,
+    _zero_mode,
+    bracket_core,
     complex_norm_inf,
     full_spectrum,
     gradient_values,
+    invert_laplacian,
     laplacian,
-    project_mean,
     require_mean_zero,
 )
 from nel.fields3d import advect_3d, biot_savart_3d
-from nel.models import GLState, _gl_plan, _gl_to_phys
-from nel.spectra import DEFAULT_GAMMA, three_mode_lambda0
+from nel.grids import TorusGrid2D
+from nel.models import GLState, SGState, _gl_plan, _gl_to_phys, _sg_plan, _sg_to_phys
+from nel.spectra import DEFAULT_GAMMA, ModeClass, assemble_suboperator
+
+
+def dealias_mask(grid) -> np.ndarray:
+    """The half-spectrum modes the grid's dealias cut keeps, as a boolean array."""
+    mask = np.zeros(grid.spectral_shape, dtype=bool)
+    for block in itertools.product(*(kept for kept, _ in grid.dealias_slices)):
+        mask[block] = True
+    return mask
+
+
+def project_mean(f: SpectralField) -> SpectralField:
+    c = f.coeffs.copy()
+    c[_zero_mode(f.grid)] = 0.0
+    return SpectralField(f.grid, c)
 
 
 def eigen_residual(lphi: SpectralField, phi: SpectralField, lam: complex) -> float:
@@ -62,6 +81,25 @@ def reflect_xy(fld: SpectralField) -> SpectralField:
     return SpectralField(g, full_spectrum(fld).swapaxes(-1, -2)[..., : g.ny // 2 + 1])
 
 
+def ns_rhs_2d(
+    omega: SpectralField, nu: float, forcing: SpectralField
+) -> SpectralField:
+    """Right side of the vorticity equation: -{Psi, Omega} + nu [Lap(Omega) + f].
+
+    The forcing f is a full-space field on the same grid.  Both omega and f
+    must be mean-zero so the mean mode stays exactly zero.
+    """
+    _check_same_grid(omega, forcing)
+    if nu < 0:
+        raise ValidationError(f"viscosity must be nonnegative, got {nu}")
+    require_mean_zero(omega, "omega")
+    require_mean_zero(forcing, "forcing")
+    psi = invert_laplacian(omega)
+    adv = bracket_core(psi, omega)
+    visc = (laplacian(omega) + forcing) * nu
+    return project_mean(visc - adv)
+
+
 def ns_rhs_3d(
     omega: SpectralField,
     nu: float,
@@ -81,6 +119,52 @@ def ns_rhs_3d(
     u = biot_savart_3d(omega) if velocity is None else velocity
     stretch = advect_3d(omega, u) - advect_3d(u, omega)
     return project_mean(stretch + (laplacian(omega) + forcing) * nu)
+
+
+def jacobian_oracle_check(
+    cls: ModeClass,
+    alpha: float,
+    gamma: float,
+    nu: float,
+    trunc: int,
+    delta: float = 1e-5,
+) -> float:
+    """Max entrywise deviation between the assembled matrix and a centered
+    finite-difference Jacobian of ns_rhs_2d at the shear fixed point.
+
+    The right side is quadratic, so central differences are exact up to
+    rounding; a mismatch indicates a wrong sign or coefficient in assembly.
+    """
+    op = assemble_suboperator(cls, alpha, gamma, nu, trunc)
+    matrix = op.bands.dense()
+    # grid big enough that products of class modes with cos y are unaliased
+    need_y = 3 * (abs(cls.k2) + trunc + 2)
+    ny = 1 << max(4, math.ceil(math.log2(need_y)))
+    nx = 1 << max(4, math.ceil(math.log2(3 * (abs(cls.k1) + 2))))
+    grid = TorusGrid2D(alpha=alpha, nx=nx, ny=ny)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    base = SpectralField.from_physical(grid, gamma * np.cos(Y))  # also the forcing: a fixed point at every nu
+    worst = 0.0
+    for j, n in enumerate(op.offsets):
+        phase = alpha * cls.k1 * X + (cls.k2 + n) * Y
+        # complex column via two real perturbations: cos and sin of the mode
+        parts = []
+        for pert in (np.cos(phase), np.sin(phase)):
+            m = SpectralField.from_physical(grid, pert)
+            plus = ns_rhs_2d(SpectralField(grid, base.coeffs + delta * m.coeffs), nu, base)
+            minus = ns_rhs_2d(SpectralField(grid, base.coeffs - delta * m.coeffs), nu, base)
+            parts.append(full_spectrum(plus - minus) / (2 * delta))
+        fd = parts[0] + 1j * parts[1]
+        col = np.array([fd[cls.k1 % nx, (cls.k2 + nn) % ny] for nn in op.offsets])
+        worst = max(worst, float(np.max(np.abs(col - matrix[:, j]))))
+    return worst
+
+
+def three_mode_lambda0(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
+    """Unstable inviscid growth rate of the N=1 truncation of class (1,0)."""
+    if not (0 < alpha < 1):
+        raise ValidationError("the unstable class requires 0 < alpha < 1")
+    return math.sqrt(gamma**2 * alpha**2 * (1 - alpha**2) / (2 * (alpha**2 + 1)))
 
 
 def five_mode_lambda0(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:
@@ -111,3 +195,16 @@ def gl_mass(state: GLState) -> float:
     """Grid quadrature of int |q|^2 dx (conserved by the eps = 0 flow)."""
     qp = _gl_to_phys(_gl_plan(state.params), state.q)[..., 0, :]
     return float((qp.real**2 + qp.imag**2).mean() * 2.0 * np.pi)
+
+
+def sg_energy(state: SGState) -> float:
+    """Grid quadrature of int [v^2/2 + c^2 u_x^2/2 + cos u] dx (conserved when eps = 0)."""
+    p = state.params
+    plan = _sg_plan(p)
+    n, lo, w_in, _ = plan
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    (spec.imag if lo else spec.real)[lo : p.n_modes + 1] = state.u[lo:] * w_in
+    u, ux = (np.fft.irfft(s, n) for s in (spec, spec * (1j * np.arange(n // 2 + 1))))
+    v = _sg_to_phys(plan, state.v)
+    dens = 0.5 * v * v + 0.5 * p.c * p.c * ux * ux + np.cos(u)
+    return float(dens.mean() * 2.0 * np.pi)

@@ -15,9 +15,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nel.cli import main
-from nel.fields import SpectralField, bracket, random_real_field
+from nel.diagnostics import lyapunov_max
+from nel.fields import SpectralField, bracket_core as bracket, random_real_field
 from nel.fields3d import random_scalar_field, random_solenoidal_field
-from nel.forcing import abc_lyapunov
+from nel.forcing import ABC_THETA0, ABCState
 from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import (
     darboux_apply,
@@ -32,7 +33,6 @@ from nel.models import (
     gl_limit_cycle,
     gl_limit_cycle_state,
     gl_step,
-    sg_energy,
     sg_state,
     sg_step,
     sg_uniform_state,
@@ -43,12 +43,11 @@ from nel.spectra import (
     classify_limits,
     critical_viscosity,
     euler_spectrum,
-    jacobian_oracle_check,
-    three_mode_lambda0,
     three_mode_nustar,
     track_zero_viscosity,
     unstable_eigenvalue,
 )
+from oracles import jacobian_oracle_check, sg_energy, three_mode_lambda0
 
 ALPHA = 0.7
 GAMMA = 0.5
@@ -116,7 +115,7 @@ def test_a05_zero_viscosity_limit_recovers_inviscid_rate():
     lambda(nu)/nu grows monotonically along the 8-point descending schedule."""
     nus = np.geomspace(0.1, 1e-3, 8)
     track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 64)
-    best = max(track.trajectories, key=lambda tr: tr.values[-1].real)
+    best = max(track, key=lambda tr: tr.values[-1].real)
     lam0 = max(v.real for v in cached_euler(1, 0, 400).points)
     assert abs(best.limit - lam0) < 1e-2
     ratios = [best.values[i].real / nus[i] for i in range(len(nus))]
@@ -204,7 +203,7 @@ def test_a11_transported_eigenfield_3d_with_and_without_curl():
     u1 = random_solenoidal_field(grid, 2, rng, 0.2)
     u2 = random_solenoidal_field(grid, 2, rng, 0.2)
     free = transported_eigenfield_check_3d(
-        om0, ph0, 0.5, 5e-3, enforce_curl=False,
+        om0, ph0, 0.5, 5e-3,
         velocity=lambda t: u1 * np.cos(t) + u2 * np.sin(t),
     )
     assert free.residual_inf < 1e-3
@@ -281,8 +280,8 @@ def test_a15_streamline_chaos_indicator():
     """ABC flow: lambda(1,1,1) > 0.01 (chaotic), lambda(1,1,0) < 0.01
     (integrable), both at T=5000 in under a minute."""
     t0 = time.perf_counter()
-    chaotic = abc_lyapunov((1.0, 1.0, 1.0), 5000.0)
-    integrable = abc_lyapunov((1.0, 1.0, 0.0), 5000.0)
+    chaotic = lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 1.0)), 5000.0, dt=0.02)
+    integrable = lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 0.0)), 5000.0, dt=0.02)
     elapsed = time.perf_counter() - t0
     assert chaotic.lam > 0.01
     assert integrable.lam < 0.01

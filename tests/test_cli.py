@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import inspect
 import json
 import pathlib
 import pkgutil
@@ -18,7 +17,7 @@ import nel.cli
 import nel.runio
 import nel.spectra
 from nel.cli import COMMANDS, SPECTRUM_CSV_HEADER, main
-from nel.forcing import ForcingSpec, abc_lyapunov
+from nel.forcing import ForcingSpec
 from nel.models import GLParams, SGParams
 from nel.runio import build_from_status, parse_config_lines, serialize_config
 from nel.spectra import NuStarResult
@@ -78,7 +77,6 @@ class TestConfigContract:
                 key = prefix + f.name
                 if key in defaults and key != "forcing_eps":  # None: the model's eps
                     assert defaults[key] == f.default, (cls.__name__, key)
-        assert defaults["theta0"] == inspect.signature(abc_lyapunov).parameters["theta0"].default
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
@@ -115,6 +113,13 @@ class TestValidationFailures:
             (("simulate", "--model", "sg", "--kick", "1:nan"), "kick"),
             (("simulate", "--model", "pnls", "--q0", "nan+0j"), "q0"),
             (("simulate", "--model", "pnls", "--q0", "0.5+infj"), "q0"),
+            # step counts that overflow a float
+            (("simulate", "--model", "abc", "--t-end", "1e300", "--dt", "1e-300"), "t_end"),
+            (("poincare", "--model", "sg", "--period", "1e300", "--dt", "1e-300"), "period"),
+            (("lyapunov", "--model", "abc", "--renorm-dt", "1e300", "--dt", "1e-300"), "renorm_dt"),
+            (("lyapunov", "--model", "abc", "--t-end", "1e300", "--renorm-dt", "1e-300", "--dt", "1e-300"), "t_end"),
+            (("laxcheck", "--t-end", "1e300", "--dt", "1e-300"), "t_end"),
+            (("laxcheck", "--t-end", "1e-4", "--dt", "1e-3"), "t_end must cover at least one step"),
         ],
     )
     def test_invalid_real_exits_2_naming_the_key(self, argv, key, tmp_path, capsys):
@@ -129,12 +134,39 @@ class TestValidationFailures:
         assert capsys.readouterr().err.startswith("nel: error: line 3: t_end: expected a finite real")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize(
+        "q0, message",
+        [("nan+0j", "expected finite real and imaginary parts"), ("1+", "expected a complex literal")],
+    )
+    def test_bad_q0_in_config_names_the_line(self, q0, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = pnls\nq0 = {q0}\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("nel: error: line 2: q0: " + message)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_jsonl_only_command_rejects_csv(self, capsys):
         assert run_cli("nustar", "--format", "csv") == 2
 
     def test_inapplicable_model_key_exits_2(self, capsys):
         assert run_cli("simulate", "--model", "abc", "--kick", "1:0.5") == 2
         assert "kick" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (("laxcheck", "--dim", "2", "--mode", "free", "--amp-u", "7"), ["amp_u", "mode"]),
+            (("laxcheck", "--mode", "curl"), ["mode"]),
+            (("laxcheck", "--dim", "3", "--alpha", "0.3"), ["alpha"]),
+            (("laxcheck", "--dim", "3", "--amp-u", "0.3"), ["amp_u"]),
+            (("laxcheck", "--dim", "3", "--mode", "free", "--alpha", "0.3", "--amp-u", "0.3"), ["alpha"]),
+        ],
+    )
+    def test_laxcheck_rejects_keys_that_do_not_apply(self, argv, keys, tmp_path, capsys):
+        small = ("--grid", "8", "--t-end", "0.01", "--dt", "0.01")  # a run that is cheap if it is not rejected
+        assert run_cli(*argv, *small, "--out", str(tmp_path / "out")) == 2
+        assert f"parameters {keys} do not apply" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_blowup_exits_3_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "blow.jsonl"
@@ -479,6 +511,7 @@ class TestLyapunovCommand:
         )
         assert code == 0
         header, payload = read_out(out)
+        assert header["params"]["q0"] == "0.549"  # echoed as given
         assert header["summary"]["lambda"] < -0.5
         rec = json.loads(payload[-1])
         assert rec["t"] == pytest.approx(10.0)

@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 from nel.errors import ValidationError
 from nel.fields import (
     SpectralField,
-    bracket,
     bracket_core,
     full_spectrum,
     gradient_values,
     invert_laplacian,
     laplacian,
     load_field,
-    ns_rhs_2d,
-    project_mean,
     random_real_field,
     save_field,
 )
 from nel.fields3d import random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
+from oracles import dealias_mask, ns_rhs_2d, project_mean
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -100,27 +98,27 @@ class TestBracketOracles:
         g = grid()
         f = field_from_fn(g, lambda x, y: np.sin(x))
         h = field_from_fn(g, lambda x, y: np.sin(y))
-        out = bracket(f, h).physical().real
+        out = bracket_core(f, h).physical().real
         X, Y = np.meshgrid(g.x, g.y, indexing="ij")
         assert np.max(np.abs(out - np.cos(X) * np.cos(Y))) < 1e-12
 
     def test_self_bracket_vanishes(self):
         g = grid()
         f = random_trig(g, 6, seed=2)
-        assert bracket(f, f).norm_inf() < 1e-12
+        assert bracket_core(f, f).norm_inf() < 1e-12
 
     def test_x_only_fields_commute(self):
         g = grid()
         f = field_from_fn(g, lambda x, y: np.cos(x) + 0.3 * np.sin(2 * x))
         h = field_from_fn(g, lambda x, y: np.sin(3 * x))
-        assert bracket(f, h).norm_inf() < 1e-13
+        assert bracket_core(f, h).norm_inf() < 1e-13
 
     def test_rejects_complex_input(self):
         # a complex field is carried as (re, im) rows; it cannot enter as complex values
         g = grid()
         h = random_trig(g, 3, seed=3)
         with pytest.raises(ValidationError, match="not real"):
-            bracket(h * 1j, h)
+            bracket_core(h * 1j, h)
         with pytest.raises(TypeError):
             SpectralField.from_physical(g, np.exp(1j * g.x)[:, None] + 0 * g.y)
 
@@ -128,9 +126,9 @@ class TestBracketOracles:
         g = grid()
         f = random_trig(g, 20, seed=4)
         h = random_trig(g, 20, seed=5)
-        out = bracket(f, h)
+        out = bracket_core(f, h)
         assert out.mean() == 0
-        assert np.all(out.coeffs[~g.dealias_mask] == 0)
+        assert np.all(out.coeffs[~dealias_mask(g)] == 0)
 
 
 class TestBracketAlgebra:
@@ -140,7 +138,7 @@ class TestBracketAlgebra:
         g = grid()
         f = random_trig(g, 8, seed=seed)
         h = random_trig(g, 8, seed=seed + 1)
-        r = bracket(f, h) + bracket(h, f)
+        r = bracket_core(f, h) + bracket_core(h, f)
         assert r.norm_inf() < 1e-10
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -151,8 +149,10 @@ class TestBracketAlgebra:
         f = random_trig(g, 8, seed=seed)
         h = random_trig(g, 8, seed=seed + 1)
         w = random_trig(g, 8, seed=seed + 2)
-        j = bracket(f, bracket(h, w)) + bracket(h, bracket(w, f)) + bracket(
-            w, bracket(f, h)
+        j = (
+            bracket_core(f, bracket_core(h, w))
+            + bracket_core(h, bracket_core(w, f))
+            + bracket_core(w, bracket_core(f, h))
         )
         assert j.norm_inf() < 1e-9
 
@@ -162,8 +162,10 @@ class TestBracketAlgebra:
         f = random_trig(g, 14, seed=11)
         h = random_trig(g, 14, seed=12)
         w = random_trig(g, 14, seed=13)
-        j = bracket(f, bracket(h, w)) + bracket(h, bracket(w, f)) + bracket(
-            w, bracket(f, h)
+        j = (
+            bracket_core(f, bracket_core(h, w))
+            + bracket_core(h, bracket_core(w, f))
+            + bracket_core(w, bracket_core(f, h))
         )
         assert j.norm_inf() > 1e-9
 
@@ -233,7 +235,7 @@ class TestDealias:
     def test_mask_cut(self):
         g = grid(n=64, frac=2 / 3)
         f = random_trig(g, 30, seed=20)
-        out = np.where(g.dealias_mask, f.coeffs, 0.0)
+        out = np.where(dealias_mask(g), f.coeffs, 0.0)
         mx = np.abs(g.k[0][:, 0])
         keep = mx <= 21
         assert np.all(out[~keep, :] == 0)
@@ -243,11 +245,11 @@ class TestDealias:
         g = grid(n=64)
         f = field_from_fn(g, lambda x, y: np.cos(3 * x + y))
         h = field_from_fn(g, lambda x, y: np.sin(2 * x - 4 * y))
-        out = bracket(f, h)
+        out = bracket_core(f, h)
         gg = grid(n=256)
         fb = field_from_fn(gg, lambda x, y: np.cos(3 * x + y))
         hb = field_from_fn(gg, lambda x, y: np.sin(2 * x - 4 * y))
-        ref = bracket(fb, hb)
+        ref = bracket_core(fb, hb)
         # compare the shared coefficients
         out, ref = full_spectrum(out), full_spectrum(ref)
         for m in range(-10, 11):
@@ -274,7 +276,7 @@ class TestSnapshotIO:
         b = random_trig(g, 5, seed=33)
         phi = SpectralField(g, np.stack([a.coeffs, b.coeffs]))
         lhs = bracket_core(om, phi)
-        rhs = np.stack([bracket(om, a).coeffs, bracket(om, b).coeffs])
+        rhs = np.stack([bracket_core(om, a).coeffs, bracket_core(om, b).coeffs])
         assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
 
     def test_roundtrip_3d_vector_writes_a_hermitian_spectrum(self, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nel.errors import ValidationError
-from nel.diagnostics import LyapunovResult
-from nel.forcing import ABCState, ForcingSpec, abc_lyapunov, force_eval
+from nel.diagnostics import LyapunovResult, lyapunov_max
+from nel.forcing import ABC_THETA0, ABCState, ForcingSpec, force_eval
 
 
 def abc_rhs(theta, abc):
@@ -63,25 +63,25 @@ class TestABCFlow:
 
 class TestABCLyapunov:
     def test_frozen_flow_exact_zero(self):
-        r = abc_lyapunov((0.0, 0.0, 0.0), 50.0)
+        r = lyapunov_max(ABCState(ABC_THETA0, (0.0, 0.0, 0.0)), 50.0, dt=0.02)
         assert r.lam == 0.0
         assert r.series[-1][0] == pytest.approx(50.0)
 
     def test_chaotic_vs_integrable(self):
-        chaotic = abc_lyapunov((1.0, 1.0, 1.0), 2000.0)
+        chaotic = lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 1.0)), 2000.0, dt=0.02)
         assert chaotic.lam > 0.02
-        control = abc_lyapunov((1.0, 1.0, 0.0), 2000.0)
+        control = lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 0.0)), 2000.0, dt=0.02)
         assert control.lam < 0.01
 
     def test_diagonal_falls_into_saddle(self):
         # theta1=theta2=theta3 is invariant and converges to the stagnation
         # point at 3*pi/4, whose unstable eigenvalue is sqrt(2)/2; the
         # two-orbit estimate must reproduce that local rate.
-        r = abc_lyapunov((1.0, 1.0, 1.0), 500.0, theta0=(1.0, 1.0, 1.0))
+        r = lyapunov_max(ABCState((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)), 500.0, dt=0.02)
         assert abs(r.lam - math.sqrt(2) / 2) < 0.01
 
     def test_series_and_spread(self):
-        r = abc_lyapunov((1.0, 1.0, 1.0), 100.0)
+        r = lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 1.0)), 100.0, dt=0.02)
         assert len(r.series) == 200  # renorm every 0.5
         assert r.last_decade_spread() >= 0.0
         flat = LyapunovResult(1.0, ((1.0, 1.0), (10.0, 1.0)))
@@ -89,9 +89,9 @@ class TestABCLyapunov:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            abc_lyapunov((1.0, 1.0, 1.0), -5.0)
+            lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 1.0)), -5.0, dt=0.02)
         with pytest.raises(ValidationError):
-            abc_lyapunov((1.0, 1.0, 1.0), 10.0, dt=0.0)
+            lyapunov_max(ABCState(ABC_THETA0, (1.0, 1.0, 1.0)), 10.0, dt=0.0)
 
 
 class TestForceEval:

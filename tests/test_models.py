@@ -19,12 +19,11 @@ from nel.models import (
     gl_limit_cycle_state,
     gl_step,
     gl_uniform_state,
-    sg_energy,
     sg_state,
     sg_step,
     sg_uniform_state,
 )
-from oracles import gl_mass
+from oracles import gl_mass, sg_energy
 
 
 def march(state, t_end, dt):

@@ -19,7 +19,6 @@ from nel.spectra import (
     Spectrum,
     Tridiagonal,
     assemble_suboperator,
-    class_bands,
     class_spectrum,
     classify_limits,
     compute_spectrum,
@@ -27,17 +26,21 @@ from nel.spectra import (
     critical_viscosity,
     critical_viscosity_bounds,
     euler_spectrum,
-    jacobian_oracle_check,
     newton_root,
     refine_rightmost,
     sector_blocks,
-    three_mode_lambda0,
     three_mode_nustar,
     track_zero_viscosity,
     truncated_nustar,
     unstable_eigenvalue,
 )
-from oracles import five_mode_lambda0, lambda0_bounds, unstable_eig_bounds
+from oracles import (
+    five_mode_lambda0,
+    jacobian_oracle_check,
+    lambda0_bounds,
+    three_mode_lambda0,
+    unstable_eig_bounds,
+)
 
 ALPHA = 0.7
 GAMMA = 0.5
@@ -46,6 +49,7 @@ GAMMA = 0.5
 class TestAssembly:
     def test_entries_match_formulas(self):
         op = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 3)
+        A = op.bands.dense()
         c = GAMMA * ALPHA / 2
 
         def ksq(n):
@@ -53,20 +57,20 @@ class TestAssembly:
 
         for n in range(-3, 4):
             i = op.offsets.index(n)
-            assert op.matrix[i, i] == pytest.approx(-0.05 * ksq(n), abs=1e-15)
+            assert A[i, i] == pytest.approx(-0.05 * ksq(n), abs=1e-15)
             if n < 3:
                 j = op.offsets.index(n + 1)
                 # row n, super-diagonal: -c * rho_{n+1}
                 rho = 1 - 1 / ksq(n + 1)
-                assert op.matrix[i, j] == pytest.approx(-c * rho, abs=1e-15)
+                assert A[i, j] == pytest.approx(-c * rho, abs=1e-15)
             if n > -3:
                 j = op.offsets.index(n - 1)
                 rho = 1 - 1 / ksq(n - 1)
-                assert op.matrix[i, j] == pytest.approx(c * rho, abs=1e-15)
+                assert A[i, j] == pytest.approx(c * rho, abs=1e-15)
 
     def test_tridiagonal_sparsity(self):
         op = assemble_suboperator(ModeClass(2, 1), ALPHA, GAMMA, 0.1, 8)
-        m = op.matrix
+        m = op.bands.dense()
         for i in range(m.shape[0]):
             for j in range(m.shape[1]):
                 if abs(i - j) > 1:
@@ -77,7 +81,8 @@ class TestAssembly:
         assert -1 not in op.offsets  # k2 + n = 0 at n = -1
         assert len(op.offsets) == 8
         # k1 = 0 kills the coupling: the matrix is diagonal
-        assert np.max(np.abs(op.matrix - np.diag(np.diag(op.matrix)))) == 0
+        A = op.bands.dense()
+        assert np.max(np.abs(A - np.diag(np.diag(A)))) == 0
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValidationError):
@@ -101,7 +106,8 @@ class TestReflectionSectors:
         trunc = 12
         op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, nu, trunc)
         P = reflection(op.offsets)
-        commutes = np.array_equal(P @ op.matrix @ P, op.matrix)
+        A = op.bands.dense()
+        commutes = np.array_equal(P @ A @ P, A)
         assert commutes == (k2 == 0)
         sizes = []
         eigvals = np.linalg.eigvals
@@ -116,7 +122,7 @@ class TestReflectionSectors:
         """Each sector eigenvalue lies within m u ||A||_2 kappa_i of its match
         in the full solve, kappa_i = ||x|| ||y|| / |y^H x| (left y, right x)."""
         op = assemble_suboperator(ModeClass(k1, 0), ALPHA, GAMMA, nu, trunc)
-        A = op.matrix
+        A = op.bands.dense()
         full, left, right = scipy.linalg.eig(A, left=True, right=True)
         kappa = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
         kappa /= np.abs(np.sum(left.conj() * right, axis=0))
@@ -257,7 +263,7 @@ class TestCriticalViscosity:
         assert abs(nu - 0.5 * (lo + hi)) < 1e-9
 
         def sign(nu):
-            _, bands = class_bands(ModeClass(1, 0), ALPHA, GAMMA, nu, 40)
+            bands = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, nu, 40).bands
             (_, even), _ = sector_blocks(ModeClass(1, 0), 40, bands)
             return continuant(even, 0.0)[0]
 
@@ -290,15 +296,13 @@ class TestRecurrence:
 
     def test_bands_build_the_dense_matrix(self):
         for cls in (ModeClass(1, 0), ModeClass(0, 2), ModeClass(2, -1)):
-            op = assemble_suboperator(cls, ALPHA, GAMMA, 0.03, 6)
-            _, bands = class_bands(cls, ALPHA, GAMMA, 0.03, 6)
-            assert np.array_equal(op.matrix, bands.dense())
-            assert np.array_equal(np.diag(op.matrix, -1), bands.lower)
-            assert np.array_equal(np.diag(op.matrix, 1), bands.upper)
+            bands = assemble_suboperator(cls, ALPHA, GAMMA, 0.03, 6).bands
+            want = np.diag(bands.diag) + np.diag(bands.lower, -1) + np.diag(bands.upper, 1)
+            assert np.array_equal(bands.dense(), want)
 
     def test_newton_finds_a_sector_eigenvalue(self):
         cls = ModeClass(1, 0)
-        _, bands = class_bands(cls, ALPHA, GAMMA, 0.05, 30)
+        bands = assemble_suboperator(cls, ALPHA, GAMMA, 0.05, 30).bands
         for parity, block in sector_blocks(cls, 30, bands):
             want = np.linalg.eigvals(block.dense())
             start = want[np.argmax(want.real)] + 1e-6
@@ -306,7 +310,7 @@ class TestRecurrence:
             assert np.min(np.abs(want - root)) < 1e-12, parity
 
     def test_zero_pivot_of_a_decoupled_row(self):
-        _, bands = class_bands(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 8)
+        bands = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 8).bands
         lam = float(bands.diag[3])
         assert math.isfinite(continuant(bands, lam)[1])
         assert newton_root(bands, lam) == lam
@@ -370,7 +374,7 @@ class TestTracking:
         track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, self.schedule(), 48)
         es = euler_spectrum(ModeClass(1, 0), ALPHA, GAMMA, trunc=48)
         lam0 = max(p.real for p in es.points)
-        best = min(abs(t.limit - lam0) for t in track.trajectories)
+        best = min(abs(t.limit - lam0) for t in track)
         assert best < 1e-2
 
     def test_labels_three_classes(self):
@@ -438,6 +442,6 @@ def test_tie_check_matches_reference_loop(seed, monkeypatch):
     track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
     want_paths, want_ambiguous = reference_tracking([planted[nu] for nu in nus])
     assert True in want_ambiguous and False in want_ambiguous
-    assert [t.ambiguous for t in track.trajectories] == want_ambiguous
-    got = np.array([t.values for t in track.trajectories])
+    assert [t.ambiguous for t in track] == want_ambiguous
+    got = np.array([t.values for t in track])
     assert got.tobytes() == want_paths.tobytes()

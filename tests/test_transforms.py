@@ -25,6 +25,7 @@ from nel.fields import (
 from nel.fields3d import advect_3d, random_scalar_field, random_solenoidal_field
 from nel.grids import TorusGrid2D, TorusGrid3D
 from nel.lax import _transport_check
+from oracles import dealias_mask
 
 SHAPES = [(4, 4), (64, 48), (4, 4, 4), (16, 16, 16), (8, 12, 6)]
 FRACTIONS = [2 / 3, 1 / 2, 1.0]
@@ -57,7 +58,7 @@ def irfftn_ref(g, c):
 def test_inverse_of_dealiased_input_equals_ifftn(shape, fraction):
     g = make_grid(shape, fraction)
     for i, lead in enumerate(stacks(g)):
-        c = np.where(g.dealias_mask, random_coeffs(lead, g, i), 0.0)
+        c = np.where(dealias_mask(g), random_coeffs(lead, g, i), 0.0)
         want = irfftn_ref(g, c)
         assert np.array_equal(_inverse(g, c), want), lead
 
@@ -68,7 +69,7 @@ def test_one_coefficient_off_the_mask_gives_the_full_transform(shape, fraction):
     g = make_grid(shape, fraction)
     for i, lead in enumerate(stacks(g)):
         for axis, n in enumerate(g.shape):
-            c = np.where(g.dealias_mask, random_coeffs(lead, g, i), 0.0)
+            c = np.where(dealias_mask(g), random_coeffs(lead, g, i), 0.0)
             # the dealias cut never keeps the Nyquist mode, on any axis and at any fraction
             c[(0,) * len(lead) + tuple(n // 2 if a == axis else 0 for a in range(len(g.shape)))] = 1.0 - 2.0j
             want = irfftn_ref(g, c)
@@ -81,7 +82,7 @@ def test_forward_equals_masked_fftn_bytes(shape, fraction):
     g = make_grid(shape, fraction)
     for i, lead in enumerate(stacks(g)):
         x = np.random.default_rng(10 + i).standard_normal((*lead, *g.shape))
-        want = np.where(g.dealias_mask, np.fft.rfftn(x, axes=g.axes) / g.size, 0.0)
+        want = np.where(dealias_mask(g), np.fft.rfftn(x, axes=g.axes) / g.size, 0.0)
         want[(Ellipsis, *(0,) * len(g.shape))] = 0.0
         got = _forward_dealiased(g, x.copy())
         assert got.tobytes() == want.tobytes(), lead
@@ -89,11 +90,11 @@ def test_forward_equals_masked_fftn_bytes(shape, fraction):
 
 def test_inverse_works_in_its_argument_and_physical_copies():
     g = make_grid((16, 16, 16), 2 / 3)
-    c = np.where(g.dealias_mask, random_coeffs((3,), g, 5), 0.0)
+    c = np.where(dealias_mask(g), random_coeffs((3,), g, 5), 0.0)
     want = irfftn_ref(g, c)
     f = SpectralField(g, c.copy())
     assert np.array_equal(f.physical(), want)
-    assert f.coeffs.tobytes() == np.where(g.dealias_mask, random_coeffs((3,), g, 5), 0.0).tobytes()
+    assert f.coeffs.tobytes() == np.where(dealias_mask(g), random_coeffs((3,), g, 5), 0.0).tobytes()
     before = c.copy()
     values = _inverse(g, c)
     assert values.dtype == np.float64 and values.shape == (3, *g.shape)
