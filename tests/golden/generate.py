@@ -1,6 +1,10 @@
 """Regenerate a golden corpus: ``spectra.json`` or ``commands.json``.
 
     PYTHONPATH=src python tests/golden/generate.py spectra|commands
+    PYTHONPATH=src python tests/golden/generate.py spectra NAME...
+
+Named entries are recomputed into the committed spectra file; every other
+entry is kept as it is, byte for byte.
 
 Each entry runs one small command through ``nel.cli.main`` and records what
 ``tests/test_golden.py`` pins: a payload hash where the bytes must not move,
@@ -36,7 +40,10 @@ stopped drawing the Nyquist modes, which made its draws real fields.
 key of the three dataclasses off its default, were added from the code
 before the CLI built those dataclasses from their fields; ``zvtrack_0_1``
 (spectra corpus) after one rule came to decide Condensation for a trajectory
-and for its class.
+and for its class.  ``spectrum_1_0_inviscid`` and the ``zvtrack_*_header``
+entries (the header's cluster extents and lambda0 at N and 2N) were added by
+name, every other entry byte-identical, from the code before the nu = 0
+blocks were solved by the parity split of T^2; they are pinned by value.
 ``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
 held full spectra.  Regenerate a corpus only on purpose, and say why in
 CHANGES.md.
@@ -67,8 +74,13 @@ CASES = {
     "zvtrack_1_0": ["zvtrack", "--k1", "1", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
     "zvtrack_2_0": ["zvtrack", "--k1", "2", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
     "zvtrack_0_1": ["zvtrack", "--k1", "0", "--k2", "1", "--trunc", "20", "--n-nus", "8"],
+    "spectrum_1_0_inviscid": ["spectrum", "--k1", "1", "--k2", "0", "--nu", "0", "--trunc", "40", "--format", "csv"],
+    "zvtrack_1_0_header": ["zvtrack", "--k1", "1", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
+    "zvtrack_2_0_header": ["zvtrack", "--k1", "2", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
 }
 HASHED = ("spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1", "zvtrack_0_1")
+# the inviscid reference at N and 2N, as the zvtrack header reports it
+HEADER_FIELDS = ("cluster_extent", "cluster_extent_refined", "lambda0", "lambda0_refine_delta")
 
 # a small kicked wave under the quasiperiodic drive, whose ABC clock runs inside force_eval
 SG_QUASI = (
@@ -168,6 +180,8 @@ def record(name, argv):
     entry = {"argv": argv}
     if name in HASHED:
         entry["payload_sha256"] = digest(payload)
+    elif name.endswith("_header"):
+        entry["header"] = {k: header["summary"][k] for k in HEADER_FIELDS}
     elif argv[0] == "spectrum":
         rows = [line.split(",") for line in payload[1:]]
         entry["values"] = [[float(r[-2]), float(r[-1])] for r in rows]
@@ -229,8 +243,13 @@ def commands_corpus():
 
 if __name__ == "__main__":
     corpora = {"spectra": spectra_corpus, "commands": commands_corpus}
-    if len(sys.argv) != 2 or sys.argv[1] not in corpora:
-        sys.exit(f"usage: generate.py {'|'.join(corpora)}")
-    corpus = corpora[sys.argv[1]]()
-    (HERE / f"{sys.argv[1]}.json").write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    kind, names = sys.argv[1] if len(sys.argv) > 1 else None, sys.argv[2:]
+    if kind not in corpora or (names and (kind != "spectra" or not set(names) <= set(CASES))):
+        sys.exit("usage: generate.py commands | generate.py spectra [NAME ...]")
+    path = HERE / f"{kind}.json"
+    if names:
+        corpus = json.loads(path.read_text()) | {name: record(name, CASES[name]) for name in names}
+    else:
+        corpus = corpora[kind]()
+    path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     sys.exit(0)

@@ -97,6 +97,14 @@ class TestValidationFailures:
         assert "nu" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("alpha", ["0.98", "1.2"])
+    def test_nustar_alpha_outside_its_bracket_exits_2(self, alpha, tmp_path, capsys):
+        """The lower bound of the nu* bracket takes a square root that is real
+        only for 0 < alpha < 0.964399."""
+        assert run_cli("nustar", "--alpha", alpha, "--out", str(tmp_path / "ns.jsonl")) == 2
+        assert "nu* needs 0 < alpha < 0.964399" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv, key",
         [

@@ -7,8 +7,11 @@ their last bits, so they are pinned by value: spectra and the rightmost
 zvtrack trajectory to 1e-9, nu* to its bisection tolerance, and every
 classification label exactly.  Trajectories that start at one eigenvalue
 (a pair degenerate across the two sectors) may be listed in either order, so
-labels are compared per distinct start value.  Every payload of the
-commands corpus, and the bytes ``save_field`` writes, are pinned by hash.
+labels are compared per distinct start value.  The nu = 0 blocks are solved
+by the parity split of T^2, so the inviscid spectrum of class (1,0) and
+zvtrack's header fields from its reference at N and 2N are pinned by value
+too, to 1e-9.  Every payload of the commands corpus, and the bytes
+``save_field`` writes, are pinned by hash.
 """
 
 import json
@@ -17,10 +20,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "golden"))
 from generate import (  # noqa: E402
     HASHED,
+    HEADER_FIELDS,
     darboux_snapshot_payload,
     digest,
     run,
@@ -45,6 +50,18 @@ def test_spectrum_values():
     got = np.array([[float(c) for c in line.split(",")[-2:]] for line in payload[1:]])
     assert got.shape == (len(want["values"]), 2)
     assert np.max(np.abs(got - np.array(want["values"]))) < 1e-9
+
+
+def test_inviscid_spectrum_values():
+    """Matched as a set: the dense solve ordered the imaginary cluster by the
+    roundoff in its real parts, which the parity split leaves exactly 0."""
+    want = CORPUS["spectrum_1_0_inviscid"]
+    _, payload = run(want["argv"])
+    got = np.array([complex(*map(float, line.split(",")[-2:])) for line in payload[1:]])
+    dist = np.abs(got[:, None] - np.array([complex(*z) for z in want["values"]])[None, :])
+    assert dist.shape == (len(got), len(got))
+    rows, cols = linear_sum_assignment(dist)
+    assert np.max(dist[rows, cols]) < 1e-9
 
 
 def test_nustar_within_tol():
@@ -79,6 +96,15 @@ def test_zvtrack_labels_and_rightmost(name):
         assert abs(z - z_want) < 1e-9 and labels == labels_want, z_want
     for key, value in want["rightmost"].items():
         assert np.max(np.abs(np.subtract(trajs[0][key], value))) < 1e-9, key
+
+
+@pytest.mark.parametrize("name", ["zvtrack_1_0_header", "zvtrack_2_0_header"])
+def test_zvtrack_inviscid_header(name):
+    want = CORPUS[name]["header"]
+    header, _ = run(CORPUS[name]["argv"])
+    for key in HEADER_FIELDS:
+        got = header["summary"][key]
+        assert got == want[key] if want[key] is None else abs(got - want[key]) < 1e-9, key
 
 
 @pytest.mark.parametrize("name", sorted(k for k in COMMANDS if "argv" in COMMANDS[k]))

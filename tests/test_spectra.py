@@ -27,6 +27,7 @@ from nel.spectra import (
     critical_viscosity_bounds,
     euler_spectrum,
     newton_root,
+    parity_eigvals,
     refine_rightmost,
     sector_blocks,
     three_mode_nustar,
@@ -113,24 +114,68 @@ class TestReflectionSectors:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda b: sizes.append(len(b)) or eigvals(b))
         compute_spectrum(op)
-        assert sizes == ([trunc + 1, trunc] if commutes else [len(op.offsets)])
+        blocks = [trunc + 1, trunc] if commutes else [len(op.offsets)]
+        # a nu = 0 block of m rows is solved as its m // 2 by m // 2 parity block
+        assert sizes == ([m // 2 for m in blocks] if nu == 0 else blocks)
 
     @pytest.mark.parametrize("k1", [1, -1, 2, 3])
-    @pytest.mark.parametrize("trunc", [16, 40])
+    @pytest.mark.parametrize("trunc", [15, 16, 40])
     @pytest.mark.parametrize("nu", [0.0, 1e-4, 1e-3, 0.05])
     def test_sector_eigenvalues_within_condition_bound(self, k1, trunc, nu):
-        """Each sector eigenvalue lies within m u ||A||_2 kappa_i of its match
-        in the full solve, kappa_i = ||x|| ||y|| / |y^H x| (left y, right x)."""
+        # at nu = 0 the sectors (N + 1 and N rows) are parity-split blocks of both parities
         op = assemble_suboperator(ModeClass(k1, 0), ALPHA, GAMMA, nu, trunc)
-        A = op.bands.dense()
-        full, left, right = scipy.linalg.eig(A, left=True, right=True)
-        kappa = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
-        kappa /= np.abs(np.sum(left.conj() * right, axis=0))
-        got = compute_spectrum(op).values
-        dist = np.abs(got[:, None] - full[None, :])
-        rows, cols = linear_sum_assignment(dist)
-        bound = len(A) * np.finfo(float).eps / 2 * np.linalg.norm(A, 2) * kappa[cols]
-        assert np.all(dist[rows, cols] <= bound)
+        assert_within_condition_bound(op.bands.dense(), compute_spectrum(op).values)
+
+
+def assert_within_condition_bound(A, got):
+    """Each value of got lies within m u ||A||_2 kappa_i of its match in the
+    dense solve of A, kappa_i = ||x|| ||y|| / |y^H x| (left y, right x)."""
+    full = np.linalg.eigvals(A)
+    values, left, right = scipy.linalg.eig(A, left=True, right=True)
+    kappa = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
+    kappa /= np.abs(np.sum(left.conj() * right, axis=0))
+    kappa = kappa[linear_sum_assignment(np.abs(full[:, None] - values[None, :]))[1]]  # in the order of full
+    dist = np.abs(got[:, None] - full[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    bound = len(A) * np.finfo(float).eps / 2 * np.linalg.norm(A, 2) * kappa[cols]
+    assert np.all(dist[rows, cols] <= bound)
+
+
+class TestParitySplit:
+    """nu = 0 blocks have a zero diagonal and are solved as the odd-row block
+    CB of T^2; the dense solve of T is the oracle."""
+
+    def test_smallest_blocks(self):
+        """At trunc 1 the P = -1 block is the 1x1 zero (its parity block is
+        empty) and the P = +1 block has the pair +/- sqrt(l u)."""
+        op = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 1)
+        (_, even), (_, odd) = sector_blocks(op.cls, 1, op.bands)
+        assert parity_eigvals(odd).tolist() == [0]
+        root = np.sqrt(complex(even.lower[0] * even.upper[0]))
+        assert parity_eigvals(even).tolist() == [root, -root]
+
+    @pytest.mark.parametrize("k1,k2", [(2, 1), (1, -1), (3, 2)])
+    @pytest.mark.parametrize("trunc", [16, 40])
+    def test_class_without_reflection(self, k1, k2, trunc):
+        op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, 0.0, trunc)
+        assert_within_condition_bound(op.bands.dense(), compute_spectrum(op).values)
+
+    def test_zero_matrix_gives_exact_zeros(self):
+        op = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.0, 12)
+        values = compute_spectrum(op).values
+        assert len(values) == len(op.offsets) == 24
+        assert np.all(values == 0)
+        assert not np.any(np.signbit(values.real) | np.signbit(values.imag))
+
+    @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("trunc", [48, 96])
+    def test_euler_spectrum_as_dense(self, k1, k2, trunc, monkeypatch):
+        got = euler_spectrum(ModeClass(k1, k2), ALPHA, GAMMA, trunc)
+        monkeypatch.setattr(nel.spectra, "parity_eigvals", lambda t: np.linalg.eigvals(t.dense()))
+        want = euler_spectrum(ModeClass(k1, k2), ALPHA, GAMMA, trunc)
+        assert len(got.cluster) == len(want.cluster) and len(got.points) == len(want.points)
+        assert np.max(np.abs(np.sort_complex(got.points) - np.sort_complex(want.points)), initial=0.0) < 1e-13
+        assert abs(got.cluster_extent - want.cluster_extent) < 1e-13
 
 
 class TestDiagonalClass:
