@@ -632,6 +632,23 @@ class TestInterpreterEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_zvtrack_loads_only_scipys_assignment_module(self, tmp_path):
+        # the matching loads scipy's compiled solver alone, never the scipy.optimize
+        # package; with that package imported first, the job writes the same payload
+        payloads = []
+        for first, check in [
+            ("", "'scipy.optimize' not in sys.modules and 'scipy.optimize._lsap' in sys.modules"),
+            ("import scipy.optimize; ", "nel.spectra._assignment_solver() is scipy.optimize.linear_sum_assignment"),
+        ]:
+            out = tmp_path / f"zv{len(payloads)}.jsonl"
+            argv = ["zvtrack", "--trunc", "20", "--out", str(out)]
+            code = f"import sys, nel.cli; {first}assert nel.cli.main({argv!r}) == 0; sys.exit(0 if {check} else 3)"
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            header, lines = read_out(out)
+            payloads.append((header["summary"], lines))
+        assert payloads[0] == payloads[1]
+
 
 class TestOutputFailures:
     def test_non_finite_json_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):

@@ -6,10 +6,15 @@ layer ``grids``/``fields``/``fields3d``; and of the wave-chaos layer,
 ``forcing`` and ``diagnostics`` import only ``errors`` and ``models`` also
 ``forcing``.  Only ``cli`` joins them.  An edge added or dropped must be made
 here on purpose.
+
+Outside the standard library, a module imports only numpy at module level,
+and scipy is imported in one place: the fallback of spectra's assignment
+solver, which otherwise loads scipy's compiled module without the package.
 """
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nel"
 
@@ -53,3 +58,29 @@ def nel_imports(path: pathlib.Path) -> set[str]:
 def test_import_graph_is_pinned():
     graph = {path.stem: nel_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert graph == EDGES
+
+
+def third_party_imports(path: pathlib.Path) -> set[tuple[str | None, str]]:
+    """(enclosing function or class, module) for each import of a source file
+    from outside the standard library and nel; None is module level."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.update((scope, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                out.add((scope, child.module))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return {(scope, name) for scope, name in out if name.split(".")[0] not in sys.stdlib_module_names | {"nel"}}
+
+
+def test_third_party_imports_are_pinned():
+    found = {(path.stem, *imp) for path in sorted(SRC.glob("*.py")) for imp in third_party_imports(path)}
+    assert {name for _, scope, name in found if scope is None} == {"numpy"}
+    assert {imp for imp in found if imp[2].split(".")[0] != "numpy"} == {
+        ("spectra", "_assignment_solver", "scipy.optimize")
+    }

@@ -2,10 +2,12 @@
 truncations, and the zero-viscosity tracking/classification pipeline."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -490,3 +492,85 @@ def test_tie_check_matches_reference_loop(seed, monkeypatch):
     assert [t.ambiguous for t in track] == want_ambiguous
     got = np.array([t.values for t in track])
     assert got.tobytes() == want_paths.tobytes()
+
+
+def zvtrack_costs(k1, k2):
+    """The cost matrices that zvtrack's defaults at trunc 40 hand the solver."""
+    costs = []
+    solve = nel.spectra.linear_sum_assignment
+
+    def spy(cost):
+        costs.append(cost)
+        return solve(cost)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nel.spectra, "linear_sum_assignment", spy)
+        track_zero_viscosity(ModeClass(k1, k2), ALPHA, GAMMA, np.geomspace(0.1, 1e-4, 25), 40)
+    assert len(costs) == 24
+    return costs
+
+
+def small_integers(shape, seed):
+    return np.random.default_rng(seed).integers(0, 3, shape).astype(float)
+
+
+ASSIGNMENT_CASES = {
+    "zvtrack-1-0": lambda: zvtrack_costs(1, 0),
+    "zvtrack-2-0": lambda: zvtrack_costs(2, 0),
+    "constant": lambda: [np.full((9, 9), 0.25)],
+    "ties": lambda: [small_integers((12, 12), seed) for seed in range(8)],
+    "rectangular": lambda: [small_integers((5, 8), 0), small_integers((5, 8), 0).T],
+}
+
+
+@pytest.mark.parametrize("case", ASSIGNMENT_CASES)
+def test_assignment_is_scipys(case):
+    # the compiled solver nel loads is scipy.optimize's own: same rows, columns and dtypes
+    for cost in ASSIGNMENT_CASES[case]():
+        got = nel.spectra.linear_sum_assignment(cost)
+        want = linear_sum_assignment(cost)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        if case == "constant":
+            assert np.array_equal(got[1], np.arange(9))
+
+
+def test_assignment_rejects_nan_cost():
+    cost = np.ones((4, 4))
+    cost[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        nel.spectra.linear_sum_assignment(cost)
+
+
+@pytest.mark.parametrize("found", [True, False])
+def test_assignment_solver_is_loaded_alone_or_imported(found, monkeypatch):
+    # with the compiled module found it is loaded from scipy's install; without
+    # it (an older layout) the public function is imported and used
+    name = "scipy.optimize._lsap"
+    public = []
+
+    def spy(cost):
+        public.append(cost)
+        return linear_sum_assignment(cost)
+
+    class NoExtension:
+        def __init__(self, path, *loaders):
+            pass
+
+        def find_spec(self, fullname):
+            return None
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    monkeypatch.delitem(sys.modules, name)
+    if not found:
+        monkeypatch.setattr(nel.spectra, "FileFinder", NoExtension)
+    cost = small_integers((12, 12), 1)
+    nel.spectra._assignment_solver.cache_clear()
+    try:
+        got = nel.spectra.linear_sum_assignment(cost)
+        assert (name in sys.modules) is found
+        assert len(public) == (0 if found else 1)
+    finally:
+        nel.spectra._assignment_solver.cache_clear()
+    want = linear_sum_assignment(cost)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
