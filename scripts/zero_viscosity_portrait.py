@@ -16,10 +16,8 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 from nel.runio import json_payload_line
-from nel.spectra import ModeClass, classify_limits, euler_spectrum, track_zero_viscosity
+from nel.spectra import ModeClass, classify_limits, euler_spectrum, track_zero_viscosity, viscosity_schedule
 
 
 def parse_classes(text):
@@ -46,7 +44,7 @@ def main(argv=None):
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    nus = np.geomspace(args.nu_max, args.nu_min, args.n_nus)
+    nus = viscosity_schedule(args.nu_max, args.nu_min, args.n_nus)
 
     summary_rows = ["class_k1,class_k2,label,n_trajectories,lambda0,cluster_extent"]
     for cls in parse_classes(args.classes):

@@ -74,6 +74,7 @@ from .spectra import (
     euler_spectrum,
     refine_rightmost,
     track_zero_viscosity,
+    viscosity_schedule,
 )
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def _run_zvtrack(p, cfg):
     if p["n_nus"] < 3:
         raise ValidationError(f"n_nus must be >= 3, got {p['n_nus']}")
     cls = ModeClass(p["k1"], p["k2"])
-    nus = np.geomspace(p["nu_max"], p["nu_min"], p["n_nus"])
+    nus = viscosity_schedule(p["nu_max"], p["nu_min"], p["n_nus"])
     trajectories = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
     euler = euler_spectrum(cls, p["alpha"], p["gamma"], p["trunc"])
     cl = classify_limits(trajectories, euler, p["tol"])

@@ -47,9 +47,11 @@ and it lies within 1e-8 max(1, |lambda(N)|) of lambda(N); otherwise the class
 is solved densely at 2N, since an under-resolved start may converge to an
 eigenvalue other than the rightmost.
 
-Zero-viscosity limits are studied by tracking eigenvalues along a descending
-viscosity schedule with globally optimal matching and extrapolating each
-trajectory to nu = 0.  Limits are labeled against the inviscid reference
+Zero-viscosity limits are studied by tracking eigenvalues along a descending,
+log-even viscosity schedule (Python floats: numpy's SIMD level leaves them)
+with optimal matching of each reflection sector on its own, and extrapolating
+each trajectory to nu = 0; a near-tie is ambiguous only between values that
+differ modulo conjugation.  Limits are labeled against the inviscid reference
 spectrum: survival of an isolated point eigenvalue, condensation onto the
 imaginary-axis cluster, or neither (the diagonal classes, whose spectra sweep
 the negative real axis at every positive viscosity).  A limit condenses only
@@ -133,6 +135,12 @@ class Spectrum:
     values: np.ndarray  # sorted by descending real part, then descending imag
     sectors: np.ndarray | None = field(default=None, repr=False)  # block of each value: P = +1, -1, or 0 unsplit
 
+    def blocks(self) -> list[np.ndarray]:
+        """Indices of the values in each block of sectors, one block when unset."""
+        if self.sectors is None:
+            return [np.arange(len(self.values))]
+        return [np.flatnonzero(self.sectors == p) for p in np.unique(self.sectors)]
+
 
 @dataclass(frozen=True)
 class EulerSpectrum:
@@ -155,9 +163,9 @@ class EigTrajectory:
         """The JSON record of this trajectory of class cls, as zvtrack writes it."""
         return {
             "class": [cls.k1, cls.k2],
-            "nus": [float(nu) for nu in self.nus],
-            "re": [float(v.real) for v in self.values],
-            "im": [float(v.imag) for v in self.values],
+            "nus": self.nus.tolist(),
+            "re": self.values.real.tolist(),
+            "im": self.values.imag.tolist(),
             "label": self.label,
             "limit_re": float(self.limit.real),
             "limit_im": float(self.limit.imag),
@@ -506,6 +514,12 @@ def _extrapolate_to_zero(nus: np.ndarray, vals: np.ndarray) -> complex:
     return complex(out)
 
 
+def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
+    """nu_max (nu_min/nu_max)^(i/(n-1)) for i < n, ending at nu_min exactly, in
+    Python floats: numpy's SIMD level moves the last bits of np.geomspace's."""
+    return [nu_max * (nu_min / nu_max) ** (i / (n - 1)) for i in range(n - 1)] + [nu_min]
+
+
 def track_zero_viscosity(
     cls: ModeClass,
     alpha: float,
@@ -515,10 +529,12 @@ def track_zero_viscosity(
 ) -> list[EigTrajectory]:
     """Follow every eigenvalue along a descending viscosity schedule.
 
-    Consecutive spectra are matched by the assignment minimizing total squared
-    displacement.  A trajectory is flagged ambiguous when a different target
-    within cost tie 1e-12 exists whose value genuinely differs (exact
-    degeneracies are not ambiguities: either choice yields the same values).
+    Consecutive spectra are matched block by block of Spectrum.sectors (the
+    two reflection sectors of a (k1, 0) class), each by the assignment
+    minimizing total squared displacement, in the order of the first spectrum.
+    A trajectory is ambiguous when another target within cost tie TIE_TOL
+    differs from the chosen mu and from conj(mu): the operator is real, so
+    conjugates are one choice, as exact degeneracies are.
     """
     nus = np.asarray(list(nu_schedule), dtype=float)
     if len(nus) < 3:
@@ -533,14 +549,17 @@ def track_zero_viscosity(
     paths = np.empty((len(nus), len(spectra[0].values)), dtype=np.complex128)
     paths[0] = spectra[0].values
     ambiguous = np.zeros(paths.shape[1], dtype=bool)
+    first = spectra[0].blocks()
     for s in range(1, len(nus)):
-        target = spectra[s].values
-        cost = np.abs(paths[s - 1][:, None] - target[None, :]) ** 2
-        rows, cols = linear_sum_assignment(cost)
-        near = np.abs(cost[rows] - cost[rows, cols][:, None]) < TIE_TOL
-        differs = np.abs(target[None, :] - target[cols][:, None]) > TIE_TOL
-        ambiguous[rows] |= np.any(near & differs, axis=1)
-        paths[s, rows] = target[cols]
+        for traj, block in zip(first, spectra[s].blocks()):
+            prev, target = paths[s - 1, traj], spectra[s].values[block]
+            cost = np.abs(prev[:, None] - target[None, :]) ** 2
+            rows, cols = linear_sum_assignment(cost)
+            i, k = np.nonzero(np.abs(cost[rows] - cost[rows, cols][:, None]) < TIE_TOL)
+            mu, other = target[cols[i]], target[k]
+            tie = (np.abs(other - mu) > TIE_TOL) & (np.abs(other - mu.conj()) > TIE_TOL)
+            ambiguous[traj[rows[i[tie]]]] = True
+            paths[s, traj[rows]] = target[cols]
 
     return [
         EigTrajectory(nus=nus, values=vals, limit=_extrapolate_to_zero(nus, vals), ambiguous=bool(amb))

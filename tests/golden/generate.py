@@ -44,6 +44,11 @@ and for its class.  ``spectrum_1_0_inviscid`` and the ``zvtrack_*_header``
 entries (the header's cluster extents and lambda0 at N and 2N) were added by
 name, every other entry byte-identical, from the code before the nu = 0
 blocks were solved by the parity split of T^2; they are pinned by value.
+``zvtrack_2_1`` and ``zvtrack_0_1`` were re-pinned when zvtrack's viscosity
+schedule came to be computed in Python floats (np.geomspace's last bits
+moved with numpy's SIMD level); then ``zvtrack_2_1``, ``zvtrack_1_0`` and
+``zvtrack_2_0`` when each reflection sector was matched on its own and a tie
+between conjugates stopped counting as ambiguous.
 ``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
 held full spectra.  Regenerate a corpus only on purpose, and say why in
 CHANGES.md.

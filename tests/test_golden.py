@@ -10,12 +10,15 @@ classification label exactly.  Trajectories that start at one eigenvalue
 labels are compared per distinct start value.  The nu = 0 blocks are solved
 by the parity split of T^2, so the inviscid spectrum of class (1,0) and
 zvtrack's header fields from its reference at N and 2N are pinned by value
-too, to 1e-9.  Every payload of the commands corpus, and the bytes
-``save_field`` writes, are pinned by hash.
+too, to 1e-9.  The hashed zvtrack payloads are also checked with numpy's
+SIMD loops capped at AVX2.  Every payload of the commands corpus, and the
+bytes ``save_field`` writes, are pinned by hash.
 """
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -42,6 +45,18 @@ COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 def test_payload_bytes(name):
     _, payload = run(CORPUS[name]["argv"])
     assert digest(payload) == CORPUS[name]["payload_sha256"]
+
+
+@pytest.mark.parametrize("name", ["zvtrack_2_1", "zvtrack_0_1"])
+def test_zvtrack_bytes_without_avx512(name, tmp_path):
+    """The pinned zvtrack bytes hold with numpy's SIMD loops capped at AVX2, as
+    on an x86-64 host without AVX-512 (a subprocess: numpy reads the cap at import)."""
+    out = tmp_path / "out"
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    argv = [sys.executable, "-m", "nel.cli", *CORPUS[name]["argv"], "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert digest(out.read_text(encoding="utf-8").splitlines()[1:]) == CORPUS[name]["payload_sha256"]
 
 
 def test_spectrum_values():

@@ -459,21 +459,24 @@ class TestTracking:
         assert vals[0] > vals[1] > vals[2]
 
 
-def reference_tracking(spectra):
-    """The per-row tie check that the vectorised one in track_zero_viscosity replaced."""
+def reference_tracking(spectra, sectors):
+    """The per-row tie check that the vectorised one in track_zero_viscosity
+    replaced: each sector is matched on its own, and a near-tie counts only
+    when its value differs from the chosen one and from that one's conjugate."""
     paths = [[v] for v in spectra[0]]
     ambiguous = [False] * len(paths)
-    current = np.array(spectra[0])
-    for target in spectra[1:]:
-        cost = np.abs(current[:, None] - target[None, :]) ** 2
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            near = np.where(np.abs(cost[i] - cost[i, j]) < TIE_TOL)[0]
-            for k in near:
-                if k != j and abs(target[k] - target[j]) > TIE_TOL:
-                    ambiguous[i] = True
-            paths[i].append(target[j])
-        current = np.array([p[-1] for p in paths])
+    for values, target_sectors in zip(spectra[1:], sectors[1:]):
+        for p in sorted(set(sectors[0])):
+            mine = [i for i, q in enumerate(sectors[0]) if q == p]
+            current = np.array([paths[i][-1] for i in mine])
+            target = np.array([v for v, q in zip(values, target_sectors) if q == p])
+            cost = np.abs(current[:, None] - target[None, :]) ** 2
+            rows, cols = linear_sum_assignment(cost)
+            for r, j in zip(rows, cols):
+                for k in np.where(np.abs(cost[r] - cost[r, j]) < TIE_TOL)[0]:
+                    if abs(target[k] - target[j]) > TIE_TOL and abs(target[k] - np.conj(target[j])) > TIE_TOL:
+                        ambiguous[mine[r]] = True
+                paths[mine[r]].append(target[j])
     return np.array(paths), ambiguous
 
 
@@ -481,17 +484,66 @@ def reference_tracking(spectra):
 def test_tie_check_matches_reference_loop(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     nus = np.geomspace(0.1, 0.01, 6)
-    # values on a coarse lattice: many exact cost ties, some exact degeneracies
+    # values on a coarse lattice: many exact cost ties, some exact degeneracies;
+    # odd seeds split the values into two sectors of 6 and 4, even seeds leave one block
     planted = {nu: 0.5 * (rng.integers(-4, 5, 10) + 1j * rng.integers(-4, 5, 10)) for nu in nus}
+    sectors = {nu: rng.permutation([1] * 6 + [-1] * 4) if seed % 2 else None for nu in nus}
     monkeypatch.setattr(
-        nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: Spectrum(cls, a, g, nu, n, planted[nu])
+        nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: Spectrum(cls, a, g, nu, n, planted[nu], sectors[nu])
     )
     track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
-    want_paths, want_ambiguous = reference_tracking([planted[nu] for nu in nus])
+    want_paths, want_ambiguous = reference_tracking(
+        [planted[nu] for nu in nus], [[0] * 10 if sectors[nu] is None else list(sectors[nu]) for nu in nus]
+    )
     assert True in want_ambiguous and False in want_ambiguous
     assert [t.ambiguous for t in track] == want_ambiguous
     got = np.array([t.values for t in track])
     assert got.tobytes() == want_paths.tobytes()
+
+
+def track_planted(monkeypatch, steps):
+    """track_zero_viscosity over planted spectra, one (values, sectors) per viscosity."""
+    nus = [0.1 / 2**s for s in range(len(steps))]
+    planted = {}
+    for nu, (values, sectors) in zip(nus, steps):
+        sectors = None if sectors is None else np.array(sectors)
+        planted[nu] = Spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 4, np.array(values, dtype=complex), sectors)
+    monkeypatch.setattr(nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: planted[nu])
+    return track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
+
+
+def test_conjugate_collision_is_not_ambiguous(monkeypatch):
+    # a real pair collides and leaves the axis as lambda, conj(lambda): each row
+    # ties between the two, which are one choice modulo conjugation
+    steps = [([0.6, 0.4], None), ([0.5, 0.5], None), ([0.5 + 0.1j, 0.5 - 0.1j], None)]
+    track = track_planted(monkeypatch, steps)
+    assert [t.ambiguous for t in track] == [False, False]
+    assert sorted(t.values[-1].imag for t in track) == [-0.1, 0.1]
+
+
+def test_distinct_near_tie_is_ambiguous(monkeypatch):
+    # 0.2i is equally far from 0.1+0.2i and -0.1+0.2i, neither the other's conjugate
+    steps = [([5.0, 0.2j], None), ([0.1 + 0.2j, -0.1 + 0.2j], None), ([0.1 + 0.2j, -0.1 + 0.2j], None)]
+    track = track_planted(monkeypatch, steps)
+    assert [t.ambiguous for t in track] == [False, True]
+
+
+def test_sectors_are_matched_on_their_own(monkeypatch):
+    # across the sectors 1 -> 0.9 and 0 -> 0.1 would cost less; within them 1 -> 0.1
+    steps = [([1.0, 0.0], [1, -1]), ([0.9, 0.1], [-1, 1]), ([0.9, 0.1], [-1, 1])]
+    track = track_planted(monkeypatch, steps)
+    assert [t.values.tolist() for t in track] == [[1.0, 0.1, 0.1], [0.0, 0.9, 0.9]]
+    assert not any(t.ambiguous for t in track)
+
+
+def test_trajectories_keep_their_reflection_sector():
+    nus = [0.1, 0.03, 0.01, 0.003]
+    spectra = [class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 16) for nu in nus]
+    track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 16)
+    assert [t.values[0] for t in track] == list(spectra[0].values)
+    for tr, p in zip(track, spectra[0].sectors):
+        for v, spec in zip(tr.values, spectra):
+            assert v in spec.values[spec.sectors == p]
 
 
 def zvtrack_costs(k1, k2):
@@ -506,7 +558,7 @@ def zvtrack_costs(k1, k2):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(nel.spectra, "linear_sum_assignment", spy)
         track_zero_viscosity(ModeClass(k1, k2), ALPHA, GAMMA, np.geomspace(0.1, 1e-4, 25), 40)
-    assert len(costs) == 24
+    assert len(costs) == 48  # each of the 24 steps matches the two reflection sectors apart
     return costs
 
 
