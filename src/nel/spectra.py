@@ -56,6 +56,13 @@ spectrum: survival of an isolated point eigenvalue, condensation onto the
 imaginary-axis cluster, or neither (the diagonal classes, whose spectra sweep
 the negative real axis at every positive viscosity).  A limit condenses only
 onto a nondegenerate cluster, and a class condenses when any trajectory does.
+
+Every dense eigensolve is block_eigvals: LAPACK's dgeev from the OpenBLAS
+that numpy links, called through ctypes as np.linalg.eigvals calls it, so
+with the same bytes, but without holding the GIL.  track_zero_viscosity
+therefore solves its schedule on the calling thread plus one helper per
+further CPU of the affinity mask; the matching stays serial, in schedule
+order, and the payload does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -213,6 +220,62 @@ def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[
     return [(1, replace(even, upper=upper)), (-1, bands.trailing(trunc + 1))]
 
 
+@functools.cache
+def _dgeev():
+    """LAPACK's dgeev from the OpenBLAS (ILP64) that np.linalg.eigvals calls,
+    or None when numpy's library does not export it."""
+    import ctypes
+
+    try:
+        dgeev = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgeev_64_
+    except (AttributeError, OSError):
+        return None
+    dgeev.restype = None
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info, then the two string lengths
+    dgeev.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+    return dgeev
+
+
+def block_eigvals(t: Tridiagonal) -> np.ndarray:
+    """np.linalg.eigvals(t.dense()), the same bytes, without holding the GIL.
+
+    The block is built in column order where dgeev overwrites it, and dgeev
+    is called as numpy calls it: a workspace query, then the optimal lwork.
+    Like numpy: LinAlgError for a non-finite block or nonzero info, and a
+    real array when every imaginary part is zero.  Through ctypes the solve
+    releases the GIL, so zvtrack's threads solve in parallel.
+    """
+    m = len(t.diag)
+    dgeev = _dgeev()
+    if dgeev is None or m == 0:
+        return np.linalg.eigvals(t.dense())
+    a = np.zeros(m * m)  # entry (i, j) at j m + i
+    a[:: m + 1] = t.diag
+    a[1 :: m + 1] = t.lower
+    a[m :: m + 1] = t.upper
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    out = np.empty(2 * m + 1)  # wr, wi, then the workspace query
+    ints = np.array([m, -1, 0], dtype=np.int64)  # n (also every leading dimension), lwork, info
+    n, A, wr = ints.ctypes.data, a.ctypes.data, out.ctypes.data  # addresses; the arrays outlive the calls
+    lwork, info, wi, query = n + 8, n + 16, wr + 8 * m, wr + 16 * m
+
+    def solve(work):
+        dgeev(b"N", b"N", n, A, n, wr, wi, query, n, query, n, work, lwork, info, 1, 1)
+
+    solve(query)
+    ints[1] = int(out[2 * m])
+    work = np.empty(ints[1])
+    solve(work.ctypes.data)
+    if ints[2] != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if not out[m : 2 * m].any():
+        return out[:m]
+    w = np.empty(m, dtype=np.complex128)
+    w.real, w.imag = out[:m], out[m : 2 * m]  # not wr + 1j * wi, which can flip the sign of a zero
+    return w
+
+
 def parity_eigvals(t: Tridiagonal) -> np.ndarray:
     """Eigenvalues of a zero-diagonal block by the parity split of T^2; mu is
     made complex before its sqrt, as a negative mu is the pair +/- i sqrt(-mu)."""
@@ -220,7 +283,7 @@ def parity_eigvals(t: Tridiagonal) -> np.ndarray:
     p = np.append(t.lower * t.upper, 0.0)
     a, b = slice(1, 2 * q - 2, 2), slice(2, 2 * q - 1, 2)  # bands 2j+1 and 2j+2 join odd rows 2j+1, 2j+3
     cb = Tridiagonal(p[: 2 * q : 2] + p[1 : 2 * q : 2], t.lower[a] * t.lower[b], t.upper[a] * t.upper[b])
-    root = np.sqrt(np.linalg.eigvals(cb.dense()).astype(np.complex128))
+    root = np.sqrt(block_eigvals(cb).astype(np.complex128))
     return np.concatenate([root, 0.0 - root, np.zeros(len(t.diag) - 2 * q)])  # 0 - root: no signed zeros
 
 
@@ -229,8 +292,8 @@ def compute_spectrum(op: SubOperator) -> Spectrum:
     as its two reflection sectors, a nu = 0 block by its parity split."""
     blocks = sector_blocks(op.cls, op.trunc, op.bands)
     try:
-        parts = [np.linalg.eigvals(b.dense()) if b.diag.any() else parity_eigvals(b) for _, b in blocks]
-    except np.linalg.LinAlgError as e:  # pragma: no cover - eig rarely fails
+        parts = [block_eigvals(b) if b.diag.any() else parity_eigvals(b) for _, b in blocks]
+    except np.linalg.LinAlgError as e:
         raise ComputationalError(f"eigensolver failed: {e}") from e
     vals = np.concatenate(parts, dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
@@ -520,6 +583,43 @@ def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
     return [nu_max * (nu_min / nu_max) ** (i / (n - 1)) for i in range(n - 1)] + [nu_min]
 
 
+def _on_every_cpu(fn, items: list) -> list:
+    """[fn(x) for x in items], on the calling thread plus one helper per further
+    CPU of this process's affinity mask, each taking the next item in turn.
+
+    Once an item fails the threads stop taking items.  Every item before it
+    was already taken, so the error raised is that of the first failing item
+    in list order, as the serial loop would raise it.
+    """
+    import threading
+
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(len(os.sched_getaffinity(0)) - 1)]
+    for h in helpers:
+        h.start()
+    work()
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def track_zero_viscosity(
     cls: ModeClass,
     alpha: float,
@@ -528,6 +628,9 @@ def track_zero_viscosity(
     trunc: int,
 ) -> list[EigTrajectory]:
     """Follow every eigenvalue along a descending viscosity schedule.
+
+    The spectra are solved on every CPU of the affinity mask; the matching
+    below runs on the calling thread, in schedule order.
 
     Consecutive spectra are matched block by block of Spectrum.sectors (the
     two reflection sectors of a (k1, 0) class), each by the assignment
@@ -544,7 +647,7 @@ def track_zero_viscosity(
     if nus[-1] <= 0:
         raise ValidationError("schedule must stay positive; nu = 0 is the reference")
 
-    spectra = [class_spectrum(cls, alpha, gamma, nu, trunc) for nu in nus]
+    spectra = _on_every_cpu(lambda nu: class_spectrum(cls, alpha, gamma, nu, trunc), list(nus))
 
     paths = np.empty((len(nus), len(spectra[0].values)), dtype=np.complex128)
     paths[0] = spectra[0].values

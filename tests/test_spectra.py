@@ -113,8 +113,8 @@ class TestReflectionSectors:
         commutes = np.array_equal(P @ A @ P, A)
         assert commutes == (k2 == 0)
         sizes = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda b: sizes.append(len(b)) or eigvals(b))
+        eigvals = nel.spectra.block_eigvals
+        monkeypatch.setattr(nel.spectra, "block_eigvals", lambda t: sizes.append(len(t.diag)) or eigvals(t))
         compute_spectrum(op)
         blocks = [trunc + 1, trunc] if commutes else [len(op.offsets)]
         # a nu = 0 block of m rows is solved as its m // 2 by m // 2 parity block
