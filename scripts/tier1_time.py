@@ -6,12 +6,12 @@ Runs the tier-1 command
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
 k times, each in a new subprocess from the root of the source tree, after
---warmup untimed runs.  Prints each run's pytest summary line, the min and
+one untimed warm-up run.  Prints each run's pytest summary line, the min and
 median wall time (from interpreter start to exit), and the ten slowest tests
 by their median time over the timed runs (setup, call and teardown summed,
 from pytest's --durations).  Arguments after ``--`` go to pytest.
 
-    python3 scripts/tier1_time.py -k 3 --warmup 1
+    python3 scripts/tier1_time.py -k 3
     python3 scripts/tier1_time.py -k 5 -- tests/test_spectra.py
 
 Exits with the first nonzero pytest status, so a failing suite is never
@@ -31,6 +31,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+(\S+)$")
 SUMMARY = re.compile(r"^=* ?\d+ (?:passed|failed|error).* in [0-9.]+s")
+WARMUP = 1
+SLOWEST = 10
 
 
 def run_once(pytest_args):
@@ -54,20 +56,18 @@ def run_once(pytest_args):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("-k", type=int, default=3, help="timed runs (default 3)")
-    ap.add_argument("--warmup", type=int, default=1, help="untimed runs first (default 1)")
-    ap.add_argument("--slowest", type=int, default=10, help="slowest tests to list (default 10)")
     ap.add_argument("pytest_args", nargs="*", help="passed to pytest after --")
     args = ap.parse_args(argv)
-    if args.k < 1 or args.warmup < 0:
-        ap.error("need k >= 1 and warmup >= 0")
+    if args.k < 1:
+        ap.error("need k >= 1")
 
     status = 0
     walls, tests = [], collections.defaultdict(list)
-    for i in range(args.warmup + args.k):
+    for i in range(WARMUP + args.k):
         wall, code, summary, per_test = run_once(args.pytest_args)
         status = status or code
-        timed = i >= args.warmup
-        tag = f"run {i - args.warmup + 1}/{args.k}" if timed else f"warm-up {i + 1}/{args.warmup}"
+        timed = i >= WARMUP
+        tag = f"run {i - WARMUP + 1}/{args.k}" if timed else f"warm-up {i + 1}/{WARMUP}"
         print(f"{tag}: {wall:.1f} s  {summary or f'pytest exit {code}'}", flush=True)
         if timed:
             walls.append(wall)
@@ -78,7 +78,7 @@ def main(argv=None):
     # a test missing from a run's durations took under pytest's 5 ms floor there
     median = {name: statistics.median(times + [0.0] * (args.k - len(times))) for name, times in tests.items()}
     print(f"slowest tests (median of {args.k} runs):")
-    for name in sorted(median, key=median.get, reverse=True)[: args.slowest]:
+    for name in sorted(median, key=median.get, reverse=True)[:SLOWEST]:
         print(f"  {median[name]:7.2f} s  {name}")
     return status
 

@@ -60,9 +60,9 @@ onto a nondegenerate cluster, and a class condenses when any trajectory does.
 Every dense eigensolve is block_eigvals: LAPACK's dgeev from the OpenBLAS
 that numpy links, called through ctypes as np.linalg.eigvals calls it, so
 with the same bytes, but without holding the GIL.  track_zero_viscosity
-therefore solves its schedule on the calling thread plus one helper per
-further CPU of the affinity mask; the matching stays serial, in schedule
-order, and the payload does not depend on the number of CPUs.
+therefore solves its schedule on one thread per CPU of the affinity mask;
+the matching stays serial, in schedule order, and the payload does not
+depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -584,40 +584,18 @@ def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
 
 
 def _on_every_cpu(fn, items: list) -> list:
-    """[fn(x) for x in items], on the calling thread plus one helper per further
-    CPU of this process's affinity mask, each taking the next item in turn.
+    """[fn(x) for x in items] on up to one thread per CPU of this process's
+    affinity mask, or of os.cpu_count() where the OS has no affinity mask.
 
-    Once an item fails the threads stop taking items.  Every item before it
-    was already taken, so the error raised is that of the first failing item
-    in list order, as the serial loop would raise it.
+    map yields in list order, so the error raised is that of the first failing
+    item, as the serial loop would raise it; the items not yet started are then
+    cancelled, and leaving the pool joins its threads.
     """
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    results = [None] * len(items)
-    errors = {}
-    lock = threading.Lock()
-    order = iter(range(len(items)))
-
-    def work():
-        while not errors:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                errors[i] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(len(os.sched_getaffinity(0)) - 1)]
-    for h in helpers:
-        h.start()
-    work()
-    for h in helpers:
-        h.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(cpus) as pool:
+        return list(pool.map(fn, items))
 
 
 def track_zero_viscosity(
