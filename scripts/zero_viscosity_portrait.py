@@ -42,9 +42,9 @@ def main(argv=None):
     ap.add_argument("--outdir", default="portrait")
     args = ap.parse_args(argv)
 
+    nus = viscosity_schedule(args.nu_max, args.nu_min, args.n_nus)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    nus = viscosity_schedule(args.nu_max, args.nu_min, args.n_nus)
 
     summary_rows = ["class_k1,class_k2,label,n_trajectories,lambda0,cluster_extent"]
     for cls in parse_classes(args.classes):

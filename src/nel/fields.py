@@ -1,11 +1,12 @@
 """The spectral field, the 2D spectral calculus, and field snapshots.
 
-``SpectralField`` holds a real field on a periodic grid (``TorusGrid2D`` or
-``TorusGrid3D``) by its half spectrum, ``rfftn(values) / size``: a scalar, a
-vector, or any stack of them on leading axes, which every transform and
-operator here batches over; the 3D vector calculus built on it lives in
-``fields3d``.  A complex-valued field is carried as two real rows (re, im)
-on a leading axis: every operator is real-linear in the field it acts on.
+``SpectralField`` holds a real field on a ``grids.TorusGrid``, the box
+[0, 2pi/alpha] x [0, 2pi]^(d-1) with d = 2 or 3, by its half spectrum,
+``rfftn(values) / size``: a scalar, a vector, or any stack of them on leading
+axes, which every transform and operator here batches over; the 3D vector
+calculus built on it lives in ``fields3d``.  A complex-valued field is
+carried as two real rows (re, im) on a leading axis: every operator is
+real-linear in the field it acts on.
 
 2D fields live on [0, 2pi/alpha] x [0, 2pi] in the vorticity formulation
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import TorusGrid2D, TorusGrid3D, _int_freqs
+from .grids import TorusGrid
 
 MEAN_TOL = 1e-12
 HERMITIAN_TOL = 1e-10  # relative: a snapshot's spectrum must be Hermitian to this
@@ -50,7 +51,7 @@ class SpectralField:
     read-only view of the caller's array, which stays writable.
     """
 
-    grid: TorusGrid2D | TorusGrid3D
+    grid: TorusGrid
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -233,17 +234,17 @@ def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -
 
 
 def random_real_field(
-    grid: TorusGrid2D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
+    grid: TorusGrid, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SpectralField:
-    """Random mean-zero real trig polynomial with |m|,|n| <= kmax, sup-norm ~ amplitude.
+    """Random mean-zero real trig polynomial with every |m_i| <= kmax, sup-norm ~ amplitude.
 
-    Complex coefficients are drawn on the full spectrum; the field is their real part.
+    Complex coefficients are drawn on the full spectrum's low modes, in C
+    order; the field is their real part.
     """
     c = np.zeros(grid.shape, dtype=np.complex128)
-    sel_x, sel_y = (np.abs(_int_freqs(n)) <= kmax for n in grid.shape)
-    shape = (sel_x.sum(), sel_y.sum())
-    c[np.ix_(sel_x, sel_y)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c[0, 0] = 0.0
+    low = grid.low_modes(kmax)
+    c[low] = rng.standard_normal(low.sum()) + 1j * rng.standard_normal(low.sum())
+    c.flat[0] = 0.0
     return _scaled(SpectralField(grid, _real_and_imag(grid, c)[0]), amplitude)
 
 
@@ -267,7 +268,7 @@ def save_field(path, f: SpectralField) -> None:
     snapshot = {
         "version": 1,
         "kind": f"field{len(g.shape)}d",
-        "grid": {"alpha": getattr(g, "alpha", 1.0), **dict(zip(("nx", "ny", "nz"), g.shape))},
+        "grid": {"alpha": g.alpha, **dict(zip(("nx", "ny", "nz"), g.shape))},
         "layout": "row-major, last index fastest",
         "components": flat.size // g.size,
         "re": flat.real.tolist(),
@@ -285,13 +286,10 @@ def load_field(path) -> SpectralField:
             d = json.load(fh)
         if d.get("version") != 1:
             raise ValidationError(f"unsupported version {d.get('version')}")
-        g = d["grid"]
-        if d["kind"] == "field2d":
-            grid = TorusGrid2D(alpha=g["alpha"], nx=g["nx"], ny=g["ny"])
-        elif d["kind"] == "field3d":
-            grid = TorusGrid3D(nx=g["nx"], ny=g["ny"], nz=g["nz"])
-        else:
+        axes = {"field2d": "xy", "field3d": "xyz"}.get(d["kind"])
+        if axes is None:
             raise ValidationError(f"unknown kind {d['kind']!r}")
+        grid = TorusGrid(tuple(d["grid"]["n" + a] for a in axes), d["grid"]["alpha"])
         comps = d.get("components", 1)
         if comps not in (1, len(grid.shape)):
             raise ValidationError(f"{comps} components, not 1 or {len(grid.shape)}")

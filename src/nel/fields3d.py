@@ -1,4 +1,4 @@
-"""Vector spectral calculus on the periodic cube [0, 2pi]^3.
+"""Vector spectral calculus on the periodic box [0, 2pi/alpha] x [0, 2pi]^2.
 
 The operators of the vorticity form of 3D flow,
 
@@ -6,11 +6,11 @@ The operators of the vorticity form of 3D flow,
 
 with u recovered from mean-zero vorticity by u = -Lap^{-1}(curl Omega)
 (Biot-Savart on the torus; divergence-free by construction).  Fields are
-``fields.SpectralField``s on a ``TorusGrid3D``, held as half spectra:
+``fields.SpectralField``s on a 3D ``TorusGrid``, held as half spectra:
 scalars, or vectors with the three components on a leading axis.  A complex
 scalar, such as a transported eigenfield, is carried as (re, im) rows.
 Products are dealiased with the grid mask and the mean of every product is
-projected out.
+projected out.  The command line's 3D grids are cubes: alpha = 1, equal sizes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .fields import (
     invert_laplacian,
     require_mean_zero,
 )
-from .grids import TorusGrid3D, _int_freqs
+from .grids import TorusGrid
 
 __all__ = [
     "curl_3d",
@@ -76,21 +76,14 @@ def advect_3d(a: SpectralField, f: SpectralField) -> SpectralField:
     return SpectralField(a.grid, _forward_dealiased(a.grid, prod))
 
 
-def _low_modes(grid: TorusGrid3D, kmax: int, nyquist: bool = True) -> np.ndarray:
-    # |m_i| <= kmax on every axis (and |m_i| < n_i/2 without the Nyquist modes),
-    # on the full spectrum; its first nz/2+1 columns are the half one's
-    kx, ky, kz = (np.abs(_int_freqs(n)) <= (kmax if nyquist else min(kmax, n // 2 - 1)) for n in grid.shape)
-    return kx[:, None, None] & ky[None, :, None] & kz[None, None, :]
-
-
 def random_solenoidal_field(
-    grid: TorusGrid3D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
+    grid: TorusGrid, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SpectralField:
     """Random real divergence-free vector field with modes |k_i| <= kmax and
     |k_i| < n_i/2: the projection of a Nyquist mode, whose wavenumber has no
     sign, would not be Hermitian, so the field would not be real."""
     vals = rng.standard_normal((3, *grid.shape))
-    low = _low_modes(grid, kmax, nyquist=False)[..., : grid.spectral_shape[-1]]
+    low = grid.low_modes(kmax, nyquist=False)[..., : grid.spectral_shape[-1]]
     c = np.where(low, SpectralField.from_physical(grid, vals).coeffs, 0.0)
     # Leray projection: remove the gradient part so div = 0 exactly
     kx, ky, kz = grid.k
@@ -103,10 +96,10 @@ def random_solenoidal_field(
 
 
 def random_scalar_field(
-    grid: TorusGrid3D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
+    grid: TorusGrid, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SpectralField:
     """Random complex scalar with modes |k_i| <= kmax, sup-norm ~ amplitude,
     as (re, im) rows; the complex coefficients are drawn on the full spectrum."""
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = SpectralField(grid, _real_and_imag(grid, np.where(_low_modes(grid, kmax), vals, 0.0)))
+    f = SpectralField(grid, _real_and_imag(grid, np.where(grid.low_modes(kmax), vals, 0.0)))
     return _scaled(f, amplitude, complex_norm_inf)

@@ -41,7 +41,7 @@ from .fields import (
     require_mean_zero,
 )
 from .fields3d import advect_3d, biot_savart_3d, divergence_3d
-from .grids import TorusGrid2D
+from .grids import TorusGrid
 
 CONSTRAINT_TOL = 1e-8
 
@@ -297,7 +297,7 @@ def darboux_shear_example(nx: int = 128, ny: int = 8, eta: float = 1e-3) -> Darb
     transforms skip the dropped lines.  Closed forms:
     p~ = -2 cos x / (sin x (2 + sin x)) off the mask, Omega~ = cos x + cos 2x.
     """
-    grid = TorusGrid2D(alpha=1.0, nx=nx, ny=ny)
+    grid = TorusGrid((nx, ny))
 
     def fld(modes):  # {m: coefficient of e^{imx}, m >= 0} of a real x-only field
         c = np.zeros(grid.spectral_shape, complex)

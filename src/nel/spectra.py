@@ -580,6 +580,10 @@ def _extrapolate_to_zero(nus: np.ndarray, vals: np.ndarray) -> complex:
 def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
     """nu_max (nu_min/nu_max)^(i/(n-1)) for i < n, ending at nu_min exactly, in
     Python floats: numpy's SIMD level moves the last bits of np.geomspace's."""
+    if not (0.0 < nu_min < nu_max):
+        raise ValidationError("need 0 < nu_min < nu_max")
+    if n < 3:
+        raise ValidationError(f"n_nus must be >= 3, got {n}")
     return [nu_max * (nu_min / nu_max) ** (i / (n - 1)) for i in range(n - 1)] + [nu_min]
 
 

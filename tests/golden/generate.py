@@ -65,7 +65,7 @@ import numpy as np
 from nel.cli import main
 from nel.fields import SpectralField, random_real_field, save_field
 from nel.fields3d import random_solenoidal_field
-from nel.grids import TorusGrid2D, TorusGrid3D
+from nel.grids import TorusGrid
 from nel.lax import darboux_shear_example
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -216,8 +216,8 @@ def darboux_snapshot_payload(nx, ny):
 
 def snapshot_fields():
     """One 2D scalar, one 3D scalar and one 3D vector field, drawn from fixed seeds."""
-    g2 = TorusGrid2D(alpha=0.7, nx=8, ny=6)
-    g3 = TorusGrid3D(nx=4, ny=6, nz=4)
+    g2 = TorusGrid((8, 6), 0.7)
+    g3 = TorusGrid((4, 6, 4))
     return {
         "scalar_2d": random_real_field(g2, 2, np.random.default_rng(1), 0.5),
         "scalar_3d": SpectralField(g3, random_solenoidal_field(g3, 1, np.random.default_rng(2), 2.0).coeffs[0]),

@@ -19,7 +19,7 @@ from nel.fields import (
     require_mean_zero,
 )
 from nel.fields3d import advect_3d, biot_savart_3d
-from nel.grids import TorusGrid2D
+from nel.grids import TorusGrid
 from nel.models import GLState, SGState, _gl_plan, _gl_to_phys, _sg_plan, _sg_to_phys
 from nel.spectra import DEFAULT_GAMMA, ModeClass, assemble_suboperator
 
@@ -76,9 +76,9 @@ def reflect_xy(fld: SpectralField) -> SpectralField:
     """The spatial part of the (t, x, y) -> (-t, y, x) symmetry (needs a square
     grid with alpha = 1)."""
     g = fld.grid
-    if g.nx != g.ny or g.alpha != 1.0:
+    if g.shape[0] != g.shape[1] or g.alpha != 1.0:
         raise ValidationError("reflection requires a square grid with alpha = 1")
-    return SpectralField(g, full_spectrum(fld).swapaxes(-1, -2)[..., : g.ny // 2 + 1])
+    return SpectralField(g, full_spectrum(fld).swapaxes(-1, -2)[..., : g.shape[1] // 2 + 1])
 
 
 def ns_rhs_2d(
@@ -141,7 +141,7 @@ def jacobian_oracle_check(
     need_y = 3 * (abs(cls.k2) + trunc + 2)
     ny = 1 << max(4, math.ceil(math.log2(need_y)))
     nx = 1 << max(4, math.ceil(math.log2(3 * (abs(cls.k1) + 2))))
-    grid = TorusGrid2D(alpha=alpha, nx=nx, ny=ny)
+    grid = TorusGrid((nx, ny), alpha)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     base = SpectralField.from_physical(grid, gamma * np.cos(Y))  # also the forcing: a fixed point at every nu
     worst = 0.0

@@ -19,7 +19,7 @@ from nel.diagnostics import lyapunov_max
 from nel.fields import SpectralField, bracket_core as bracket, random_real_field
 from nel.fields3d import random_scalar_field, random_solenoidal_field
 from nel.forcing import ABC_THETA0, ABCState
-from nel.grids import TorusGrid2D, TorusGrid3D
+from nel.grids import TorusGrid
 from nel.lax import (
     darboux_apply,
     darboux_shear_example,
@@ -157,7 +157,7 @@ def test_a08_operator_assembly_matches_independent_oracles():
 
 def test_a09_bracket_algebra_on_random_trig_polynomials():
     """20 random degree-<=8 triples: antisymmetry to 1e-10, Jacobi to 1e-9."""
-    g = TorusGrid2D(alpha=1.0, nx=64, ny=64, dealias_fraction=0.5)
+    g = TorusGrid((64, 64), dealias_fraction=0.5)
     rng = np.random.default_rng(2024)
     for _ in range(20):
         f, h, w = (random_real_field(g, 8, rng) for _ in range(3))
@@ -172,7 +172,7 @@ def test_a10_transported_eigenfield_2d():
     4x under grid-and-step doubling; negative control stays above 1e-1."""
 
     def run(n, dt, control=False):
-        grid = TorusGrid2D(alpha=1.0, nx=n, ny=n)
+        grid = TorusGrid((n, n))
         rng = np.random.default_rng(12345)
         om0 = random_real_field(grid, 4, rng, 0.1)
         ph0 = random_real_field(grid, 4, rng, 5.0)
@@ -189,7 +189,7 @@ def test_a10_transported_eigenfield_2d():
 def test_a11_transported_eigenfield_3d_with_and_without_curl():
     """3D residual < 1e-3 at 32^3/T=0.5 both with the curl-coupled velocity
     and with an independent prescribed divergence-free velocity."""
-    grid = TorusGrid3D(nx=32, ny=32, nz=32)
+    grid = TorusGrid((32, 32, 32))
 
     rng = np.random.default_rng(99)
     om0 = random_solenoidal_field(grid, 2, rng, 0.1)

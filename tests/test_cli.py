@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import pathlib
 import pkgutil
 import runpy
@@ -17,6 +18,7 @@ import nel.cli
 import nel.runio
 import nel.spectra
 from nel.cli import COMMANDS, SPECTRUM_CSV_HEADER, main
+from nel.errors import ValidationError
 from nel.forcing import ForcingSpec
 from nel.models import GLParams, SGParams
 from nel.runio import build_from_status, parse_config_lines, serialize_config
@@ -176,6 +178,42 @@ class TestValidationFailures:
         assert f"parameters {keys} do not apply" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, shape",
+        [
+            (("laxcheck", "--grid", "7"), "(7, 7)"),
+            (("laxcheck", "--dim", "3", "--grid", "7"), "(7, 7, 7)"),
+            (("darboux", "--nx", "7"), "(7, 8)"),
+        ],
+    )
+    def test_odd_grid_size_exits_2(self, argv, shape, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nel: error: grid sizes must be even and >= 4, got shape {shape}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("control", ["false", "true"])
+    @pytest.mark.parametrize("dim", [("--dim", "2"), ("--dim", "3", "--mode", "curl"), ("--dim", "3", "--mode", "free")])
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_laxcheck_without_modes_exits_2(self, dim, control, kmax, tmp_path, capsys):
+        # kmax < 1 draws zero fields, whose residual is 0 even for the negative control
+        argv = ("laxcheck", *dim, "--kmax", kmax, "--control", control, "--grid", "8", "--t-end", "0.01", "--dt", "0.01")
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nel: error: kmax must be >= 1, got {kmax}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--nu-min=-1e-3",), "need 0 < nu_min < nu_max"),
+            (("--nu-min", "0.2"), "need 0 < nu_min < nu_max"),
+            (("--n-nus", "2"), "n_nus must be >= 3, got 2"),
+        ],
+    )
+    def test_zvtrack_schedule_exits_2(self, argv, message, tmp_path, capsys):
+        assert run_cli("zvtrack", "--trunc", "8", *argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nel: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_blowup_exits_3_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "blow.jsonl"
         code = run_cli(
@@ -317,6 +355,12 @@ class TestZvtrackCommand:
         portrait = (tmp_path / "portrait" / "class_2_1.jsonl").read_text().splitlines()
         assert portrait == read_out(out)[1]
 
+    def test_portrait_script_rejects_a_schedule_that_is_not_decreasing_and_positive(self, tmp_path):
+        script = runpy.run_path(str(ROOT / "scripts" / "zero_viscosity_portrait.py"))
+        with pytest.raises(ValidationError, match="need 0 < nu_min < nu_max"):
+            script["main"](["--classes", "1,0", "--trunc", "8", "--nu-min=-1e-3", "--outdir", str(tmp_path / "p")])
+        assert not list(tmp_path.iterdir())
+
     def test_portrait_summary_leaves_missing_lambda0_empty(self, tmp_path):
         # class (0,1) has no isolated inviscid eigenvalue: zvtrack writes null
         script = runpy.run_path(str(ROOT / "scripts" / "zero_viscosity_portrait.py"))
@@ -363,7 +407,7 @@ class TestDarbouxCommand:
 
     def test_wrong_kind_names_its_file(self, tmp_path, capsys):
         from nel.fields import SpectralField, save_field
-        from nel.grids import TorusGrid3D
+        from nel.grids import TorusGrid
         from nel.lax import darboux_shear_example
 
         inp = darboux_shear_example(16, 8)
@@ -371,7 +415,7 @@ class TestDarbouxCommand:
         for flag, fld in (("--omega", inp.omega), ("--p", inp.p), ("--f", inp.f)):
             save_field(tmp_path / flag[2:], fld)
             argv += [flag, str(tmp_path / flag[2:])]
-        grid = TorusGrid3D(4, 4, 4)
+        grid = TorusGrid((4, 4, 4))
         save_field(tmp_path / "bigf", SpectralField(grid, np.zeros(grid.spectral_shape, complex)))
         assert run_cli("darboux", *argv, "--bigf", str(tmp_path / "bigf")) == 2
         err = capsys.readouterr().err
@@ -535,6 +579,20 @@ class TestLyapunovCommand:
         header, payload = read_out(out)
         assert np.isfinite(header["summary"]["lambda"])
         assert len(payload) == 1 + 4
+
+
+def test_sg_lyapunov_scan_script(tmp_path):
+    # the one script no command mirrors: it breaks if the model or diagnostics API moves
+    script = runpy.run_path(str(ROOT / "scripts" / "sg_lyapunov_scan.py"))
+    out = tmp_path / "scan.csv"
+    argv = ["--n-eps", "2", "--n-a", "2", "--n-modes", "8", "--t-end", "2", "--out", str(out)]
+    assert script["main"](argv) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "eps,a,lambda,escaped"
+    assert len(rows) == 4
+    for row in rows:
+        eps, a, lam, escaped = row.split(",")
+        assert all(math.isfinite(float(v)) for v in (eps, a, lam)) and escaped in ("True", "False")
 
 
 class TestParamsEcho:

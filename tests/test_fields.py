@@ -22,14 +22,14 @@ from nel.fields import (
     save_field,
 )
 from nel.fields3d import random_solenoidal_field
-from nel.grids import TorusGrid2D, TorusGrid3D
+from nel.grids import TorusGrid
 from oracles import dealias_mask, ns_rhs_2d, project_mean
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def grid(alpha=1.0, n=64, frac=2 / 3):
-    return TorusGrid2D(alpha=alpha, nx=n, ny=n, dealias_fraction=frac)
+    return TorusGrid((n, n), alpha, dealias_fraction=frac)
 
 
 def field_from_fn(g, fn):
@@ -68,7 +68,7 @@ class TestTransforms:
         p = tmp_path / "f.json"
         save_field(p, f)
         d = json.loads(p.read_text())
-        d["re"][1 * g.ny + 2] += 0.5  # break Hermitian symmetry at (1, 2)
+        d["re"][1 * g.shape[1] + 2] += 0.5  # break Hermitian symmetry at (1, 2)
         p.write_text(json.dumps(d))
         with pytest.raises(ValidationError, match="not a real field"):
             load_field(p)
@@ -280,7 +280,7 @@ class TestSnapshotIO:
         assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
 
     def test_roundtrip_3d_vector_writes_a_hermitian_spectrum(self, tmp_path):
-        g = TorusGrid3D(8, 6, 8)
+        g = TorusGrid((8, 6, 8))
         f = random_solenoidal_field(g, 2, np.random.default_rng(34), 1.0)
         p = tmp_path / "u.json"
         save_field(p, f)
@@ -315,8 +315,8 @@ class TestSnapshotIO:
     def test_loads_a_snapshot_written_before_half_spectra(self, name):
         # written by save_field when fields held full spectra; the same draws as here
         want = {
-            "scalar_2d": lambda: random_real_field(TorusGrid2D(alpha=0.7, nx=8, ny=6), 2, np.random.default_rng(1), 0.5),
-            "vector_3d": lambda: random_solenoidal_field(TorusGrid3D(4, 6, 4), 1, np.random.default_rng(3), 1.5),
+            "scalar_2d": lambda: random_real_field(TorusGrid((8, 6), 0.7), 2, np.random.default_rng(1), 0.5),
+            "vector_3d": lambda: random_solenoidal_field(TorusGrid((4, 6, 4)), 1, np.random.default_rng(3), 1.5),
         }[name]()
         got = load_field(GOLDEN / f"snapshot_v1_{name}.json")
         assert got.grid == want.grid

@@ -14,19 +14,17 @@ from nel.fields3d import (
     divergence_3d,
     random_solenoidal_field,
 )
-from nel.grids import TorusGrid3D
+from nel.grids import TorusGrid
 from oracles import ns_rhs_3d
 
 
 def grid(n=16):
-    return TorusGrid3D(nx=n, ny=n, nz=n)
+    return TorusGrid((n, n, n))
 
 
 def mesh(g):
     return np.meshgrid(
-        np.arange(g.nx) * 2 * np.pi / g.nx,
-        np.arange(g.ny) * 2 * np.pi / g.ny,
-        np.arange(g.nz) * 2 * np.pi / g.nz,
+        *(np.arange(n) * 2 * np.pi / n for n in g.shape),
         indexing="ij",
     )
 
@@ -110,7 +108,7 @@ def test_prescribed_velocity_path():
 def test_solenoidal_draw_is_real_at_kmax_past_nyquist(tmp_path):
     # kmax = 2 reaches the Nyquist mode of the nx = 4 axis; the written full
     # spectrum c must satisfy c(-m) = conj(c(m)) on every component
-    g = TorusGrid3D(4, 6, 8)
+    g = TorusGrid((4, 6, 8))
     save_field(tmp_path / "u.json", random_solenoidal_field(g, 2, np.random.default_rng(34)))
     snap = json.loads((tmp_path / "u.json").read_text())
     c = (np.array(snap["re"]) + 1j * np.array(snap["im"])).reshape(3, *g.shape)

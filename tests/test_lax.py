@@ -14,7 +14,7 @@ from nel.fields import (
     random_real_field,
 )
 from nel.fields3d import advect_3d, biot_savart_3d, random_scalar_field, random_solenoidal_field
-from nel.grids import TorusGrid2D, TorusGrid3D
+from nel.grids import TorusGrid
 from nel.lax import (
     DarbouxInput,
     _transport_check,
@@ -43,13 +43,13 @@ random_scalar_3d = random_scalar_field
 
 class TestOperators:
     def test_self_bracket_is_zero(self):
-        g = TorusGrid2D(alpha=0.7, nx=32, ny=32)
+        g = TorusGrid((32, 32), 0.7)
         om = random_real_field(g, 4, np.random.default_rng(0))
         assert bracket_core(om, om).norm_inf() < 1e-14
 
     def test_x_only_eigenfield(self):
         # Omega = cos x: any g(x) is annihilated by L
-        g = TorusGrid2D(alpha=1.0, nx=32, ny=32)
+        g = TorusGrid((32, 32))
         om = field_of(g, lambda X, Y: np.cos(X))
         phi = field_of(g, lambda X, Y: np.sin(2 * X) + 0.3 * np.cos(X))
         assert bracket_core(om, phi).norm_inf() < 1e-14
@@ -59,7 +59,7 @@ class TestOperators:
         # {cos y, e^{i a x}} = (0)(ike^{iax}) - (-sin y)(ia e^{iax})
         #                    = +ia sin y e^{iax}
         alpha = 0.7
-        g = TorusGrid2D(alpha=alpha, nx=32, ny=32)
+        g = TorusGrid((32, 32), alpha)
         om = field_of(g, lambda X, Y: np.cos(Y))
         phi = pair_of(g, lambda X, Y: np.exp(1j * alpha * X))
         lphi, aphi = bracket_core(om, phi), bracket_core(invert_laplacian(om), phi)
@@ -71,7 +71,7 @@ class TestOperators:
         assert np.max(np.abs(aphi.physical() + expect)) < 1e-13
 
     def test_eigen_residual(self):
-        g = TorusGrid2D(alpha=1.0, nx=32, ny=32)
+        g = TorusGrid((32, 32))
         om = field_of(g, lambda X, Y: np.cos(Y))
         phi = pair_of(g, lambda X, Y: np.exp(1j * Y))  # a lam=0 eigenfield of {cos y, .}
         lphi = bracket_core(om, phi)
@@ -79,7 +79,7 @@ class TestOperators:
         assert abs(eigen_residual(lphi, phi, 1.0 + 0j) - 1.0) < 1e-12
 
     def test_state_validation(self):
-        g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
+        g = TorusGrid((16, 16))
         bad = pair_of(g, lambda X, Y: np.exp(1j * X))  # a complex omega, as (re, im) rows
         ok = field_of(g, lambda X, Y: np.cos(X))
         with pytest.raises(ValidationError, match="real"):
@@ -88,7 +88,7 @@ class TestOperators:
             transported_eigenfield_check_2d(field_of(g, lambda X, Y: 1.0 + np.cos(X)), ok, t_end=0.1, dt=0.1)
 
     def test_3d_operators_and_state(self):
-        g = TorusGrid3D(nx=16, ny=16, nz=16)
+        g = TorusGrid((16, 16, 16))
         rng = np.random.default_rng(5)
         om = random_solenoidal_field(g, 2, rng, amplitude=0.5)
         phi = random_scalar_3d(g, 2, rng, amplitude=1.0)
@@ -99,14 +99,14 @@ class TestOperators:
 
 class TestTransport2D:
     def test_steady_shear_exact(self):
-        g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
+        g = TorusGrid((48, 48))
         om = field_of(g, lambda X, Y: np.cos(Y))
         phi = field_of(g, lambda X, Y: np.sin(Y) + 0.2 * np.cos(2 * Y))
         r = transported_eigenfield_check_2d(om, phi, t_end=0.25, dt=2e-3)
         assert r.residual_inf < 1e-13
 
     def test_generic_flow_and_control(self):
-        g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
+        g = TorusGrid((48, 48))
         rng = np.random.default_rng(3)
         om0 = random_real_field(g, 3, rng, amplitude=0.5)
         ph0 = random_real_field(g, 3, rng, amplitude=1.0)
@@ -120,7 +120,7 @@ class TestTransport2D:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cfl_blowup_raises(self):
-        g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
+        g = TorusGrid((48, 48))
         rng = np.random.default_rng(3)
         om0 = random_real_field(g, 8, rng, amplitude=20.0)
         ph0 = random_real_field(g, 3, rng, amplitude=1.0)
@@ -129,7 +129,7 @@ class TestTransport2D:
 
     def test_blowup_in_any_marched_field_raises(self):
         # omega stays finite; only the passive row phi of the stack goes non-finite
-        g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
+        g = TorusGrid((16, 16))
         om = field_of(g, lambda X, Y: np.cos(Y))
         k = np.zeros((3, *g.spectral_shape), complex)
         k[1] = np.nan
@@ -141,7 +141,7 @@ class TestTransport2D:
             _transport_check("test march", om, om, 0.1, 0.05, rhs, bracket_core)
 
     def test_rejects_bad_steps(self):
-        g = TorusGrid2D(alpha=1.0, nx=16, ny=16)
+        g = TorusGrid((16, 16))
         om = field_of(g, lambda X, Y: np.cos(Y))
         with pytest.raises(ValidationError):
             transported_eigenfield_check_2d(om, om, t_end=1.0, dt=-0.1)
@@ -149,7 +149,7 @@ class TestTransport2D:
 
 class TestTransport3D:
     def test_steady_shear_exact(self):
-        g = TorusGrid3D(nx=16, ny=16, nz=16)
+        g = TorusGrid((16, 16, 16))
         pts = np.arange(16) * 2 * np.pi / 16
         _, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
         om = SpectralField.from_physical(g, np.stack([0 * z, np.cos(z), 0 * z]))
@@ -160,7 +160,7 @@ class TestTransport3D:
     def test_curl_constrained_and_refinement(self):
         resids = {}
         for n in (16, 24):
-            g = TorusGrid3D(nx=n, ny=n, nz=n)
+            g = TorusGrid((n, n, n))
             rng = np.random.default_rng(99)
             om0 = random_solenoidal_field(g, 2, rng, amplitude=0.3)
             ph0 = random_scalar_3d(g, 2, rng, amplitude=1.0)
@@ -170,7 +170,7 @@ class TestTransport3D:
         assert resids[24] < resids[16] / 4  # truncation-limited
 
     def test_prescribed_velocity_and_control(self):
-        g = TorusGrid3D(nx=16, ny=16, nz=16)
+        g = TorusGrid((16, 16, 16))
         rng = np.random.default_rng(99)
         om0 = random_solenoidal_field(g, 2, rng, amplitude=0.3)
         ph0 = random_scalar_3d(g, 2, rng, amplitude=1.0)
@@ -190,7 +190,7 @@ class TestTransport3D:
         assert rc.residual_inf > 1e-2
 
     def test_validation(self):
-        g = TorusGrid3D(nx=16, ny=16, nz=16)
+        g = TorusGrid((16, 16, 16))
         rng = np.random.default_rng(1)
         ph0 = random_scalar_3d(g, 2, rng, amplitude=1.0)
         c = np.zeros((3, *g.spectral_shape), np.complex128)
@@ -203,7 +203,7 @@ class TestTransport3D:
 def worked_example(nx=128, ny=8):
     """All fields x-only: Omega = cos x, p = sin x, f = 2 + sin x,
     Lap F = cos 2x."""
-    g = TorusGrid2D(alpha=1.0, nx=nx, ny=ny)
+    g = TorusGrid((nx, ny))
     return g, DarbouxInput(
         omega=field_of(g, lambda X, Y: np.cos(X)),
         p=field_of(g, lambda X, Y: np.sin(X)),
@@ -284,7 +284,7 @@ class TestDarboux:
 
 class TestGaugeIdentity:
     def test_two_quotients_agree(self):
-        g = TorusGrid2D(alpha=1.0, nx=64, ny=64)
+        g = TorusGrid((64, 64))
         om = field_of(g, lambda X, Y: np.cos(X) + np.cos(Y))
         p_vals = lambda X, Y: (np.cos(X) + np.cos(Y)) ** 2
         f_vals = lambda X, Y: 3.0 + np.cos(X) + np.cos(Y)
@@ -293,7 +293,7 @@ class TestGaugeIdentity:
         assert gauge_identity_residual(om, p, f) < 1e-6
 
     def test_needs_points_off_the_axes(self):
-        g = TorusGrid2D(alpha=1.0, nx=32, ny=32)
+        g = TorusGrid((32, 32))
         om = field_of(g, lambda X, Y: np.cos(X))  # Omega_y = 0 everywhere
         with pytest.raises(ValidationError, match="floor"):
             gauge_identity_residual(om, om, om)
@@ -301,18 +301,18 @@ class TestGaugeIdentity:
 
 class TestSwapSymmetry:
     def test_reflect_roundtrip_and_modes(self):
-        g = TorusGrid2D(alpha=1.0, nx=32, ny=32)
+        g = TorusGrid((32, 32))
         f = field_of(g, lambda X, Y: np.cos(X))
         sf = reflect_xy(f)
         expect = field_of(g, lambda X, Y: np.cos(Y))
         assert (sf - expect).norm_inf() < 1e-14
         assert (reflect_xy(sf) - f).norm_inf() == 0.0
-        rect = TorusGrid2D(alpha=0.7, nx=32, ny=32)
+        rect = TorusGrid((32, 32), 0.7)
         with pytest.raises(ValidationError):
             reflect_xy(field_of(rect, lambda X, Y: np.cos(X)))
 
     def test_bracket_anti_equivariance(self):
-        g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
+        g = TorusGrid((48, 48))
         rng = np.random.default_rng(11)
         om = random_real_field(g, 5, rng)
         p = random_real_field(g, 5, rng)
@@ -322,7 +322,7 @@ class TestSwapSymmetry:
 
     def test_residual_norms_preserved(self):
         # (t,x,y) -> (-t,y,x): both eigen-system residuals keep their norms
-        g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
+        g = TorusGrid((48, 48))
         rng = np.random.default_rng(12)
         om = random_real_field(g, 4, rng)
         p = random_real_field(g, 4, rng)  # generic: residuals are O(1)
@@ -336,7 +336,7 @@ class TestSwapSymmetry:
 
     def test_time_reversal_of_euler_rhs(self):
         # evolving the reflected field forward = reflecting the backward flow
-        g = TorusGrid2D(alpha=1.0, nx=48, ny=48)
+        g = TorusGrid((48, 48))
         rng = np.random.default_rng(13)
         om = random_real_field(g, 4, rng)
         zero = SpectralField(g, np.zeros(g.spectral_shape))

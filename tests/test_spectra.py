@@ -36,6 +36,7 @@ from nel.spectra import (
     track_zero_viscosity,
     truncated_nustar,
     unstable_eigenvalue,
+    viscosity_schedule,
 )
 from oracles import (
     five_mode_lambda0,
@@ -449,6 +450,22 @@ class TestTracking:
             track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, [0.1, 0.2, 0.3], 16)
         with pytest.raises(ValidationError, match="positive"):
             track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, [0.1, 0.05, 0.0], 16)
+
+    @pytest.mark.parametrize(
+        "nu_min, n, message",
+        [
+            (-1e-3, 5, "need 0 < nu_min < nu_max"),  # once a schedule of complex numbers
+            (0.0, 5, "need 0 < nu_min < nu_max"),
+            (0.1, 5, "need 0 < nu_min < nu_max"),
+            (float("nan"), 5, "need 0 < nu_min < nu_max"),
+            (1e-3, 2, "n_nus must be >= 3, got 2"),
+        ],
+    )
+    def test_viscosity_schedule_rejects(self, nu_min, n, message):
+        with pytest.raises(ValidationError) as exc:
+            viscosity_schedule(0.1, nu_min, n)
+        assert str(exc.value) == message
+        assert viscosity_schedule(0.1, 1e-3, 3) == [0.1, 0.1 * 0.01**0.5, 1e-3]
 
     def test_monotone_growth_ratio(self):
         # spot check: lambda(nu)/nu decreases in nu in the unstable window

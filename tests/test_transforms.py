@@ -5,9 +5,10 @@ The inverse must equal ``irfftn(c, norm="forward")`` in value (so only the
 sign of an exact zero may differ), whatever the support of c: lines it skips
 are lines that are exactly zero.  The forward must equal
 ``np.where(mask, rfftn(x) / size, 0)`` with the mean mode zeroed, byte for
-byte.  Inputs cover 2D and 3D grids, n = 4, a non-cubic 3D grid, the 2/3, 1/2
-and 1.0 dealias fractions, and scalar, vector and d x d component stacks; the
-bracket and the advection of a stack equal those of its rows, byte for byte.
+byte.  Inputs cover 2D and 3D grids with alpha = 0.7, n = 4, a non-cubic 3D
+grid, the 2/3, 1/2 and 1.0 dealias fractions, and scalar, vector and d x d
+component stacks; the bracket and the advection of a stack equal those of its
+rows, byte for byte.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from nel.fields import (
     random_real_field,
 )
 from nel.fields3d import advect_3d, random_scalar_field, random_solenoidal_field
-from nel.grids import TorusGrid2D, TorusGrid3D
+from nel.grids import TorusGrid
 from nel.lax import _transport_check
 from oracles import dealias_mask
 
@@ -32,9 +33,7 @@ FRACTIONS = [2 / 3, 1 / 2, 1.0]
 
 
 def make_grid(shape, fraction):
-    if len(shape) == 2:
-        return TorusGrid2D(alpha=0.7, nx=shape[0], ny=shape[1], dealias_fraction=fraction)
-    return TorusGrid3D(*shape, dealias_fraction=fraction)
+    return TorusGrid(shape, 0.7, fraction)
 
 
 def stacks(g):
@@ -115,7 +114,7 @@ def test_norm_l2_on_the_half_spectrum_is_the_grid_rms(shape):
 
 def test_residual_of_a_complex_pair_is_its_magnitude():
     # a complex phi is marched as (re, im) rows; the residual is max |phi|, not max of the rows
-    g = TorusGrid3D(8, 8, 8)
+    g = TorusGrid((8, 8, 8))
     z = random_scalar_field(g, 2, np.random.default_rng(7), 1.0)
     re, im = z.physical()
     assert complex_norm_inf(z) == np.max(np.hypot(re, im))
@@ -132,7 +131,7 @@ def test_residual_of_a_complex_pair_is_its_magnitude():
 
 
 def test_gradient_values_and_shared_gradients():
-    g = TorusGrid2D(alpha=0.7, nx=32, ny=24)
+    g = TorusGrid((32, 24), 0.7)
     f = random_real_field(g, 5, np.random.default_rng(1))
     h = random_real_field(g, 5, np.random.default_rng(2))
     grad = gradient_values(f)
@@ -147,7 +146,7 @@ def test_gradient_values_and_shared_gradients():
     for r, got in zip(rows, stacked.coeffs):
         assert got.tobytes() == bracket_core(f, r).coeffs.tobytes()
     # and so does the 3D advection: a vector and a complex scalar's (re, im) rows, as in the transport check
-    g3 = TorusGrid3D(8, 12, 6)
+    g3 = TorusGrid((8, 12, 6))
     u = random_solenoidal_field(g3, 2, np.random.default_rng(1))
     om = random_solenoidal_field(g3, 2, np.random.default_rng(2))
     phi = random_scalar_field(g3, 2, np.random.default_rng(3))
