@@ -73,14 +73,6 @@ class TorusGrid:
         return sum(kj**2 for kj in self.k)
 
     @cached_property
-    def x(self) -> np.ndarray:
-        return np.arange(self.shape[0]) * (2.0 * np.pi / self.alpha) / self.shape[0]
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.arange(self.shape[1]) * 2.0 * np.pi / self.shape[1]
-
-    @cached_property
     def dealias_slices(self) -> tuple[tuple[tuple[slice, ...], slice], ...]:
         """Per spectral axis: the kept modes, as slices in FFT order (0..cut
         and n-cut..n-1; on the last, half axis 0..cut only), and the dropped

@@ -57,12 +57,17 @@ imaginary-axis cluster, or neither (the diagonal classes, whose spectra sweep
 the negative real axis at every positive viscosity).  A limit condenses only
 onto a nondegenerate cluster, and a class condenses when any trajectory does.
 
-Every dense eigensolve is block_eigvals: LAPACK's dgeev from the OpenBLAS
-that numpy links, called through ctypes as np.linalg.eigvals calls it, so
-with the same bytes, but without holding the GIL.  track_zero_viscosity
-therefore solves its schedule on one thread per CPU of the affinity mask;
-the matching stays serial, in schedule order, and the payload does not
-depend on the number of CPUs.
+Every dense eigensolve is block_eigvals: LAPACK from the OpenBLAS that
+numpy links, called through ctypes, with the bytes np.linalg.eigvals gives,
+but without holding the GIL.  eigvals calls dgeev, which balances (dgebal),
+reduces to Hessenberg form (dgehrd) and runs the QR of dhseqr; a tridiagonal
+block is already Hessenberg, so block_eigvals calls dgebal and dhseqr as
+dgeev does and skips dgehrd, except where balancing permutes the block out
+of Hessenberg form or dgeev would scale it.  track_zero_viscosity therefore
+solves its schedule on one thread per CPU of the affinity mask (on the
+calling thread when there is one CPU); the matching stays serial, in
+schedule order, takes each spectrum as soon as it is solved, and the
+payload does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -220,53 +225,85 @@ def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[
     return [(1, replace(even, upper=upper)), (-1, bands.trailing(trunc + 1))]
 
 
+# the LAPACK routines block_eigvals calls: how many string and pointer arguments
+# each takes, in that order, before the lengths of its strings
+_LAPACK = {
+    "dgeev": (2, 12),  # jobvl, jobvr; n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
+    "dgebal": (1, 7),  # job; n, a, lda, ilo, ihi, scale, info
+    "dhseqr": (2, 12),  # job, compz; n, ilo, ihi, h, ldh, wr, wi, z, ldz, work, lwork, info
+}
+# dgeev scales a block whose largest |entry| lies outside [_SAFE_NORM, 1 / _SAFE_NORM]
+_SAFE_NORM = math.sqrt(_TINY) / _EPS
+
+
 @functools.cache
-def _dgeev():
-    """LAPACK's dgeev from the OpenBLAS (ILP64) that np.linalg.eigvals calls,
-    or None when numpy's library does not export it."""
+def _lapack(name: str):
+    """LAPACK's routine name from the OpenBLAS (ILP64) that np.linalg.eigvals
+    calls, or None when numpy's library does not export it."""
     import ctypes
 
     try:
-        dgeev = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgeev_64_
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_{name}_64_")
     except (AttributeError, OSError):
         return None
-    dgeev.restype = None
-    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info, then the two string lengths
-    dgeev.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
-    return dgeev
+    strings, pointers = _LAPACK[name]
+    routine.restype = None
+    routine.argtypes = [ctypes.c_char_p] * strings + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * strings
+    return routine
 
 
 def block_eigvals(t: Tridiagonal) -> np.ndarray:
     """np.linalg.eigvals(t.dense()), the same bytes, without holding the GIL.
 
-    The block is built in column order where dgeev overwrites it, and dgeev
-    is called as numpy calls it: a workspace query, then the optimal lwork.
-    Like numpy: LinAlgError for a non-finite block or nonzero info, and a
-    real array when every imaginary part is zero.  Through ctypes the solve
-    releases the GIL, so zvtrack's threads solve in parallel.
+    eigvals calls dgeev: a workspace query, then, with the optimal lwork,
+    dgebal('B'), dgehrd and dhseqr.  dgehrd leaves a Hessenberg block as it
+    is, so on a tridiagonal one this calls dgebal and dhseqr as dgeev does
+    (dhseqr's deflation window depends on the lwork - n it is given), and
+    dgeev itself where that would differ: a block dgeev scales, and one that
+    balancing permutes out of Hessenberg form (an isolated interior column,
+    |k_n| = 1, moves to the front).  The block is built in column order
+    where LAPACK overwrites it.  Like numpy: LinAlgError for a non-finite
+    block or nonzero info, and a real array when every imaginary part is
+    zero.  Through ctypes the solve releases the GIL, so zvtrack's threads
+    solve in parallel.
     """
     m = len(t.diag)
-    dgeev = _dgeev()
+    dgeev, dgebal, dhseqr = map(_lapack, _LAPACK)
     if dgeev is None or m == 0:
         return np.linalg.eigvals(t.dense())
-    a = np.zeros(m * m)  # entry (i, j) at j m + i
-    a[:: m + 1] = t.diag
-    a[1 :: m + 1] = t.lower
-    a[m :: m + 1] = t.upper
+
+    def block():
+        a = np.zeros(m * m)  # entry (i, j) at j m + i
+        a[:: m + 1] = t.diag
+        a[1 :: m + 1] = t.lower
+        a[m :: m + 1] = t.upper
+        return a
+
+    a = block()
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    out = np.empty(2 * m + 1)  # wr, wi, then the workspace query
-    ints = np.array([m, -1, 0], dtype=np.int64)  # n (also every leading dimension), lwork, info
-    n, A, wr = ints.ctypes.data, a.ctypes.data, out.ctypes.data  # addresses; the arrays outlive the calls
-    lwork, info, wi, query = n + 8, n + 16, wr + 8 * m, wr + 16 * m
+    out = np.empty(3 * m + 1)  # wr, wi, dgebal's scale, then the workspace query
+    ints = np.array([m, -1, 0, 0, 0], dtype=np.int64)  # n (also every leading dimension), lwork, info, ilo, ihi
+    n, wr = ints.ctypes.data, out.ctypes.data  # addresses; the arrays outlive the calls
+    lwork, info, ilo, ihi, wi, scale, query = n + 8, n + 16, n + 24, n + 32, wr + 8 * m, wr + 16 * m, wr + 24 * m
 
-    def solve(work):
-        dgeev(b"N", b"N", n, A, n, wr, wi, query, n, query, n, work, lwork, info, 1, 1)
+    def geev(a, work):
+        dgeev(b"N", b"N", n, a.ctypes.data, n, wr, wi, query, n, query, n, work, lwork, info, 1, 1)
 
-    solve(query)
-    ints[1] = int(out[2 * m])
+    geev(a, query)
+    ints[1] = int(out[3 * m])
     work = np.empty(ints[1])
-    solve(work.ctypes.data)
+    norm = max(np.abs(b).max(initial=0.0) for b in (t.diag, t.lower, t.upper))
+    if dgebal is None or dhseqr is None or not _SAFE_NORM <= norm <= 1.0 / _SAFE_NORM:
+        geev(a, work.ctypes.data)
+    else:
+        dgebal(b"B", n, a.ctypes.data, n, ilo, ihi, scale, info, 1)
+        # [ilo, ihi] is [1, n] unless rows or columns were isolated, and permuted
+        if (ints[3], ints[4]) != (1, m) and np.tril(a.reshape(m, m).T, -2).any():
+            geev(block(), work.ctypes.data)
+        else:
+            ints[1] -= m  # dgeev keeps the first n entries of its workspace for dgebal's scale
+            dhseqr(b"E", b"N", n, ilo, ihi, a.ctypes.data, n, wr, wi, query, n, work.ctypes.data, lwork, info, 1, 1)
     if ints[2] != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     if not out[m : 2 * m].any():
@@ -587,32 +624,31 @@ def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
     return [nu_max * (nu_min / nu_max) ** (i / (n - 1)) for i in range(n - 1)] + [nu_min]
 
 
-def _on_every_cpu(fn, items: list) -> list:
-    """[fn(x) for x in items] on up to one thread per CPU of this process's
-    affinity mask, or of os.cpu_count() where the OS has no affinity mask.
+def on_every_cpu(calls: list):
+    """call() for each of calls, in list order, as a generator: computed ahead
+    on up to one thread per CPU of this process's affinity mask (of
+    os.cpu_count() where the OS has no affinity mask), or one at a time as it
+    is read when there is one CPU.
 
     map yields in list order, so the error raised is that of the first failing
-    item, as the serial loop would raise it; the items not yet started are then
-    cancelled, and leaving the pool joins its threads.
+    call, where the serial loop would raise it.  Close the generator when done
+    with it: the calls not yet started are then cancelled, and leaving the pool
+    joins its threads.  No thread starts before the first result is read.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus == 1:
+        yield from (call() for call in calls)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(cpus) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(lambda call: call(), calls)
 
 
-def track_zero_viscosity(
-    cls: ModeClass,
-    alpha: float,
-    gamma: float,
-    nu_schedule,
-    trunc: int,
-) -> list[EigTrajectory]:
-    """Follow every eigenvalue along a descending viscosity schedule.
-
-    The spectra are solved on every CPU of the affinity mask; the matching
-    below runs on the calling thread, in schedule order.
+def track_spectra(nu_schedule, spectra) -> list[EigTrajectory]:
+    """Follow every eigenvalue through the spectra of one class along a
+    descending viscosity schedule, reading one spectrum per viscosity from
+    the iterable spectra, each as it is needed.
 
     Consecutive spectra are matched block by block of Spectrum.sectors (the
     two reflection sectors of a (k1, 0) class), each by the assignment
@@ -621,7 +657,7 @@ def track_zero_viscosity(
     differs from the chosen mu and from conj(mu): the operator is real, so
     conjugates are one choice, as exact degeneracies are.
     """
-    nus = np.asarray(list(nu_schedule), dtype=float)
+    nus = np.asarray(nu_schedule, dtype=float)
     if len(nus) < 3:
         raise ValidationError("schedule needs at least three viscosities")
     if not np.all(np.diff(nus) < 0):
@@ -629,15 +665,16 @@ def track_zero_viscosity(
     if nus[-1] <= 0:
         raise ValidationError("schedule must stay positive; nu = 0 is the reference")
 
-    spectra = _on_every_cpu(lambda nu: class_spectrum(cls, alpha, gamma, nu, trunc), list(nus))
-
-    paths = np.empty((len(nus), len(spectra[0].values)), dtype=np.complex128)
-    paths[0] = spectra[0].values
+    spectra = iter(spectra)
+    spec = next(spectra)
+    paths = np.empty((len(nus), len(spec.values)), dtype=np.complex128)
+    paths[0] = spec.values
     ambiguous = np.zeros(paths.shape[1], dtype=bool)
-    first = spectra[0].blocks()
+    first = spec.blocks()
     for s in range(1, len(nus)):
-        for traj, block in zip(first, spectra[s].blocks()):
-            prev, target = paths[s - 1, traj], spectra[s].values[block]
+        spec = next(spectra)
+        for traj, block in zip(first, spec.blocks()):
+            prev, target = paths[s - 1, traj], spec.values[block]
             cost = np.abs(prev[:, None] - target[None, :]) ** 2
             rows, cols = linear_sum_assignment(cost)
             i, k = np.nonzero(np.abs(cost[rows] - cost[rows, cols][:, None]) < TIE_TOL)
@@ -650,6 +687,26 @@ def track_zero_viscosity(
         EigTrajectory(nus=nus, values=vals, limit=_extrapolate_to_zero(nus, vals), ambiguous=bool(amb))
         for vals, amb in zip(paths.T, ambiguous)
     ]
+
+
+def track_zero_viscosity(
+    cls: ModeClass,
+    alpha: float,
+    gamma: float,
+    nu_schedule,
+    trunc: int,
+) -> list[EigTrajectory]:
+    """Follow every eigenvalue of a class along a descending viscosity
+    schedule (track_spectra).  The spectra are solved on every CPU of the
+    affinity mask, ahead of the matching, which runs on the calling thread in
+    schedule order and matches each spectrum as soon as it is solved.
+    """
+    nus = np.asarray(list(nu_schedule), dtype=float)
+    spectra = on_every_cpu([functools.partial(class_spectrum, cls, alpha, gamma, nu, trunc) for nu in nus])
+    try:
+        return track_spectra(nus, spectra)
+    finally:
+        spectra.close()
 
 
 def classify_limits(

@@ -48,7 +48,10 @@ blocks were solved by the parity split of T^2; they are pinned by value.
 schedule came to be computed in Python floats (np.geomspace's last bits
 moved with numpy's SIMD level); then ``zvtrack_2_1``, ``zvtrack_1_0`` and
 ``zvtrack_2_0`` when each reflection sector was matched on its own and a tie
-between conjugates stopped counting as ambiguous.
+between conjugates stopped counting as ambiguous.  ``spectrum_1_1_alpha1``
+and ``zvtrack_1_1_alpha1`` (class (1,1) at alpha = 1, whose blocks balancing
+permutes out of Hessenberg form) were added by name from the code before the
+eigensolve called dgebal and dhseqr in place of dgeev.
 ``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
 held full spectra.  Regenerate a corpus only on purpose, and say why in
 CHANGES.md.
@@ -82,8 +85,15 @@ CASES = {
     "spectrum_1_0_inviscid": ["spectrum", "--k1", "1", "--k2", "0", "--nu", "0", "--trunc", "40", "--format", "csv"],
     "zvtrack_1_0_header": ["zvtrack", "--k1", "1", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
     "zvtrack_2_0_header": ["zvtrack", "--k1", "2", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
+    # at alpha = 1 the row n = -1 of class (1,1) has |k_n| = 1, an isolated column that balancing permutes
+    "spectrum_1_1_alpha1": [
+        "spectrum", "--k1", "1", "--k2", "1", "--alpha", "1.0", "--nu", "0.05", "--trunc", "40", "--format", "csv",
+    ],
+    "zvtrack_1_1_alpha1": ["zvtrack", "--k1", "1", "--k2", "1", "--alpha", "1.0", "--trunc", "20", "--n-nus", "8"],
 }
-HASHED = ("spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1", "zvtrack_0_1")
+HASHED = (
+    "spectrum_2_1_csv", "spectrum_2_1_jsonl", "zvtrack_2_1", "zvtrack_0_1", "spectrum_1_1_alpha1", "zvtrack_1_1_alpha1",
+)
 # the inviscid reference at N and 2N, as the zvtrack header reports it
 HEADER_FIELDS = ("cluster_extent", "cluster_extent_refined", "lambda0", "lambda0_refine_delta")
 

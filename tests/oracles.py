@@ -24,6 +24,13 @@ from nel.models import GLState, SGState, _gl_plan, _gl_to_phys, _sg_plan, _sg_to
 from nel.spectra import DEFAULT_GAMMA, ModeClass, assemble_suboperator
 
 
+def mesh(grid) -> list[np.ndarray]:
+    """The coordinates of a grid's points, one full array per axis (ij
+    indexing): x in [0, 2pi/alpha), the other axes in [0, 2pi)."""
+    periods = [2.0 * np.pi / grid.alpha] + [2.0 * np.pi] * (len(grid.shape) - 1)
+    return np.meshgrid(*(np.arange(n) * p / n for n, p in zip(grid.shape, periods)), indexing="ij")
+
+
 def dealias_mask(grid) -> np.ndarray:
     """The half-spectrum modes the grid's dealias cut keeps, as a boolean array."""
     mask = np.zeros(grid.spectral_shape, dtype=bool)
@@ -142,7 +149,7 @@ def jacobian_oracle_check(
     ny = 1 << max(4, math.ceil(math.log2(need_y)))
     nx = 1 << max(4, math.ceil(math.log2(3 * (abs(cls.k1) + 2))))
     grid = TorusGrid((nx, ny), alpha)
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    X, Y = mesh(grid)
     base = SpectralField.from_physical(grid, gamma * np.cos(Y))  # also the forcing: a fixed point at every nu
     worst = 0.0
     for j, n in enumerate(op.offsets):

@@ -47,7 +47,7 @@ from nel.spectra import (
     track_zero_viscosity,
     unstable_eigenvalue,
 )
-from oracles import jacobian_oracle_check, sg_energy, three_mode_lambda0
+from oracles import jacobian_oracle_check, mesh, sg_energy, three_mode_lambda0
 
 ALPHA = 0.7
 GAMMA = 0.5
@@ -227,7 +227,7 @@ def test_a12_gauge_transform_exactness_and_worked_example():
     chk = darboux_verify(inp, res)
     assert chk.residual_inf < 1e-8
     g = inp.omega.grid
-    x = g.x[:, None] + 0.0 * g.y[None, :]
+    x, _ = mesh(g)
     closed = np.zeros_like(x)
     keep = ~res.mask
     with np.errstate(divide="ignore"):  # masked columns hit sin x = 0

@@ -1,10 +1,12 @@
 """The dense eigensolve and zvtrack's threads.
 
-``block_eigvals`` calls numpy's own LAPACK ``dgeev`` without the GIL; every
-block nel solves must come out bit for bit as ``np.linalg.eigvals`` gives it,
-with numpy's dtype and errors.  ``track_zero_viscosity`` solves its schedule
-on as many threads as the affinity mask has CPUs, and its payload must not
-depend on how many.
+``block_eigvals`` calls numpy's own LAPACK without the GIL: ``dgebal`` and
+``dhseqr`` as ``dgeev`` calls them, or ``dgeev`` itself where that would
+differ; every block nel solves must come out bit for bit as
+``np.linalg.eigvals`` gives it, with numpy's dtype and errors.
+``track_zero_viscosity`` solves its schedule on as many threads as the
+affinity mask has CPUs (none on one CPU), matching each spectrum as it
+arrives, and its payload must not depend on how many.
 """
 
 import ctypes
@@ -105,14 +107,100 @@ def test_all_real_spectrum_is_a_real_array():
     assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
 
 
+# classes whose balanced blocks are not Hessenberg: |k_n| = 1 at n = -1 isolates an interior column
+PERMUTED = {"1-1-alpha-1": (ModeClass(1, 1), 1.0), "2-1-alpha-0.5": (ModeClass(2, 1), 0.5)}
+
+
+def after_solves(monkeypatch, after):
+    """Run after(name, args) after each solve of dgeev and of dhseqr (not
+    after dgeev's workspace query)."""
+    lapack = nel.spectra._lapack
+
+    def wrapped(name):
+        real = lapack(name)
+        if name == "dgebal" or real is None:
+            return real
+
+        def routine(*args):
+            real(*args)
+            if ctypes.c_int64.from_address(args[12]).value > 0:  # lwork; the query passes -1
+                after(name, args)
+
+        return routine
+
+    monkeypatch.setattr(nel.spectra, "_lapack", wrapped)
+
+
+def solves(monkeypatch):
+    """Count the solves of dgeev and of dhseqr."""
+    counts = {"dgeev": 0, "dhseqr": 0}
+
+    def count(name, args):
+        counts[name] += 1
+
+    after_solves(monkeypatch, count)
+    return counts
+
+
+def failing_solves(monkeypatch):
+    """Plant info = 1 (no convergence) after each solve, of dgeev and of dhseqr."""
+
+    def fail(name, args):
+        ctypes.c_int64.from_address(args[13]).value = 1
+
+    after_solves(monkeypatch, fail)
+
+
+@pytest.mark.parametrize("case", PERMUTED)
+@pytest.mark.parametrize("trunc", [40, 150])
+def test_permuted_blocks_solve_as_numpy_does(case, trunc, monkeypatch):
+    """Balancing moves the isolated column to the front, out of Hessenberg
+    form, where dhseqr would give other eigenvalues: dgeev solves these."""
+    cls, alpha = PERMUTED[case]
+    counts = solves(monkeypatch)
+    for nu in (0.05, 1e-3, 1e-4):
+        t = assemble_suboperator(cls, alpha, GAMMA, nu, trunc).bands
+        assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
+    assert counts == {"dgeev": 3, "dhseqr": 0}
+
+
+@pytest.mark.parametrize("norm", [1e-140, 1e140])
+def test_blocks_dgeev_scales_solve_as_numpy_does(norm, monkeypatch):
+    t = assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 40).bands
+    s = norm / np.max(np.abs(t.diag))  # the diagonal holds the largest entry
+    t = Tridiagonal(s * t.diag, s * t.lower, s * t.upper)
+    counts = solves(monkeypatch)
+    assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
+    assert counts == {"dgeev": 1, "dhseqr": 0}
+    counts["dgeev"] = 0
+    t = Tridiagonal(t.diag / s, t.lower / s, t.upper / s)  # within dgeev's range again
+    assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
+    assert counts == {"dgeev": 0, "dhseqr": 1}
+
+
+FALLBACK_CASES = BLOCK_CASES["sectors-40"][::7] + BLOCK_CASES["parity"] + BLOCK_CASES["k2-nonzero"]
+
+
 def test_fallback_gives_the_same_bytes(monkeypatch):
-    cases = BLOCK_CASES["sectors-40"][::7] + BLOCK_CASES["parity"] + BLOCK_CASES["k2-nonzero"]
-    ops = [assemble_suboperator(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in cases]
+    ops = [assemble_suboperator(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in FALLBACK_CASES]
     want = [compute_spectrum(op) for op in ops]
-    monkeypatch.setattr(nel.spectra, "_dgeev", lambda: None)  # numpy without the symbol
+    monkeypatch.setattr(nel.spectra, "_lapack", lambda name: None)  # numpy without the symbols
     for op, w in zip(ops, want):
         got = compute_spectrum(op)
         assert same_bytes(got.values, w.values) and np.array_equal(got.sectors, w.sectors)
+
+
+@pytest.mark.parametrize("missing", ["dgebal", "dhseqr"])
+def test_dgeev_alone_gives_the_same_bytes(missing, monkeypatch):
+    ops = [assemble_suboperator(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in FALLBACK_CASES]
+    want = [compute_spectrum(op) for op in ops]
+    lapack = nel.spectra._lapack
+    monkeypatch.setattr(nel.spectra, "_lapack", lambda name: None if name == missing else lapack(name))
+    counts = solves(monkeypatch)
+    for op, w in zip(ops, want):
+        got = compute_spectrum(op)
+        assert same_bytes(got.values, w.values) and np.array_equal(got.sectors, w.sectors)
+    assert counts["dgeev"] > 0 and counts["dhseqr"] == 0
 
 
 def test_dgeev_is_found_where_numpy_exports_it():
@@ -121,26 +209,18 @@ def test_dgeev_is_found_where_numpy_exports_it():
         ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgeev_64_
     except AttributeError:
         pytest.skip("this numpy's LAPACK is not scipy-openblas")
-    assert nel.spectra._dgeev() is not None
-
-
-def failing_dgeev(monkeypatch):
-    """Plant info = 1 (no convergence) after the real solve."""
-    real = nel.spectra._dgeev()
-
-    def dgeev(*args):
-        real(*args)
-        if ctypes.c_int64.from_address(args[12]).value > 0:  # the solve, not the workspace query
-            ctypes.c_int64.from_address(args[13]).value = 1
-
-    monkeypatch.setattr(nel.spectra, "_dgeev", lambda: dgeev)
+    assert all(nel.spectra._lapack(name) is not None for name in ("dgeev", "dgebal", "dhseqr"))
 
 
 def test_no_convergence_is_a_linalg_error(monkeypatch):
-    failing_dgeev(monkeypatch)
-    t = assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8).bands
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        block_eigvals(t)
+    failing_solves(monkeypatch)
+    cls, alpha = PERMUTED["1-1-alpha-1"]
+    for t in (  # solved by dhseqr, then by dgeev
+        assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8).bands,
+        assemble_suboperator(cls, alpha, GAMMA, 0.05, 8).bands,
+    ):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            block_eigvals(t)
 
 
 def test_non_finite_block_is_a_linalg_error():
@@ -155,7 +235,7 @@ def test_non_finite_block_is_a_linalg_error():
 @pytest.mark.parametrize("plant", ["info", "nan"])
 def test_failed_solve_exits_3(plant, monkeypatch, tmp_path, capsys):
     if plant == "info":
-        failing_dgeev(monkeypatch)
+        failing_solves(monkeypatch)
     else:
         assemble = nel.spectra.assemble_suboperator
 
@@ -248,6 +328,40 @@ def test_threads_are_joined(monkeypatch):
     with pytest.raises(ComputationalError):
         track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, SCHEDULE, 8)
     assert threading.active_count() == baseline
+
+
+def test_one_cpu_starts_no_thread(monkeypatch, tmp_path):
+    want = zvtrack_payload(2, 1, tmp_path / "two.jsonl")
+    cpus(monkeypatch, 1)
+
+    def start(thread):
+        raise AssertionError(f"{thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert zvtrack_payload(2, 1, tmp_path / "one.jsonl") == want
+
+
+def test_failed_matching_cancels_the_queued_solves(monkeypatch):
+    cpus(monkeypatch, 3)
+    baseline = threading.active_count()
+    started = []
+    real = nel.spectra.class_spectrum
+
+    def spectrum(*args):
+        started.append(args)
+        time.sleep(0.01)
+        return real(*args)
+
+    def assignment(cost):
+        raise ComputationalError("planted in the matching of step 1")
+
+    monkeypatch.setattr(nel.spectra, "class_spectrum", spectrum)
+    monkeypatch.setattr(nel.spectra, "linear_sum_assignment", assignment)
+    with pytest.raises(ComputationalError, match="planted in the matching") as failure:
+        track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, SCHEDULE, 8)
+    # joined on the way out, not when the traceback (held here) is collected
+    assert failure.tb is not None and threading.active_count() == baseline
+    assert 2 <= len(started) < len(SCHEDULE)
 
 
 def test_import_loads_neither_a_pool_nor_scipy():

@@ -23,7 +23,7 @@ from nel.fields import (
 )
 from nel.fields3d import random_solenoidal_field
 from nel.grids import TorusGrid
-from oracles import dealias_mask, ns_rhs_2d, project_mean
+from oracles import dealias_mask, mesh, ns_rhs_2d, project_mean
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -33,7 +33,7 @@ def grid(alpha=1.0, n=64, frac=2 / 3):
 
 
 def field_from_fn(g, fn):
-    X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+    X, Y = mesh(g)
     return SpectralField.from_physical(g, fn(X, Y))
 
 
@@ -87,7 +87,7 @@ class TestTransforms:
         g = grid(alpha=0.7)
         f = field_from_fn(g, lambda x, y: np.cos(0.7 * 2 * x + 3 * y))
         fx = gradient_values(f)[0]
-        X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+        X, Y = mesh(g)
         expect = -1.4 * np.sin(1.4 * X + 3 * Y)
         assert np.max(np.abs(fx - expect)) < 1e-12
 
@@ -99,7 +99,7 @@ class TestBracketOracles:
         f = field_from_fn(g, lambda x, y: np.sin(x))
         h = field_from_fn(g, lambda x, y: np.sin(y))
         out = bracket_core(f, h).physical().real
-        X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+        X, Y = mesh(g)
         assert np.max(np.abs(out - np.cos(X) * np.cos(Y))) < 1e-12
 
     def test_self_bracket_vanishes(self):
@@ -120,7 +120,7 @@ class TestBracketOracles:
         with pytest.raises(ValidationError, match="not real"):
             bracket_core(h * 1j, h)
         with pytest.raises(TypeError):
-            SpectralField.from_physical(g, np.exp(1j * g.x)[:, None] + 0 * g.y)
+            SpectralField.from_physical(g, np.exp(1j * mesh(g)[0]))
 
     def test_output_mean_zero_and_dealiased(self):
         g = grid()
@@ -179,7 +179,7 @@ class TestLaplacian:
         psi = invert_laplacian(f)
         expect = -1.0 / (alpha**2 + 4.0)
         out = psi.physical().real
-        X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+        X, Y = mesh(g)
         assert np.max(np.abs(out - expect * np.cos(alpha * X + 2 * Y))) < 1e-13
 
     def test_invert_then_apply(self):

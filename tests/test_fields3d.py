@@ -15,18 +15,11 @@ from nel.fields3d import (
     random_solenoidal_field,
 )
 from nel.grids import TorusGrid
-from oracles import ns_rhs_3d
+from oracles import mesh, ns_rhs_3d
 
 
 def grid(n=16):
     return TorusGrid((n, n, n))
-
-
-def mesh(g):
-    return np.meshgrid(
-        *(np.arange(n) * 2 * np.pi / n for n in g.shape),
-        indexing="ij",
-    )
 
 
 def test_curl_of_shear():

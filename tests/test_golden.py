@@ -1,11 +1,12 @@
 """Golden corpora: the spectra commands (``tests/golden/spectra.json``) and
 the transport and chaos commands with field snapshots (``commands.json``).
 
-Payloads of classes with k2 != 0 are pinned byte for byte.  The (k1, 0)
-classes are solved as two reflection sectors, which may move eigenvalues in
-their last bits, so they are pinned by value: spectra and the rightmost
-zvtrack trajectory to 1e-9, nu* to its bisection tolerance, and every
-classification label exactly.  Trajectories that start at one eigenvalue
+Payloads of classes with k2 != 0 are pinned byte for byte, among them
+class (1,1) at alpha = 1, whose blocks balancing permutes out of Hessenberg
+form.  The (k1, 0) classes are solved as two reflection sectors, which may
+move eigenvalues in their last bits, so they are pinned by value: spectra
+and the rightmost zvtrack trajectory to 1e-9, nu* to its bisection
+tolerance, and every classification label exactly.  Trajectories that start at one eigenvalue
 (a pair degenerate across the two sectors) may be listed in either order, so
 labels are compared per distinct start value.  The nu = 0 blocks are solved
 by the parity split of T^2, so the inviscid spectrum of class (1,0) and
@@ -47,7 +48,7 @@ def test_payload_bytes(name):
     assert digest(payload) == CORPUS[name]["payload_sha256"]
 
 
-@pytest.mark.parametrize("name", ["zvtrack_2_1", "zvtrack_0_1"])
+@pytest.mark.parametrize("name", ["zvtrack_2_1", "zvtrack_0_1", "zvtrack_1_1_alpha1"])
 def test_zvtrack_bytes_without_avx512(name, tmp_path):
     """The pinned zvtrack bytes hold with numpy's SIMD loops capped at AVX2, as
     on an x86-64 host without AVX-512 (a subprocess: numpy reads the cap at import)."""

@@ -9,6 +9,7 @@ from nel.errors import ValidationError
 from nel.fields import load_field, random_real_field, save_field
 from nel.fields3d import random_scalar_field, random_solenoidal_field
 from nel.grids import TorusGrid
+from oracles import mesh
 
 
 @pytest.mark.parametrize("shape", [(8,), (4, 4, 4, 4)])
@@ -52,7 +53,8 @@ def test_derived_from_the_shape():
     assert kx.ravel().tolist() == [0.0, 0.5, -1.0, -0.5]  # alpha times the FFT-order modes
     assert kz.ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # the half axis: 0..n/2
     assert np.array_equal(g3.k_squared, kx**2 + ky**2 + kz**2)
-    assert g2.x[-1] == pytest.approx(2 * np.pi / 0.7 * 7 / 8) and g2.y[1] == pytest.approx(2 * np.pi / 6)
+    X, Y = mesh(g2)  # the x period is 2 pi / alpha
+    assert X[-1, 0] == pytest.approx(2 * np.pi / 0.7 * 7 / 8) and Y[0, 1] == pytest.approx(2 * np.pi / 6)
     assert TorusGrid((8, 8)) == TorusGrid((8, 8), 1.0) != TorusGrid((8, 8), 0.7)
 
 

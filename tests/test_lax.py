@@ -23,17 +23,17 @@ from nel.lax import (
     transported_eigenfield_check_2d,
     transported_eigenfield_check_3d,
 )
-from oracles import eigen_residual, gauge_identity_residual, ns_rhs_2d, reflect_xy
+from oracles import eigen_residual, gauge_identity_residual, mesh, ns_rhs_2d, reflect_xy
 
 
 def field_of(grid, fn):
-    X, Y = grid.x[:, None], grid.y[None, :]
+    X, Y = mesh(grid)
     return SpectralField.from_physical(grid, fn(X, Y) + 0.0 * X + 0.0 * Y)
 
 
 def pair_of(grid, fn):
     """A complex field as its (re, im) rows."""
-    X, Y = grid.x[:, None], grid.y[None, :]
+    X, Y = mesh(grid)
     z = fn(X, Y) + 0.0 * X + 0.0 * Y
     return SpectralField.from_physical(grid, np.stack([z.real, z.imag]))
 
@@ -63,7 +63,7 @@ class TestOperators:
         om = field_of(g, lambda X, Y: np.cos(Y))
         phi = pair_of(g, lambda X, Y: np.exp(1j * alpha * X))
         lphi, aphi = bracket_core(om, phi), bracket_core(invert_laplacian(om), phi)
-        X, Y = g.x[:, None], g.y[None, :]
+        X, Y = mesh(g)
         expect = 1j * alpha * np.sin(Y) * np.exp(1j * alpha * X)
         expect = np.stack([expect.real, expect.imag])
         assert np.max(np.abs(lphi.physical() - expect)) < 1e-13
@@ -234,7 +234,7 @@ class TestDarboux:
         # sin x vanishes at exactly two grid columns (x = 0, pi)
         assert res.masked_fraction == pytest.approx(2 / 128)
         assert res.masked_fraction < 0.02
-        X = (g.x[:, None] + 0 * g.y[None, :])
+        X, _ = mesh(g)
         keep = ~res.mask
         exact = np.zeros_like(X)
         np.divide(
