@@ -268,8 +268,7 @@ def _run_laxcheck(p, cfg):
 # -- darboux ----------------------------------------------------------------
 
 
-def _run_darboux(p, cfg):
-    paths = [p["omega"], p["p"], p["f"], p["bigf"]]
+def _darboux_input(p, paths) -> DarbouxInput:
     if any(paths):
         if not all(paths):
             raise ValidationError("pass all four of --omega/--p/--f/--bigf or none")
@@ -277,19 +276,17 @@ def _run_darboux(p, cfg):
         for path, fld in zip(paths, fields):
             if fld.coeffs.ndim != 2:
                 raise ValidationError(f"field snapshot {path}: darboux inputs must be 2D scalar field snapshots")
-        inp = DarbouxInput(*fields, eta=p["eta"])
-    else:
-        inp = darboux_shear_example(p["nx"], p["ny"], p["eta"])
-    res = darboux_apply(inp)
-    chk = darboux_verify(inp, res)
-    rec = chk.to_json_dict(
-        {"eta": p["eta"], "nx": inp.omega.grid.shape[0], "ny": inp.omega.grid.shape[1], "example": not any(paths)}
-    )
-    summary = {
-        "check": chk.check,
-        "residual_inf": chk.residual_inf,
-        "masked_fraction": res.masked_fraction,
-    }
+        return DarbouxInput(*fields, eta=p["eta"])
+    return darboux_shear_example(p["nx"], p["ny"], p["eta"])
+
+
+def _run_darboux(p, cfg):
+    paths = [p["omega"], p["p"], p["f"], p["bigf"]]
+    # no name holds the input, so it is freed before the result is verified
+    res = darboux_apply(_darboux_input(p, paths))
+    chk = darboux_verify(res)
+    rec = chk.to_json_dict({"eta": p["eta"], "nx": chk.grid[0], "ny": chk.grid[1], "example": not any(paths)})
+    summary = {"check": chk.check, "residual_inf": chk.residual_inf, "masked_fraction": res.masked_fraction}
     return [json_payload_line(rec)], summary, None
 
 

@@ -24,6 +24,9 @@ equal numpy's but for the sign of a zero.  A half spectrum's zero column (and
 its Nyquist column) must be conjugate-symmetric over the other axes: ``irfft``
 silently drops the antisymmetric part, so a field built from coefficients by
 hand must mirror them there.  The dealias cut never keeps the Nyquist mode.
+
+Buffers: ``_inverse`` overwrites the array it is given (``physical`` gives it
+a copy), and ``bracket_core`` writes only into gradients it computed itself.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class SpectralField:
 
         The zero and Nyquist columns are made conjugate-symmetric to the bit.
         """
-        c = np.fft.rfftn(values, axes=grid.axes) / grid.size
+        c = np.fft.rfftn(values, axes=grid.axes)
+        c /= grid.size
         c[..., [0, -1]] = 0.5 * (c[..., [0, -1]] + np.conj(c[_mirror(grid, [0, grid.shape[-1] // 2])]))
         return cls(grid, c)
 
@@ -84,7 +88,8 @@ class SpectralField:
         return float(m) if m.ndim == 0 else m.copy()
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.physical())))
+        v = self.physical()
+        return float(np.max(np.abs(v, out=v)))
 
     def norm_l2(self) -> float:
         # sqrt of the mean square over the torus (Parseval); the interior
@@ -216,20 +221,25 @@ def invert_laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def bracket_core(f: SpectralField, g: SpectralField, f_grad=None, g_grad=None) -> SpectralField:
+def bracket_core(f: SpectralField, g: SpectralField | None, f_grad=None, g_grad=None) -> SpectralField:
     """{f, g} = f_x g_y - f_y g_x for a field f and a field or stack g.
 
-    A caller may share ``gradient_values`` of f or g between brackets.
+    A caller may share ``gradient_values`` of f or g between brackets, and
+    pass g as None with its gradient; a shared gradient is only read.
     """
-    _check_same_grid(f, g)
+    if g is not None:
+        _check_same_grid(f, g)
     fx, fy = gradient_values(f) if f_grad is None else f_grad
-    if g_grad is None:  # no one else holds g's gradient: form the product in it
+    if g_grad is None:  # no one else holds g's gradient: form the products in it
         gx, prod = gradient_values(g)
         prod *= fx
-        gx *= fy
-    else:
-        prod, gx = fx * g_grad[1], fy * g_grad[0]
-    prod -= gx
+        prod -= np.multiply(gx, fy, out=gx)
+    elif f_grad is None and fx.shape == g_grad[0].shape:  # nor f's: form them there
+        prod = np.multiply(fx, g_grad[1], out=fx)
+        prod -= np.multiply(fy, g_grad[0], out=fy)
+    else:  # one temporary; the second product lives only until subtracted
+        prod = fx * g_grad[1]
+        prod -= fy * g_grad[0]
     return SpectralField(f.grid, _forward_dealiased(f.grid, prod))
 
 

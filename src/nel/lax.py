@@ -207,57 +207,59 @@ class DarbouxResult:
     masked_fraction: float = 0.0
 
 
-def _check_eigen_preconditions(inp: DarbouxInput, om_grad):
-    """Raise unless p, f are eigenfields, F is a gauge and f does not vanish;
-    return p's and f's gradients and f's values.  Lap F goes first, to free it."""
+def _gauge_factor(inp: DarbouxInput):
+    """p~ and its mask; raise unless p, f are eigenfields, F is a gauge and
+    neither f nor Omega_x vanishes.  Each derivative is transformed once, and
+    every gradient but Omega's is freed, or cut to its x part, before a
+    residual's norm; the quotient is formed in the gradients' own buffers."""
     om = inp.omega
     lapF = laplacian(inp.F)
     lapF_grad = gradient_values(lapF)
-    r1 = bracket_core(om, lapF, om_grad, lapF_grad).norm_inf()
     r2 = bracket_core(lapF, inp.F, lapF_grad).norm_inf()
+    om_grad = gradient_values(om)
+    r1 = bracket_core(om, lapF, om_grad, lapF_grad)
     del lapF, lapF_grad
-    grads = []
+    r1 = r1.norm_inf()
+    x_parts = []
     for name, g in (("p", inp.p), ("f", inp.f)):
-        grads.append(gradient_values(g))
-        r = bracket_core(om, g, om_grad, grads[-1]).norm_inf()
+        g_grad = gradient_values(g)
+        r, g_x = bracket_core(om, g, om_grad, g_grad), g_grad[0].copy()
+        del g_grad
+        r = r.norm_inf()
         if not r <= CONSTRAINT_TOL:  # a NaN residual fails too
-            raise ValidationError(
-                f"{{Omega, {name}}} residual {r:.3e} exceeds {CONSTRAINT_TOL}"
-            )
+            raise ValidationError(f"{{Omega, {name}}} residual {r:.3e} exceeds {CONSTRAINT_TOL}")
+        x_parts.append(g_x)
     if not (r1 <= CONSTRAINT_TOL and r2 <= CONSTRAINT_TOL):
-        raise ValidationError(
-            f"gauge constraints violated: |{{Omega, Lap F}}|={r1:.3e}, "
-            f"|{{Lap F, F}}|={r2:.3e}"
-        )
+        raise ValidationError(f"gauge constraints violated: |{{Omega, Lap F}}|={r1:.3e}, |{{Lap F, F}}|={r2:.3e}")
+    om_x, buf = om_grad
     f_v = inp.f.physical()
-    fvals = np.abs(f_v)
-    if np.min(fvals) < 1e-12 * np.max(fvals):
+    fvals = np.abs(f_v, out=buf)
+    if not np.min(fvals) > 1e-12 * np.max(fvals):  # f = 0 too
         raise ValidationError("f vanishes on the grid; log f is undefined")
-    return (*grads, f_v)
+    top = np.max(np.abs(om_x, out=buf))
+    if not top > 0.0:
+        raise ValidationError("Omega_x vanishes on the whole grid; the gauge factor 1/Omega_x is undefined")
+    mask = buf < inp.eta * top
+    p_x, f_x = x_parts
+    numer = np.multiply(p_x, f_v, out=p_x)
+    numer -= np.multiply(f_x, inp.p.physical(), out=f_x)
+    denom = np.multiply(f_v, om_x, out=om_x)
+    np.divide(numer, denom, out=numer, where=~mask)
+    numer[mask] = 0.0
+    return numer, mask
 
 
 def darboux_apply(inp: DarbouxInput) -> DarbouxResult:
     """Apply the gauge transform; masked points get p~ = 0.
 
     The quotient is computed as (p_x f - f_x p) / (f Omega_x) so that p = f
-    returns an exact zero field.
+    returns an exact zero field.  Omega_x = 0 everywhere raises ValidationError.
     """
     if inp.eta <= 0:
         raise ValidationError("eta must be positive")
-    om, p = inp.omega, inp.p
-    # each derivative is transformed once, for the checks and the quotient
-    om_grad = gradient_values(om)
-    p_grad, f_grad, f_v = _check_eigen_preconditions(inp, om_grad)
-    om_x = om_grad[0]
-    mask = np.abs(om_x) < inp.eta * np.max(np.abs(om_x))
-    numer = p_grad[0] * f_v - f_grad[0] * p.physical()
-    denom = f_v * om_x
-    del om_grad, p_grad, f_grad, f_v, om_x  # freed before p~ and the new pair are built
-    p_t = np.zeros_like(numer)
-    np.divide(numer, denom, out=p_t, where=~mask)
-    p_t[mask] = 0.0
+    p_t, mask = _gauge_factor(inp)
     return DarbouxResult(
-        omega_t=om + laplacian(inp.F),
+        omega_t=inp.omega + laplacian(inp.F),
         psi_t=inp.psi + inp.F,
         p_t=p_t,
         mask=mask,
@@ -265,19 +267,20 @@ def darboux_apply(inp: DarbouxInput) -> DarbouxResult:
     )
 
 
-def darboux_verify(inp: DarbouxInput, res: DarbouxResult) -> LaxCheckResult:
+def darboux_verify(res: DarbouxResult) -> LaxCheckResult:
     """Residuals of the eigen-system at the transformed pair, off the mask.
 
     The stationary residual is {Omega~, p~}; for a steady configuration the
-    time equation reduces to {Psi~, p~}.
+    time equation reduces to {Psi~, p~}.  Only the result is read, so a
+    caller may free its input first; each residual is cut to |r| off the
+    mask before the next is formed.
     """
-    grid = inp.omega.grid
-    p_t_field = SpectralField.from_physical(grid, res.p_t)
-    p_t_grad = gradient_values(p_t_field)
-    r_eig = bracket_core(res.omega_t, p_t_field, g_grad=p_t_grad).physical()
-    r_time = bracket_core(res.psi_t, p_t_field, g_grad=p_t_grad).physical()
+    grid = res.omega_t.grid
+    p_t_grad = gradient_values(SpectralField.from_physical(grid, res.p_t))  # p~'s spectrum is not kept
     keep = ~res.mask
-    allv = np.concatenate([np.abs(r_eig[keep]), np.abs(r_time[keep])])
+    allv = np.concatenate(
+        [np.abs(bracket_core(a, None, g_grad=p_t_grad).physical()[keep]) for a in (res.omega_t, res.psi_t)]
+    )
     return LaxCheckResult(
         check="gauge-transform",
         residual_inf=float(np.max(allv)) if allv.size else 0.0,

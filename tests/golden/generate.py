@@ -52,6 +52,11 @@ between conjugates stopped counting as ambiguous.  ``spectrum_1_1_alpha1``
 and ``zvtrack_1_1_alpha1`` (class (1,1) at alpha = 1, whose blocks balancing
 permutes out of Hessenberg form) were added by name from the code before the
 eigensolve called dgebal and dhseqr in place of dgeev.
+``darboux_snapshots_y_64x32`` (darboux on y-dependent snapshots, whose
+quotient and residuals are not exact zeros) and its ``p_t_sha256`` (the
+bytes of ``darboux_apply``'s p~ for the same input) were added, every other
+entry byte-identical, from the code before darboux freed its inputs early
+and the bracket formed its products in its own buffers.
 ``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
 held full spectra.  Regenerate a corpus only on purpose, and say why in
 CHANGES.md.
@@ -69,7 +74,7 @@ from nel.cli import main
 from nel.fields import SpectralField, random_real_field, save_field
 from nel.fields3d import random_solenoidal_field
 from nel.grids import TorusGrid
-from nel.lax import darboux_shear_example
+from nel.lax import DarbouxInput, darboux_apply, darboux_shear_example
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -170,7 +175,7 @@ COMMAND_CASES = {
         "--gamma", "0.5", "--q0", "0.5+0.1j", "--iterates", "1",
     ],
 }
-# darboux from save_field snapshots of darboux_shear_example(nx, ny)
+# darboux from save_field snapshots of darboux_shear_example(nx, ny), and of darboux_y_input()
 DARBOUX_SNAPSHOT_SIZES = ((64, 8), (32, 16))
 
 
@@ -212,9 +217,30 @@ def record(name, argv):
     return entry
 
 
-def darboux_snapshot_payload(nx, ny):
-    """Payload of ``darboux`` run on saved snapshots of the worked example."""
-    inp = darboux_shear_example(nx, ny)
+def darboux_y_input():
+    """Omega = cos x + cos y, p = Omega^2, f = 3 + Omega, F = Omega / 4 on
+    64x32, from grid values: eigenfields that depend on y, so p~ and the
+    verify residuals are not exact zeros."""
+    grid = TorusGrid((64, 32))
+    x, y = np.meshgrid(*(np.arange(n) * (2 * np.pi / n) for n in grid.shape), indexing="ij")
+    om = np.cos(x) + np.cos(y)
+    return DarbouxInput(*(SpectralField.from_physical(grid, v) for v in (om, om**2, 3 + om, om / 4)))
+
+
+def darboux_inputs():
+    """The inputs ``darboux`` runs from snapshots, by corpus name."""
+    inputs = {f"darboux_snapshots_{nx}x{ny}": darboux_shear_example(nx, ny) for nx, ny in DARBOUX_SNAPSHOT_SIZES}
+    inputs["darboux_snapshots_y_64x32"] = darboux_y_input()
+    return inputs
+
+
+def p_t_digest(inp):
+    """sha256 of the bytes of ``darboux_apply(inp).p_t``."""
+    return hashlib.sha256(darboux_apply(inp).p_t.tobytes()).hexdigest()
+
+
+def darboux_snapshot_payload(inp):
+    """Payload of ``darboux`` run on saved snapshots of a DarbouxInput."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["darboux"]
         for flag, fld in (("--omega", inp.omega), ("--p", inp.p), ("--f", inp.f), ("--bigf", inp.F)):
@@ -249,8 +275,9 @@ def spectra_corpus():
 
 def commands_corpus():
     corpus = {name: {"argv": argv, "payload_sha256": digest(run(argv)[1])} for name, argv in COMMAND_CASES.items()}
-    for nx, ny in DARBOUX_SNAPSHOT_SIZES:
-        corpus[f"darboux_snapshots_{nx}x{ny}"] = {"size": [nx, ny], "payload_sha256": digest(darboux_snapshot_payload(nx, ny))}
+    for name, inp in darboux_inputs().items():
+        corpus[name] = {"size": list(inp.omega.grid.shape), "payload_sha256": digest(darboux_snapshot_payload(inp))}
+    corpus["darboux_snapshots_y_64x32"]["p_t_sha256"] = p_t_digest(darboux_y_input())
     for name, fld in snapshot_fields().items():
         corpus[f"save_field_{name}"] = {"file_sha256": snapshot_digest(fld)}
     return corpus

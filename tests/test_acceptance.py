@@ -224,7 +224,7 @@ def test_a12_gauge_transform_exactness_and_worked_example():
 
     res = darboux_apply(inp)
     assert res.masked_fraction < 0.02
-    chk = darboux_verify(inp, res)
+    chk = darboux_verify(res)
     assert chk.residual_inf < 1e-8
     g = inp.omega.grid
     x, _ = mesh(g)

@@ -422,6 +422,22 @@ class TestDarbouxCommand:
         assert f"field snapshot {tmp_path / 'bigf'}: " in err and "2D scalar" in err
         assert str(tmp_path / "omega") not in err
 
+    def test_x_independent_omega_exits_2(self, tmp_path, capsys):
+        """Omega = cos y passes every precondition but has no gauge factor."""
+        from nel.fields import SpectralField, save_field
+        from nel.grids import TorusGrid
+
+        grid = TorusGrid((32, 16))
+        y = np.zeros((32, 1)) + np.arange(16) * (2 * np.pi / 16)
+        argv = []
+        for flag, values in (("--omega", np.cos(y)), ("--p", np.sin(y)), ("--f", 2.0 + 0 * y), ("--bigf", 0 * y)):
+            save_field(tmp_path / flag[2:], SpectralField.from_physical(grid, values))
+            argv += [flag, str(tmp_path / flag[2:])]
+        out = tmp_path / "darboux.jsonl"
+        assert run_cli("darboux", *argv, "--out", str(out)) == 2
+        assert "Omega_x" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "darboux.jsonl.partial").exists()
+
     @pytest.mark.parametrize(
         "snapshot, message",
         [

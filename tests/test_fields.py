@@ -131,6 +131,31 @@ class TestBracketOracles:
         assert np.all(out.coeffs[~dealias_mask(g)] == 0)
 
 
+class TestBufferOwnership:
+    @pytest.mark.parametrize("shared", ["f", "g", "both", "g-stack", "g-alone"])
+    def test_shared_gradients_are_only_read(self, shared):
+        """A shared gradient and both fields keep their bytes, and the bracket
+        has the bits of one that shares nothing; g-alone passes g as None."""
+        g = grid(n=32)
+        a, b = random_trig(g, 6, seed=7), random_trig(g, 6, seed=8)
+        if shared == "g-stack":
+            b = SpectralField(g, np.stack([b.coeffs, random_trig(g, 6, seed=9).coeffs]))
+        grads = {"f": gradient_values(a), "g": gradient_values(b)}
+        kw = {f"{k}_grad": grads[k] for k in grads if k in shared or shared == "both"}
+        arrays = [a.coeffs, b.coeffs, *kw.values()]
+        before = [x.copy() for x in arrays]
+        got = bracket_core(a, None if shared == "g-alone" else b, **kw)
+        assert got.coeffs.tobytes() == bracket_core(a, b).coeffs.tobytes()
+        for x, y in zip(arrays, before):
+            assert x.tobytes() == y.tobytes()
+
+    def test_norm_inf_leaves_the_coefficients(self):
+        f = random_trig(grid(n=32), 6, seed=10)
+        before = f.coeffs.copy()
+        assert f.norm_inf() == np.max(np.abs(f.physical())) > 0
+        assert f.coeffs.tobytes() == before.tobytes()
+
+
 class TestBracketAlgebra:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))

@@ -12,8 +12,9 @@ labels are compared per distinct start value.  The nu = 0 blocks are solved
 by the parity split of T^2, so the inviscid spectrum of class (1,0) and
 zvtrack's header fields from its reference at N and 2N are pinned by value
 too, to 1e-9.  The hashed zvtrack payloads are also checked with numpy's
-SIMD loops capped at AVX2.  Every payload of the commands corpus, and the
-bytes ``save_field`` writes, are pinned by hash.
+SIMD loops capped at AVX2.  Every payload of the commands corpus, the
+bytes ``save_field`` writes, and the bytes of ``darboux_apply``'s p~ on
+y-dependent input are pinned by hash.
 """
 
 import json
@@ -30,8 +31,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "golden"))
 from generate import (  # noqa: E402
     HASHED,
     HEADER_FIELDS,
+    darboux_inputs,
     darboux_snapshot_payload,
+    darboux_y_input,
     digest,
+    p_t_digest,
     run,
     snapshot_digest,
     snapshot_fields,
@@ -131,8 +135,12 @@ def test_command_payload_bytes(name):
 
 @pytest.mark.parametrize("name", sorted(k for k in COMMANDS if k.startswith("darboux_snapshots")))
 def test_darboux_from_snapshots(name):
-    want = COMMANDS[name]
-    assert digest(darboux_snapshot_payload(*want["size"])) == want["payload_sha256"]
+    assert digest(darboux_snapshot_payload(darboux_inputs()[name])) == COMMANDS[name]["payload_sha256"]
+
+
+def test_darboux_apply_bytes():
+    """p~ itself, on input whose quotient is nowhere an exact zero off the mask."""
+    assert p_t_digest(darboux_y_input()) == COMMANDS["darboux_snapshots_y_64x32"]["p_t_sha256"]
 
 
 @pytest.mark.parametrize("name", ["scalar_2d", "scalar_3d", "vector_3d"])

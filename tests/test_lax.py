@@ -1,6 +1,8 @@
 """Transport-compatibility checks and the gauge transform."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from nel.lax import (
     DarbouxInput,
     _transport_check,
     darboux_apply,
+    darboux_shear_example,
     darboux_verify,
     transported_eigenfield_check_2d,
     transported_eigenfield_check_3d,
@@ -212,13 +215,17 @@ def worked_example(nx=128, ny=8):
     )
 
 
+# full-grid float64 arrays darboux may hold at once: 10.4 measured (numpy 2.4)
+PEAK_ARRAYS = 11.0
+
+
 class TestDarboux:
     def test_p_equals_f_gives_zero(self):
         g, inp = worked_example()
         inp = dataclasses.replace(inp, p=inp.f)
         res = darboux_apply(inp)
         assert np.all(res.p_t == 0.0)
-        ver = darboux_verify(inp, res)
+        ver = darboux_verify(res)
         assert ver.residual_inf == 0.0
 
     def test_zero_F_is_identity(self):
@@ -244,7 +251,7 @@ class TestDarboux:
         # transformed vorticity picks up Lap F
         om_t = field_of(g, lambda X, Y: np.cos(X) + np.cos(2 * X))
         assert (res.omega_t - om_t).norm_inf() < 1e-12
-        ver = darboux_verify(inp, res)
+        ver = darboux_verify(res)
         assert ver.residual_inf < 1e-8
 
     def test_corrupted_stream_control(self):
@@ -252,7 +259,7 @@ class TestDarboux:
         res = darboux_apply(inp)
         bump = field_of(g, lambda X, Y: 0.1 * np.sin(Y))
         bad = dataclasses.replace(res, psi_t=res.psi_t + bump)
-        ver = darboux_verify(inp, bad)
+        ver = darboux_verify(bad)
         assert ver.residual_inf > 1e-1
 
     def test_preconditions(self):
@@ -280,6 +287,54 @@ class TestDarboux:
         bad = dataclasses.replace(inp, **{name: SpectralField(inp.omega.grid, coeffs)})
         with pytest.raises(ValidationError, match="residual|gauge constraints"):
             darboux_apply(bad)
+
+    def test_no_gauge_factor_raises_before_dividing(self):
+        """Omega = cos y (nothing masked) and f = 0 pass every bracket check,
+        but the quotient would be 0/0 everywhere off the mask."""
+        g = TorusGrid((32, 16))
+        x_free = DarbouxInput(
+            omega=field_of(g, lambda X, Y: np.cos(Y)),
+            p=field_of(g, lambda X, Y: np.sin(Y)),
+            f=field_of(g, lambda X, Y: 2.0),
+            F=field_of(g, lambda X, Y: 0.0),
+        )
+        _, inp = worked_example(32, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 is computed on the way
+            with pytest.raises(ValidationError, match="Omega_x"):
+                darboux_apply(x_free)
+            with pytest.raises(ValidationError, match="vanishes"):
+                darboux_apply(dataclasses.replace(inp, f=SpectralField(g, np.zeros(g.spectral_shape))))
+
+    def test_caller_arrays_are_left_unchanged(self):
+        """apply and verify write only into arrays they allocated: the
+        caller's coefficient arrays, which stay writable, keep their bytes,
+        and verify leaves the result as apply made it."""
+        g = TorusGrid((64, 32))
+        X, Y = mesh(g)
+        om = np.cos(X) + np.cos(Y)
+        arrays = [SpectralField.from_physical(g, v).coeffs.copy() for v in (om, om**2, 3 + om, om / 4)]
+        before = [a.copy() for a in arrays]
+        res = darboux_apply(DarbouxInput(*(SpectralField(g, a) for a in arrays)))
+        made = [a.copy() for a in (res.omega_t.coeffs, res.psi_t.coeffs, res.p_t, res.mask)]
+        assert darboux_verify(res).masked_fraction == 1 / 32
+        assert all(a.flags.writeable for a in arrays)
+        for a, b in zip([*arrays, res.omega_t.coeffs, res.psi_t.coeffs, res.p_t, res.mask], before + made):
+            assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory(self):
+        """apply then verify on the 512x64 worked example allocate at most
+        PEAK_ARRAYS full-grid float64 arrays at once above the inputs and the
+        grid's caches, which a first run fills."""
+        inp = darboux_shear_example(512, 64)
+        darboux_verify(darboux_apply(inp))
+        tracemalloc.start()
+        try:
+            darboux_verify(darboux_apply(inp))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_ARRAYS * 512 * 64 * 8
 
 
 class TestGaugeIdentity:
