@@ -27,12 +27,22 @@ hand must mirror them there.  The dealias cut never keeps the Nyquist mode.
 
 Buffers: ``_inverse`` overwrites the array it is given (``physical`` gives it
 a copy), and ``bracket_core`` writes only into gradients it computed itself.
+``_inverse``, ``_forward_dealiased`` and ``gradient_values`` write their
+result into the caller's ``out`` when given one (numpy.fft's ``out=``), and
+``bracket_core`` and ``fields3d.advect_3d`` pass theirs on.  ``gradient_values``,
+``bracket_core`` and ``advect_3d`` form their spectra and grid values in the
+caller's ``work`` dict when given one: ``take`` keeps one array per name there
+for every later call to reuse.  The caller owns both; the transport march
+(``lax``) is the one caller that passes them.  Called without them, these
+functions allocate as they go, and what they return is a new array that no
+later call writes into.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,9 +130,10 @@ def complex_norm_inf(f: SpectralField) -> float:
     return float(np.max(np.hypot(v[0], v[1]) if v.ndim > len(f.grid.shape) else np.abs(v)))
 
 
-def _inverse(grid, c: np.ndarray) -> np.ndarray:
+def _inverse(grid, c: np.ndarray, out=None) -> np.ndarray:
     """Grid values ``irfftn(c, grid.shape, norm="forward")`` over the grid
-    axes (any leading axes), computed in c, which is overwritten.
+    axes (any leading axes), computed in c, which is overwritten, and
+    written into ``out`` if one is given.
 
     As in ``irfftn`` the complex axes go first, in order, and the real
     transform of the last axis last.  Where an axis's dealiased-away modes are
@@ -139,17 +150,18 @@ def _inverse(grid, c: np.ndarray) -> np.ndarray:
         for block in itertools.product(*lines[a:]):
             v = c[(Ellipsis,) + (slice(None),) * (a + 1) + block]
             np.fft.ifft(v, axis=a - nd, norm="forward", out=v)
-    return np.fft.irfft(c, grid.shape[-1], axis=-1, norm="forward")
+    return np.fft.irfft(c, grid.shape[-1], axis=-1, norm="forward", out=out)
 
 
-def _forward_dealiased(grid, x: np.ndarray) -> np.ndarray:
+def _forward_dealiased(grid, x: np.ndarray, out=None) -> np.ndarray:
     """``np.where(mask, rfftn(x) / grid.size, 0)`` over the grid axes of real
-    x (any leading axes), mean zeroed.  As in ``rfftn`` the real transform of
-    the last axis goes first and the complex axes follow from the back, in
-    place; each skips the lines the mask drops on the axes done.
+    x (any leading axes), mean zeroed, written into ``out`` if one is given.
+    As in ``rfftn`` the real transform of the last axis goes first and the
+    complex axes follow from the back, in place; each skips the lines the
+    mask drops on the axes done.
     """
     nd = len(grid.shape)
-    c = np.fft.rfft(x, axis=-1)
+    c = np.fft.rfft(x, axis=-1, out=out)
     kept = [k for k, _ in grid.dealias_slices]
     for a in reversed(range(nd - 1)):
         for block in itertools.product(*kept[a + 1 :]):
@@ -162,12 +174,35 @@ def _forward_dealiased(grid, x: np.ndarray) -> np.ndarray:
     return c
 
 
-def gradient_values(f: SpectralField) -> np.ndarray:
-    """Grid values of the gradient of f, direction first: ``(d, *f.coeffs.shape)``."""
-    ik = np.empty((len(f.grid.shape), *f.coeffs.shape), complex)
+def take(work: dict | None, name: str, shape, dtype=complex) -> np.ndarray:
+    """A work array of the given shape: a new one if work is None, else the
+    array that work holds under name, allocated on first use and again,
+    larger, when a call needs more.  Every take of one name shares its
+    memory, so an operator takes a name again only when it is done with
+    what it took before."""
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    a = work.get(name)
+    if a is None or a.size < size:
+        a = work[name] = np.empty(size, dtype)
+    return a[:size].reshape(shape)
+
+
+def gradient_values(f: SpectralField, out=None, work=None) -> np.ndarray:
+    """Grid values of the gradient of f, direction first: ``(d, *f.coeffs.shape)``
+    with the grid's shape for the spectral one, written into ``out`` if one
+    is given; the gradient's spectra are formed in work's ``"spectra"``."""
+    ik = take(work, "spectra", (len(f.grid.shape), *f.coeffs.shape))
     for j, kj in enumerate(f.grid.k):
         np.multiply(f.coeffs, 1j * kj, out=ik[j])
-    return _inverse(f.grid, ik)
+    return _inverse(f.grid, ik, out)
+
+
+def _gradient(f: SpectralField, work, name: str) -> np.ndarray:
+    # gradient_values of f, its values in work's array ``name``
+    nd = len(f.grid.shape)
+    return gradient_values(f, take(work, name, (nd, *f.coeffs.shape[:-nd], *f.grid.shape), float), work)
 
 
 def _zero_mode(grid) -> tuple:
@@ -221,17 +256,21 @@ def invert_laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def bracket_core(f: SpectralField, g: SpectralField | None, f_grad=None, g_grad=None) -> SpectralField:
+def bracket_core(
+    f: SpectralField, g: SpectralField | None, f_grad=None, g_grad=None, out=None, work=None
+) -> SpectralField:
     """{f, g} = f_x g_y - f_y g_x for a field f and a field or stack g.
 
     A caller may share ``gradient_values`` of f or g between brackets, and
-    pass g as None with its gradient; a shared gradient is only read.
+    pass g as None with its gradient; a shared gradient is only read.  A
+    caller that brackets again and again passes the spectrum's ``out`` and
+    a ``work`` dict (see ``take``) for the gradients it computes.
     """
     if g is not None:
         _check_same_grid(f, g)
-    fx, fy = gradient_values(f) if f_grad is None else f_grad
+    fx, fy = _gradient(f, work, "f values") if f_grad is None else f_grad
     if g_grad is None:  # no one else holds g's gradient: form the products in it
-        gx, prod = gradient_values(g)
+        gx, prod = _gradient(g, work, "g values")
         prod *= fx
         prod -= np.multiply(gx, fy, out=gx)
     elif f_grad is None and fx.shape == g_grad[0].shape:  # nor f's: form them there
@@ -240,7 +279,7 @@ def bracket_core(f: SpectralField, g: SpectralField | None, f_grad=None, g_grad=
     else:  # one temporary; the second product lives only until subtracted
         prod = fx * g_grad[1]
         prod -= fy * g_grad[0]
-    return SpectralField(f.grid, _forward_dealiased(f.grid, prod))
+    return SpectralField(f.grid, _forward_dealiased(f.grid, prod, out))
 
 
 def random_real_field(

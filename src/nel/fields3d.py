@@ -21,12 +21,14 @@ from .fields import (
     SpectralField,
     _check_same_grid,
     _forward_dealiased,
+    _gradient,
+    _inverse,
     _real_and_imag,
     _scaled,
     complex_norm_inf,
-    gradient_values,
     invert_laplacian,
     require_mean_zero,
+    take,
 )
 from .grids import TorusGrid
 
@@ -65,15 +67,23 @@ def biot_savart_3d(omega: SpectralField) -> SpectralField:
     return invert_laplacian(curl_3d(omega)) * (-1.0)
 
 
-def advect_3d(a: SpectralField, f: SpectralField) -> SpectralField:
-    """(a . grad) f for a scalar, vector or any stack f, dealiased and mean-projected."""
+def advect_3d(a: SpectralField, f: SpectralField, out=None, work=None) -> SpectralField:
+    """(a . grad) f for a scalar, vector or any stack f, dealiased and mean-projected.
+
+    A caller that advects again and again passes the spectrum's ``out`` and
+    a ``work`` dict (see ``fields.take``) for the grid values of a and of
+    grad f, which are formed in it.
+    """
     _check_same_grid(a, f)
-    av = a.physical()
-    grad = gradient_values(f)
-    np.multiply(av.reshape(3, *(1,) * (f.coeffs.ndim - 3), *a.grid.shape), grad, out=grad)
-    prod = grad[0] + grad[1]
+    grid = a.grid
+    ac = take(work, "spectra", a.coeffs.shape)
+    np.copyto(ac, a.coeffs)
+    av = _inverse(grid, ac, take(work, "a values", (3, *grid.shape), float))
+    grad = _gradient(f, work, "f values")
+    np.multiply(av.reshape(3, *(1,) * (f.coeffs.ndim - 3), *grid.shape), grad, out=grad)
+    prod = np.add(grad[0], grad[1], out=grad[0])
     prod += grad[2]
-    return SpectralField(a.grid, _forward_dealiased(a.grid, prod))
+    return SpectralField(grid, _forward_dealiased(grid, prod, out))
 
 
 def random_solenoidal_field(

@@ -13,6 +13,12 @@ rows -- the rows of Omega, then phi, then q -- so each RK4 stage transports
 the whole stack with one bracket by Psi (2D) or one advection by u (3D).  A
 complex phi (and so q) is carried as its (re, im) rows: in 3D the stack is
 (Omega_1..3, Re phi, Im phi, Re q, Im q).  The residual is measured on |q|.
+The march owns its work arrays: one dict (``fields.take``), made when it
+starts, holds the RK4 sum and stage input, the rhs's slope and the
+operators' gradient spectra, grid values and products, and every stage of
+every step reuses them (the two 3D advections share theirs).  Only the final
+stack leaves the march; the residual is computed from it in new arrays, so
+nothing a check returns aliases a work array.
 
 The gauge transform acts on eigenfields of the 2D system at lam = 0:
 
@@ -39,6 +45,7 @@ from .fields import (
     invert_laplacian,
     laplacian,
     require_mean_zero,
+    take,
 )
 from .fields3d import advect_3d, biot_savart_3d, divergence_3d
 from .grids import TorusGrid
@@ -71,39 +78,56 @@ class LaxCheckResult:
         }
 
 
-def _rk4(y: SpectralField, t, dt, rhs) -> SpectralField:
-    k1 = rhs(y, t)
-    k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(y + dt * k3, t + dt)
-    return y + dt / 6 * k1 + dt / 3 * k2 + dt / 3 * k3 + dt / 6 * k4
+def _rk4(y: SpectralField, t, dt, rhs, work, out: np.ndarray) -> np.ndarray:
+    """One RK4 step of the stack y by ``rhs(field, t, work)``, written into
+    out: y + dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4, summed left to right as
+    each slope k comes.  Each stage's input, then each scaled slope, is
+    formed in work's ``"stage"``; y is only read."""
+    k = rhs(y, t, work).coeffs
+    np.add(y.coeffs, np.multiply(dt / 6, k, out=out), out=out)
+    stage = take(work, "stage", y.coeffs.shape)
+    for h, weight in ((0.5 * dt, dt / 3), (0.5 * dt, dt / 3), (dt, dt / 6)):
+        np.add(y.coeffs, np.multiply(h, k, out=stage), out=stage)
+        k = rhs(SpectralField(y.grid, stage), t + h, work).coeffs
+        out += np.multiply(weight, k, out=stage)
+    return out
 
 
 def _rows(f: SpectralField) -> np.ndarray:
     return f.coeffs.reshape(-1, *f.grid.spectral_shape)
 
 
+def _march(check, grid, y: np.ndarray, steps, dt, rhs) -> np.ndarray:
+    """The stack y after ``steps`` RK4 steps of dt; y is overwritten.  The
+    march's work dict holds the arrays every stage reuses: its own, and
+    those of rhs and of the operators it calls."""
+    work = {}
+    out = take(work, "sum", y.shape)
+    t = 0.0
+    for _ in range(steps):
+        y, out = _rk4(SpectralField(grid, y), t, dt, rhs, work, out), y
+        t += dt
+        if not np.isfinite(y).all():
+            raise ComputationalError(f"{check} blew up at t={t:.4g}; reduce dt")
+    return y
+
+
 def _transport_check(check, omega0, phi0, t_end, dt, rhs, L) -> LaxCheckResult:
     """March the stack y = (Omega rows, phi rows, q rows), q(0) = L(Omega0,
-    phi0), by RK4 of ``rhs(y, t)`` and measure L(Omega(T), phi(T)) - q(T);
-    phi is a real scalar or a complex one as (re, im) rows."""
+    phi0), by RK4 of ``rhs(y, t, work)``, work being the march's dict of work
+    arrays (``fields.take``), and measure L(Omega(T), phi(T)) - q(T); phi is
+    a real scalar or a complex one as (re, im) rows."""
     if dt <= 0 or t_end <= 0:
         raise ValidationError("t_end and dt must be positive")
     steps = step_count(t_end, dt, "t_end")
     if steps < 1:
         raise ValidationError("t_end must cover at least one step")
     grid = omega0.grid
-    q0 = L(omega0, phi0)
     n_om = len(_rows(omega0))
-    y = SpectralField(grid, np.concatenate([_rows(omega0), _rows(phi0), _rows(q0)]))
-    t = 0.0
-    for _ in range(steps):
-        y = _rk4(y, t, dt, rhs)
-        t += dt
-        if not np.isfinite(y.coeffs).all():
-            raise ComputationalError(f"{check} blew up at t={t:.4g}; reduce dt")
-    om = SpectralField(grid, y.coeffs[:n_om].reshape(omega0.coeffs.shape))
-    phi, q = (SpectralField(grid, c.reshape(phi0.coeffs.shape)) for c in np.split(y.coeffs[n_om:], 2))
+    y = np.concatenate([_rows(omega0), _rows(phi0), _rows(L(omega0, phi0))])
+    y = _march(check, grid, y, steps, dt, rhs)
+    om = SpectralField(grid, y[:n_om].reshape(omega0.coeffs.shape))
+    phi, q = (SpectralField(grid, c.reshape(phi0.coeffs.shape)) for c in np.split(y[n_om:], 2))
     resid = L(om, phi) - q
     return LaxCheckResult(
         check=check,
@@ -135,8 +159,10 @@ def transported_eigenfield_check_2d(
     signs = np.full((1 + 2 * len(_rows(phi0)), 1, 1), -1.0)
     signs[0] = 1.0 if negative_control else -1.0
 
-    def rhs(y, t):  # one bracket by Psi of the whole stack
-        return bracket_core(invert_laplacian(SpectralField(y.grid, y.coeffs[0])), y) * signs
+    def rhs(y, t, work):  # one bracket by Psi of the whole stack, in work's "slope"
+        k = take(work, "slope", y.coeffs.shape)
+        bracket_core(invert_laplacian(SpectralField(y.grid, y.coeffs[0])), y, out=k, work=work)
+        return SpectralField(y.grid, np.multiply(k, signs, out=k))
 
     check = "transport-compatibility-2d" + ("-control" if negative_control else "")
     return _transport_check(check, omega0, phi0, t_end, dt, rhs, bracket_core)
@@ -168,12 +194,17 @@ def transported_eigenfield_check_3d(
 
     stretch = -1.0 if negative_control else 1.0
 
-    def rhs(y, t):  # one advection by u of the whole stack, one of u by Omega
+    def rhs(y, t, work):  # one advection by u of the whole stack, one of u by Omega
         om = SpectralField(y.grid, y.coeffs[:3])
         u = biot_savart_3d(om) if velocity is None else velocity(t)
-        adv = advect_3d(u, y).coeffs
-        dom = stretch * advect_3d(om, u).coeffs - adv[:3]
-        return SpectralField(y.grid, np.concatenate([dom, -1.0 * adv[3:]]))
+        k = take(work, "slope", y.coeffs.shape)
+        advect_3d(u, y, out=k, work=work)
+        # advect_3d is done with its "spectra" when its last transform writes dom
+        dom = take(work, "spectra", om.coeffs.shape)
+        advect_3d(om, u, out=dom, work=work)
+        np.subtract(np.multiply(stretch, dom, out=dom), k[:3], out=k[:3])
+        np.multiply(-1.0, k[3:], out=k[3:])
+        return SpectralField(y.grid, k)
 
     tag = "-curl" if velocity is None else "-free"
     if negative_control:

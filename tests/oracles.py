@@ -128,6 +128,52 @@ def ns_rhs_3d(
     return project_mean(stretch + (laplacian(omega) + forcing) * nu)
 
 
+def transport_march(omega0: SpectralField, phi0: SpectralField, L, steps: int, dt: float, rhs) -> np.ndarray:
+    """The stack (Omega rows, phi rows, q rows), q = L(Omega, phi), after
+    ``steps`` classical RK4 steps of ``rhs(y, t)``, every stage and sum in
+    new arrays: the plain form of ``nel.lax._march``."""
+    rows = [f.coeffs.reshape(-1, *f.grid.spectral_shape) for f in (omega0, phi0, L(omega0, phi0))]
+    y = SpectralField(omega0.grid, np.concatenate(rows))
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(y, t)
+        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(y + dt * k3, t + dt)
+        y = y + dt / 6 * k1 + dt / 3 * k2 + dt / 3 * k3 + dt / 6 * k4
+        t += dt
+    return y.coeffs
+
+
+def bracket_stack_rhs(negative_control: bool = False):
+    """rhs of the 2D stack (Omega, phi rows, q rows): -{Psi, .} of every row,
+    +{Psi, Omega} for Omega in the negative control."""
+
+    def rhs(y, t):
+        signs = np.full((len(y.coeffs), 1, 1), -1.0)
+        signs[0] = 1.0 if negative_control else -1.0
+        return bracket_core(invert_laplacian(SpectralField(y.grid, y.coeffs[0])), y) * signs
+
+    return rhs
+
+
+def advection_stack_rhs(velocity=None, negative_control: bool = False):
+    """rhs of the 3D stack (Omega_1..3, phi rows, q rows): -(u . grad) of
+    every row, plus the stretching (Omega . grad) u for Omega, with the sign
+    flipped in the negative control; u is Omega's Biot-Savart velocity, or
+    velocity(t)."""
+    stretch = -1.0 if negative_control else 1.0
+
+    def rhs(y, t):
+        om = SpectralField(y.grid, y.coeffs[:3])
+        u = biot_savart_3d(om) if velocity is None else velocity(t)
+        adv = advect_3d(u, y).coeffs
+        dom = stretch * advect_3d(om, u).coeffs - adv[:3]
+        return SpectralField(y.grid, np.concatenate([dom, -1.0 * adv[3:]]))
+
+    return rhs
+
+
 def jacobian_oracle_check(
     cls: ModeClass,
     alpha: float,

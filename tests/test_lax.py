@@ -1,17 +1,25 @@
 """Transport-compatibility checks and the gauge transform."""
 
 import dataclasses
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import nel.lax as lax
 from nel.errors import ComputationalError, ValidationError
 from nel.fields import (
     SpectralField,
     bracket_core,
     complex_norm_inf,
+    gradient_values,
     invert_laplacian,
     random_real_field,
 )
@@ -26,7 +34,18 @@ from nel.lax import (
     transported_eigenfield_check_2d,
     transported_eigenfield_check_3d,
 )
-from oracles import eigen_residual, gauge_identity_residual, mesh, ns_rhs_2d, reflect_xy
+from oracles import (
+    advection_stack_rhs,
+    bracket_stack_rhs,
+    eigen_residual,
+    gauge_identity_residual,
+    mesh,
+    ns_rhs_2d,
+    reflect_xy,
+    transport_march,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def field_of(grid, fn):
@@ -42,6 +61,29 @@ def pair_of(grid, fn):
 
 
 random_scalar_3d = random_scalar_field
+
+# nel commands (argv lists from sys.argv) one after another in one
+# interpreter; prints each one's payload lines
+JOBS = """
+import json, os, sys, tempfile
+import nel.cli
+payloads = []
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "out")
+    for argv in json.loads(sys.argv[1]):
+        assert nel.cli.main([*argv, "--out", out]) == 0
+        payloads.append(open(out, encoding="utf-8").read().splitlines()[1:])
+print(json.dumps(payloads))
+"""
+
+
+def payloads_in_one_process(jobs):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", JOBS, json.dumps(jobs)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestOperators:
@@ -137,7 +179,7 @@ class TestTransport2D:
         k = np.zeros((3, *g.spectral_shape), complex)
         k[1] = np.nan
 
-        def rhs(y, t):
+        def rhs(y, t, work):
             return SpectralField(g, k)
 
         with pytest.raises(ComputationalError, match="test march blew up at t=0.05"):
@@ -201,6 +243,100 @@ class TestTransport3D:
         bad = SpectralField(g, c)
         with pytest.raises(ValidationError, match="divergence"):
             transported_eigenfield_check_3d(bad, ph0, 0.1, 5e-3)
+
+
+# stack-sized arrays (the marched state's bytes) a march may hold at once,
+# from the allocating march's tracemalloc peak (numpy 2.4): 10.33 for a 2D
+# real phi at 64^2 (3 rows), 11.94 in 3D at 32^3 (7 rows), curl or free
+MARCH_PEAK_STACKS = {2: 10.5, 3: 12.0}
+
+
+def march_inputs(case):
+    """(check function, its arguments and keywords, the allocating march's
+    rhs, the operator L of q) of one march case."""
+    if case.startswith("2d"):
+        g = TorusGrid((32, 32), 0.8)
+        rng = np.random.default_rng(21)
+        om0, ph0, ph1 = (random_real_field(g, 5, rng) for _ in range(3))
+        if case == "2d-complex":
+            ph0 = SpectralField(g, np.stack([ph0.coeffs, ph1.coeffs]))
+        control = case == "2d-control"
+        args = (om0, ph0, 0.05, 0.01)
+        return transported_eigenfield_check_2d, args, {"negative_control": control}, bracket_stack_rhs(control), bracket_core
+    g = TorusGrid((16, 16, 16))
+    rng = np.random.default_rng(99)
+    om0, ph0 = random_solenoidal_field(g, 2, rng, 0.3), random_scalar_3d(g, 2, rng, 1.0)
+    u1, u2 = random_solenoidal_field(g, 2, rng, 0.2), random_solenoidal_field(g, 2, rng, 0.2)
+    vel = None if case == "3d-curl" else lambda t: np.cos(t) * u1 + np.sin(t) * u2
+    return transported_eigenfield_check_3d, (om0, ph0, 0.015, 5e-3), {"velocity": vel}, advection_stack_rhs(vel), advect_3d
+
+
+class TestMarchWorkArrays:
+    """The march reuses one set of work arrays; what it computes is the
+    allocating RK4 of ``oracles.transport_march`` to the byte."""
+
+    @pytest.mark.parametrize("case", ["2d-real", "2d-complex", "2d-control", "3d-curl", "3d-free"])
+    def test_final_stack_matches_the_allocating_march(self, case, monkeypatch):
+        check, args, kw, ref_rhs, L = march_inputs(case)
+        finals, march = [], lax._march
+        monkeypatch.setattr(lax, "_march", lambda *a: finals.append(march(*a)) or finals[-1])
+        check(*args, **kw)
+        om0, ph0, t_end, dt = args
+        want = transport_march(om0, ph0, L, round(t_end / dt), dt, ref_rhs)
+        assert finals[0].tobytes() == want.tobytes()
+
+    def test_results_keep_their_bytes(self):
+        """bracket_core, advect_3d and gradient_values return arrays that no
+        later call writes into: neither another operator call nor a march."""
+        g2, g3 = TorusGrid((32, 32)), TorusGrid((8, 8, 8))
+        rng = np.random.default_rng(4)
+        f, h = random_real_field(g2, 4, rng), random_real_field(g2, 4, rng)
+        u, phi = random_solenoidal_field(g3, 2, rng, 0.3), random_scalar_3d(g3, 2, rng)
+        first = transported_eigenfield_check_2d(f, h, 0.02, 0.01)
+        made = [bracket_core(f, h).coeffs, gradient_values(h), advect_3d(u, phi).coeffs]
+        before = [a.copy() for a in made]
+        bracket_core(h, f), gradient_values(f), advect_3d(u, u)
+        assert transported_eigenfield_check_2d(f, h, 0.02, 0.01) == first
+        transported_eigenfield_check_3d(u, phi, 0.02, 0.01)
+        for a, b in zip(made, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_jobs_back_to_back_give_their_fresh_process_payloads(self):
+        # laxcheck jobs one after another in one interpreter, as a benchmark
+        # session runs them, against each job alone in a fresh interpreter
+        jobs = [
+            ["laxcheck", "--grid", "16", "--t-end", "0.02", "--dt", "0.01"],
+            ["laxcheck", "--dim", "3", "--grid", "8", "--t-end", "0.02", "--dt", "0.01", "--mode", "curl"],
+            ["laxcheck", "--dim", "3", "--grid", "8", "--t-end", "0.02", "--dt", "0.01", "--mode", "free"],
+            ["laxcheck", "--grid", "16", "--t-end", "0.02", "--dt", "0.01", "--control", "true"],
+        ]
+        together = payloads_in_one_process(jobs)
+        assert together == [payloads_in_one_process([job])[0] for job in jobs]
+
+    @pytest.mark.parametrize("dim, mode", [(2, None), (3, "curl"), (3, "free")])
+    def test_peak_memory(self, dim, mode):
+        """A march at 64^2 or 32^3, caches filled by a first run, holds at most
+        MARCH_PEAK_STACKS[dim] arrays of the marched stack's size at once."""
+        rng = np.random.default_rng(5)
+        if dim == 2:
+            g = TorusGrid((64, 64))
+            om0, ph0 = random_real_field(g, 4, rng), random_real_field(g, 4, rng)
+            run = lambda: transported_eigenfield_check_2d(om0, ph0, 0.02, 0.01)  # noqa: E731
+        else:
+            g = TorusGrid((32, 32, 32))
+            om0, ph0 = random_solenoidal_field(g, 2, rng, 0.3), random_scalar_3d(g, 2, rng)
+            u1, u2 = random_solenoidal_field(g, 2, rng, 0.2), random_solenoidal_field(g, 2, rng, 0.2)
+            vel = None if mode == "curl" else lambda t: u1 * np.cos(t) + u2 * np.sin(t)
+            run = lambda: transported_eigenfield_check_3d(om0, ph0, 0.01, 0.005, velocity=vel)  # noqa: E731
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 3 if dim == 2 else 7
+        assert peak <= MARCH_PEAK_STACKS[dim] * rows * math.prod(g.spectral_shape) * 16
 
 
 def worked_example(nx=128, ny=8):

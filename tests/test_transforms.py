@@ -122,7 +122,7 @@ def test_residual_of_a_complex_pair_is_its_magnitude():
     omega0 = random_solenoidal_field(g, 2, np.random.default_rng(8), 0.1)
     drift = np.concatenate([np.zeros((5, *g.spectral_shape)), z.coeffs])
 
-    def rhs(y, t):  # q drifts by z per unit time, Omega and phi stay
+    def rhs(y, t, work):  # q drifts by z per unit time, Omega and phi stay
         return SpectralField(g, drift)
 
     res = _transport_check("drift", omega0, z, 0.5, 0.25, rhs, lambda om, phi: phi)
