@@ -9,7 +9,7 @@ isolated inviscid eigenvalue has an empty ``lambda0`` cell (``nel zvtrack``
 writes null there).
 
     python3 scripts/zero_viscosity_portrait.py --outdir portrait/
-    python3 scripts/zero_viscosity_portrait.py --classes "1,0;2,0;1,1" --trunc 96
+    python3 scripts/zero_viscosity_portrait.py --classes "1,0;2,0;3,0" --trunc 96
 """
 
 import argparse
@@ -30,8 +30,8 @@ def parse_classes(text):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--classes", default="1,0;0,1;2,0;1,1;2,1",
-                    help="semicolon-separated k1,k2 pairs")
+    ap.add_argument("--classes", default="1,0;0,1;2,0",
+                    help="semicolon-separated k1,k2 pairs (for k1 != 0, (k1, k2) is the operator of (k1, 0))")
     ap.add_argument("--alpha", type=float, default=0.7)
     ap.add_argument("--gamma", type=float, default=0.5)
     ap.add_argument("--trunc", type=int, default=64)

@@ -107,9 +107,9 @@ def _advance(theta, abc, delta, dt_sub):
         k41 = a * sin(u3) + c * cos(u2)
         k42 = b * sin(u1) + a * cos(u3)
         k43 = c * sin(u2) + b * cos(u1)
-        t1 += h6 * (k11 + 2 * k21 + 2 * k31 + k41)
-        t2 += h6 * (k12 + 2 * k22 + 2 * k32 + k42)
-        t3 += h6 * (k13 + 2 * k23 + 2 * k33 + k43)
+        t1 += h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        t2 += h6 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+        t3 += h6 * (k13 + 2.0 * k23 + 2.0 * k33 + k43)
     return (t1 % TWO_PI, t2 % TWO_PI, t3 % TWO_PI)
 
 

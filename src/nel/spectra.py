@@ -10,20 +10,24 @@ acts tridiagonally,
               + (Gamma alpha k1 / 2) (rho_{n-1} w_{n-1} - rho_{n+1} w_{n+1}),
 
 which is the image of -{Psi*, .} - {Lap^{-1} ., Omega*} + nu Lap on the class.
-Truncation keeps n in [-N, N]; the (0,0) wavevector (n = -k2 when k1 = 0) is
-excluded.
+For k1 != 0 the class is the lattice line of y wavenumbers m = k2 + n over all
+integers (Meshalkin & Sinai; Li), so every k2 names the operator of (k1, 0):
+truncation keeps the wavenumbers m in [-N, N], that is n in [-N - k2, N - k2],
+and (k1, k2) gives the bytes of (k1, 0).  For k1 = 0 the operator is diagonal,
+-nu m^2, on n in [-N, N] without the (0,0) wavevector n = -k2, and its
+spectrum is its diagonal: no eigensolve.
 
-For k2 = 0 the window is symmetric and |k_n| = |k_{-n}|, so A commutes with
-the signed reflection (P w)_n = (-1)^n w_{-n}.  In the coordinates w_0..w_N
-its two sectors are sub-blocks of A: P = +1 is the trailing (N+1)x(N+1) block
-with entry (0, 1) doubled (w_{-1} = -w_1), P = -1 the trailing NxN block
-(w_0 = 0).  compute_spectrum solves the two blocks, a quarter of the work of
-the full matrix; classes with k2 != 0 have no such symmetry and keep the full
-solve.  A is non-normal, so the split moves eigenvalues by rounding amplified
-by their conditioning: each lies within m u ||A||_2 kappa_i of the full
-solve's (m the matrix size, u the unit roundoff, kappa_i = ||x|| ||y|| /
-|y^H x| from the right and left eigenvectors; the tests assert it at N = 16
-and 40, and it held with a margin of 1.8 at N = 150).
+For k1 != 0 the window is symmetric in m and |k_m| = |k_{-m}|, so A commutes
+with the signed reflection (P w)_m = (-1)^m w_{-m}.  In the coordinates
+w_0..w_N its two sectors are sub-blocks of A: P = +1 is the trailing
+(N+1)x(N+1) block with entry (0, 1) doubled (w_{-1} = -w_1), P = -1 the
+trailing NxN block (w_0 = 0).  compute_spectrum solves the two blocks, a
+quarter of the work of the full matrix.  A is non-normal, so the split moves
+eigenvalues by rounding amplified by their conditioning: each lies within
+m u ||A||_2 kappa_i of the full solve's (m the matrix size, u the unit
+roundoff, kappa_i = ||x|| ||y|| / |y^H x| from the right and left
+eigenvectors; the tests assert it at N = 16 and 40, and it held with a margin
+of 1.8 at N = 150).
 
 At nu = 0 every block T has a zero diagonal (|k_n|^2 > 0 on every row), so
 it is bipartite: with rows ordered even then odd, T = [[0, B], [C, 0]], and
@@ -145,12 +149,10 @@ class Spectrum:
     nu: float
     trunc: int
     values: np.ndarray  # sorted by descending real part, then descending imag
-    sectors: np.ndarray | None = field(default=None, repr=False)  # block of each value: P = +1, -1, or 0 unsplit
+    sectors: np.ndarray = field(repr=False)  # block of each value: P = +1 or -1, or 0 for a diagonal (k1 = 0) class
 
     def blocks(self) -> list[np.ndarray]:
-        """Indices of the values in each block of sectors, one block when unset."""
-        if self.sectors is None:
-            return [np.arange(len(self.values))]
+        """Indices of the values in each block of sectors."""
         return [np.flatnonzero(self.sectors == p) for p in np.unique(self.sectors)]
 
 
@@ -205,6 +207,8 @@ def assemble_suboperator(
     n = np.arange(-trunc, trunc + 1)
     if cls.k1 == 0:
         n = n[cls.k2 + n != 0]
+    else:
+        n = n - cls.k2  # the window of (k1, 0): wavenumbers k2 + n in [-N, N]
     ksq = (alpha * cls.k1) ** 2 + (cls.k2 + n) ** 2
     rho = 1.0 - 1.0 / ksq
     c = gamma * alpha * cls.k1 / 2.0
@@ -216,8 +220,9 @@ def assemble_suboperator(
 
 def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[int, Tridiagonal]]:
     """(parity, block) pairs whose spectra make up the class spectrum: the
-    P = +1 and P = -1 blocks for k2 = 0, else the whole operator (parity 0)."""
-    if cls.k2 != 0:
+    P = +1 and P = -1 blocks for k1 != 0, else the diagonal operator whole
+    (parity 0)."""
+    if cls.k1 == 0:
         return [(0, bands)]
     even = bands.trailing(trunc)
     upper = even.upper.copy()
@@ -325,11 +330,15 @@ def parity_eigvals(t: Tridiagonal) -> np.ndarray:
 
 
 def compute_spectrum(op: SubOperator) -> Spectrum:
-    """Dense eigenvalues, deterministically sorted; a (k1, 0) class is solved
-    as its two reflection sectors, a nu = 0 block by its parity split."""
+    """Eigenvalues, deterministically sorted: a k1 != 0 class is solved as its
+    two reflection sectors, a nu = 0 block by its parity split; a k1 = 0 class
+    is diagonal, and its diagonal (+0.0 for nu = 0's signed zeros) is its
+    spectrum, with no eigensolve."""
     blocks = sector_blocks(op.cls, op.trunc, op.bands)
     try:
-        parts = [block_eigvals(b) if b.diag.any() else parity_eigvals(b) for _, b in blocks]
+        parts = [
+            b.diag + 0.0 if p == 0 else block_eigvals(b) if b.diag.any() else parity_eigvals(b) for p, b in blocks
+        ]
     except np.linalg.LinAlgError as e:
         raise ComputationalError(f"eigensolver failed: {e}") from e
     vals = np.concatenate(parts, dtype=np.complex128)
@@ -415,14 +424,7 @@ def critical_viscosity_bounds(
 
 
 # ---------------------------------------------------------------------------
-# unstable eigenvalue and critical viscosity
-
-
-@dataclass(frozen=True)
-class UnstableEig:
-    value: complex
-    refine_delta: float  # |lambda(2N) - lambda(N)|
-    trunc: int
+# rightmost eigenvalue and critical viscosity
 
 
 def refine_rightmost(spec: Spectrum) -> tuple[complex, float]:
@@ -445,22 +447,6 @@ def refine_rightmost(spec: Spectrum) -> tuple[complex, float]:
         return complex(mu), float(abs(mu - start))
     dense = class_spectrum(spec.cls, spec.alpha, spec.gamma, spec.nu, n2).values[0]
     return complex(dense), float(abs(lam - dense))
-
-
-def unstable_eigenvalue(
-    alpha: float,
-    nu: float,
-    gamma: float = DEFAULT_GAMMA,
-    cls: ModeClass = ModeClass(1, 0),
-    trunc: int = 100,
-) -> UnstableEig | None:
-    """Rightmost eigenvalue of the class at 2*trunc when it is unstable, else
-    None; the distance from the trunc value is reported so truncation
-    convergence is never silent."""
-    value, delta = refine_rightmost(class_spectrum(cls, alpha, gamma, nu, trunc))
-    if value.real <= AXIS_TOL:
-        return None
-    return UnstableEig(value, delta, 2 * trunc)
 
 
 @dataclass(frozen=True)
@@ -651,7 +637,7 @@ def track_spectra(nu_schedule, spectra) -> list[EigTrajectory]:
     the iterable spectra, each as it is needed.
 
     Consecutive spectra are matched block by block of Spectrum.sectors (the
-    two reflection sectors of a (k1, 0) class), each by the assignment
+    two reflection sectors of a k1 != 0 class), each by the assignment
     minimizing total squared displacement, in the order of the first spectrum.
     A trajectory is ambiguous when another target within cost tie TIE_TOL
     differs from the chosen mu and from conj(mu): the operator is real, so

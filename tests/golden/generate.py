@@ -51,7 +51,13 @@ moved with numpy's SIMD level); then ``zvtrack_2_1``, ``zvtrack_1_0`` and
 between conjugates stopped counting as ambiguous.  ``spectrum_1_1_alpha1``
 and ``zvtrack_1_1_alpha1`` (class (1,1) at alpha = 1, whose blocks balancing
 permutes out of Hessenberg form) were added by name from the code before the
-eigensolve called dgebal and dhseqr in place of dgeev.
+eigensolve called dgebal and dhseqr in place of dgeev.  ``spectrum_2_1_csv``,
+``spectrum_2_1_jsonl``, ``zvtrack_2_1``, ``spectrum_1_1_alpha1`` and
+``zvtrack_1_1_alpha1`` were re-pinned, every other entry byte-identical, when
+a k1 != 0 class came to be solved on the window of (k1, 0) (wavenumbers
+k2 + n in [-N, N]), as two reflection sectors, in place of the off-centre
+window n in [-N, N] and its unsplit solve; their payloads are now those of
+(k1, 0) but for the echoed class.
 ``darboux_snapshots_y_64x32`` (darboux on y-dependent snapshots, whose
 quotient and residuals are not exact zeros) and its ``p_t_sha256`` (the
 bytes of ``darboux_apply``'s p~ for the same input) were added, every other
@@ -90,7 +96,7 @@ CASES = {
     "spectrum_1_0_inviscid": ["spectrum", "--k1", "1", "--k2", "0", "--nu", "0", "--trunc", "40", "--format", "csv"],
     "zvtrack_1_0_header": ["zvtrack", "--k1", "1", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
     "zvtrack_2_0_header": ["zvtrack", "--k1", "2", "--k2", "0", "--trunc", "40", "--n-nus", "12"],
-    # at alpha = 1 the row n = -1 of class (1,1) has |k_n| = 1, an isolated column that balancing permutes
+    # at alpha = 1 the off-centre window of class (1,1) had |k_n| = 1 at row n = -1, a column balancing permuted
     "spectrum_1_1_alpha1": [
         "spectrum", "--k1", "1", "--k2", "1", "--alpha", "1.0", "--nu", "0.05", "--trunc", "40", "--format", "csv",
     ],

@@ -21,7 +21,7 @@ from nel.fields import (
 from nel.fields3d import advect_3d, biot_savart_3d
 from nel.grids import TorusGrid
 from nel.models import GLState, SGState, _gl_plan, _gl_to_phys, _sg_plan, _sg_to_phys
-from nel.spectra import DEFAULT_GAMMA, ModeClass, assemble_suboperator
+from nel.spectra import DEFAULT_GAMMA, ModeClass, Tridiagonal, assemble_suboperator
 
 
 def mesh(grid) -> list[np.ndarray]:
@@ -211,6 +211,19 @@ def jacobian_oracle_check(
         col = np.array([fd[cls.k1 % nx, (cls.k2 + nn) % ny] for nn in op.offsets])
         worst = max(worst, float(np.max(np.abs(col - matrix[:, j]))))
     return worst
+
+
+def shifted_window_bands(cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int) -> Tridiagonal:
+    """The bands of a k1 != 0 class on the off-centre window of wavenumbers
+    k2 + n, n in [-N, N].  Where |k_n| = 1 falls inside it (n = -k2 at
+    alpha k1 = 1), balancing isolates an interior column and permutes the block
+    out of Hessenberg form, which no centred window that nel assembles does:
+    these blocks keep block_eigvals' permuted-block guard covered."""
+    n = np.arange(-trunc, trunc + 1)
+    ksq = (alpha * cls.k1) ** 2 + (cls.k2 + n) ** 2
+    rho = 1.0 - 1.0 / ksq
+    c = gamma * alpha * cls.k1 / 2.0
+    return Tridiagonal(-nu * ksq, c * rho[:-1], -c * rho[1:])
 
 
 def three_mode_lambda0(alpha: float, gamma: float = DEFAULT_GAMMA) -> float:

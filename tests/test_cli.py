@@ -278,7 +278,7 @@ class TestNuStarCommand:
 
 @pytest.fixture
 def eig_counter(monkeypatch):
-    """The truncations of every dense class eigensolve of the test."""
+    """The truncations of every class spectrum the test computes."""
     calls = []
     solve = nel.spectra.compute_spectrum
 
@@ -345,6 +345,21 @@ class TestZvtrackCommand:
         assert s["lambda0"] == pytest.approx(0.128, abs=5e-3)
         labels = {json.loads(line)["label"] for line in payload}
         assert "Persistence" in labels
+
+    @pytest.mark.parametrize(
+        "argv", [["zvtrack", "--trunc", "16", "--n-nus", "6"], ["spectrum", "--nu", "0.05", "--trunc", "40"]]
+    )
+    @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 1), (1, -3)])
+    def test_k2_names_the_operator_of_k1_0(self, argv, k1, k2, tmp_path):
+        # for k1 != 0 every k2 is one operator; the payload echoes the class as given
+        records = {}
+        for k in (k2, 0):
+            out = tmp_path / f"{k}.jsonl"
+            assert run_cli(*argv, "--k1", str(k1), "--k2", str(k), "--format", "jsonl", "--out", str(out)) == 0
+            records[k] = [json.loads(line) for line in read_out(out)[1]]
+        assert {tuple(r.pop("class")) for r in records[k2]} == {(k1, k2)}
+        assert {tuple(r.pop("class")) for r in records[0]} == {(k1, 0)}
+        assert records[k2] == records[0] and len(records[0]) > 1
 
     def test_portrait_script_writes_the_same_records(self, tmp_path):
         out = tmp_path / "track.jsonl"

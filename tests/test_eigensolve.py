@@ -33,6 +33,7 @@ from nel.spectra import (
     track_zero_viscosity,
     viscosity_schedule,
 )
+from oracles import shifted_window_bands
 
 ALPHA = 0.7
 GAMMA = 0.5
@@ -107,7 +108,8 @@ def test_all_real_spectrum_is_a_real_array():
     assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
 
 
-# classes whose balanced blocks are not Hessenberg: |k_n| = 1 at n = -1 isolates an interior column
+# classes whose off-centre window (shifted_window_bands) balancing permutes out of Hessenberg form:
+# |k_n| = 1 at n = -1 isolates an interior column; their centred windows, which nel solves, do not permute
 PERMUTED = {"1-1-alpha-1": (ModeClass(1, 1), 1.0), "2-1-alpha-0.5": (ModeClass(2, 1), 0.5)}
 
 
@@ -155,13 +157,17 @@ def failing_solves(monkeypatch):
 @pytest.mark.parametrize("trunc", [40, 150])
 def test_permuted_blocks_solve_as_numpy_does(case, trunc, monkeypatch):
     """Balancing moves the isolated column to the front, out of Hessenberg
-    form, where dhseqr would give other eigenvalues: dgeev solves these."""
+    form, where dhseqr would give other eigenvalues: dgeev solves these.  The
+    class itself, on its centred window, is two sectors for dhseqr."""
     cls, alpha = PERMUTED[case]
     counts = solves(monkeypatch)
     for nu in (0.05, 1e-3, 1e-4):
-        t = assemble_suboperator(cls, alpha, GAMMA, nu, trunc).bands
+        t = shifted_window_bands(cls, alpha, GAMMA, nu, trunc)
         assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
     assert counts == {"dgeev": 3, "dhseqr": 0}
+    for nu in (0.05, 1e-3, 1e-4):
+        class_spectrum(cls, alpha, GAMMA, nu, trunc)
+    assert counts == {"dgeev": 3, "dhseqr": 6}
 
 
 @pytest.mark.parametrize("norm", [1e-140, 1e140])
@@ -217,7 +223,7 @@ def test_no_convergence_is_a_linalg_error(monkeypatch):
     cls, alpha = PERMUTED["1-1-alpha-1"]
     for t in (  # solved by dhseqr, then by dgeev
         assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8).bands,
-        assemble_suboperator(cls, alpha, GAMMA, 0.05, 8).bands,
+        shifted_window_bands(cls, alpha, GAMMA, 0.05, 8),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             block_eigvals(t)

@@ -1,20 +1,22 @@
 """Golden corpora: the spectra commands (``tests/golden/spectra.json``) and
 the transport and chaos commands with field snapshots (``commands.json``).
 
-Payloads of classes with k2 != 0 are pinned byte for byte, among them
-class (1,1) at alpha = 1, whose blocks balancing permutes out of Hessenberg
-form.  The (k1, 0) classes are solved as two reflection sectors, which may
-move eigenvalues in their last bits, so they are pinned by value: spectra
-and the rightmost zvtrack trajectory to 1e-9, nu* to its bisection
-tolerance, and every classification label exactly.  Trajectories that start at one eigenvalue
-(a pair degenerate across the two sectors) may be listed in either order, so
-labels are compared per distinct start value.  The nu = 0 blocks are solved
-by the parity split of T^2, so the inviscid spectrum of class (1,0) and
-zvtrack's header fields from its reference at N and 2N are pinned by value
-too, to 1e-9.  The hashed zvtrack payloads are also checked with numpy's
-SIMD loops capped at AVX2.  Every payload of the commands corpus, the
-bytes ``save_field`` writes, and the bytes of ``darboux_apply``'s p~ on
-y-dependent input are pinned by hash.
+Payloads of classes with k2 != 0 are pinned byte for byte.  A k1 != 0 class
+is solved on the window of (k1, 0), so its payload is that of (k1, 0) but for
+the echoed class; a k1 = 0 class is diagonal and its spectrum is its
+diagonal, with no eigensolve.  The (k1, 0) classes are pinned by value, as
+when their spectra were first split into two reflection sectors, which may
+move eigenvalues in their last bits: spectra and the rightmost zvtrack
+trajectory to 1e-9, nu* to its bisection tolerance, and every classification
+label exactly.  Trajectories that start at one eigenvalue (a pair degenerate
+across the two sectors) may be listed in either order, so labels are
+compared per distinct start value.  The nu = 0 blocks are solved by the
+parity split of T^2, so the inviscid spectrum of class (1,0) and zvtrack's
+header fields from its reference at N and 2N are pinned by value too, to
+1e-9.  The hashed zvtrack payloads are also checked with numpy's SIMD loops
+capped at AVX2, and every hashed payload with OpenBLAS's Haswell kernels.
+Every payload of the commands corpus, the bytes ``save_field`` writes, and
+the bytes of ``darboux_apply``'s p~ on y-dependent input are pinned by hash.
 """
 
 import json
@@ -52,16 +54,30 @@ def test_payload_bytes(name):
     assert digest(payload) == CORPUS[name]["payload_sha256"]
 
 
+def payload_digest_with(name, env, out):
+    """Digest of the payload of spectra entry name, run in a subprocess with env
+    added to the environment."""
+    argv = [sys.executable, "-m", "nel.cli", *CORPUS[name]["argv"], "--out", str(out)]
+    proc = subprocess.run(argv, env={**os.environ, **env}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return digest(out.read_text(encoding="utf-8").splitlines()[1:])
+
+
 @pytest.mark.parametrize("name", ["zvtrack_2_1", "zvtrack_0_1", "zvtrack_1_1_alpha1"])
 def test_zvtrack_bytes_without_avx512(name, tmp_path):
     """The pinned zvtrack bytes hold with numpy's SIMD loops capped at AVX2, as
     on an x86-64 host without AVX-512 (a subprocess: numpy reads the cap at import)."""
-    out = tmp_path / "out"
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    argv = [sys.executable, "-m", "nel.cli", *CORPUS[name]["argv"], "--out", str(out)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert digest(out.read_text(encoding="utf-8").splitlines()[1:]) == CORPUS[name]["payload_sha256"]
+    env = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    assert payload_digest_with(name, env, tmp_path / "out") == CORPUS[name]["payload_sha256"]
+
+
+@pytest.mark.parametrize("name", HASHED)
+def test_spectra_bytes_with_haswell_openblas(name, tmp_path):
+    """The pinned spectra bytes hold with the LAPACK and BLAS kernels numpy's
+    OpenBLAS runs on an AVX2 (Haswell) host, as on an x86-64 host without
+    AVX-512 (a subprocess: OpenBLAS picks its core when it loads)."""
+    env = {"OPENBLAS_CORETYPE": "Haswell"}
+    assert payload_digest_with(name, env, tmp_path / "out") == CORPUS[name]["payload_sha256"]
 
 
 def test_spectrum_values():

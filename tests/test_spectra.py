@@ -15,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 import nel.spectra
 from nel.errors import ComputationalError, ValidationError
 from nel.spectra import (
+    AXIS_TOL,
     NEWTON_GAP,
     TIE_TOL,
     ModeClass,
@@ -35,7 +36,6 @@ from nel.spectra import (
     three_mode_nustar,
     track_zero_viscosity,
     truncated_nustar,
-    unstable_eigenvalue,
     viscosity_schedule,
 )
 from oracles import (
@@ -93,13 +93,14 @@ class TestAssembly:
             ModeClass(0, 0)
 
 
-def reflection(offsets):
-    """(P w)_n = (-1)^n w_{-n} on the class offsets; a zero row where -n is absent."""
-    idx = {n: i for i, n in enumerate(offsets)}
-    P = np.zeros((len(offsets), len(offsets)))
-    for i, n in enumerate(offsets):
-        if -n in idx:
-            P[i, idx[-n]] = (-1.0) ** n
+def reflection(wavenumbers):
+    """(P w)_m = (-1)^m w_{-m} on the y wavenumbers of the rows; a zero row
+    where -m is absent."""
+    idx = {m: i for i, m in enumerate(wavenumbers)}
+    P = np.zeros((len(wavenumbers), len(wavenumbers)))
+    for i, m in enumerate(wavenumbers):
+        if -m in idx:
+            P[i, idx[-m]] = (-1.0) ** m
     return P
 
 
@@ -107,17 +108,18 @@ class TestReflectionSectors:
     @pytest.mark.parametrize("k1,k2", [(1, 0), (-1, 0), (2, 0), (3, 0), (2, 1), (1, -1), (3, 2)])
     @pytest.mark.parametrize("nu", [0.0, 0.05])
     def test_splits_only_where_reflection_commutes(self, k1, k2, nu, monkeypatch):
+        # every k2 is solved on the window of (k1, 0), wavenumbers k2 + n in [-N, N]
         trunc = 12
         op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, nu, trunc)
-        P = reflection(op.offsets)
+        assert [k2 + n for n in op.offsets] == list(range(-trunc, trunc + 1))
+        P = reflection([k2 + n for n in op.offsets])
         A = op.bands.dense()
-        commutes = np.array_equal(P @ A @ P, A)
-        assert commutes == (k2 == 0)
+        assert np.array_equal(P @ A @ P, A)
         sizes = []
         eigvals = nel.spectra.block_eigvals
         monkeypatch.setattr(nel.spectra, "block_eigvals", lambda t: sizes.append(len(t.diag)) or eigvals(t))
         compute_spectrum(op)
-        blocks = [trunc + 1, trunc] if commutes else [len(op.offsets)]
+        blocks = [trunc + 1, trunc]
         # a nu = 0 block of m rows is solved as its m // 2 by m // 2 parity block
         assert sizes == ([m // 2 for m in blocks] if nu == 0 else blocks)
 
@@ -160,6 +162,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("k1,k2", [(2, 1), (1, -1), (3, 2)])
     @pytest.mark.parametrize("trunc", [16, 40])
     def test_class_without_reflection(self, k1, k2, trunc):
+        # k2 != 0: the offsets n have no reflection, the wavenumbers k2 + n do
         op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, 0.0, trunc)
         assert_within_condition_bound(op.bands.dense(), compute_spectrum(op).values)
 
@@ -191,6 +194,21 @@ class TestDiagonalClass:
         got = np.sort(spec.values.real)[::-1]
         assert np.max(np.abs(got - np.array(expect))) < 1e-12
         assert np.max(np.abs(spec.values.imag)) == 0
+
+    @pytest.mark.parametrize("k2", [1, 2, -3, 5])
+    @pytest.mark.parametrize("nu", [0.0, 1e-4, 0.1])
+    def test_spectrum_is_the_diagonal_without_an_eigensolve(self, k2, nu, monkeypatch):
+        def no_solve(t):
+            raise AssertionError("a diagonal class was eigensolved")
+
+        monkeypatch.setattr(nel.spectra, "block_eigvals", no_solve)
+        monkeypatch.setattr(nel.spectra, "parity_eigvals", no_solve)
+        op = assemble_suboperator(ModeClass(0, k2), ALPHA, GAMMA, nu, 20)
+        spec = compute_spectrum(op)
+        want = np.sort(op.bands.diag + 0.0)[::-1]
+        assert spec.values.dtype == np.complex128 and spec.values.real.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(spec.values.imag)) and not spec.values.imag.any()
+        assert not np.any(spec.sectors)
 
 
 class TestClosedForms:
@@ -264,15 +282,16 @@ class TestSpectrumInvariants:
 
 class TestUnstableEigenvalue:
     def test_bracket_at_nu_005(self):
-        res = unstable_eigenvalue(ALPHA, 0.05, GAMMA, trunc=100)
+        value, delta = refine_rightmost(class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100))
         lo, hi = unstable_eig_bounds(ALPHA, 0.05, GAMMA)
-        assert res is not None
-        assert lo < res.value.real < hi
-        assert abs(res.value.imag) < 1e-8
-        assert res.refine_delta < 1e-8
+        assert value.real > AXIS_TOL
+        assert lo < value.real < hi
+        assert abs(value.imag) < 1e-8
+        assert delta < 1e-8
 
     def test_stable_regime_returns_none(self):
-        assert unstable_eigenvalue(ALPHA, 0.5, GAMMA, trunc=60) is None
+        value, _ = refine_rightmost(class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.5, 60))
+        assert value.real <= AXIS_TOL
 
     def test_unique_unstable_direction(self):
         vals = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100).values
@@ -471,8 +490,9 @@ class TestTracking:
         # spot check: lambda(nu)/nu decreases in nu in the unstable window
         vals = []
         for nu in (0.04, 0.08, 0.12):
-            r = unstable_eigenvalue(ALPHA, nu, GAMMA, trunc=60)
-            vals.append(r.value.real / nu)
+            value, _ = refine_rightmost(class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 60))
+            assert value.real > AXIS_TOL
+            vals.append(value.real / nu)
         assert vals[0] > vals[1] > vals[2]
 
 
@@ -502,16 +522,14 @@ def test_tie_check_matches_reference_loop(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     nus = np.geomspace(0.1, 0.01, 6)
     # values on a coarse lattice: many exact cost ties, some exact degeneracies;
-    # odd seeds split the values into two sectors of 6 and 4, even seeds leave one block
+    # odd seeds split the values into two sectors of 6 and 4, even seeds leave one block, as of a k1 = 0 class
     planted = {nu: 0.5 * (rng.integers(-4, 5, 10) + 1j * rng.integers(-4, 5, 10)) for nu in nus}
-    sectors = {nu: rng.permutation([1] * 6 + [-1] * 4) if seed % 2 else None for nu in nus}
+    sectors = {nu: rng.permutation([1] * 6 + [-1] * 4) if seed % 2 else np.zeros(10, dtype=int) for nu in nus}
     monkeypatch.setattr(
         nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: Spectrum(cls, a, g, nu, n, planted[nu], sectors[nu])
     )
     track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
-    want_paths, want_ambiguous = reference_tracking(
-        [planted[nu] for nu in nus], [[0] * 10 if sectors[nu] is None else list(sectors[nu]) for nu in nus]
-    )
+    want_paths, want_ambiguous = reference_tracking([planted[nu] for nu in nus], [list(sectors[nu]) for nu in nus])
     assert True in want_ambiguous and False in want_ambiguous
     assert [t.ambiguous for t in track] == want_ambiguous
     got = np.array([t.values for t in track])
@@ -519,11 +537,12 @@ def test_tie_check_matches_reference_loop(seed, monkeypatch):
 
 
 def track_planted(monkeypatch, steps):
-    """track_zero_viscosity over planted spectra, one (values, sectors) per viscosity."""
+    """track_zero_viscosity over planted spectra, one (values, sectors) per
+    viscosity; sectors None puts every value in one block."""
     nus = [0.1 / 2**s for s in range(len(steps))]
     planted = {}
     for nu, (values, sectors) in zip(nus, steps):
-        sectors = None if sectors is None else np.array(sectors)
+        sectors = np.zeros(len(values), dtype=int) if sectors is None else np.array(sectors)
         planted[nu] = Spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 4, np.array(values, dtype=complex), sectors)
     monkeypatch.setattr(nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: planted[nu])
     return track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
