@@ -8,6 +8,12 @@ exit), and of the user and system time, minor page faults and maximum RSS from
 the child's ``os.wait4`` rusage; output is discarded.  A first row, ``import
 nel.cli``, is the floor that every job pays before it runs.
 
+Every run caps BLAS at one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1), as the benchmark's sessions do, so that a zvtrack
+row measures zvtrack's own pool of solves and not threads that OpenBLAS
+starts inside them.  Transport jobs call no BLAS, so the caps leave their
+rows as they were.
+
     python3 scripts/job_rusage.py -k 8 --tree . --tree ../base \\
         "laxcheck --dim 2 --grid 64 --t-end 0.2" "darboux --nx 2048 --ny 256"
 """
@@ -23,11 +29,12 @@ import time
 
 CODE = "import sys; from nel.cli import main; sys.exit(main(sys.argv[1:]))"
 FLOOR = "import nel.cli"
+BLAS_CAPS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def run_once(tree, argv):
     """(wall s, user s, sys s, minor faults, max RSS MB) of one run; no argv: the import alone."""
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tree, "src").resolve())}
+    env = {**os.environ, **BLAS_CAPS, "PYTHONPATH": str(pathlib.Path(tree, "src").resolve())}
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", CODE if argv else FLOOR, *argv], env=env, stdout=subprocess.DEVNULL)
     _, status, ru = os.wait4(proc.pid, 0)

@@ -17,7 +17,7 @@ import pathlib
 import sys
 
 from nel.runio import json_payload_line
-from nel.spectra import ModeClass, classify_limits, euler_spectrum, track_zero_viscosity, viscosity_schedule
+from nel.spectra import ModeClass, classify_limits, track_zero_viscosity, viscosity_schedule
 
 
 def parse_classes(text):
@@ -31,7 +31,8 @@ def parse_classes(text):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--classes", default="1,0;0,1;2,0",
-                    help="semicolon-separated k1,k2 pairs (for k1 != 0, (k1, k2) is the operator of (k1, 0))")
+                    help="semicolon-separated k1,k2 pairs (k2 only labels a class: (k1, k2) is the operator "
+                         "of (k1, 0) for k1 != 0, of (0, 1) for k1 = 0)")
     ap.add_argument("--alpha", type=float, default=0.7)
     ap.add_argument("--gamma", type=float, default=0.5)
     ap.add_argument("--trunc", type=int, default=64)
@@ -48,8 +49,7 @@ def main(argv=None):
 
     summary_rows = ["class_k1,class_k2,label,n_trajectories,lambda0,cluster_extent"]
     for cls in parse_classes(args.classes):
-        track = track_zero_viscosity(cls, args.alpha, args.gamma, nus, args.trunc)
-        euler = euler_spectrum(cls, args.alpha, args.gamma, args.trunc)
+        track, euler, _ = track_zero_viscosity(cls, args.alpha, args.gamma, nus, args.trunc)
         result = classify_limits(track, euler, args.tol)
 
         path = outdir / f"class_{cls.k1}_{cls.k2}.jsonl"

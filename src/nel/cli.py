@@ -71,10 +71,8 @@ from .spectra import (
     class_spectrum,
     classify_limits,
     critical_viscosity,
-    euler_spectrum,
-    on_every_cpu,
     refine_rightmost,
-    track_spectra,
+    track_zero_viscosity,
     viscosity_schedule,
 )
 
@@ -205,18 +203,9 @@ def _run_nustar(p, cfg):
 
 def _run_zvtrack(p, cfg):
     nus = viscosity_schedule(p["nu_max"], p["nu_min"], p["n_nus"])
-    cls, alpha, gamma, trunc = ModeClass(p["k1"], p["k2"]), p["alpha"], p["gamma"], p["trunc"]
-    # the schedule's spectra, then the inviscid references at N and 2N, on one pool
-    schedule = [functools.partial(class_spectrum, cls, alpha, gamma, nu, trunc) for nu in nus]
-    references = [functools.partial(euler_spectrum, cls, alpha, gamma, n) for n in (trunc, 2 * trunc)]
-    solved = on_every_cpu(schedule + references)
-    try:
-        trajectories = track_spectra(nus, solved)
-        euler = next(solved)
-        cl = classify_limits(trajectories, euler, p["tol"])
-        refined = next(solved)
-    finally:
-        solved.close()
+    cls = ModeClass(p["k1"], p["k2"])
+    trajectories, euler, refined = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
+    cl = classify_limits(trajectories, euler, p["tol"])
 
     lines = [json_payload_line(traj.record(cls)) for traj in cl.trajectories]
     lam0 = max((v.real for v in euler.points), default=None)

@@ -10,12 +10,11 @@ acts tridiagonally,
               + (Gamma alpha k1 / 2) (rho_{n-1} w_{n-1} - rho_{n+1} w_{n+1}),
 
 which is the image of -{Psi*, .} - {Lap^{-1} ., Omega*} + nu Lap on the class.
-For k1 != 0 the class is the lattice line of y wavenumbers m = k2 + n over all
-integers (Meshalkin & Sinai; Li), so every k2 names the operator of (k1, 0):
-truncation keeps the wavenumbers m in [-N, N], that is n in [-N - k2, N - k2],
-and (k1, k2) gives the bytes of (k1, 0).  For k1 = 0 the operator is diagonal,
--nu m^2, on n in [-N, N] without the (0,0) wavevector n = -k2, and its
-spectrum is its diagonal: no eigensolve.
+The class is the lattice line of y wavenumbers m = k2 + n over all integers
+(Meshalkin & Sinai; Li), so k2 only labels it: truncation keeps m in [-N, N]
+(the window of (k1, 0)) for k1 != 0, m in [1 - N, 1 + N] without the mean
+mode m = 0 (the window of (0, 1)) for k1 = 0, and offsets n = m - k2.  For
+k1 = 0 the operator is diagonal, -nu m^2, and its spectrum is its diagonal.
 
 For k1 != 0 the window is symmetric in m and |k_m| = |k_{-m}|, so A commutes
 with the signed reflection (P w)_m = (-1)^m w_{-m}.  In the coordinates
@@ -67,8 +66,9 @@ but without holding the GIL.  eigvals calls dgeev, which balances (dgebal),
 reduces to Hessenberg form (dgehrd) and runs the QR of dhseqr; a tridiagonal
 block is already Hessenberg, so block_eigvals calls dgebal and dhseqr as
 dgeev does and skips dgehrd, except where balancing permutes the block out
-of Hessenberg form or dgeev would scale it.  track_zero_viscosity therefore
-solves its schedule on one thread per CPU of the affinity mask (on the
+of Hessenberg form or dgeev would scale it.  track_zero_viscosity, the one
+pipeline behind zvtrack, therefore solves its schedule, then the inviscid
+references at N and 2N, on one thread per CPU of the affinity mask (on the
 calling thread when there is one CPU); the matching stays serial, in
 schedule order, takes each spectrum as soon as it is solved, and the
 payload does not depend on the number of CPUs.
@@ -204,18 +204,18 @@ def assemble_suboperator(
         raise ValidationError(f"nu must be nonnegative, got {nu}")
     if trunc < 1:
         raise ValidationError(f"trunc must be >= 1, got {trunc}")
-    n = np.arange(-trunc, trunc + 1)
+    with np.errstate(all="ignore"):
+        kx = np.float64(alpha * cls.k1) ** 2
+        if cls.k1 and not (np.isfinite(kx) and np.isfinite(1.0 / kx)):
+            raise ValidationError(f"alpha = {alpha!r}: (alpha k1)^2 or its reciprocal overflows at k1 = {cls.k1}")
+    m = np.arange(-trunc, trunc + 1)  # the window of (k1, 0): wavenumbers in [-N, N]
     if cls.k1 == 0:
-        n = n[cls.k2 + n != 0]
-    else:
-        n = n - cls.k2  # the window of (k1, 0): wavenumbers k2 + n in [-N, N]
-    ksq = (alpha * cls.k1) ** 2 + (cls.k2 + n) ** 2
+        m = m[m != -1] + 1  # the window of (0, 1): [1 - N, 1 + N] without the mean mode
+    ksq = kx + m**2
     rho = 1.0 - 1.0 / ksq
     c = gamma * alpha * cls.k1 / 2.0
-    chain = np.diff(n) == 1  # the excluded mean mode breaks the chain
-    lower = np.where(chain, c * rho[:-1], 0.0)
-    upper = np.where(chain, -c * rho[1:], 0.0)
-    return SubOperator(cls, alpha, gamma, nu, trunc, tuple(n.tolist()), Tridiagonal(-nu * ksq, lower, upper))
+    bands = Tridiagonal(-nu * ksq, c * rho[:-1], -c * rho[1:])
+    return SubOperator(cls, alpha, gamma, nu, trunc, tuple((m - cls.k2).tolist()), bands)
 
 
 def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[int, Tridiagonal]]:
@@ -607,10 +607,12 @@ def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
         raise ValidationError("need 0 < nu_min < nu_max")
     if n < 3:
         raise ValidationError(f"n_nus must be >= 3, got {n}")
+    if nu_min / nu_max == 0.0:
+        raise ValidationError(f"nu_min / nu_max underflows to 0 ({nu_min!r} / {nu_max!r})")
     return [nu_max * (nu_min / nu_max) ** (i / (n - 1)) for i in range(n - 1)] + [nu_min]
 
 
-def on_every_cpu(calls: list):
+def _on_every_cpu(calls: list):
     """call() for each of calls, in list order, as a generator: computed ahead
     on up to one thread per CPU of this process's affinity mask (of
     os.cpu_count() where the OS has no affinity mask), or one at a time as it
@@ -681,18 +683,19 @@ def track_zero_viscosity(
     gamma: float,
     nu_schedule,
     trunc: int,
-) -> list[EigTrajectory]:
-    """Follow every eigenvalue of a class along a descending viscosity
-    schedule (track_spectra).  The spectra are solved on every CPU of the
-    affinity mask, ahead of the matching, which runs on the calling thread in
-    schedule order and matches each spectrum as soon as it is solved.
-    """
+) -> tuple[list[EigTrajectory], EulerSpectrum, EulerSpectrum]:
+    """(trajectories, euler, refined): every eigenvalue of a class followed
+    along a descending viscosity schedule (track_spectra), and the inviscid
+    reference euler_spectrum at trunc and 2 trunc, all solved on one pool
+    (_on_every_cpu) ahead of the matching, which runs in schedule order."""
     nus = np.asarray(list(nu_schedule), dtype=float)
-    spectra = on_every_cpu([functools.partial(class_spectrum, cls, alpha, gamma, nu, trunc) for nu in nus])
+    calls = [functools.partial(class_spectrum, cls, alpha, gamma, nu, trunc) for nu in nus]
+    calls += [functools.partial(euler_spectrum, cls, alpha, gamma, n) for n in (trunc, 2 * trunc)]
+    solved = _on_every_cpu(calls)
     try:
-        return track_spectra(nus, spectra)
+        return track_spectra(nus, solved), next(solved), next(solved)
     finally:
-        spectra.close()
+        solved.close()
 
 
 def classify_limits(

@@ -116,7 +116,7 @@ def test_a05_zero_viscosity_limit_recovers_inviscid_rate():
     """The rightmost trajectory extrapolates to lambda0 within 1e-2, and
     lambda(nu)/nu grows monotonically along the 8-point descending schedule."""
     nus = np.geomspace(0.1, 1e-3, 8)
-    track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 64)
+    track, _, _ = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 64)
     best = max(track, key=lambda tr: tr.values[-1].real)
     lam0 = max(v.real for v in cached_euler(1, 0, 400).points)
     assert abs(best.limit - lam0) < 1e-2
@@ -142,7 +142,7 @@ def test_a07_zero_viscosity_classification_labels():
     want = {(1, 0): "Persistence", (0, 1): "Singularity", (2, 0): "Condensation"}
     for (k1, k2), label in want.items():
         cls = ModeClass(k1, k2)
-        track = track_zero_viscosity(cls, ALPHA, GAMMA, nus, 64)
+        track, _, _ = track_zero_viscosity(cls, ALPHA, GAMMA, nus, 64)
         eu = euler_spectrum(cls, ALPHA, GAMMA, 64)
         assert classify_limits(track, eu, 0.02).class_label == label
 

@@ -130,6 +130,10 @@ class TestValidationFailures:
             (("lyapunov", "--model", "abc", "--t-end", "1e300", "--renorm-dt", "1e-300", "--dt", "1e-300"), "t_end"),
             (("laxcheck", "--t-end", "1e300", "--dt", "1e-300"), "t_end"),
             (("laxcheck", "--t-end", "1e-4", "--dt", "1e-3"), "t_end must cover at least one step"),
+            # (alpha k1)^2 or its reciprocal out of range, and a viscosity ratio that underflows
+            (("spectrum", "--k1", "1", "--k2", "0", "--nu", "0.1", "--alpha", "1e200", "--trunc", "3"), "alpha"),
+            (("spectrum", "--k1", "1", "--k2", "0", "--nu", "0.1", "--alpha", "1e-200", "--trunc", "3"), "alpha"),
+            (("zvtrack", "--nu-max", "1e300", "--nu-min", "1e-300", "--n-nus", "3"), "nu_min"),
         ],
     )
     def test_invalid_real_exits_2_naming_the_key(self, argv, key, tmp_path, capsys):
@@ -349,17 +353,20 @@ class TestZvtrackCommand:
     @pytest.mark.parametrize(
         "argv", [["zvtrack", "--trunc", "16", "--n-nus", "6"], ["spectrum", "--nu", "0.05", "--trunc", "40"]]
     )
-    @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 1), (1, -3)])
+    @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 1), (1, -3), (0, 2), (0, -3), (0, 10)])
     def test_k2_names_the_operator_of_k1_0(self, argv, k1, k2, tmp_path):
-        # for k1 != 0 every k2 is one operator; the payload echoes the class as given
-        records = {}
-        for k in (k2, 0):
+        # every k2 is the operator of (k1, 0), or of (0, 1) for k1 = 0; the payload echoes the class as given
+        base = 0 if k1 else 1
+        records, summaries = {}, {}
+        for k in (k2, base):
             out = tmp_path / f"{k}.jsonl"
             assert run_cli(*argv, "--k1", str(k1), "--k2", str(k), "--format", "jsonl", "--out", str(out)) == 0
-            records[k] = [json.loads(line) for line in read_out(out)[1]]
+            header, payload = read_out(out)
+            records[k], summaries[k] = [json.loads(line) for line in payload], header["summary"]
         assert {tuple(r.pop("class")) for r in records[k2]} == {(k1, k2)}
-        assert {tuple(r.pop("class")) for r in records[0]} == {(k1, 0)}
-        assert records[k2] == records[0] and len(records[0]) > 1
+        assert {tuple(r.pop("class")) for r in records[base]} == {(k1, base)}
+        assert records[k2] == records[base] and len(records[base]) > 1
+        assert summaries[k2] == summaries[base]
 
     def test_portrait_script_writes_the_same_records(self, tmp_path):
         out = tmp_path / "track.jsonl"

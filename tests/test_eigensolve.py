@@ -4,9 +4,11 @@
 ``dhseqr`` as ``dgeev`` calls them, or ``dgeev`` itself where that would
 differ; every block nel solves must come out bit for bit as
 ``np.linalg.eigvals`` gives it, with numpy's dtype and errors.
-``track_zero_viscosity`` solves its schedule on as many threads as the
+``track_zero_viscosity``, the pipeline behind ``nel zvtrack``, solves its
+schedule and then its two inviscid references on as many threads as the
 affinity mask has CPUs (none on one CPU), matching each spectrum as it
-arrives, and its payload must not depend on how many.
+arrives; its payload must not depend on how many, and a failed solve must
+leave no thread running, through the library and through the CLI.
 """
 
 import ctypes
@@ -319,7 +321,7 @@ def test_first_failing_viscosity_in_schedule_order_wins(n, monkeypatch):
         track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, SCHEDULE, 8)
 
 
-def test_threads_are_joined(monkeypatch):
+def test_threads_are_joined(monkeypatch, tmp_path, capsys):
     cpus(monkeypatch, 3)
     baseline = threading.active_count()
     track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, SCHEDULE, 8)
@@ -333,6 +335,12 @@ def test_threads_are_joined(monkeypatch):
     planted_failures(monkeypatch, fail)
     with pytest.raises(ComputationalError):
         track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, SCHEDULE, 8)
+    assert threading.active_count() == baseline
+    # nel zvtrack at its defaults with --n-nus 40 runs SCHEDULE through the same pipeline
+    argv = ["zvtrack", "--trunc", "8", "--n-nus", str(len(SCHEDULE)), "--out", str(tmp_path / "zv.jsonl")]
+    assert main(argv) == 3
+    assert f"planted at nu = {SCHEDULE[20]!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # neither the output nor its .partial
     assert threading.active_count() == baseline
 
 

@@ -34,6 +34,7 @@ from nel.spectra import (
     refine_rightmost,
     sector_blocks,
     three_mode_nustar,
+    track_spectra,
     track_zero_viscosity,
     truncated_nustar,
     viscosity_schedule,
@@ -438,8 +439,7 @@ class TestTracking:
         return np.geomspace(0.1, 1e-4, 21)
 
     def test_unstable_trajectory_limit(self):
-        track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, self.schedule(), 48)
-        es = euler_spectrum(ModeClass(1, 0), ALPHA, GAMMA, trunc=48)
+        track, es, _ = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, self.schedule(), 48)
         lam0 = max(p.real for p in es.points)
         best = min(abs(t.limit - lam0) for t in track)
         assert best < 1e-2
@@ -451,8 +451,7 @@ class TestTracking:
             ModeClass(2, 0): "Condensation",
         }
         for cls, want in expect.items():
-            track = track_zero_viscosity(cls, ALPHA, GAMMA, self.schedule(), 48)
-            es = euler_spectrum(cls, ALPHA, GAMMA, trunc=48)
+            track, es, _ = track_zero_viscosity(cls, ALPHA, GAMMA, self.schedule(), 48)
             cl = classify_limits(track, es, tol=0.02)
             assert cl.class_label == want, cls
 
@@ -460,8 +459,8 @@ class TestTracking:
         # the (0,1) cluster is the single point 0, onto which neither its
         # trajectories nor the class condense
         cls = ModeClass(0, 1)
-        track = track_zero_viscosity(cls, ALPHA, GAMMA, self.schedule(), 48)
-        cl = classify_limits(track, euler_spectrum(cls, ALPHA, GAMMA, trunc=48), tol=0.02)
+        track, es, _ = track_zero_viscosity(cls, ALPHA, GAMMA, self.schedule(), 48)
+        cl = classify_limits(track, es, tol=0.02)
         assert {t.label for t in cl.trajectories} == {cl.class_label} == {"Singularity"}
 
     def test_schedule_validation(self):
@@ -497,7 +496,7 @@ class TestTracking:
 
 
 def reference_tracking(spectra, sectors):
-    """The per-row tie check that the vectorised one in track_zero_viscosity
+    """The per-row tie check that the vectorised one in track_spectra
     replaced: each sector is matched on its own, and a near-tie counts only
     when its value differs from the chosen one and from that one's conjugate."""
     paths = [[v] for v in spectra[0]]
@@ -518,17 +517,15 @@ def reference_tracking(spectra, sectors):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tie_check_matches_reference_loop(seed, monkeypatch):
+def test_tie_check_matches_reference_loop(seed):
     rng = np.random.default_rng(seed)
     nus = np.geomspace(0.1, 0.01, 6)
     # values on a coarse lattice: many exact cost ties, some exact degeneracies;
     # odd seeds split the values into two sectors of 6 and 4, even seeds leave one block, as of a k1 = 0 class
     planted = {nu: 0.5 * (rng.integers(-4, 5, 10) + 1j * rng.integers(-4, 5, 10)) for nu in nus}
     sectors = {nu: rng.permutation([1] * 6 + [-1] * 4) if seed % 2 else np.zeros(10, dtype=int) for nu in nus}
-    monkeypatch.setattr(
-        nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: Spectrum(cls, a, g, nu, n, planted[nu], sectors[nu])
-    )
-    track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
+    spectra = [Spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 4, planted[nu], sectors[nu]) for nu in nus]
+    track = track_spectra(nus, spectra)
     want_paths, want_ambiguous = reference_tracking([planted[nu] for nu in nus], [list(sectors[nu]) for nu in nus])
     assert True in want_ambiguous and False in want_ambiguous
     assert [t.ambiguous for t in track] == want_ambiguous
@@ -536,38 +533,37 @@ def test_tie_check_matches_reference_loop(seed, monkeypatch):
     assert got.tobytes() == want_paths.tobytes()
 
 
-def track_planted(monkeypatch, steps):
-    """track_zero_viscosity over planted spectra, one (values, sectors) per
+def track_planted(steps):
+    """track_spectra over planted spectra, one (values, sectors) per
     viscosity; sectors None puts every value in one block."""
     nus = [0.1 / 2**s for s in range(len(steps))]
-    planted = {}
+    planted = []
     for nu, (values, sectors) in zip(nus, steps):
         sectors = np.zeros(len(values), dtype=int) if sectors is None else np.array(sectors)
-        planted[nu] = Spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 4, np.array(values, dtype=complex), sectors)
-    monkeypatch.setattr(nel.spectra, "class_spectrum", lambda cls, a, g, nu, n: planted[nu])
-    return track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 4)
+        planted.append(Spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 4, np.array(values, dtype=complex), sectors))
+    return track_spectra(nus, planted)
 
 
-def test_conjugate_collision_is_not_ambiguous(monkeypatch):
+def test_conjugate_collision_is_not_ambiguous():
     # a real pair collides and leaves the axis as lambda, conj(lambda): each row
     # ties between the two, which are one choice modulo conjugation
     steps = [([0.6, 0.4], None), ([0.5, 0.5], None), ([0.5 + 0.1j, 0.5 - 0.1j], None)]
-    track = track_planted(monkeypatch, steps)
+    track = track_planted(steps)
     assert [t.ambiguous for t in track] == [False, False]
     assert sorted(t.values[-1].imag for t in track) == [-0.1, 0.1]
 
 
-def test_distinct_near_tie_is_ambiguous(monkeypatch):
+def test_distinct_near_tie_is_ambiguous():
     # 0.2i is equally far from 0.1+0.2i and -0.1+0.2i, neither the other's conjugate
     steps = [([5.0, 0.2j], None), ([0.1 + 0.2j, -0.1 + 0.2j], None), ([0.1 + 0.2j, -0.1 + 0.2j], None)]
-    track = track_planted(monkeypatch, steps)
+    track = track_planted(steps)
     assert [t.ambiguous for t in track] == [False, True]
 
 
-def test_sectors_are_matched_on_their_own(monkeypatch):
+def test_sectors_are_matched_on_their_own():
     # across the sectors 1 -> 0.9 and 0 -> 0.1 would cost less; within them 1 -> 0.1
     steps = [([1.0, 0.0], [1, -1]), ([0.9, 0.1], [-1, 1]), ([0.9, 0.1], [-1, 1])]
-    track = track_planted(monkeypatch, steps)
+    track = track_planted(steps)
     assert [t.values.tolist() for t in track] == [[1.0, 0.1, 0.1], [0.0, 0.9, 0.9]]
     assert not any(t.ambiguous for t in track)
 
@@ -575,7 +571,7 @@ def test_sectors_are_matched_on_their_own(monkeypatch):
 def test_trajectories_keep_their_reflection_sector():
     nus = [0.1, 0.03, 0.01, 0.003]
     spectra = [class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 16) for nu in nus]
-    track = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 16)
+    track, _, _ = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 16)
     assert [t.values[0] for t in track] == list(spectra[0].values)
     for tr, p in zip(track, spectra[0].sectors):
         for v, spec in zip(tr.values, spectra):
