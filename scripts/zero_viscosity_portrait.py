@@ -4,15 +4,20 @@
 Tracks every eigenvalue of a set of invariant classes along a descending
 viscosity schedule, classifies the limits against the inviscid spectrum, and
 writes one JSONL file per class plus a one-line-per-class summary CSV.  The
-output is plain data; point any plotting tool at it.  A class with no
-isolated inviscid eigenvalue has an empty ``lambda0`` cell (``nel zvtrack``
-writes null there).
+output is plain data; point any plotting tool at it.  The summary carries the
+convergence deltas of ``nel zvtrack``'s header: the cluster extent of the
+inviscid reference at doubled truncation, and |lambda0(2N) - lambda0(N)|.  A
+class with no isolated inviscid eigenvalue has empty ``lambda0`` and
+``lambda0_refine_delta`` cells (``nel zvtrack`` writes null there).  Each
+file is written to ``<name>.partial`` and renamed after a flush, so an
+interrupted portrait leaves no truncated file.
 
     python3 scripts/zero_viscosity_portrait.py --outdir portrait/
     python3 scripts/zero_viscosity_portrait.py --classes "1,0;2,0;3,0" --trunc 96
 """
 
 import argparse
+import os
 import pathlib
 import sys
 
@@ -26,6 +31,24 @@ def parse_classes(text):
         k1, k2 = (int(p) for p in item.split(","))
         out.append(ModeClass(k1, k2))
     return out
+
+
+def cell(x):
+    return "" if x is None else repr(float(x))
+
+
+def write_atomic(path, lines):
+    """Write lines to ``<path>.partial``, flush, and rename it onto path."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def main(argv=None):
@@ -47,24 +70,27 @@ def main(argv=None):
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    summary_rows = ["class_k1,class_k2,label,n_trajectories,lambda0,cluster_extent"]
+    summary_rows = [
+        "class_k1,class_k2,label,n_trajectories,lambda0,cluster_extent,cluster_extent_refined,lambda0_refine_delta"
+    ]
     for cls in parse_classes(args.classes):
-        track, euler, _ = track_zero_viscosity(cls, args.alpha, args.gamma, nus, args.trunc)
+        track, euler, refined = track_zero_viscosity(cls, args.alpha, args.gamma, nus, args.trunc)
         result = classify_limits(track, euler, args.tol)
 
         path = outdir / f"class_{cls.k1}_{cls.k2}.jsonl"
-        with open(path, "w") as fh:
-            for traj in result.trajectories:
-                fh.write(json_payload_line(traj.record(cls)) + "\n")
+        write_atomic(path, (json_payload_line(traj.record(cls)) for traj in result.trajectories))
 
+        # as nel zvtrack's header computes them
         lam0 = max((v.real for v in euler.points), default=None)
+        lam0_ref = max((v.real for v in refined.points), default=None)
+        delta = None if None in (lam0, lam0_ref) else abs(lam0 - lam0_ref)
         summary_rows.append(
-            f"{cls.k1},{cls.k2},{result.class_label},{len(result.trajectories)},"
-            f"{'' if lam0 is None else repr(float(lam0))},{float(euler.cluster_extent)!r}"
+            f"{cls.k1},{cls.k2},{result.class_label},{len(result.trajectories)},{cell(lam0)},"
+            f"{cell(euler.cluster_extent)},{cell(refined.cluster_extent)},{cell(delta)}"
         )
         print(f"({cls.k1},{cls.k2}) -> {result.class_label}  [{path}]")
 
-    (outdir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
+    write_atomic(outdir / "summary.csv", summary_rows)
     print(f"portrait written to {outdir}/")
     return 0
 

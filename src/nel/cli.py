@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import functools
 import math
@@ -58,6 +59,7 @@ from .models import (
 from .runio import (
     CONFIG_SCHEMA_VERSION,
     SCHEMA_VERSION,
+    Payload,
     RunConfig,
     coerce_params,
     csv_line,
@@ -148,7 +150,7 @@ class Command:
     schema: dict  # key -> caster
     defaults: dict  # fully typed; keys absent here are required
     formats: tuple  # supported output formats, native first
-    run: object  # (params, cfg) -> (payload_lines, summary, params_echo|None)
+    run: object  # (params, cfg, payload) -> (summary, params_echo|None); lines go to the payload's spool
 
 
 def _echo(params: dict) -> dict:
@@ -160,32 +162,28 @@ def _echo(params: dict) -> dict:
 SPECTRUM_CSV_HEADER = "class_k1,class_k2,alpha,gamma,nu,trunc,re,im"
 
 
-def _run_spectrum(p, cfg):
+def _run_spectrum(p, cfg, payload):
     cls = ModeClass(p["k1"], p["k2"])
     spec = class_spectrum(cls, p["alpha"], p["gamma"], p["nu"], p["trunc"])
     _, refine_delta = refine_rightmost(spec)
-    lines = []
     if cfg.fmt == "csv":
-        lines.append(SPECTRUM_CSV_HEADER)
+        payload.append(SPECTRUM_CSV_HEADER)
         for v in spec.values:
-            lines.append(
-                csv_line(p["k1"], p["k2"], p["alpha"], p["gamma"], p["nu"], p["trunc"], v.real, v.imag)
-            )
+            payload.append(csv_line(p["k1"], p["k2"], p["alpha"], p["gamma"], p["nu"], p["trunc"], v.real, v.imag))
     else:
         for v in spec.values:
-            lines.append(json_payload_line({"class": [p["k1"], p["k2"]], "re": v.real, "im": v.imag}))
-    summary = {
+            payload.append(json_payload_line({"class": [p["k1"], p["k2"]], "re": v.real, "im": v.imag}))
+    return {
         "n_eigenvalues": len(spec.values),
         "rightmost_re": spec.values[0].real,
         "rightmost_refine_delta": refine_delta,
-    }
-    return lines, summary, None
+    }, None
 
 
 # -- nustar -----------------------------------------------------------------
 
 
-def _run_nustar(p, cfg):
+def _run_nustar(p, cfg, payload):
     res = critical_viscosity(p["alpha"], p["gamma"], p["trunc"], p["tol"])
     rec = {
         "nu_star": res.nu_star,
@@ -195,36 +193,37 @@ def _run_nustar(p, cfg):
         "refine_delta": res.refine_delta,
         "trunc": res.trunc,
     }
-    return [json_payload_line(rec)], {"nu_star": res.nu_star, "refine_delta": res.refine_delta}, None
+    payload.append(json_payload_line(rec))
+    return {"nu_star": res.nu_star, "refine_delta": res.refine_delta}, None
 
 
 # -- zvtrack ----------------------------------------------------------------
 
 
-def _run_zvtrack(p, cfg):
+def _run_zvtrack(p, cfg, payload):
     nus = viscosity_schedule(p["nu_max"], p["nu_min"], p["n_nus"])
     cls = ModeClass(p["k1"], p["k2"])
     trajectories, euler, refined = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
     cl = classify_limits(trajectories, euler, p["tol"])
 
-    lines = [json_payload_line(traj.record(cls)) for traj in cl.trajectories]
+    for traj in cl.trajectories:
+        payload.append(json_payload_line(traj.record(cls)))
     lam0 = max((v.real for v in euler.points), default=None)
     lam0_ref = max((v.real for v in refined.points), default=None)
-    summary = {
+    return {
         "class_label": cl.class_label,
         "addition_set": [[v.real, v.imag] for v in cl.addition_set],
         "cluster_extent": euler.cluster_extent,
         "cluster_extent_refined": refined.cluster_extent,
         "lambda0": lam0,
         "lambda0_refine_delta": None if None in (lam0, lam0_ref) else abs(lam0 - lam0_ref),
-    }
-    return lines, summary, None
+    }, None
 
 
 # -- laxcheck ---------------------------------------------------------------
 
 
-def _run_laxcheck(p, cfg):
+def _run_laxcheck(p, cfg, payload):
     unused = {"mode", "amp_u"} if p["dim"] == "2" else {"alpha"} if p["mode"] == "free" else {"alpha", "amp_u"}
     bad = sorted(unused & p["_provided"])
     if bad:
@@ -250,8 +249,8 @@ def _run_laxcheck(p, cfg):
         res = transported_eigenfield_check_3d(
             om0, ph0, p["t_end"], p["dt"], velocity=velocity, negative_control=p["control"]
         )
-    rec = res.to_json_dict(_echo(p))
-    return [json_payload_line(rec)], {"check": res.check, "residual_inf": res.residual_inf}, None
+    payload.append(json_payload_line(res.to_json_dict(_echo(p))))
+    return {"check": res.check, "residual_inf": res.residual_inf}, None
 
 
 # -- darboux ----------------------------------------------------------------
@@ -269,14 +268,14 @@ def _darboux_input(p, paths) -> DarbouxInput:
     return darboux_shear_example(p["nx"], p["ny"], p["eta"])
 
 
-def _run_darboux(p, cfg):
+def _run_darboux(p, cfg, payload):
     paths = [p["omega"], p["p"], p["f"], p["bigf"]]
     # no name holds the input, so it is freed before the result is verified
     res = darboux_apply(_darboux_input(p, paths))
     chk = darboux_verify(res)
     rec = chk.to_json_dict({"eta": p["eta"], "nx": chk.grid[0], "ny": chk.grid[1], "example": not any(paths)})
-    summary = {"check": chk.check, "residual_inf": chk.residual_inf, "masked_fraction": res.masked_fraction}
-    return [json_payload_line(rec)], summary, None
+    payload.append(json_payload_line(rec))
+    return {"check": chk.check, "residual_inf": chk.residual_inf, "masked_fraction": res.masked_fraction}, None
 
 
 # -- simulate / poincare / lyapunov -----------------------------------------
@@ -362,7 +361,7 @@ def _record(model: str, t: float, state) -> str:
     return json_payload_line({"model": model, "t": round(t, 12), "coeffs_re": re, "coeffs_im": im})
 
 
-def _run_simulate(p, cfg):
+def _run_simulate(p, cfg, payload):
     model = p["model"]
     st, cycle_error = _build_state(p)
     if p["dt"] <= 0:
@@ -372,49 +371,48 @@ def _run_simulate(p, cfg):
         raise ValidationError("t_end must cover at least one step")
     if p["sample_every"] < 1:
         raise ValidationError(f"sample_every must be >= 1, got {p['sample_every']}")
-    lines = [_record(model, 0.0, st)]
+    payload.append(_record(model, 0.0, st))
     worst = 0.0
     for i in range(1, steps + 1):
         st = st.step(p["dt"])
         if cycle_error:
             worst = max(worst, cycle_error(st))
         if i % p["sample_every"] == 0 or i == steps:
-            lines.append(_record(model, i * p["dt"], st))
-    summary = {"n_records": len(lines), "t_end": steps * p["dt"]}
+            payload.append(_record(model, i * p["dt"], st))
+    summary = {"n_records": len(payload), "t_end": steps * p["dt"]}
     if cycle_error:
         summary["max_limit_cycle_err"] = worst
-    return lines, summary, _model_echo(model, p)
+    return summary, _model_echo(model, p)
 
 
-def _run_poincare(p, cfg):
+def _run_poincare(p, cfg, payload):
     if p["model"] == "abc":
         raise ValidationError("poincare supports the wave and envelope models, not abc")
     st, _ = _build_state(p)
     res = poincare_samples(st, p["iterates"], dt=p["dt"], period=p["period"])
-    rows = list(enumerate(res.samples, start=1))
     if cfg.fmt == "csv":
-        lines = ["iterate,t," + ",".join(f"s{j}" for j in range(st.vector().size))]
-        lines += [csv_line(i, s.t, *s.vector()) for i, s in rows]
-    else:
-        lines = [json_payload_line({"iterate": i, "t": s.t, "state": s.vector().tolist()}) for i, s in rows]
-    summary = {"n_samples": len(res.samples), "escaped": res.escaped}
-    return lines, summary, _model_echo(p["model"], p)
+        payload.append("iterate,t," + ",".join(f"s{j}" for j in range(st.vector().size)))
+    for i, s in enumerate(res.samples, start=1):
+        if cfg.fmt == "csv":
+            payload.append(csv_line(i, s.t, *s.vector()))
+        else:
+            payload.append(json_payload_line({"iterate": i, "t": s.t, "state": s.vector().tolist()}))
+    return {"n_samples": len(res.samples), "escaped": res.escaped}, _model_echo(p["model"], p)
 
 
-def _run_lyapunov(p, cfg):
+def _run_lyapunov(p, cfg, payload):
     st, _ = _build_state(p)
     res = lyapunov_max(st, p["t_end"], dt=p["dt"], renorm_dt=p["renorm_dt"], d0=p["d0"], seed=cfg.seed)
     if cfg.fmt == "csv":
-        lines = ["t,lambda_running", *(csv_line(t, lam) for t, lam in res.series)]
-    else:
-        lines = [json_payload_line({"t": t, "lambda_running": lam}) for t, lam in res.series]
+        payload.append("t,lambda_running")
+    for t, lam in res.series:
+        payload.append(csv_line(t, lam) if cfg.fmt == "csv" else json_payload_line({"t": t, "lambda_running": lam}))
     spread = res.last_decade_spread()
-    summary = {
+    return {
         "lambda": None if np.isnan(res.lam) else res.lam,
         "escaped": res.escaped,
         "last_decade_spread": None if not np.isfinite(spread) else spread,
-    }
-    return lines, summary, _model_echo(p["model"], p)
+    }, _model_echo(p["model"], p)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +601,11 @@ def _execute(args) -> int:
         raise ValidationError(f"{cmd.name} writes {'/'.join(cmd.formats)} output, not {fmt}")
     cfg = RunConfig(command=cmd.name, params=_echo(merged), seed=args.seed, out=args.out, fmt=fmt)
     t0 = time.perf_counter()
-    payload, summary, echo = cmd.run(merged, cfg)
-    if echo is not None:
-        cfg = dataclasses.replace(cfg, params=echo)
-    write_result(cfg, payload, time.perf_counter() - t0, summary)
+    with contextlib.closing(Payload(cfg.out)) as payload:
+        summary, echo = cmd.run(merged, cfg, payload)
+        if echo is not None:
+            cfg = dataclasses.replace(cfg, params=echo)
+        write_result(cfg, payload, time.perf_counter() - t0, summary)
     return 0
 
 

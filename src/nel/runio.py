@@ -12,9 +12,9 @@ differs from it), and the wall-clock duration.  Payload lines follow.  The
 header is the only place timing lives, which keeps payloads byte-identical
 across reruns of the same config and seed.
 
-Files are written to ``<path>.partial`` and renamed onto the target only
-after a successful flush, so a crash never leaves a truncated file under the
-requested name.
+Payload lines are spooled to an anonymous temporary file as a run makes them
+(``Payload``), so memory does not grow with the record count.  Files are
+written to ``<path>.partial`` and renamed after a flush, never left truncated.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import os
 import re
 import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,19 +174,48 @@ def _json_line(obj) -> str:
         raise ComputationalError(f"non-finite value in the output: {exc}") from None
 
 
-def write_result(cfg: RunConfig, payload_lines: list[str], duration_s: float, summary: dict) -> None:
+class Payload:
+    """Append-only lines, spooled as bytes to an anonymous temporary file that the first append makes
+    beside ``out`` (or in the default temporary directory); iterating re-reads them."""
+
+    def __init__(self, out: str | None):
+        self._out, self._spool, self._count = out, None, 0
+
+    def append(self, line: str) -> None:
+        if self._spool is None:
+            where = os.path.dirname(os.path.abspath(self._out)) if self._out else None
+            self._spool = tempfile.TemporaryFile(dir=where)
+        self._spool.write(line.encode() + b"\n")
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def close(self) -> None:
+        if self._spool is not None:
+            self._spool.close()
+
+    def __iter__(self):
+        if self._spool is not None:
+            self._spool.seek(0)
+            try:
+                yield from (raw[:-1].decode() for raw in self._spool)
+            finally:  # a failed write finalizes this after close()
+                if not self._spool.closed:
+                    self._spool.seek(0, os.SEEK_END)
+
+
+def write_result(cfg: RunConfig, payload: Payload, duration_s: float, summary: dict) -> None:
     """Emit header + payload atomically to cfg.out, or to stdout when unset."""
-    header = _json_line(output_record(cfg, duration_s, summary))
-    if cfg.fmt == "csv":
-        header = "# " + header
-    body = header + "\n" + "".join(line + "\n" for line in payload_lines)
+    header = ("# " if cfg.fmt == "csv" else "") + _json_line(output_record(cfg, duration_s, summary))
+    body = (line + "\n" for lines in ([header], payload) for line in lines)
     if cfg.out is None:
-        print(body, end="")
+        sys.stdout.writelines(body)
         return
     partial = cfg.out + ".partial"
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            fh.writelines(body)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(partial, cfg.out)

@@ -2,7 +2,9 @@
 (``perfbench/layers.py``); a renamed or removed one must fail here, not in a
 benchmark run.  The probe also runs small chaos commands under the wrappers,
 so a wave or envelope step, strobe, section search or angle-flow window that
-no longer passes through a wrapped name reads as a zero count here."""
+no longer passes through a wrapped name reads as a zero count here, and the
+traced ``runio.records`` and ``runio.bytes`` must equal the payloads the runs
+wrote."""
 
 import os
 import pathlib
@@ -23,9 +25,14 @@ layers.install(tr)
 for (m, f), original in originals.items():
     now = getattr(sys.modules[m], f)
     assert now is not original and now.__wrapped__ is original, f"{m}.{f} not wrapped"
+written = {"records": 0, "bytes": 0}  # payload lines and bytes in the output files
 with tempfile.TemporaryDirectory() as tmp:
     def run(argv):
         assert nel.cli.main([*argv, "--out", os.path.join(tmp, "out")]) == 0, argv
+        with open(os.path.join(tmp, "out"), "rb") as fh:
+            payload = fh.read().split(b"\\n", 1)[1]  # after the header
+        written["records"] += payload.count(b"\\n")
+        written["bytes"] += len(payload)
 
     run(["poincare", "--model", "sg", "--u0", "3.0", "--n-modes", "8", "--iterates", "1"])
     totals = tr.totals(tr.table())  # only the wave model has stepped so far
@@ -42,6 +49,8 @@ for span in ("models.step", "models.nonlinear", "forcing.abc", "diagnostics.sect
     assert totals.get(span, (0, 0.0))[0] > 0, span
 for counter in ("diagnostics.section_hits", "diagnostics.bisect_steps", "diagnostics.renorm_windows"):
     assert tr.counts[counter] > 0, counter
+for counter, n in written.items():
+    assert tr.counts["runio." + counter] == n > 0, (counter, tr.counts["runio." + counter], n)
 print(len(originals))
 """
 

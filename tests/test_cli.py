@@ -9,6 +9,7 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import nel.cli
 import nel.runio
 import nel.spectra
 from nel.cli import COMMANDS, SPECTRUM_CSV_HEADER, main
-from nel.errors import ValidationError
+from nel.errors import ComputationalError, ValidationError
 from nel.forcing import ForcingSpec
 from nel.models import GLParams, SGParams
 from nel.runio import build_from_status, parse_config_lines, serialize_config
@@ -376,6 +377,24 @@ class TestZvtrackCommand:
         assert script["main"](["--classes", "2,1", *args, "--outdir", str(tmp_path / "portrait")]) == 0
         portrait = (tmp_path / "portrait" / "class_2_1.jsonl").read_text().splitlines()
         assert portrait == read_out(out)[1]
+
+    @pytest.mark.parametrize("k1,k2,alpha", [(1, 0, "0.3"), (2, 1, "0.7"), (0, 1, "0.7")])
+    def test_portrait_summary_has_the_zvtrack_header_deltas(self, k1, k2, alpha, tmp_path):
+        # at trunc 12, (1,0) has an isolated inviscid eigenvalue at alpha 0.3 only
+        args = ["--alpha", alpha, "--trunc", "12", "--n-nus", "5"]
+        out = tmp_path / "track.jsonl"
+        assert run_cli("zvtrack", "--k1", str(k1), "--k2", str(k2), *args, "--out", str(out)) == 0
+        summary = read_out(out)[0]["summary"]
+        script = runpy.run_path(str(ROOT / "scripts" / "zero_viscosity_portrait.py"))
+        outdir = tmp_path / "portrait"
+        assert script["main"](["--classes", f"{k1},{k2}", *args, "--outdir", str(outdir)]) == 0
+        header, row = (outdir / "summary.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["label"] == summary["class_label"]
+        for key in ("lambda0", "cluster_extent", "cluster_extent_refined", "lambda0_refine_delta"):
+            assert cells[key] == ("" if summary[key] is None else repr(summary[key])), key
+        assert (summary["lambda0_refine_delta"] is None) == ((k1, alpha) != (1, "0.3"))
+        assert sorted(p.name for p in outdir.iterdir()) == [f"class_{k1}_{k2}.jsonl", "summary.csv"]  # no .partial
 
     def test_portrait_script_rejects_a_schedule_that_is_not_decreasing_and_positive(self, tmp_path):
         script = runpy.run_path(str(ROOT / "scripts" / "zero_viscosity_portrait.py"))
@@ -765,3 +784,85 @@ class TestOutputFailures:
         out = tmp_path / "spec.csv"
         assert run_cli("spectrum", "--k1", "0", "--k2", "1", "--nu", "0.1", "--trunc", "4", "--out", str(out)) == 4
         assert not list(tmp_path.iterdir())
+
+
+SIMULATE_EVERY_STEP = ["simulate", "--model", "dernls", "--eps", "0.05", "--sample-every", "1"]
+
+# a fresh interpreter: peaks of tracemalloc over a short and a ten times longer run
+SPOOL_PEAKS = """
+import pathlib, sys, tracemalloc
+import nel.cli
+argv = [*sys.argv[2:], "--out", sys.argv[1]]
+assert nel.cli.main([*argv, "--t-end", "0.1"]) == 0  # first-call work, untraced
+tracemalloc.start()
+for t_end in ("4", "40"):
+    tracemalloc.reset_peak()
+    assert nel.cli.main([*argv, "--t-end", t_end]) == 0
+    print(tracemalloc.get_traced_memory()[1], pathlib.Path(sys.argv[1]).read_text().count("\\n"))
+"""
+
+
+class TestPayloadSpool:
+    """Payload lines are spooled to an anonymous file beside the output as a
+    run makes them, and copied out after the header."""
+
+    def test_failure_after_records_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        record, calls, spools = nel.cli._record, [], []
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ComputationalError("planted on the third record")
+            return record(*args)
+
+        def spy(**kwargs):
+            spools.append((kwargs["dir"], temporary_file(**kwargs)))
+            return spools[-1][1]
+
+        temporary_file = nel.runio.tempfile.TemporaryFile
+        monkeypatch.setattr(nel.cli, "_record", third_fails)
+        monkeypatch.setattr(nel.runio, "tempfile", types.SimpleNamespace(TemporaryFile=spy))
+        assert run_cli(*SIMULATE_EVERY_STEP, "--t-end", "0.1", "--out", str(tmp_path / "sim.jsonl")) == 3
+        assert "planted on the third record" in capsys.readouterr().err
+        assert [where for where, _ in spools] == [str(tmp_path)]  # two records went to a spool beside the output
+        assert all(spool.closed for _, spool in spools)  # closed by the run, not left to the collector
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*SIMULATE_EVERY_STEP, "--t-end", "0.5"],
+            ["poincare", "--model", "sg", "--u0", "3.0", "--iterates", "3"],
+            ["lyapunov", "--model", "abc", "--t-end", "20"],
+        ],
+    )
+    def test_stdout_carries_the_out_file_bytes(self, argv, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.setattr(nel.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))  # duration_s 0
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert run_cli(*argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert len(out.read_bytes().splitlines()) > 3
+
+    def test_stdout_closed_mid_payload_exits_4(self):
+        # the reader takes the header and goes, as `| head -1` does; 300 KB of
+        # records are left, more than a pipe holds, so the copy meets the closed pipe
+        argv = ["-m", "nel.cli", *SIMULATE_EVERY_STEP, "--t-end", "5"]
+        proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert json.loads(proc.stdout.readline())["command"] == "simulate"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 4
+        assert proc.stderr.read().decode() == "nel: i/o failure: [Errno 32] Broken pipe\n"  # and no ignored exception
+        proc.stderr.close()
+
+    def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path):
+        out = tmp_path / "sim.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", SPOOL_PEAKS, str(out), *SIMULATE_EVERY_STEP],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (short_peak, short_lines), (long_peak, long_lines) = (map(int, row.split()) for row in proc.stdout.splitlines())
+        assert (short_lines, long_lines) == (402, 4002)  # header + one record per step, and t = 0
+        assert out.stat().st_size > 2_000_000
+        assert long_peak - short_peak < 500_000, (short_peak, long_peak)
