@@ -16,6 +16,7 @@ import numpy as np
 
 from nel.diagnostics import lyapunov_max
 from nel.models import SGParams, sg_state
+from nel.runio import csv_line, write_atomic
 
 
 def cell_state(eps, a, n_modes):
@@ -49,14 +50,12 @@ def main(argv=None):
         for a in a_grid:
             st = cell_state(eps, a, args.n_modes)
             res = lyapunov_max(st, args.t_end, dt=args.dt, seed=args.seed)
-            rows.append(f"{float(eps)!r},{float(a)!r},{res.lam!r},{res.escaped}")
+            rows.append(csv_line(eps, a, res.lam, res.escaped))
             print(f"eps={eps:.3f} a={a:.3f} -> lambda={res.lam:+.5f}"
                   + ("  (escaped)" if res.escaped else ""))
 
-    text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_atomic(args.out, (row + "\n" for row in rows))
         print(f"scan written to {args.out}")
     return 0
 

@@ -17,7 +17,8 @@ file (``--config``); flags win.  Flag values and config values pass through
 the same casters, so error messages agree.  All validation happens before
 any file is created; results are written atomically by ``write_result``.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O failure.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O failure,
+141 (128 + SIGPIPE, no message) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import sys
 import time
 
@@ -73,6 +75,7 @@ from .spectra import (
     class_spectrum,
     classify_limits,
     critical_viscosity,
+    limits_summary,
     refine_rightmost,
     track_zero_viscosity,
     viscosity_schedule,
@@ -150,11 +153,8 @@ class Command:
     schema: dict  # key -> caster
     defaults: dict  # fully typed; keys absent here are required
     formats: tuple  # supported output formats, native first
-    run: object  # (params, cfg, payload) -> (summary, params_echo|None); lines go to the payload's spool
-
-
-def _echo(params: dict) -> dict:
-    return {k: v for k, v in params.items() if not k.startswith("_")}
+    run: object  # (params, cfg, payload) -> header summary; lines go to the payload's spool
+    foreign: object  # params -> (the run's variant, the keys that do not apply to it)
 
 
 # -- spectrum ---------------------------------------------------------------
@@ -177,7 +177,7 @@ def _run_spectrum(p, cfg, payload):
         "n_eigenvalues": len(spec.values),
         "rightmost_re": spec.values[0].real,
         "rightmost_refine_delta": refine_delta,
-    }, None
+    }
 
 
 # -- nustar -----------------------------------------------------------------
@@ -194,7 +194,7 @@ def _run_nustar(p, cfg, payload):
         "trunc": res.trunc,
     }
     payload.append(json_payload_line(rec))
-    return {"nu_star": res.nu_star, "refine_delta": res.refine_delta}, None
+    return {"nu_star": res.nu_star, "refine_delta": res.refine_delta}
 
 
 # -- zvtrack ----------------------------------------------------------------
@@ -205,30 +205,21 @@ def _run_zvtrack(p, cfg, payload):
     cls = ModeClass(p["k1"], p["k2"])
     trajectories, euler, refined = track_zero_viscosity(cls, p["alpha"], p["gamma"], nus, p["trunc"])
     cl = classify_limits(trajectories, euler, p["tol"])
-
     for traj in cl.trajectories:
         payload.append(json_payload_line(traj.record(cls)))
-    lam0 = max((v.real for v in euler.points), default=None)
-    lam0_ref = max((v.real for v in refined.points), default=None)
-    return {
-        "class_label": cl.class_label,
-        "addition_set": [[v.real, v.imag] for v in cl.addition_set],
-        "cluster_extent": euler.cluster_extent,
-        "cluster_extent_refined": refined.cluster_extent,
-        "lambda0": lam0,
-        "lambda0_refine_delta": None if None in (lam0, lam0_ref) else abs(lam0 - lam0_ref),
-    }, None
+    return limits_summary(cl, euler, refined)
 
 
 # -- laxcheck ---------------------------------------------------------------
 
 
+def _laxcheck_foreign(p) -> tuple:
+    if p["dim"] == "2":
+        return "laxcheck with dim 2", frozenset({"mode", "amp_u"})
+    return f"laxcheck with dim 3, mode {p['mode']}", frozenset({"alpha"} if p["mode"] == "free" else {"alpha", "amp_u"})
+
+
 def _run_laxcheck(p, cfg, payload):
-    unused = {"mode", "amp_u"} if p["dim"] == "2" else {"alpha"} if p["mode"] == "free" else {"alpha", "amp_u"}
-    bad = sorted(unused & p["_provided"])
-    if bad:
-        where = "dim 2" if p["dim"] == "2" else f"dim 3, mode {p['mode']}"
-        raise ValidationError(f"parameters {bad} do not apply to laxcheck with {where}")
     rng = np.random.default_rng(cfg.seed)
     if p["dim"] == "2":
         grid = TorusGrid((p["grid"] or 64,) * 2, p["alpha"])
@@ -249,8 +240,8 @@ def _run_laxcheck(p, cfg, payload):
         res = transported_eigenfield_check_3d(
             om0, ph0, p["t_end"], p["dt"], velocity=velocity, negative_control=p["control"]
         )
-    payload.append(json_payload_line(res.to_json_dict(_echo(p))))
-    return {"check": res.check, "residual_inf": res.residual_inf}, None
+    payload.append(json_payload_line(res.to_json_dict(p)))
+    return {"check": res.check, "residual_inf": res.residual_inf}
 
 
 # -- darboux ----------------------------------------------------------------
@@ -275,35 +266,34 @@ def _run_darboux(p, cfg, payload):
     chk = darboux_verify(res)
     rec = chk.to_json_dict({"eta": p["eta"], "nx": chk.grid[0], "ny": chk.grid[1], "example": not any(paths)})
     payload.append(json_payload_line(rec))
-    return {"check": chk.check, "residual_inf": chk.residual_inf, "masked_fraction": res.masked_fraction}, None
+    return {"check": chk.check, "residual_inf": chk.residual_inf, "masked_fraction": res.masked_fraction}
 
 
 # -- simulate / poincare / lyapunov -----------------------------------------
 
-SHARED_SIM_KEYS = frozenset({"model", "t_end", "dt", "sample_every", "iterates", "period", "renorm_dt", "d0"})
-MODEL_KEYS = {
-    "sg": frozenset(
-        {
-            "c", "a", "eps", "parity", "n_modes", "u0", "v0", "kick",
-            "forcing_mode", "forcing_alpha0", "forcing_betas", "forcing_omegas",
-            "forcing_phases", "forcing_mu", "forcing_eps", "forcing_abc", "forcing_abc_state",
-        }
-    ),
-    "dernls": frozenset({"eps", "mu", "kcut", "gamma", "n_modes", "q0"}),
-    "pnls": frozenset({"eps", "omega", "alpha", "beta", "gamma", "n_modes", "q0"}),
-    "abc": frozenset({"abc", "theta0"}),
+MODEL_SCHEMAS = {
+    "sg": {
+        "c": _real, "a": _real, "eps": _real, "parity": enum_of("even", "odd"), "n_modes": int,
+        "u0": _real, "v0": _real, "kick": _kick,
+        "forcing_mode": enum_of("cos_t", "quasiperiodic"),
+        "forcing_alpha0": _real, "forcing_betas": _floats(4), "forcing_omegas": _floats(4),
+        "forcing_phases": _floats(4), "forcing_mu": _real, "forcing_eps": _real,
+        "forcing_abc": _floats(3), "forcing_abc_state": _floats(3),
+    },
+    "dernls": {"eps": _real, "mu": _real, "kcut": int, "gamma": _real, "n_modes": int, "q0": _q0},
+    "pnls": {"eps": _real, "omega": _real, "alpha": _real, "beta": _real, "gamma": _real, "n_modes": int, "q0": _q0},
+    "abc": {"abc": _floats(3), "theta0": _floats(3)},
 }
 
 
-def _model_echo(model: str, p: dict) -> dict:
-    keep = MODEL_KEYS[model] | SHARED_SIM_KEYS
-    return _echo({k: v for k, v in p.items() if k in keep and v is not None})
+def _model_foreign(p) -> tuple:
+    """The keys of the other models that the run's model does not share."""
+    return f"model {p['model']!r}", frozenset().union(*MODEL_SCHEMAS.values()) - MODEL_SCHEMAS[p["model"]].keys()
 
 
 def _model_fields(cls, p: dict, prefix: str = "") -> dict:
     """The fields of dataclass cls that are keys of p's model, as prefix + name, valued from p."""
-    keys = MODEL_KEYS[p["model"]]
-    return {f.name: p[prefix + f.name] for f in dataclasses.fields(cls) if prefix + f.name in keys}
+    return {f.name: p[prefix + f.name] for f in dataclasses.fields(cls) if prefix + f.name in MODEL_SCHEMAS[p["model"]]}
 
 
 def _build_forcing(p) -> ForcingSpec:
@@ -325,12 +315,8 @@ def _cycle_error(st) -> float:
 
 
 def _build_state(p: dict):
-    """Check the model's keys and build its initial state; also return
-    ``_cycle_error`` for a dernls start on the limit cycle, else None."""
+    """The model's initial state, and ``_cycle_error`` for a dernls start on the limit cycle, else None."""
     model = p["model"]
-    bad = sorted(set(p["_provided"]) - MODEL_KEYS[model] - SHARED_SIM_KEYS)
-    if bad:
-        raise ValidationError(f"parameters {bad} do not apply to model {model!r}")
     if model == "dernls" and not p["kcut"]:
         p["kcut"] = max(1, p["n_modes"] // 2)  # resolve the 0 sentinel
     if model == "abc":
@@ -382,7 +368,7 @@ def _run_simulate(p, cfg, payload):
     summary = {"n_records": len(payload), "t_end": steps * p["dt"]}
     if cycle_error:
         summary["max_limit_cycle_err"] = worst
-    return summary, _model_echo(model, p)
+    return summary
 
 
 def _run_poincare(p, cfg, payload):
@@ -397,7 +383,7 @@ def _run_poincare(p, cfg, payload):
             payload.append(csv_line(i, s.t, *s.vector()))
         else:
             payload.append(json_payload_line({"iterate": i, "t": s.t, "state": s.vector().tolist()}))
-    return {"n_samples": len(res.samples), "escaped": res.escaped}, _model_echo(p["model"], p)
+    return {"n_samples": len(res.samples), "escaped": res.escaped}
 
 
 def _run_lyapunov(p, cfg, payload):
@@ -412,28 +398,14 @@ def _run_lyapunov(p, cfg, payload):
         "lambda": None if np.isnan(res.lam) else res.lam,
         "escaped": res.escaped,
         "last_decade_spread": None if not np.isfinite(spread) else spread,
-    }, _model_echo(p["model"], p)
+    }
 
 
 # ---------------------------------------------------------------------------
 # schemas
 
-_SIM_STATE_SCHEMA = {
-    "model": enum_of("sg", "dernls", "pnls", "abc"),
-    "dt": _real,
-    # wave model
-    "c": _real, "a": _real, "parity": enum_of("even", "odd"),
-    "u0": _real, "v0": _real, "kick": _kick,
-    "forcing_mode": enum_of("cos_t", "quasiperiodic"),
-    "forcing_alpha0": _real, "forcing_betas": _floats(4), "forcing_omegas": _floats(4),
-    "forcing_phases": _floats(4), "forcing_mu": _real, "forcing_eps": _real,
-    "forcing_abc": _floats(3), "forcing_abc_state": _floats(3),
-    # envelope models
-    "eps": _real, "mu": _real, "kcut": int, "gamma": _real,
-    "omega": _real, "alpha": _real, "beta": _real, "n_modes": int, "q0": _q0,
-    # angle model
-    "abc": _floats(3), "theta0": _floats(3),
-}
+_SIM_STATE_SCHEMA = {"model": enum_of(*MODEL_SCHEMAS), "dt": _real}
+_SIM_STATE_SCHEMA.update(item for schema in MODEL_SCHEMAS.values() for item in schema.items())
 
 
 def _field_defaults(cls, prefix: str = "") -> dict:
@@ -454,8 +426,8 @@ _SIM_STATE_DEFAULTS = {
 COMMANDS = {}
 
 
-def _register(name, help, schema, defaults, formats, run):
-    COMMANDS[name] = Command(name, help, schema, defaults, formats, run)
+def _register(name, help, schema, defaults, formats, run, foreign=lambda p: ("", frozenset())):
+    COMMANDS[name] = Command(name, help, schema, defaults, formats, run, foreign)
 
 
 _register(
@@ -506,6 +478,7 @@ _register(
     },
     ("jsonl",),
     _run_laxcheck,
+    _laxcheck_foreign,
 )
 
 _register(
@@ -524,6 +497,7 @@ _register(
     {**_SIM_STATE_DEFAULTS, "t_end": 10.0, "sample_every": 10},
     ("jsonl",),
     _run_simulate,
+    _model_foreign,
 )
 
 _register(
@@ -533,6 +507,7 @@ _register(
     {**_SIM_STATE_DEFAULTS, "iterates": 20, "period": None},
     ("csv", "jsonl"),
     _run_poincare,
+    _model_foreign,
 )
 
 _register(
@@ -542,6 +517,7 @@ _register(
     {**_SIM_STATE_DEFAULTS, "t_end": 1000.0, "renorm_dt": 0.5, "d0": 1e-8},
     ("csv", "jsonl"),
     _run_lyapunov,
+    _model_foreign,
 )
 
 
@@ -595,17 +571,19 @@ def _execute(args) -> int:
     if missing:
         raise ValidationError(f"missing required parameters: {', '.join(missing)}")
     merged = {**cmd.defaults, **typed}
-    merged["_provided"] = frozenset(typed)
     fmt = args.format or cmd.formats[0]
     if fmt not in cmd.formats:
         raise ValidationError(f"{cmd.name} writes {'/'.join(cmd.formats)} output, not {fmt}")
-    cfg = RunConfig(command=cmd.name, params=_echo(merged), seed=args.seed, out=args.out, fmt=fmt)
+    variant, foreign = cmd.foreign(merged)
+    bad = sorted(typed.keys() & foreign)
+    if bad:
+        raise ValidationError(f"parameters {bad} do not apply to {variant}")
+    cfg = RunConfig(command=cmd.name, params={}, seed=args.seed, out=args.out, fmt=fmt)
     t0 = time.perf_counter()
     with contextlib.closing(Payload(cfg.out)) as payload:
-        summary, echo = cmd.run(merged, cfg, payload)
-        if echo is not None:
-            cfg = dataclasses.replace(cfg, params=echo)
-        write_result(cfg, payload, time.perf_counter() - t0, summary)
+        summary = cmd.run(merged, cfg, payload)  # resolves kcut's 0 sentinel, so the echo comes after it
+        echo = {k: v for k, v in merged.items() if k not in foreign and v is not None}
+        write_result(dataclasses.replace(cfg, params=echo), payload, time.perf_counter() - t0, summary)
     return 0
 
 
@@ -624,6 +602,11 @@ def main(argv=None) -> int:
         print(f"nel: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # the reader has read enough; the final flush goes to the null device (Python docs, SIGPIPE)
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 141
         print(f"nel: i/o failure: {exc}", file=sys.stderr)
         return 4
 

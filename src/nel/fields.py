@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import TorusGrid
+from .runio import write_atomic
 
 MEAN_TOL = 1e-12
 HERMITIAN_TOL = 1e-10  # relative: a snapshot's spectrum must be Hermitian to this
@@ -323,8 +324,9 @@ def save_field(path, f: SpectralField) -> None:
         "re": flat.real.tolist(),
         "im": flat.imag.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(snapshot, fh)
+    if not np.all(np.isfinite(flat)):  # what load_field would refuse
+        raise ValidationError("non-finite coefficients: a field snapshot is strict JSON")
+    write_atomic(path, [json.dumps(snapshot, allow_nan=False)])
 
 
 def load_field(path) -> SpectralField:

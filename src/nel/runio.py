@@ -1,9 +1,7 @@
 """Run configuration and result persistence for the command line.
 
 Configs are flat ``key = value`` text: one assignment per line, ``#`` starts
-a comment, blank lines ignored.  Serialization is canonical (keys sorted,
-single space around ``=``), so parse -> serialize -> parse is the identity
-and serialized files are byte-stable.
+a comment, blank lines ignored.
 
 Every output file starts with one OutputRecord header line (JSON) carrying
 the schema version, the command echo with its fully resolved parameters, a
@@ -14,7 +12,7 @@ across reruns of the same config and seed.
 
 Payload lines are spooled to an anonymous temporary file as a run makes them
 (``Payload``), so memory does not grow with the record count.  Files are
-written to ``<path>.partial`` and renamed after a flush, never left truncated.
+written to ``<path>.partial`` and renamed after a flush (``write_atomic``).
 """
 
 from __future__ import annotations
@@ -62,11 +60,6 @@ def parse_config_lines(text: str) -> tuple[dict[str, str], dict[str, int]]:
         out[key] = value
         lines_seen[key] = lineno
     return out, lines_seen
-
-
-def serialize_config(params: dict) -> str:
-    """Canonical form: alphabetical keys, 'key = value' lines."""
-    return "".join(f"{k} = {params[k]}\n" for k in sorted(params))
 
 
 def coerce_params(raw: dict[str, str], schema: dict, lines: dict[str, int] | None = None) -> dict:
@@ -211,14 +204,20 @@ def write_result(cfg: RunConfig, payload: Payload, duration_s: float, summary: d
     body = (line + "\n" for lines in ([header], payload) for line in lines)
     if cfg.out is None:
         sys.stdout.writelines(body)
-        return
-    partial = cfg.out + ".partial"
+    else:
+        write_atomic(cfg.out, body)
+
+
+def write_atomic(path, chunks) -> None:
+    """Write text chunks to ``<path>.partial``, flush and fsync it, and rename
+    it onto path; on any exception the ``.partial`` is removed."""
+    partial = f"{path}.partial"
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            fh.writelines(body)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(partial, cfg.out)
+        os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(partial)

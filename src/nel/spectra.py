@@ -753,3 +753,17 @@ def classify_limits(
         # the whole segment went unattained; report its endpoints
         addition.extend([complex(0, -ext), complex(0, ext)])
     return Classification(labeled, class_label, addition)
+
+
+def limits_summary(cl: Classification, euler: EulerSpectrum, refined: EulerSpectrum) -> dict:
+    """zvtrack's header summary: label, addition set, the inviscid cluster extent at N and 2N, and lambda0
+    (the largest real part of an isolated inviscid eigenvalue, or None) with |lambda0(2N) - lambda0(N)|."""
+    lam0, lam0_ref = (max((v.real for v in ref.points), default=None) for ref in (euler, refined))
+    return {
+        "class_label": cl.class_label,
+        "addition_set": [[v.real, v.imag] for v in cl.addition_set],
+        "cluster_extent": euler.cluster_extent,
+        "cluster_extent_refined": refined.cluster_extent,
+        "lambda0": lam0,
+        "lambda0_refine_delta": None if None in (lam0, lam0_ref) else abs(lam0 - lam0_ref),
+    }

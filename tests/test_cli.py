@@ -18,11 +18,13 @@ import nel
 import nel.cli
 import nel.runio
 import nel.spectra
-from nel.cli import COMMANDS, SPECTRUM_CSV_HEADER, main
+from nel.cli import COMMANDS, MODEL_SCHEMAS, SPECTRUM_CSV_HEADER, main
 from nel.errors import ComputationalError, ValidationError
+from nel.fields import save_field
 from nel.forcing import ForcingSpec
+from nel.lax import darboux_shear_example
 from nel.models import GLParams, SGParams
-from nel.runio import build_from_status, parse_config_lines, serialize_config
+from nel.runio import build_from_status, parse_config_lines
 from nel.spectra import NuStarResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,13 +44,9 @@ def read_out(path):
 
 
 class TestConfigContract:
-    def test_roundtrip_is_byte_identical(self, tmp_path):
+    def test_parse_skips_comments_and_blank_lines(self):
         text = "# comment\nnu = 0.05\nk1 = 1   # trailing\n\nk2 = 0\n"
-        first, _ = parse_config_lines(text)
-        canon = serialize_config(first)
-        assert parse_config_lines(canon)[0] == first
-        assert serialize_config(parse_config_lines(canon)[0]) == canon
-        assert canon == "k1 = 1\nk2 = 0\nnu = 0.05\n"  # alphabetical
+        assert parse_config_lines(text) == ({"nu": "0.05", "k1": "1", "k2": "0"}, {"nu": 2, "k1": 3, "k2": 5})
 
     def test_duplicate_key_exits_2_with_line(self, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"
@@ -693,6 +691,70 @@ class TestParamsEcho:
             "dim": "2", "dt": 0.01, "grid": 16, "kmax": 4, "mode": "curl", "t_end": 0.01,
         }
 
+    @pytest.mark.parametrize(
+        "argv, dropped",
+        [
+            (("--dim", "2"), {"mode", "amp_u"}),
+            (("--dim", "3", "--mode", "curl"), {"alpha", "amp_u"}),
+            (("--dim", "3", "--mode", "free"), {"alpha"}),
+        ],
+    )
+    def test_laxcheck_header_leaves_out_the_keys_that_do_not_apply(self, argv, dropped, tmp_path):
+        out = tmp_path / "lax.jsonl"
+        assert run_cli("laxcheck", *argv, "--grid", "8", "--t-end", "0.01", "--dt", "0.01", "--out", str(out)) == 0
+        header, payload = read_out(out)
+        every = {
+            "alpha": 1.0, "amp_omega": 0.1, "amp_phi": 5.0, "amp_u": 0.2, "control": False,
+            "dim": argv[1], "dt": 0.01, "grid": 8, "kmax": 4, "mode": argv[3] if len(argv) > 2 else "curl",
+            "t_end": 0.01,
+        }
+        assert header["params"] == {k: v for k, v in every.items() if k not in dropped}
+        assert json.loads(payload[0])["params"] == every  # the payload still echoes every key
+
+    def test_darboux_example_header_leaves_out_the_unset_snapshot_paths(self, tmp_path):
+        out = tmp_path / "dx.jsonl"
+        assert run_cli("darboux", "--nx", "32", "--out", str(out)) == 0
+        assert read_out(out)[0]["params"] == {"eta": 0.001, "nx": 32, "ny": 8}
+
+    def test_darboux_snapshot_header(self, tmp_path):
+        d = darboux_shear_example(32, 8, 1e-3)
+        paths = {}
+        for key, fld in zip(("omega", "p", "f", "bigf"), (d.omega, d.p, d.f, d.F)):
+            paths[key] = str(tmp_path / f"{key}.json")
+            save_field(paths[key], fld)
+        out = tmp_path / "dx.jsonl"
+        assert run_cli("darboux", *(f"--{key}={path}" for key, path in paths.items()), "--out", str(out)) == 0
+        assert read_out(out)[0]["params"] == {**paths, "eta": 0.001, "nx": 128, "ny": 8}
+
+
+class TestApplicability:
+    """Which keys apply to a run is stated once per command, by its foreign rule."""
+
+    VARIANTS = [
+        *((name, {}) for name in ("spectrum", "nustar", "zvtrack", "darboux")),
+        *(("laxcheck", v) for v in ({"dim": "2"}, {"dim": "3", "mode": "curl"}, {"dim": "3", "mode": "free"})),
+        *((name, {"model": m}) for name in ("simulate", "poincare", "lyapunov") for m in MODEL_SCHEMAS),
+    ]
+
+    @pytest.mark.parametrize("name, variant", VARIANTS)
+    def test_foreign_keys_lie_in_the_schema(self, name, variant):
+        cmd = COMMANDS[name]
+        _, foreign = cmd.foreign({**cmd.defaults, **variant})
+        assert foreign <= cmd.schema.keys()
+        if "model" in variant:
+            assert foreign.isdisjoint(MODEL_SCHEMAS[variant["model"]])
+
+    def test_every_command_and_variant_is_covered(self):
+        assert {name for name, _ in self.VARIANTS} == COMMANDS.keys()
+
+    def test_a_key_shared_by_models_has_one_caster(self):
+        # a command's schema holds the union of the model tables, where a later table would win
+        schema = COMMANDS["simulate"].schema
+        shared = {k for k in schema if sum(k in s for s in MODEL_SCHEMAS.values()) > 1}
+        assert shared == {"eps", "gamma", "n_modes", "q0"}
+        for key in shared:
+            assert {s[key] for s in MODEL_SCHEMAS.values() if key in s} == {schema[key]}, key
+
 
 class TestBuildId:
     OID = "# branch.oid 0123456789abcdef0123456789abcdef01234567\n# branch.head main\n"
@@ -785,6 +847,35 @@ class TestOutputFailures:
         assert run_cli("spectrum", "--k1", "0", "--k2", "1", "--nu", "0.1", "--trunc", "4", "--out", str(out)) == 4
         assert not list(tmp_path.iterdir())
 
+    def test_a_broken_pipe_while_writing_out_is_an_io_failure(self, tmp_path, monkeypatch, capsys):
+        # only a closed stdout is a quiet stop
+        def fail(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(nel.runio.os, "fsync", fail)
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--k1", "0", "--k2", "1", "--nu", "0.1", "--trunc", "4", "--out", str(out)) == 4
+        assert capsys.readouterr().err == "nel: i/o failure: [Errno 32] Broken pipe\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "script, argv",
+        [
+            ("zero_viscosity_portrait.py", ["--classes", "0,1", "--trunc", "8", "--n-nus", "4", "--outdir", "."]),
+            ("sg_lyapunov_scan.py", ["--n-eps", "1", "--n-a", "1", "--n-modes", "8", "--t-end", "2", "--out", "x.csv"]),
+        ],
+    )
+    def test_a_script_whose_rename_fails_leaves_no_file(self, script, argv, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("replace failed")
+
+        main = runpy.run_path(str(ROOT / "scripts" / script))["main"]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(nel.runio.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            main(argv)
+        assert not list(tmp_path.iterdir())  # neither the file nor its .partial
+
 
 SIMULATE_EVERY_STEP = ["simulate", "--model", "dernls", "--eps", "0.05", "--sample-every", "1"]
 
@@ -844,15 +935,15 @@ class TestPayloadSpool:
         assert capsysbinary.readouterr().out == out.read_bytes()
         assert len(out.read_bytes().splitlines()) > 3
 
-    def test_stdout_closed_mid_payload_exits_4(self):
+    def test_stdout_closed_mid_payload_is_a_quiet_stop(self):
         # the reader takes the header and goes, as `| head -1` does; 300 KB of
         # records are left, more than a pipe holds, so the copy meets the closed pipe
         argv = ["-m", "nel.cli", *SIMULATE_EVERY_STEP, "--t-end", "5"]
         proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert json.loads(proc.stdout.readline())["command"] == "simulate"
         proc.stdout.close()
-        assert proc.wait(timeout=120) == 4
-        assert proc.stderr.read().decode() == "nel: i/o failure: [Errno 32] Broken pipe\n"  # and no ignored exception
+        assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE
+        assert proc.stderr.read().decode() == ""  # no message, and no ignored exception at the final flush
         proc.stderr.close()
 
     def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path):

@@ -324,6 +324,15 @@ class TestSnapshotIO:
             save_field(tmp_path / "s.json", SpectralField(g, np.zeros((2, 2, *g.spectral_shape))))
         assert not (tmp_path / "s.json").exists()
 
+    def test_a_non_finite_coefficient_is_refused_before_any_file_exists(self, tmp_path):
+        # a bare NaN token is not JSON, and load_field would refuse the file
+        g = grid(n=8)
+        c = np.zeros(g.spectral_shape, dtype=complex)
+        c[1, 1] = complex(0.0, np.inf)
+        with pytest.raises(ValidationError, match="non-finite coefficients"):
+            save_field(tmp_path / "s.json", SpectralField(g, c))
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("edit", [{}, {"version": 2}, {"kind": "field4d"}, {"grid": {"alpha": 1.0, "nx": 3, "ny": 4}}])
     def test_errors_name_the_path_once(self, tmp_path, edit):
         # a NaN coefficient, and with it an unsupported version, an unknown kind or an odd grid size

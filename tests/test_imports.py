@@ -4,8 +4,9 @@ The three science layers import nothing from each other: ``spectra`` (shear
 spectra) imports only ``errors``; ``lax`` (transport) the spectral-field
 layer ``grids``/``fields``/``fields3d``; and of the wave-chaos layer,
 ``forcing`` and ``diagnostics`` import only ``errors`` and ``models`` also
-``forcing``.  Only ``cli`` joins them.  An edge added or dropped must be made
-here on purpose.
+``forcing``.  Only ``cli`` joins them.  ``fields`` writes its snapshots with
+``runio``'s atomic writer.  An edge added or dropped must be made here on
+purpose.
 
 Outside the standard library, a module imports only numpy at module level,
 and scipy is imported in one place: the fallback of spectra's assignment
@@ -26,7 +27,7 @@ EDGES = {
     },
     "diagnostics": {"errors"},
     "errors": set(),
-    "fields": {"errors", "grids"},
+    "fields": {"errors", "grids", "runio"},
     "fields3d": {"fields", "grids"},
     "forcing": {"errors"},
     "grids": {"errors"},
