@@ -4,7 +4,8 @@
 
 Each cell integrates the cos t-driven wave from a fixed low-mode state and
 runs the two-orbit renormalization estimate.  Emits a flat CSV (eps, a,
-lambda, escaped) ready for a heat map; no threshold is baked in.
+lambda, escaped) ready for a heat map, to --out or to stdout; no threshold
+is baked in.  Progress lines go to stderr.
 
     python3 scripts/sg_lyapunov_scan.py --out scan.csv --t-end 500
 """
@@ -52,11 +53,13 @@ def main(argv=None):
             res = lyapunov_max(st, args.t_end, dt=args.dt, seed=args.seed)
             rows.append(csv_line(eps, a, res.lam, res.escaped))
             print(f"eps={eps:.3f} a={a:.3f} -> lambda={res.lam:+.5f}"
-                  + ("  (escaped)" if res.escaped else ""))
+                  + ("  (escaped)" if res.escaped else ""), file=sys.stderr)
 
     if args.out:
         write_atomic(args.out, (row + "\n" for row in rows))
-        print(f"scan written to {args.out}")
+        print(f"scan written to {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write("".join(row + "\n" for row in rows))
     return 0
 
 

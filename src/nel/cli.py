@@ -18,7 +18,7 @@ the same casters, so error messages agree.  All validation happens before
 any file is created; results are written atomically by ``write_result``.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O failure,
-141 (128 + SIGPIPE, no message) when the reader of stdout closes it early.
+130 on Ctrl-C, and 141 (SIGPIPE, no message) when stdout's reader closes it.
 """
 
 from __future__ import annotations
@@ -247,6 +247,12 @@ def _run_laxcheck(p, cfg, payload):
 # -- darboux ----------------------------------------------------------------
 
 
+def _darboux_foreign(p) -> tuple:
+    if any(p[k] for k in ("omega", "p", "f", "bigf")):  # the grid is the snapshots'
+        return "darboux from field snapshots", frozenset({"nx", "ny"})
+    return "the darboux example", frozenset()
+
+
 def _darboux_input(p, paths) -> DarbouxInput:
     if any(paths):
         if not all(paths):
@@ -323,8 +329,7 @@ def _build_state(p: dict):
         return ABCState(theta=p["theta0"], abc=p["abc"]), None
     if model == "sg":
         params = SGParams(**_model_fields(SGParams, p), forcing=_build_forcing(p))
-        u = np.zeros(p["n_modes"] + 1)
-        v = np.zeros(p["n_modes"] + 1)
+        u, v = np.zeros((2, p["n_modes"] + 1))
         u[0], v[0] = p["u0"], p["v0"]
         for k, amp in p["kick"]:
             if not (0 <= k <= p["n_modes"]):
@@ -488,6 +493,7 @@ _register(
     {"omega": None, "p": None, "f": None, "bigf": None, "eta": 1e-3, "nx": 128, "ny": 8},
     ("jsonl",),
     _run_darboux,
+    _darboux_foreign,
 )
 
 _register(
@@ -601,6 +607,9 @@ def main(argv=None) -> int:
     except ComputationalError as exc:
         print(f"nel: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # the payload spool and any .partial are already gone
+        print("nel: interrupted", file=sys.stderr)
+        return 130
     except OSError as exc:
         if isinstance(exc, BrokenPipeError) and args.out is None:
             # the reader has read enough; the final flush goes to the null device (Python docs, SIGPIPE)

@@ -2,9 +2,9 @@
 
 Works on any state of one flow protocol, which the wave and envelope states
 of `models` and the angle flow `forcing.ABCState` share: ``step(dt)``; the
-flat real ``vector()`` and ``with_vector(vec)``; ``separation(other)`` (the
-torus metric for angles) and ``toward(other, s)``, the state s of the way to
-other; the Lyapunov ``shadow(d0, seed)``; ``advance(shadow, n, h)``, both
+flat real ``vector()`` and ``with_vector(vec)``; ``gap(other)``, the flat
+vector from the state to other (angle gaps wrapped into [-pi, pi)); the
+shadow's unnormalised ``direction(seed)``; ``advance(shadow, n, h)``, both
 after n steps of h; ``frozen``, true for a flow that does not move; and
 ``coeffs()``, the (re, im) lists of an output record.
 
@@ -59,6 +59,10 @@ class LyapunovResult:
 def model_step(state, dt: float):
     """One step of any protocol state; the strobe and section searches step through it."""
     return state.step(dt)
+
+
+def _norm(v) -> float:  # the loop's one metric: fsum rounds correctly, whatever the BLAS core
+    return math.sqrt(math.fsum(v * v))
 
 
 def _escaped(state) -> bool:
@@ -162,8 +166,9 @@ def lyapunov_max(
     The run is round(t_end / renorm_dt) windows (at least one) of exactly
     renorm_dt >= dt, each taken in round(renorm_dt / dt) equal steps, so the
     k-th entry of the running series (t, S(t)/t) sits at t = k * renorm_dt.
-    The shadow starts as ``state0.shadow(d0, seed)``; a driven pair shares
-    the forcing clock.  An escaping or blowing-up pair truncates the series
+    The shadow starts d0 from state0 along ``state0.direction(seed)``, and
+    each window puts it back at d0 along its gap; a driven pair shares the
+    forcing clock.  An escaping or blowing-up pair truncates the series
     and sets the escaped flag, a separation that collapses to exactly zero
     raises, and a frozen flow returns exactly 0.
     """
@@ -176,7 +181,8 @@ def lyapunov_max(
     n_windows = max(1, step_count(t_end, renorm_dt, "t_end"))
     if state0.frozen:
         return LyapunovResult(0.0, tuple((w * renorm_dt, 0.0) for w in range(1, n_windows + 1)))
-    x, y = state0, state0.shadow(d0, seed)
+    direction = state0.direction(seed)
+    x, y = state0, state0.with_vector(state0.vector() + d0 * (direction / _norm(direction)))
     log_sum = 0.0
     series = []
     for w in range(1, n_windows + 1):
@@ -187,11 +193,12 @@ def lyapunov_max(
             escaped = True
         if escaped:
             return LyapunovResult(lam=series[-1][1] if series else math.nan, series=tuple(series), escaped=True)
-        d = x.separation(y)
+        g = x.gap(y)
+        d = _norm(g)
         if d == 0.0:
             raise ComputationalError("shadow separation collapsed to zero; increase d0")
         log_sum += math.log(d / d0)
         t = w * renorm_dt
         series.append((t, log_sum / t))
-        y = x.toward(y, d0 / d)
+        y = x.with_vector(x.vector() + (d0 / d) * g)
     return LyapunovResult(lam=series[-1][1], series=tuple(series))

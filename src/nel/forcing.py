@@ -17,7 +17,7 @@ regime.  Everything here is plain-float arithmetic: the ABC integration is
 the hot loop of the Lyapunov runs.
 
 `ABCState` is the angle flow as a state of the flow protocol of
-`diagnostics`: separations use the torus metric, so angle reduction never
+`diagnostics`: its gaps are wrapped onto the torus, so angle reduction never
 produces spurious jumps, and `advance` takes each orbit through a whole
 window in one `_advance` call, reducing the angles mod 2*pi once at its end.
 """
@@ -61,19 +61,13 @@ class ABCState:
     def with_vector(self, vec) -> ABCState:
         return ABCState(tuple(float(v) for v in vec), self.abc)
 
-    def _gap(self, other):
+    def gap(self, other) -> np.ndarray:
         """other - self per angle, wrapped into [-pi, pi)."""
-        return tuple((b - a + math.pi) % TWO_PI - math.pi for a, b in zip(self.theta, other.theta))
+        return np.array([(b - a + math.pi) % TWO_PI - math.pi for a, b in zip(self.theta, other.theta)])
 
-    def separation(self, other) -> float:
-        return math.sqrt(sum(v * v for v in self._gap(other)))
-
-    def toward(self, other, s: float) -> ABCState:
-        return ABCState(tuple(a + v * s for a, v in zip(self.theta, self._gap(other))), self.abc)
-
-    def shadow(self, d0: float, seed: int) -> ABCState:
-        """Angle 1 shifted by d0; the seed is not used."""
-        return ABCState((self.theta[0] + d0, *self.theta[1:]), self.abc)
+    def direction(self, seed: int) -> np.ndarray:
+        """Angle 1; the seed is not used."""
+        return np.array([1.0, 0.0, 0.0])
 
     def advance(self, shadow, n: int, h: float):
         """Both orbits after n RK4 steps of h, one `_advance` call each."""

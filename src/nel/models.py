@@ -29,9 +29,9 @@ overflow.  The wave grid 4*n_modes need not be one, so the wave transforms
 keep the backward normalisation and divide by n after weighting.
 
 Both state classes implement the flow protocol of `diagnostics` in one base
-class: Euclidean separations of the flat coefficient vector, a shadow along a
-seeded random direction, and `advance` stepping the orbit and its shadow as
-one (2, n) batch state.
+class: the gap is the difference of the flat coefficient vectors, the shadow
+direction a seeded normal draw, and `advance` steps the orbit and its shadow
+as one (2, n) batch state.
 
 The chaos windows quoted for these models (the (eps, a) rectangle for the
 wave equation, |mu| > 5.8 for the derivative envelope, the alpha = 1/kappa
@@ -75,21 +75,13 @@ class _CoefficientState:
 
     frozen = False  # both flows always move
 
-    def separation(self, other) -> float:
-        return float(np.linalg.norm(other.vector() - self.vector()))
+    def gap(self, other) -> np.ndarray:
+        return other.vector() - self.vector()
 
-    def toward(self, other, s: float):
-        v = self.vector()
-        return self.with_vector(v + s * (other.vector() - v))
-
-    def shadow(self, d0: float, seed: int):
-        """Displaced by d0 along a seeded random direction of the flat vector,
-        zero on the slots the parity forbids."""
-        v = self.vector()
-        direction = np.random.default_rng(seed).standard_normal(v.size)
-        direction *= self.with_vector(np.ones(v.size)).vector()  # rebuilt ones are 1 where free
-        direction /= np.linalg.norm(direction)
-        return self.with_vector(v + d0 * direction)
+    def direction(self, seed: int) -> np.ndarray:
+        """A seeded normal draw over the flat vector, zero on the slots the parity forbids."""
+        n = self.vector().size
+        return np.random.default_rng(seed).standard_normal(n) * self.with_vector(np.ones(n)).vector()
 
     def advance(self, shadow, n: int, h: float):
         pair = self.with_vector(np.stack([self.vector(), shadow.vector()]))
@@ -174,9 +166,7 @@ class SGState(_CoefficientState):
 
 
 def sg_state(params: SGParams, u, v, t: float = 0.0) -> SGState:
-    u = np.asarray(u, dtype=float).copy()
-    v = np.asarray(v, dtype=float).copy()
-    return SGState(params=params, u=u, v=v, t=t)
+    return SGState(params=params, u=np.array(u, dtype=float), v=np.array(v, dtype=float), t=t)
 
 
 def sg_uniform_state(params: SGParams, u0: float, v0: float = 0.0) -> SGState:

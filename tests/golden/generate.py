@@ -1,10 +1,10 @@
 """Regenerate a golden corpus: ``spectra.json`` or ``commands.json``.
 
     PYTHONPATH=src python tests/golden/generate.py spectra|commands
-    PYTHONPATH=src python tests/golden/generate.py spectra NAME...
+    PYTHONPATH=src python tests/golden/generate.py spectra|commands NAME...
 
-Named entries are recomputed into the committed spectra file; every other
-entry is kept as it is, byte for byte.
+Named entries (of ``CASES`` or of ``COMMAND_CASES``) are recomputed into the
+committed file; every other entry is kept as it is, byte for byte.
 
 Each entry runs one small command through ``nel.cli.main`` and records what
 ``tests/test_golden.py`` pins: a payload hash where the bytes must not move,
@@ -63,6 +63,12 @@ quotient and residuals are not exact zeros) and its ``p_t_sha256`` (the
 bytes of ``darboux_apply``'s p~ for the same input) were added, every other
 entry byte-identical, from the code before darboux freed its inputs early
 and the bracket formed its products in its own buffers.
+``lyapunov_dernls_mu_gamma``, ``lyapunov_dernls_n13_kcut5``,
+``lyapunov_pnls``, ``lyapunov_sg_kick``, ``lyapunov_sg_odd`` and
+``lyapunov_sg_quasi`` were re-pinned by name, every other entry
+byte-identical, when the two-orbit loop came to measure its separation with
+``math.fsum`` in place of ``np.linalg.norm``, whose BLAS sum order changes
+with the OpenBLAS core; no printed number moved by more than 2.22e-16.
 ``snapshot_v1_*.json`` are snapshots written by ``save_field`` when fields
 held full spectra.  Regenerate a corpus only on purpose, and say why in
 CHANGES.md.
@@ -279,8 +285,12 @@ def spectra_corpus():
     return {name: record(name, argv) for name, argv in CASES.items()}
 
 
+def command_entry(name, argv):
+    return {"argv": argv, "payload_sha256": digest(run(argv)[1])}
+
+
 def commands_corpus():
-    corpus = {name: {"argv": argv, "payload_sha256": digest(run(argv)[1])} for name, argv in COMMAND_CASES.items()}
+    corpus = {name: command_entry(name, argv) for name, argv in COMMAND_CASES.items()}
     for name, inp in darboux_inputs().items():
         corpus[name] = {"size": list(inp.omega.grid.shape), "payload_sha256": digest(darboux_snapshot_payload(inp))}
     corpus["darboux_snapshots_y_64x32"]["p_t_sha256"] = p_t_digest(darboux_y_input())
@@ -290,14 +300,15 @@ def commands_corpus():
 
 
 if __name__ == "__main__":
-    corpora = {"spectra": spectra_corpus, "commands": commands_corpus}
+    corpora = {"spectra": (spectra_corpus, CASES, record), "commands": (commands_corpus, COMMAND_CASES, command_entry)}
     kind, names = sys.argv[1] if len(sys.argv) > 1 else None, sys.argv[2:]
-    if kind not in corpora or (names and (kind != "spectra" or not set(names) <= set(CASES))):
-        sys.exit("usage: generate.py commands | generate.py spectra [NAME ...]")
+    if kind not in corpora or not set(names) <= set(corpora[kind][1]):
+        sys.exit("usage: generate.py spectra|commands [NAME ...]")
+    build, cases, entry = corpora[kind]
     path = HERE / f"{kind}.json"
     if names:
-        corpus = json.loads(path.read_text()) | {name: record(name, CASES[name]) for name in names}
+        corpus = json.loads(path.read_text()) | {name: entry(name, cases[name]) for name in names}
     else:
-        corpus = corpora[kind]()
+        corpus = build()
     path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     sys.exit(0)

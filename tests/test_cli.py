@@ -7,8 +7,10 @@ import math
 import pathlib
 import pkgutil
 import runpy
+import signal
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -636,18 +638,24 @@ class TestLyapunovCommand:
         assert len(payload) == 1 + 4
 
 
-def test_sg_lyapunov_scan_script(tmp_path):
+def test_sg_lyapunov_scan_script(tmp_path, capsys):
     # the one script no command mirrors: it breaks if the model or diagnostics API moves
     script = runpy.run_path(str(ROOT / "scripts" / "sg_lyapunov_scan.py"))
     out = tmp_path / "scan.csv"
-    argv = ["--n-eps", "2", "--n-a", "2", "--n-modes", "8", "--t-end", "2", "--out", str(out)]
-    assert script["main"](argv) == 0
+    argv = ["--n-eps", "2", "--n-a", "2", "--n-modes", "8", "--t-end", "2"]
+    assert script["main"]([*argv, "--out", str(out)]) == 0
     header, *rows = out.read_text().splitlines()
     assert header == "eps,a,lambda,escaped"
     assert len(rows) == 4
     for row in rows:
         eps, a, lam, escaped = row.split(",")
         assert all(math.isfinite(float(v)) for v in (eps, a, lam)) and escaped in ("True", "False")
+    assert capsys.readouterr().out == ""
+    # without --out the rows go to stdout and the progress lines to stderr
+    assert script["main"](argv) == 0
+    std = capsys.readouterr()
+    assert std.out == out.read_text()
+    assert len(std.err.splitlines()) == 4 and all(" -> lambda=" in line for line in std.err.splitlines())
 
 
 class TestParamsEcho:
@@ -716,15 +724,20 @@ class TestParamsEcho:
         assert run_cli("darboux", "--nx", "32", "--out", str(out)) == 0
         assert read_out(out)[0]["params"] == {"eta": 0.001, "nx": 32, "ny": 8}
 
-    def test_darboux_snapshot_header(self, tmp_path):
+    def test_darboux_snapshot_header(self, tmp_path, capsys):
         d = darboux_shear_example(32, 8, 1e-3)
         paths = {}
         for key, fld in zip(("omega", "p", "f", "bigf"), (d.omega, d.p, d.f, d.F)):
             paths[key] = str(tmp_path / f"{key}.json")
             save_field(paths[key], fld)
+        argv = [f"--{key}={path}" for key, path in paths.items()]
         out = tmp_path / "dx.jsonl"
-        assert run_cli("darboux", *(f"--{key}={path}" for key, path in paths.items()), "--out", str(out)) == 0
-        assert read_out(out)[0]["params"] == {**paths, "eta": 0.001, "nx": 128, "ny": 8}
+        # the grid is the snapshots', so nx and ny do not apply
+        assert run_cli("darboux", *argv, "--nx", "7", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "nel: error: parameters ['nx'] do not apply to darboux from field snapshots\n"
+        assert not out.exists() and not (tmp_path / "dx.jsonl.partial").exists()
+        assert run_cli("darboux", *argv, "--out", str(out)) == 0
+        assert read_out(out)[0]["params"] == {**paths, "eta": 0.001}
 
 
 class TestApplicability:
@@ -734,6 +747,7 @@ class TestApplicability:
         *((name, {}) for name in ("spectrum", "nustar", "zvtrack", "darboux")),
         *(("laxcheck", v) for v in ({"dim": "2"}, {"dim": "3", "mode": "curl"}, {"dim": "3", "mode": "free"})),
         *((name, {"model": m}) for name in ("simulate", "poincare", "lyapunov") for m in MODEL_SCHEMAS),
+        ("darboux", {"omega": "omega.json", "p": "p.json", "f": "f.json", "bigf": "bigf.json"}),
     ]
 
     @pytest.mark.parametrize("name, variant", VARIANTS)
@@ -945,6 +959,22 @@ class TestPayloadSpool:
         assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE
         assert proc.stderr.read().decode() == ""  # no message, and no ignored exception at the final flush
         proc.stderr.close()
+
+    def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path):
+        # Ctrl-C in the middle of a run that would take hours
+        code = "import sys, nel.cli; print('ready', flush=True); sys.exit(nel.cli.main(sys.argv[1:]))"
+        argv = ["lyapunov", "--model", "abc", "--t-end", "1e6", "--out", str(tmp_path / "x.csv")]
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"ready\n"
+            time.sleep(0.5)  # into the two-orbit loop
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130  # 128 + SIGINT
+        assert err.decode() == "nel: interrupted\n"
+        assert not list(tmp_path.iterdir())  # no output, no .partial, no spool
 
     def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path):
         out = tmp_path / "sim.jsonl"

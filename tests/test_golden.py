@@ -16,7 +16,8 @@ header fields from its reference at N and 2N are pinned by value too, to
 1e-9.  The hashed zvtrack payloads are also checked with numpy's SIMD loops
 capped at AVX2, and every hashed payload with OpenBLAS's Haswell kernels.
 Every payload of the commands corpus, the bytes ``save_field`` writes, and
-the bytes of ``darboux_apply``'s p~ on y-dependent input are pinned by hash.
+the bytes of ``darboux_apply``'s p~ on y-dependent input are pinned by hash;
+the ``lyapunov`` payloads are also checked with the Haswell kernels.
 """
 
 import json
@@ -147,6 +148,27 @@ def test_zvtrack_inviscid_header(name):
 def test_command_payload_bytes(name):
     _, payload = run(COMMANDS[name]["argv"])
     assert digest(payload) == COMMANDS[name]["payload_sha256"]
+
+
+# a fresh interpreter: the payload digests of the named commands entries, as JSON
+COMMAND_DIGESTS = """
+import json, pathlib, sys
+sys.path.insert(0, sys.argv[1])
+from generate import digest, run
+corpus = json.loads((pathlib.Path(sys.argv[1]) / "commands.json").read_text())
+print(json.dumps({name: digest(run(corpus[name]["argv"])[1]) for name in sys.argv[2:]}))
+"""
+
+
+def test_lyapunov_bytes_with_haswell_openblas():
+    """The pinned lyapunov bytes hold with OpenBLAS's Haswell kernels: the
+    two-orbit loop sums its separation in a fixed order, not by a BLAS call
+    (one subprocess for every entry: OpenBLAS picks its core when it loads)."""
+    names = sorted(k for k in COMMANDS if k.startswith("lyapunov"))
+    argv = [sys.executable, "-c", COMMAND_DIGESTS, str(GOLDEN), *names]
+    proc = subprocess.run(argv, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: COMMANDS[name]["payload_sha256"] for name in names}
 
 
 @pytest.mark.parametrize("name", sorted(k for k in COMMANDS if k.startswith("darboux_snapshots")))

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nel import models
+from nel.diagnostics import lyapunov_max
 from nel.errors import ComputationalError, ValidationError
 from nel.forcing import ABCState, ForcingSpec
 from nel.models import (
@@ -269,31 +270,41 @@ class TestStateVectorRoundTrip:
         assert np.array_equal(bits(st.with_vector(st.vector()).q.view(float)), bits(st.q.view(float)))
 
     @pytest.mark.parametrize("case", KINDS)
-    def test_protocol(self, case):
+    def test_protocol(self, case, monkeypatch):
         st = random_state(case, np.random.default_rng(5))
         vec = st.vector()
         assert np.array_equal(bits(st.with_vector(vec).vector()), bits(vec))
-        assert st.separation(st) == 0.0
-        d0 = 1e-3
-        shadow = st.shadow(d0, seed=2)
-        assert st.separation(shadow) == pytest.approx(d0, rel=1e-9)
-        direction = (shadow.vector() - vec) / d0
-        assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-9)
-        if case == "sg_odd":  # slot 0 of u and of v
-            assert np.array_equal(direction[[0, 17]], [0.0, 0.0])
-        half = st.toward(shadow, 0.5)
-        assert st.separation(half) == pytest.approx(0.5 * d0, rel=1e-9)
-        assert half.separation(shadow) == pytest.approx(0.5 * d0, rel=1e-9)
+        assert np.array_equal(st.gap(st), np.zeros(vec.size))
+        assert st.direction(2).shape == vec.shape
         re, im = st.coeffs()
         assert re + im == vec.tolist() and len(im) == (0 if case == "abc" else len(re))
         assert st.frozen is False
 
+        # lyapunov_max's shadow and rescale, under an advance that doubles the gap
+        pairs = []
+
+        def doubling(x, y, n, h):
+            pairs.append((x, y))
+            return x, x.with_vector(x.vector() + 2.0 * x.gap(y))
+
+        monkeypatch.setattr(type(st), "advance", doubling)
+        d0 = 1e-3
+        res = lyapunov_max(st, 1.0, dt=0.1, renorm_dt=0.5, d0=d0, seed=2)
+        assert res.lam == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
+        shadow, rescaled = pairs[0][1], pairs[1][1]
+        gap = st.gap(shadow)
+        assert np.linalg.norm(gap) == pytest.approx(d0, rel=1e-9)
+        if case == "sg_odd":  # slot 0 of u and of v
+            assert np.array_equal(gap[[0, 17]], [0.0, 0.0])
+        # the doubled gap is halved: the new shadow is the halfway point, back at d0
+        assert np.linalg.norm(st.gap(rescaled) - gap) < 1e-9 * d0
+
     def test_abc_separation_across_the_seam(self):
         a = ABCState(theta=(2.0 * math.pi - 1e-3, 1.0, 2.0), abc=(1.0, 1.0, 1.0))
         b = ABCState(theta=(1e-3, 1.0, 2.0), abc=(1.0, 1.0, 1.0))
-        assert a.separation(b) == pytest.approx(2e-3, rel=1e-9)
-        assert b.separation(a) == pytest.approx(2e-3, rel=1e-9)
-        assert a.toward(b, 0.5).theta[0] == pytest.approx(2.0 * math.pi, rel=1e-12)
+        assert np.linalg.norm(a.gap(b)) == pytest.approx(2e-3, rel=1e-9)
+        assert np.linalg.norm(b.gap(a)) == pytest.approx(2e-3, rel=1e-9)
+        assert a.with_vector(a.vector() + 0.5 * a.gap(b)).theta[0] == pytest.approx(2.0 * math.pi, rel=1e-12)
         assert ABCState(theta=a.theta, abc=(0.0, 0.0, 0.0)).frozen
 
 
@@ -309,7 +320,7 @@ class TestBatchAxis:
             rows = [r.step(0.02) for r in rows]
         for got, row in zip(pair, rows):
             if case == "abc":  # a window reduces the angles mod 2*pi once, not every step
-                assert got.separation(row) < 1e-12
+                assert np.linalg.norm(got.gap(row)) < 1e-12
             else:
                 assert np.array_equal(got.vector(), row.vector())
                 assert got.t == row.t
