@@ -72,8 +72,8 @@ from .runio import (
 )
 from .spectra import (
     ModeClass,
-    class_spectrum,
     classify_limits,
+    compute_spectrum,
     critical_viscosity,
     limits_summary,
     refine_rightmost,
@@ -164,7 +164,7 @@ SPECTRUM_CSV_HEADER = "class_k1,class_k2,alpha,gamma,nu,trunc,re,im"
 
 def _run_spectrum(p, cfg, payload):
     cls = ModeClass(p["k1"], p["k2"])
-    spec = class_spectrum(cls, p["alpha"], p["gamma"], p["nu"], p["trunc"])
+    spec = compute_spectrum(cls, p["alpha"], p["gamma"], p["nu"], p["trunc"])
     _, refine_delta = refine_rightmost(spec)
     if cfg.fmt == "csv":
         payload.append(SPECTRUM_CSV_HEADER)
@@ -293,8 +293,12 @@ MODEL_SCHEMAS = {
 
 
 def _model_foreign(p) -> tuple:
-    """The keys of the other models that the run's model does not share."""
-    return f"model {p['model']!r}", frozenset().union(*MODEL_SCHEMAS.values()) - MODEL_SCHEMAS[p["model"]].keys()
+    """The keys of the other models that the run's model does not share, and the quasiperiodic drive's under cos_t."""
+    foreign = frozenset().union(*MODEL_SCHEMAS.values()) - MODEL_SCHEMAS[p["model"]].keys()
+    if p["model"] == "sg" and p["forcing_mode"] == "cos_t":
+        quasi = {k for k in MODEL_SCHEMAS["sg"] if k.startswith("forcing_")} - {"forcing_mode"}
+        return "model 'sg' with forcing_mode 'cos_t'", foreign | quasi
+    return f"model {p['model']!r}", foreign
 
 
 def _model_fields(cls, p: dict, prefix: str = "") -> dict:

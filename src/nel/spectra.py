@@ -13,7 +13,7 @@ which is the image of -{Psi*, .} - {Lap^{-1} ., Omega*} + nu Lap on the class.
 The class is the lattice line of y wavenumbers m = k2 + n over all integers
 (Meshalkin & Sinai; Li), so k2 only labels it: truncation keeps m in [-N, N]
 (the window of (k1, 0)) for k1 != 0, m in [1 - N, 1 + N] without the mean
-mode m = 0 (the window of (0, 1)) for k1 = 0, and offsets n = m - k2.  For
+mode m = 0 (the window of (0, 1)) for k1 = 0, and n = m - k2.  For
 k1 = 0 the operator is diagonal, -nu m^2, and its spectrum is its diagonal.
 
 For k1 != 0 the window is symmetric in m and |k_m| = |k_{-m}|, so A commutes
@@ -35,8 +35,8 @@ rows, q = m // 2 odd ones).  CB is tridiagonal in the band products, built in
 O(m), so an inviscid solve is one eigensolve of half the size, about a sixth
 of the time; its values keep the bound above against the dense solve of T.
 
-assemble_suboperator gives A by its three bands; the dense matrix is built
-from them only for an eigensolve.  One pass of a scaled three-term
+compute_spectrum assembles A by its three bands (assemble_suboperator) and
+builds a dense block only for an eigensolve.  One pass of a scaled three-term
 recurrence on the bands (continuant: the continued fraction of Meshalkin &
 Sinai) gives the sign of det(A - lambda I) and its log-derivative in O(N).
 nu* is the viscosity where det(A+) changes sign at lambda = 0, A+ the
@@ -131,17 +131,6 @@ class Tridiagonal:
 
 
 @dataclass(frozen=True)
-class SubOperator:
-    cls: ModeClass
-    alpha: float
-    gamma: float
-    nu: float
-    trunc: int
-    offsets: tuple[int, ...]  # n values in row order
-    bands: Tridiagonal = field(repr=False)
-
-
-@dataclass(frozen=True)
 class Spectrum:
     cls: ModeClass
     alpha: float
@@ -193,11 +182,9 @@ class Classification:
     addition_set: list[complex]
 
 
-def assemble_suboperator(
-    cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
-) -> SubOperator:
-    """The truncated operator on one mode class, by its row offsets and bands
-    (float64: every entry is real)."""
+def assemble_suboperator(cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int) -> Tridiagonal:
+    """The truncated operator on one mode class, by its bands (float64: every
+    entry is real), rows in ascending wavenumber m."""
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     if nu < 0:
@@ -214,20 +201,19 @@ def assemble_suboperator(
     ksq = kx + m**2
     rho = 1.0 - 1.0 / ksq
     c = gamma * alpha * cls.k1 / 2.0
-    bands = Tridiagonal(-nu * ksq, c * rho[:-1], -c * rho[1:])
-    return SubOperator(cls, alpha, gamma, nu, trunc, tuple((m - cls.k2).tolist()), bands)
+    return Tridiagonal(-nu * ksq, c * rho[:-1], -c * rho[1:])
 
 
-def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> list[tuple[int, Tridiagonal]]:
-    """(parity, block) pairs whose spectra make up the class spectrum: the
+def sector_blocks(cls: ModeClass, trunc: int, bands: Tridiagonal) -> dict[int, Tridiagonal]:
+    """The blocks whose spectra make up the class spectrum, by parity: the
     P = +1 and P = -1 blocks for k1 != 0, else the diagonal operator whole
     (parity 0)."""
     if cls.k1 == 0:
-        return [(0, bands)]
+        return {0: bands}
     even = bands.trailing(trunc)
     upper = even.upper.copy()
     upper[0] *= 2.0  # w_{-1} = -w_1
-    return [(1, replace(even, upper=upper)), (-1, bands.trailing(trunc + 1))]
+    return {1: replace(even, upper=upper), -1: bands.trailing(trunc + 1)}
 
 
 # the LAPACK routines block_eigvals calls: how many string and pointer arguments
@@ -329,30 +315,25 @@ def parity_eigvals(t: Tridiagonal) -> np.ndarray:
     return np.concatenate([root, 0.0 - root, np.zeros(len(t.diag) - 2 * q)])  # 0 - root: no signed zeros
 
 
-def compute_spectrum(op: SubOperator) -> Spectrum:
-    """Eigenvalues, deterministically sorted: a k1 != 0 class is solved as its
-    two reflection sectors, a nu = 0 block by its parity split; a k1 = 0 class
-    is diagonal, and its diagonal (+0.0 for nu = 0's signed zeros) is its
-    spectrum, with no eigensolve."""
-    blocks = sector_blocks(op.cls, op.trunc, op.bands)
+def compute_spectrum(cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int) -> Spectrum:
+    """Eigenvalues of the truncated operator on one mode class, deterministically
+    sorted: a k1 != 0 class is solved as its two reflection sectors, a nu = 0
+    block by its parity split; a k1 = 0 class is diagonal, and its diagonal
+    (+0.0 for nu = 0's signed zeros) is its spectrum, with no eigensolve."""
+    blocks = sector_blocks(cls, trunc, assemble_suboperator(cls, alpha, gamma, nu, trunc))
     try:
         parts = [
-            b.diag + 0.0 if p == 0 else block_eigvals(b) if b.diag.any() else parity_eigvals(b) for p, b in blocks
+            b.diag + 0.0 if p == 0 else block_eigvals(b) if b.diag.any() else parity_eigvals(b)
+            for p, b in blocks.items()
         ]
     except np.linalg.LinAlgError as e:
         raise ComputationalError(f"eigensolver failed: {e}") from e
     vals = np.concatenate(parts, dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
         raise ComputationalError("eigensolver produced non-finite eigenvalues")
-    sectors = np.repeat([p for p, _ in blocks], [len(v) for v in parts])
+    sectors = np.repeat(list(blocks), [len(v) for v in parts])
     order = np.lexsort((-vals.imag, -vals.real))
-    return Spectrum(op.cls, op.alpha, op.gamma, op.nu, op.trunc, vals[order], sectors[order])
-
-
-def class_spectrum(
-    cls: ModeClass, alpha: float, gamma: float, nu: float, trunc: int
-) -> Spectrum:
-    return compute_spectrum(assemble_suboperator(cls, alpha, gamma, nu, trunc))
+    return Spectrum(cls, alpha, gamma, nu, trunc, vals[order], sectors[order])
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +420,13 @@ def refine_rightmost(spec: Spectrum) -> tuple[complex, float]:
     """
     lam = spec.values[0]
     n2 = 2 * spec.trunc
-    bands = assemble_suboperator(spec.cls, spec.alpha, spec.gamma, spec.nu, n2).bands
-    block = dict(sector_blocks(spec.cls, n2, bands))[spec.sectors[0]]
+    bands = assemble_suboperator(spec.cls, spec.alpha, spec.gamma, spec.nu, n2)
+    block = sector_blocks(spec.cls, n2, bands)[spec.sectors[0]]
     start = complex(lam) if lam.imag else float(lam.real)
     mu = newton_root(block, start)
     if mu is not None and abs(mu - start) <= NEWTON_GAP * max(1.0, abs(start)):
         return complex(mu), float(abs(mu - start))
-    dense = class_spectrum(spec.cls, spec.alpha, spec.gamma, spec.nu, n2).values[0]
+    dense = compute_spectrum(spec.cls, spec.alpha, spec.gamma, spec.nu, n2).values[0]
     return complex(dense), float(abs(lam - dense))
 
 
@@ -467,8 +448,8 @@ def truncated_nustar(alpha: float, gamma: float, trunc: int) -> tuple[float, int
     unstable eigenvalue flips it.  Returns the smallest double found stable.
     """
     cls = ModeClass(1, 0)
-    bands = assemble_suboperator(cls, alpha, gamma, 1.0, trunc).bands  # the diagonal -nu |k|^2 scales with nu
-    (_, even), _ = sector_blocks(cls, trunc, bands)
+    bands = assemble_suboperator(cls, alpha, gamma, 1.0, trunc)  # the diagonal -nu |k|^2 scales with nu
+    even = sector_blocks(cls, trunc, bands)[1]
     left_sign = (-1) ** len(even.diag)
 
     def stable(nu):
@@ -518,7 +499,7 @@ def critical_viscosity(
     ns_n, iters = truncated_nustar(alpha, gamma, trunc)
     ns_2n, _ = truncated_nustar(alpha, gamma, 2 * trunc)
     for nu, below in ((max(0.0, ns_2n - tol / 2), True), (ns_2n + tol / 2, False)):
-        v = class_spectrum(ModeClass(1, 0), alpha, gamma, nu, 2 * trunc).values[0]
+        v = compute_spectrum(ModeClass(1, 0), alpha, gamma, nu, 2 * trunc).values[0]
         if v.imag != 0 or not (v.real > 0 if below else v.real < 0):
             raise ComputationalError(
                 f"the rightmost eigenvalue at nu = {nu!r} is {complex(v)}: no real "
@@ -537,15 +518,13 @@ def critical_viscosity(
 # inviscid reference and zero-viscosity tracking
 
 
-def euler_spectrum(
-    cls: ModeClass, alpha: float, gamma: float = DEFAULT_GAMMA, trunc: int = 200
-) -> EulerSpectrum:
+def euler_spectrum(cls: ModeClass, alpha: float, gamma: float = DEFAULT_GAMMA, trunc: int = 200) -> EulerSpectrum:
     """nu = 0 spectrum split into isolated points and the imaginary cluster.
 
     A point eigenvalue must sit off the axis (|Re| > 1e-6) and at least ten
     local spacings away from its nearest neighbor.
     """
-    spec = class_spectrum(cls, alpha, gamma, 0.0, trunc)
+    spec = compute_spectrum(cls, alpha, gamma, 0.0, trunc)
     vals = spec.values
     off_axis = np.abs(vals.real) > AXIS_TOL
     cluster = vals[~off_axis]
@@ -689,7 +668,7 @@ def track_zero_viscosity(
     reference euler_spectrum at trunc and 2 trunc, all solved on one pool
     (_on_every_cpu) ahead of the matching, which runs in schedule order."""
     nus = np.asarray(list(nu_schedule), dtype=float)
-    calls = [functools.partial(class_spectrum, cls, alpha, gamma, nu, trunc) for nu in nus]
+    calls = [functools.partial(compute_spectrum, cls, alpha, gamma, nu, trunc) for nu in nus]
     calls += [functools.partial(euler_spectrum, cls, alpha, gamma, n) for n in (trunc, 2 * trunc)]
     solved = _on_every_cpu(calls)
     try:

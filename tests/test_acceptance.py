@@ -40,8 +40,8 @@ from nel.models import (
 from nel.spectra import (
     AXIS_TOL,
     ModeClass,
-    class_spectrum,
     classify_limits,
+    compute_spectrum,
     critical_viscosity,
     euler_spectrum,
     refine_rightmost,
@@ -67,7 +67,7 @@ def cluster_max_gap(eu):
 def test_a01_diffusion_class_spectrum_is_exactly_diagonal():
     """Class (0,1) at nu=0.1: eigenvalues are {-0.1 n^2} to 1e-10, in < 1s."""
     t0 = time.perf_counter()
-    spec = class_spectrum(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 64)
+    spec = compute_spectrum(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 64)
     elapsed = time.perf_counter() - t0
     modes = [1 + j for j in range(-64, 65) if 1 + j != 0]
     want = np.sort(np.array([-0.1 * n * n for n in modes]))
@@ -90,7 +90,7 @@ def test_a02_critical_viscosity_in_analytic_bracket():
 
 def test_a03_viscous_unstable_eigenvalue():
     """At nu=0.05 exactly one eigenvalue has Re > 0, real, in (0.0401, 0.1203)."""
-    spec = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100)
+    spec = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100)
     unstable = [v for v in spec.values if v.real > 0]
     assert len(unstable) == 1
     lam = unstable[0]

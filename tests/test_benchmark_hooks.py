@@ -4,7 +4,8 @@ benchmark run.  The probe also runs small chaos commands under the wrappers,
 so a wave or envelope step, strobe, section search or angle-flow window that
 no longer passes through a wrapped name reads as a zero count here, and the
 traced ``runio.records`` and ``runio.bytes`` must equal the payloads the runs
-wrote."""
+wrote.  The class eigensolve, ``spectra.compute_spectrum``, is wrapped apart
+from the spans, as ``spectra.eig``: a small ``spectrum`` run must count it."""
 
 import os
 import pathlib
@@ -20,11 +21,13 @@ sys.path.insert(0, "perfbench")
 import nel.cli
 import layers, tracer
 originals = {(m, f): getattr(sys.modules[m], f) for m, f, _ in layers.SPANS}
+originals["nel.spectra", "compute_spectrum"] = nel.spectra.compute_spectrum
 tr = tracer.Tracer()
 layers.install(tr)
 for (m, f), original in originals.items():
     now = getattr(sys.modules[m], f)
     assert now is not original and now.__wrapped__ is original, f"{m}.{f} not wrapped"
+assert nel.cli.compute_spectrum is nel.spectra.compute_spectrum, "nel.cli's binding not wrapped"
 written = {"records": 0, "bytes": 0}  # payload lines and bytes in the output files
 with tempfile.TemporaryDirectory() as tmp:
     def run(argv):
@@ -34,6 +37,10 @@ with tempfile.TemporaryDirectory() as tmp:
         written["records"] += payload.count(b"\\n")
         written["bytes"] += len(payload)
 
+    run(["spectrum", "--k1", "1", "--k2", "0", "--nu", "0.05", "--trunc", "8"])
+    totals = tr.totals(tr.table())
+    for span in ("spectra.eig", "spectra.assemble"):
+        assert totals.get(span, (0, 0.0))[0] > 0, span
     run(["poincare", "--model", "sg", "--u0", "3.0", "--n-modes", "8", "--iterates", "1"])
     totals = tr.totals(tr.table())  # only the wave model has stepped so far
     for span in ("models.step", "models.nonlinear", "diagnostics.strobe"):

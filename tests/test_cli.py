@@ -167,6 +167,13 @@ class TestValidationFailures:
         assert run_cli("simulate", "--model", "abc", "--kick", "1:0.5") == 2
         assert "kick" in capsys.readouterr().err
 
+    def test_quasiperiodic_key_under_the_cos_t_drive_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.jsonl"
+        assert run_cli("simulate", "--model", "sg", "--forcing-betas", "9,9,9,9", "--t-end", "0.02", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "nel: error: parameters ['forcing_betas'] do not apply to model 'sg' with forcing_mode 'cos_t'\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv, keys",
         [
@@ -287,11 +294,12 @@ def eig_counter(monkeypatch):
     calls = []
     solve = nel.spectra.compute_spectrum
 
-    def counted(op):
-        calls.append(op.trunc)
-        return solve(op)
+    def counted(cls, alpha, gamma, nu, trunc):
+        calls.append(trunc)
+        return solve(cls, alpha, gamma, nu, trunc)
 
     monkeypatch.setattr(nel.spectra, "compute_spectrum", counted)
+    monkeypatch.setattr(nel.cli, "compute_spectrum", counted)  # spectrum's own solve
     return calls
 
 
@@ -681,6 +689,15 @@ class TestParamsEcho:
             "parity": "even", "sample_every": 1, "t_end": 0.02, "u0": 0.0, "v0": 0.0,
         }
 
+    def test_cos_t_wave_model_header_leaves_out_the_quasiperiodic_keys(self, tmp_path):
+        out = tmp_path / "sim.jsonl"
+        assert run_cli("simulate", "--model", "sg", "--n-modes", "8", "--t-end", "0.02", "--out", str(out)) == 0
+        header, _ = read_out(out)
+        assert header["params"] == {
+            "a": 1.0, "c": 0.9, "dt": 0.01, "eps": 0.0, "forcing_mode": "cos_t", "kick": [], "model": "sg",
+            "n_modes": 8, "parity": "even", "sample_every": 10, "t_end": 0.02, "u0": 0.0, "v0": 0.0,
+        }
+
     def test_angle_model_header(self, tmp_path):
         out = tmp_path / "lyap.csv"
         assert run_cli("lyapunov", "--model", "abc", "--theta0", "0.5,2,3", "--t-end", "2", "--out", str(out)) == 0
@@ -748,7 +765,13 @@ class TestApplicability:
         *(("laxcheck", v) for v in ({"dim": "2"}, {"dim": "3", "mode": "curl"}, {"dim": "3", "mode": "free"})),
         *((name, {"model": m}) for name in ("simulate", "poincare", "lyapunov") for m in MODEL_SCHEMAS),
         ("darboux", {"omega": "omega.json", "p": "p.json", "f": "f.json", "bigf": "bigf.json"}),
+        *((name, {"model": "sg", "forcing_mode": "quasiperiodic"}) for name in ("simulate", "poincare", "lyapunov")),
     ]
+
+    QUASI = {
+        "forcing_alpha0", "forcing_betas", "forcing_omegas", "forcing_phases",
+        "forcing_mu", "forcing_eps", "forcing_abc", "forcing_abc_state",
+    }
 
     @pytest.mark.parametrize("name, variant", VARIANTS)
     def test_foreign_keys_lie_in_the_schema(self, name, variant):
@@ -756,7 +779,11 @@ class TestApplicability:
         _, foreign = cmd.foreign({**cmd.defaults, **variant})
         assert foreign <= cmd.schema.keys()
         if "model" in variant:
-            assert foreign.isdisjoint(MODEL_SCHEMAS[variant["model"]])
+            # the other models' keys that this model does not share, and the
+            # quasiperiodic drive's keys when the wave model runs the cos_t drive
+            others = set().union(*MODEL_SCHEMAS.values()) - MODEL_SCHEMAS[variant["model"]].keys()
+            cos_t = variant["model"] == "sg" and variant.get("forcing_mode", "cos_t") == "cos_t"
+            assert foreign == others | (self.QUASI if cos_t else set())
 
     def test_every_command_and_variant_is_covered(self):
         assert {name for name, _ in self.VARIANTS} == COMMANDS.keys()

@@ -30,7 +30,6 @@ from nel.spectra import (
     Tridiagonal,
     assemble_suboperator,
     block_eigvals,
-    class_spectrum,
     compute_spectrum,
     track_zero_viscosity,
     viscosity_schedule,
@@ -48,7 +47,7 @@ def same_bytes(got, want):
 
 
 def solved_blocks(cases):
-    """Every block that class_spectrum hands the eigensolve, for (cls, nu, trunc) cases."""
+    """Every block that compute_spectrum hands the eigensolve, for (cls, nu, trunc) cases."""
     blocks = []
     solve = nel.spectra.block_eigvals
 
@@ -59,7 +58,7 @@ def solved_blocks(cases):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(nel.spectra, "block_eigvals", spy)
         for cls, nu, trunc in cases:
-            class_spectrum(cls, ALPHA, GAMMA, nu, trunc)
+            compute_spectrum(cls, ALPHA, GAMMA, nu, trunc)
     return blocks
 
 
@@ -168,13 +167,13 @@ def test_permuted_blocks_solve_as_numpy_does(case, trunc, monkeypatch):
         assert same_bytes(block_eigvals(t), np.linalg.eigvals(t.dense()))
     assert counts == {"dgeev": 3, "dhseqr": 0}
     for nu in (0.05, 1e-3, 1e-4):
-        class_spectrum(cls, alpha, GAMMA, nu, trunc)
+        compute_spectrum(cls, alpha, GAMMA, nu, trunc)
     assert counts == {"dgeev": 3, "dhseqr": 6}
 
 
 @pytest.mark.parametrize("norm", [1e-140, 1e140])
 def test_blocks_dgeev_scales_solve_as_numpy_does(norm, monkeypatch):
-    t = assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 40).bands
+    t = assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 40)
     s = norm / np.max(np.abs(t.diag))  # the diagonal holds the largest entry
     t = Tridiagonal(s * t.diag, s * t.lower, s * t.upper)
     counts = solves(monkeypatch)
@@ -190,23 +189,21 @@ FALLBACK_CASES = BLOCK_CASES["sectors-40"][::7] + BLOCK_CASES["parity"] + BLOCK_
 
 
 def test_fallback_gives_the_same_bytes(monkeypatch):
-    ops = [assemble_suboperator(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in FALLBACK_CASES]
-    want = [compute_spectrum(op) for op in ops]
+    want = [compute_spectrum(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in FALLBACK_CASES]
     monkeypatch.setattr(nel.spectra, "_lapack", lambda name: None)  # numpy without the symbols
-    for op, w in zip(ops, want):
-        got = compute_spectrum(op)
+    for (cls, nu, trunc), w in zip(FALLBACK_CASES, want):
+        got = compute_spectrum(cls, ALPHA, GAMMA, nu, trunc)
         assert same_bytes(got.values, w.values) and np.array_equal(got.sectors, w.sectors)
 
 
 @pytest.mark.parametrize("missing", ["dgebal", "dhseqr"])
 def test_dgeev_alone_gives_the_same_bytes(missing, monkeypatch):
-    ops = [assemble_suboperator(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in FALLBACK_CASES]
-    want = [compute_spectrum(op) for op in ops]
+    want = [compute_spectrum(cls, ALPHA, GAMMA, nu, trunc) for cls, nu, trunc in FALLBACK_CASES]
     lapack = nel.spectra._lapack
     monkeypatch.setattr(nel.spectra, "_lapack", lambda name: None if name == missing else lapack(name))
     counts = solves(monkeypatch)
-    for op, w in zip(ops, want):
-        got = compute_spectrum(op)
+    for (cls, nu, trunc), w in zip(FALLBACK_CASES, want):
+        got = compute_spectrum(cls, ALPHA, GAMMA, nu, trunc)
         assert same_bytes(got.values, w.values) and np.array_equal(got.sectors, w.sectors)
     assert counts["dgeev"] > 0 and counts["dhseqr"] == 0
 
@@ -224,7 +221,7 @@ def test_no_convergence_is_a_linalg_error(monkeypatch):
     failing_solves(monkeypatch)
     cls, alpha = PERMUTED["1-1-alpha-1"]
     for t in (  # solved by dhseqr, then by dgeev
-        assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8).bands,
+        assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8),
         shifted_window_bands(cls, alpha, GAMMA, 0.05, 8),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
@@ -232,7 +229,7 @@ def test_no_convergence_is_a_linalg_error(monkeypatch):
 
 
 def test_non_finite_block_is_a_linalg_error():
-    t = assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8).bands
+    t = assemble_suboperator(ModeClass(1, 1), ALPHA, GAMMA, 0.05, 8)
     t.lower[3] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         block_eigvals(t)
@@ -248,9 +245,9 @@ def test_failed_solve_exits_3(plant, monkeypatch, tmp_path, capsys):
         assemble = nel.spectra.assemble_suboperator
 
         def with_nan(*args):
-            op = assemble(*args)
-            op.bands.diag[-1] = np.inf  # a row of every sector
-            return op
+            bands = assemble(*args)
+            bands.diag[-1] = np.inf  # a row of every sector
+            return bands
 
         monkeypatch.setattr(nel.spectra, "assemble_suboperator", with_nan)
     out = tmp_path / "out.jsonl"
@@ -259,7 +256,7 @@ def test_failed_solve_exits_3(plant, monkeypatch, tmp_path, capsys):
     assert "numerical failure: eigensolver failed" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ComputationalError):
-        class_spectrum(ModeClass(2, 1), ALPHA, GAMMA, 0.05, 8)
+        compute_spectrum(ModeClass(2, 1), ALPHA, GAMMA, 0.05, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +291,15 @@ def test_cpu_count_without_an_affinity_mask(monkeypatch, tmp_path):
 
 
 def planted_failures(monkeypatch, fail):
-    """class_spectrum raising ComputationalError at the viscosities fail(nu) picks."""
-    real = nel.spectra.class_spectrum
+    """compute_spectrum raising ComputationalError at the viscosities fail(nu) picks."""
+    real = nel.spectra.compute_spectrum
 
     def spectrum(cls, alpha, gamma, nu, trunc):
         if fail(nu):
             raise ComputationalError(f"planted at nu = {float(nu)!r}")
         return real(cls, alpha, gamma, nu, trunc)
 
-    monkeypatch.setattr(nel.spectra, "class_spectrum", spectrum)
+    monkeypatch.setattr(nel.spectra, "compute_spectrum", spectrum)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -359,7 +356,7 @@ def test_failed_matching_cancels_the_queued_solves(monkeypatch):
     cpus(monkeypatch, 3)
     baseline = threading.active_count()
     started = []
-    real = nel.spectra.class_spectrum
+    real = nel.spectra.compute_spectrum
 
     def spectrum(*args):
         started.append(args)
@@ -369,7 +366,7 @@ def test_failed_matching_cancels_the_queued_solves(monkeypatch):
     def assignment(cost):
         raise ComputationalError("planted in the matching of step 1")
 
-    monkeypatch.setattr(nel.spectra, "class_spectrum", spectrum)
+    monkeypatch.setattr(nel.spectra, "compute_spectrum", spectrum)
     monkeypatch.setattr(nel.spectra, "linear_sum_assignment", assignment)
     with pytest.raises(ComputationalError, match="planted in the matching") as failure:
         track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, SCHEDULE, 8)

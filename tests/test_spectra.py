@@ -22,7 +22,6 @@ from nel.spectra import (
     Spectrum,
     Tridiagonal,
     assemble_suboperator,
-    class_spectrum,
     classify_limits,
     compute_spectrum,
     continuant,
@@ -53,40 +52,39 @@ GAMMA = 0.5
 
 class TestAssembly:
     def test_entries_match_formulas(self):
-        op = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 3)
-        A = op.bands.dense()
+        A = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 3).dense()
         c = GAMMA * ALPHA / 2
 
         def ksq(n):
             return ALPHA**2 + n**2
 
         for n in range(-3, 4):
-            i = op.offsets.index(n)
+            i = n + 3  # rows in ascending wavenumber
             assert A[i, i] == pytest.approx(-0.05 * ksq(n), abs=1e-15)
             if n < 3:
-                j = op.offsets.index(n + 1)
+                j = i + 1
                 # row n, super-diagonal: -c * rho_{n+1}
                 rho = 1 - 1 / ksq(n + 1)
                 assert A[i, j] == pytest.approx(-c * rho, abs=1e-15)
             if n > -3:
-                j = op.offsets.index(n - 1)
+                j = i - 1
                 rho = 1 - 1 / ksq(n - 1)
                 assert A[i, j] == pytest.approx(c * rho, abs=1e-15)
 
     def test_tridiagonal_sparsity(self):
-        op = assemble_suboperator(ModeClass(2, 1), ALPHA, GAMMA, 0.1, 8)
-        m = op.bands.dense()
+        m = assemble_suboperator(ModeClass(2, 1), ALPHA, GAMMA, 0.1, 8).dense()
         for i in range(m.shape[0]):
             for j in range(m.shape[1]):
                 if abs(i - j) > 1:
                     assert m[i, j] == 0
 
     def test_mean_mode_excluded(self):
-        op = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 4)
-        assert -1 not in op.offsets  # k2 + n = 0 at n = -1
-        assert len(op.offsets) == 8
+        bands = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 4)
+        # the diagonal is -nu m^2 on the window [-3, 5] of (0, 1), without m = 0
+        m = np.array([-3, -2, -1, 1, 2, 3, 4, 5])
+        np.testing.assert_allclose(bands.diag, -0.1 * m**2, rtol=1e-15, atol=0)
         # k1 = 0 kills the coupling: the matrix is diagonal
-        A = op.bands.dense()
+        A = bands.dense()
         assert np.max(np.abs(A - np.diag(np.diag(A)))) == 0
 
     def test_zero_class_rejected(self):
@@ -111,15 +109,16 @@ class TestReflectionSectors:
     def test_splits_only_where_reflection_commutes(self, k1, k2, nu, monkeypatch):
         # every k2 is solved on the window of (k1, 0), wavenumbers k2 + n in [-N, N]
         trunc = 12
-        op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, nu, trunc)
-        assert [k2 + n for n in op.offsets] == list(range(-trunc, trunc + 1))
-        P = reflection([k2 + n for n in op.offsets])
-        A = op.bands.dense()
+        m = np.arange(-trunc, trunc + 1)
+        diag = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, 1.0, trunc).diag
+        np.testing.assert_allclose(diag, -((ALPHA * k1) ** 2 + m**2), rtol=1e-15, atol=0)  # -nu |k_m|^2 at nu = 1
+        P = reflection(m.tolist())
+        A = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, nu, trunc).dense()
         assert np.array_equal(P @ A @ P, A)
         sizes = []
         eigvals = nel.spectra.block_eigvals
         monkeypatch.setattr(nel.spectra, "block_eigvals", lambda t: sizes.append(len(t.diag)) or eigvals(t))
-        compute_spectrum(op)
+        compute_spectrum(ModeClass(k1, k2), ALPHA, GAMMA, nu, trunc)
         blocks = [trunc + 1, trunc]
         # a nu = 0 block of m rows is solved as its m // 2 by m // 2 parity block
         assert sizes == ([m // 2 for m in blocks] if nu == 0 else blocks)
@@ -129,8 +128,8 @@ class TestReflectionSectors:
     @pytest.mark.parametrize("nu", [0.0, 1e-4, 1e-3, 0.05])
     def test_sector_eigenvalues_within_condition_bound(self, k1, trunc, nu):
         # at nu = 0 the sectors (N + 1 and N rows) are parity-split blocks of both parities
-        op = assemble_suboperator(ModeClass(k1, 0), ALPHA, GAMMA, nu, trunc)
-        assert_within_condition_bound(op.bands.dense(), compute_spectrum(op).values)
+        A = assemble_suboperator(ModeClass(k1, 0), ALPHA, GAMMA, nu, trunc).dense()
+        assert_within_condition_bound(A, compute_spectrum(ModeClass(k1, 0), ALPHA, GAMMA, nu, trunc).values)
 
 
 def assert_within_condition_bound(A, got):
@@ -154,8 +153,8 @@ class TestParitySplit:
     def test_smallest_blocks(self):
         """At trunc 1 the P = -1 block is the 1x1 zero (its parity block is
         empty) and the P = +1 block has the pair +/- sqrt(l u)."""
-        op = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 1)
-        (_, even), (_, odd) = sector_blocks(op.cls, 1, op.bands)
+        blocks = sector_blocks(ModeClass(1, 0), 1, assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 1))
+        even, odd = blocks[1], blocks[-1]
         assert parity_eigvals(odd).tolist() == [0]
         root = np.sqrt(complex(even.lower[0] * even.upper[0]))
         assert parity_eigvals(even).tolist() == [root, -root]
@@ -164,13 +163,12 @@ class TestParitySplit:
     @pytest.mark.parametrize("trunc", [16, 40])
     def test_class_without_reflection(self, k1, k2, trunc):
         # k2 != 0: the offsets n have no reflection, the wavenumbers k2 + n do
-        op = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, 0.0, trunc)
-        assert_within_condition_bound(op.bands.dense(), compute_spectrum(op).values)
+        A = assemble_suboperator(ModeClass(k1, k2), ALPHA, GAMMA, 0.0, trunc).dense()
+        assert_within_condition_bound(A, compute_spectrum(ModeClass(k1, k2), ALPHA, GAMMA, 0.0, trunc).values)
 
     def test_zero_matrix_gives_exact_zeros(self):
-        op = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.0, 12)
-        values = compute_spectrum(op).values
-        assert len(values) == len(op.offsets) == 24
+        values = compute_spectrum(ModeClass(0, 1), ALPHA, GAMMA, 0.0, 12).values
+        assert len(values) == 24
         assert np.all(values == 0)
         assert not np.any(np.signbit(values.real) | np.signbit(values.imag))
 
@@ -188,7 +186,7 @@ class TestParitySplit:
 class TestDiagonalClass:
     def test_eigenvalues_are_minus_nu_m_squared(self):
         nu = 0.1
-        spec = class_spectrum(ModeClass(0, 1), ALPHA, GAMMA, nu, 64)
+        spec = compute_spectrum(ModeClass(0, 1), ALPHA, GAMMA, nu, 64)
         expect = sorted(
             (-nu * (1 + n) ** 2 for n in range(-64, 65) if n != -1), reverse=True
         )
@@ -204,9 +202,8 @@ class TestDiagonalClass:
 
         monkeypatch.setattr(nel.spectra, "block_eigvals", no_solve)
         monkeypatch.setattr(nel.spectra, "parity_eigvals", no_solve)
-        op = assemble_suboperator(ModeClass(0, k2), ALPHA, GAMMA, nu, 20)
-        spec = compute_spectrum(op)
-        want = np.sort(op.bands.diag + 0.0)[::-1]
+        spec = compute_spectrum(ModeClass(0, k2), ALPHA, GAMMA, nu, 20)
+        want = np.sort(assemble_suboperator(ModeClass(0, k2), ALPHA, GAMMA, nu, 20).diag + 0.0)[::-1]
         assert spec.values.dtype == np.complex128 and spec.values.real.tobytes() == want.tobytes()
         assert not np.any(np.signbit(spec.values.imag)) and not spec.values.imag.any()
         assert not np.any(spec.sectors)
@@ -215,20 +212,20 @@ class TestDiagonalClass:
 class TestClosedForms:
     def test_three_mode_matrix_matches_closed_form(self):
         lam = three_mode_lambda0(ALPHA, GAMMA)
-        spec = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 1)
+        spec = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 1)
         assert spec.values[0].real == pytest.approx(lam, abs=1e-12)
         assert lam == pytest.approx(0.14482, abs=1e-4)
 
     def test_five_mode_matrix_matches_closed_form(self):
         lam = five_mode_lambda0(ALPHA, GAMMA)
-        spec = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 2)
+        spec = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.0, 2)
         assert spec.values[0].real == pytest.approx(lam, abs=1e-12)
 
     def test_three_mode_nustar_crosses_at_closed_form(self):
         ns = three_mode_nustar(ALPHA, GAMMA)
         assert ns == pytest.approx(0.16946, abs=1e-4)
-        hi = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, ns * 1.001, 1).values[0]
-        lo = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, ns * 0.999, 1).values[0]
+        hi = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, ns * 1.001, 1).values[0]
+        lo = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, ns * 0.999, 1).values[0]
         assert hi.real < 0 < lo.real
 
     def test_bound_ordering(self):
@@ -251,13 +248,13 @@ class TestJacobianOracle:
 
 class TestSpectrumInvariants:
     def test_conjugate_closure(self):
-        spec = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.03, 40)
+        spec = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.03, 40)
         vals = spec.values
         for v in vals:
             assert np.min(np.abs(vals - np.conj(v))) < 1e-10
 
     def test_inviscid_plus_minus_symmetry(self):
-        spec = class_spectrum(ModeClass(2, 0), ALPHA, GAMMA, 0.0, 40)
+        spec = compute_spectrum(ModeClass(2, 0), ALPHA, GAMMA, 0.0, 40)
         vals = spec.values
         for v in vals:
             assert np.min(np.abs(vals + v)) < 1e-8
@@ -269,21 +266,21 @@ class TestSpectrumInvariants:
         st.floats(0.3, 1.8),
     )
     def test_conjugate_class_same_spectrum(self, k1, k2, alpha):
-        a = class_spectrum(ModeClass(k1, k2), alpha, GAMMA, 0.07, 20).values
-        b = class_spectrum(ModeClass(-k1, -k2), alpha, GAMMA, 0.07, 20).values
+        a = compute_spectrum(ModeClass(k1, k2), alpha, GAMMA, 0.07, 20).values
+        b = compute_spectrum(ModeClass(-k1, -k2), alpha, GAMMA, 0.07, 20).values
         for v in a:
             assert np.min(np.abs(b - np.conj(v))) < 1e-9
 
     def test_deterministic_sorting(self):
-        a = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 30).values
-        b = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 30).values
+        a = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 30).values
+        b = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 30).values
         assert np.array_equal(a, b)
         assert np.all(np.diff(a.real) <= 1e-14)
 
 
 class TestUnstableEigenvalue:
     def test_bracket_at_nu_005(self):
-        value, delta = refine_rightmost(class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100))
+        value, delta = refine_rightmost(compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100))
         lo, hi = unstable_eig_bounds(ALPHA, 0.05, GAMMA)
         assert value.real > AXIS_TOL
         assert lo < value.real < hi
@@ -291,11 +288,11 @@ class TestUnstableEigenvalue:
         assert delta < 1e-8
 
     def test_stable_regime_returns_none(self):
-        value, _ = refine_rightmost(class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.5, 60))
+        value, _ = refine_rightmost(compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.5, 60))
         assert value.real <= AXIS_TOL
 
     def test_unique_unstable_direction(self):
-        vals = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100).values
+        vals = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, 0.05, 100).values
         assert int(np.sum(vals.real > 1e-8)) == 1
 
 
@@ -308,8 +305,8 @@ class TestCriticalViscosity:
 
     def test_crossing_bracketed(self):
         res = critical_viscosity(ALPHA, GAMMA, trunc=60, tol=1e-5)
-        above = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, res.nu_star + 1e-4, 60)
-        below = class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, res.nu_star - 1e-4, 60)
+        above = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, res.nu_star + 1e-4, 60)
+        below = compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, res.nu_star - 1e-4, 60)
         assert above.values[0].real < 0 < below.values[0].real
 
 
@@ -321,7 +318,7 @@ class TestCriticalViscosity:
 
     def test_sign_bisection_matches_dense_bisection(self):
         def growth(nu):
-            return class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 40).values[0].real
+            return compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 40).values[0].real
 
         lo, hi = critical_viscosity_bounds(ALPHA, GAMMA)
         while hi - lo > 1e-12:
@@ -331,9 +328,8 @@ class TestCriticalViscosity:
         assert abs(nu - 0.5 * (lo + hi)) < 1e-9
 
         def sign(nu):
-            bands = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, nu, 40).bands
-            (_, even), _ = sector_blocks(ModeClass(1, 0), 40, bands)
-            return continuant(even, 0.0)[0]
+            bands = assemble_suboperator(ModeClass(1, 0), ALPHA, GAMMA, nu, 40)
+            return continuant(sector_blocks(ModeClass(1, 0), 40, bands)[1], 0.0)[0]
 
         assert sign(nu) != sign(math.nextafter(nu, 0.0))  # stopped at adjacent doubles
         assert 40 < iterations < 64
@@ -364,21 +360,21 @@ class TestRecurrence:
 
     def test_bands_build_the_dense_matrix(self):
         for cls in (ModeClass(1, 0), ModeClass(0, 2), ModeClass(2, -1)):
-            bands = assemble_suboperator(cls, ALPHA, GAMMA, 0.03, 6).bands
+            bands = assemble_suboperator(cls, ALPHA, GAMMA, 0.03, 6)
             want = np.diag(bands.diag) + np.diag(bands.lower, -1) + np.diag(bands.upper, 1)
             assert np.array_equal(bands.dense(), want)
 
     def test_newton_finds_a_sector_eigenvalue(self):
         cls = ModeClass(1, 0)
-        bands = assemble_suboperator(cls, ALPHA, GAMMA, 0.05, 30).bands
-        for parity, block in sector_blocks(cls, 30, bands):
+        bands = assemble_suboperator(cls, ALPHA, GAMMA, 0.05, 30)
+        for parity, block in sector_blocks(cls, 30, bands).items():
             want = np.linalg.eigvals(block.dense())
             start = want[np.argmax(want.real)] + 1e-6
             root = newton_root(block, complex(start))
             assert np.min(np.abs(want - root)) < 1e-12, parity
 
     def test_zero_pivot_of_a_decoupled_row(self):
-        bands = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 8).bands
+        bands = assemble_suboperator(ModeClass(0, 1), ALPHA, GAMMA, 0.1, 8)
         lam = float(bands.diag[3])
         assert math.isfinite(continuant(bands, lam)[1])
         assert newton_root(bands, lam) == lam
@@ -393,10 +389,10 @@ def test_kept_newton_roots_are_the_dense_rightmost(k1, k2, monkeypatch):
     kept = 0
     for nu in (0.0, 1e-3, 0.01, 0.05, 0.1):
         for trunc in (4, 8, 16, 32):
-            spec = class_spectrum(cls, ALPHA, GAMMA, nu, trunc)
-            dense = class_spectrum(cls, ALPHA, GAMMA, nu, 2 * trunc).values
+            spec = compute_spectrum(cls, ALPHA, GAMMA, nu, trunc)
+            dense = compute_spectrum(cls, ALPHA, GAMMA, nu, 2 * trunc).values
             calls = []
-            monkeypatch.setattr(nel.spectra, "class_spectrum", lambda *a: calls.append(a) or class_spectrum(*a))
+            monkeypatch.setattr(nel.spectra, "compute_spectrum", lambda *a: calls.append(a) or compute_spectrum(*a))
             value, delta = refine_rightmost(spec)
             monkeypatch.undo()
             scale = max(1.0, abs(dense[0]))
@@ -489,7 +485,7 @@ class TestTracking:
         # spot check: lambda(nu)/nu decreases in nu in the unstable window
         vals = []
         for nu in (0.04, 0.08, 0.12):
-            value, _ = refine_rightmost(class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 60))
+            value, _ = refine_rightmost(compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 60))
             assert value.real > AXIS_TOL
             vals.append(value.real / nu)
         assert vals[0] > vals[1] > vals[2]
@@ -570,7 +566,7 @@ def test_sectors_are_matched_on_their_own():
 
 def test_trajectories_keep_their_reflection_sector():
     nus = [0.1, 0.03, 0.01, 0.003]
-    spectra = [class_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 16) for nu in nus]
+    spectra = [compute_spectrum(ModeClass(1, 0), ALPHA, GAMMA, nu, 16) for nu in nus]
     track, _, _ = track_zero_viscosity(ModeClass(1, 0), ALPHA, GAMMA, nus, 16)
     assert [t.values[0] for t in track] == list(spectra[0].values)
     for tr, p in zip(track, spectra[0].sectors):
