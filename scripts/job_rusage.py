@@ -21,7 +21,11 @@ With ``--session`` the jobs run in order in one fresh interpreter per repeat,
 each writing its result to a file, as a benchmark session does; the trees
 alternate as above.  Per tree it prints the medians of ``ru_maxrss`` after
 ``import nel.cli`` and after each job, and of each job's own wall time, so
-the table shows which job raises a session's peak memory:
+the table shows which job raises a session's peak memory.  Beside it, the
+``RUSAGE_CHILDREN`` ``ru_maxrss`` is the largest peak of the session's reaped
+children: the child that steps lyapunov's reference orbit, and the ``git
+status`` that the first result's build id runs, which reads the session's
+RSS at that moment because exec keeps ``ru_maxrss``:
 
     python3 scripts/job_rusage.py --session -k 10 --tree . --tree ../base \\
         "simulate --model dernls --eps 0.05 --t-end 20 --sample-every 1" \\
@@ -40,19 +44,20 @@ import time
 
 CODE = "import sys; from nel.cli import main; sys.exit(main(sys.argv[1:]))"
 FLOOR = "import nel.cli"
-# one session: the jobs in order, each to a file; prints [[0, rss], [job s, rss], ...]
+# one session: the jobs in order, each to a file; prints
+# [[0, rss, children's rss], [job s, rss, children's rss], ...]
 SESSION = """import resource
 import nel.cli
 import os, shlex, sys, tempfile, time
 def rss():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-rows = [[0.0, rss()]]
+    return [resource.getrusage(who).ru_maxrss / 1024 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+rows = [[0.0, *rss()]]
 with tempfile.TemporaryDirectory() as tmp:
     for i, job in enumerate(sys.argv[1:]):
         t0 = time.perf_counter()
         if nel.cli.main([*shlex.split(job), "--out", os.path.join(tmp, f"job{i}")]) != 0:
             sys.exit(f"nel {job} failed")
-        rows.append([time.perf_counter() - t0, rss()])
+        rows.append([time.perf_counter() - t0, *rss()])
 print(rows)
 """
 BLAS_CAPS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -76,7 +81,8 @@ def run_once(tree, argv):
 
 
 def run_session(tree, jobs):
-    """[(job s, max RSS MB so far)] after the import (0 s) and after each job of one session."""
+    """[(job s, max RSS MB so far, children's max RSS MB so far)] after the
+    import (0 s) and after each job of one session."""
     proc = subprocess.run(
         [sys.executable, "-c", SESSION, *jobs], env=tree_env(tree), capture_output=True, text=True
     )
@@ -90,11 +96,11 @@ def session_table(k, trees, jobs):
     for i in range(k):
         for tree in trees[:: 1 if i % 2 == 0 else -1]:
             runs[tree].append(run_session(tree, jobs))
-    print(f"{'after':<44} {'tree':<16} {'job s':>7} {'maxrss MB':>9}")
+    print(f"{'after':<44} {'tree':<16} {'job s':>7} {'maxrss MB':>9} {'child MB':>9}")
     for j, job in enumerate([FLOOR, *jobs]):
         for tree, sessions in runs.items():
-            wall, rss = (statistics.median(s[j][c] for s in sessions) for c in (0, 1))
-            print(f"{job[:44]:<44} {tree[-16:]:<16} {wall:7.3f} {rss:9.1f}")
+            wall, rss, child = (statistics.median(s[j][c] for s in sessions) for c in (0, 1, 2))
+            print(f"{job[:44]:<44} {tree[-16:]:<16} {wall:7.3f} {rss:9.1f} {child:9.1f}")
 
 
 def main(argv=None):

@@ -18,7 +18,7 @@ the hot loop of the Lyapunov runs.
 
 `ABCState` is the angle flow as a state of the flow protocol of
 `diagnostics`: its gaps are wrapped onto the torus, so angle reduction never
-produces spurious jumps, and `advance` takes each orbit through a whole
+produces spurious jumps, and `advance` takes the orbit through a whole
 window in one `_advance` call, reducing the angles mod 2*pi once at its end.
 """
 
@@ -69,9 +69,9 @@ class ABCState:
         """Angle 1; the seed is not used."""
         return np.array([1.0, 0.0, 0.0])
 
-    def advance(self, shadow, n: int, h: float):
-        """Both orbits after n RK4 steps of h, one `_advance` call each."""
-        return tuple(ABCState(_advance(s.theta, s.abc, n * h, h), s.abc) for s in (self, shadow))
+    def advance(self, n: int, h: float) -> ABCState:
+        """The state after n RK4 steps of h, in one `_advance` call."""
+        return ABCState(_advance(self.theta, self.abc, n * h, h), self.abc)
 
     def coeffs(self):
         return list(self.theta), []

@@ -30,8 +30,9 @@ keep the backward normalisation and divide by n after weighting.
 
 Both state classes implement the flow protocol of `diagnostics` in one base
 class: the gap is the difference of the flat coefficient vectors, the shadow
-direction a seeded normal draw, and `advance` steps the orbit and its shadow
-as one (2, n) batch state.
+direction a seeded normal draw, and `advance` takes n steps of one orbit (the
+two-orbit loop steps its reference orbit and its shadow apart, on two CPUs
+where it can).
 
 The chaos windows quoted for these models (the (eps, a) rectangle for the
 wave equation, |mu| > 5.8 for the derivative envelope, the alpha = 1/kappa
@@ -83,11 +84,11 @@ class _CoefficientState:
         n = self.vector().size
         return np.random.default_rng(seed).standard_normal(n) * self.with_vector(np.ones(n)).vector()
 
-    def advance(self, shadow, n: int, h: float):
-        pair = self.with_vector(np.stack([self.vector(), shadow.vector()]))
+    def advance(self, n: int, h: float):
+        st = self
         for _ in range(n):
-            pair = pair.step(h)
-        return tuple(pair.with_vector(v) for v in pair.vector())
+            st = st.step(h)
+        return st
 
     def coeffs(self):
         v = self.vector()

@@ -87,7 +87,7 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .errors import ComputationalError, ValidationError
+from .errors import ComputationalError, ValidationError, usable_cpus
 
 DEFAULT_GAMMA = 0.5  # shear amplitude used throughout the acceptance runs
 AXIS_TOL = 1e-6  # |Re| below this counts as "on the imaginary axis"
@@ -593,16 +593,15 @@ def viscosity_schedule(nu_max: float, nu_min: float, n: int) -> list[float]:
 
 def _on_every_cpu(calls: list):
     """call() for each of calls, in list order, as a generator: computed ahead
-    on up to one thread per CPU of this process's affinity mask (of
-    os.cpu_count() where the OS has no affinity mask), or one at a time as it
-    is read when there is one CPU.
+    on up to one thread per usable CPU (`errors.usable_cpus`), or one at a
+    time as it is read when there is one CPU.
 
     map yields in list order, so the error raised is that of the first failing
     call, where the serial loop would raise it.  Close the generator when done
     with it: the calls not yet started are then cancelled, and leaving the pool
     joins its threads.  No thread starts before the first result is read.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = usable_cpus()
     if cpus == 1:
         yield from (call() for call in calls)
         return

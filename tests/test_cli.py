@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pathlib
 import pkgutil
 import runpy
@@ -21,7 +22,7 @@ import nel.cli
 import nel.runio
 import nel.spectra
 from nel.cli import COMMANDS, MODEL_SCHEMAS, SPECTRUM_CSV_HEADER, main
-from nel.errors import ComputationalError, ValidationError
+from nel.errors import ComputationalError, ValidationError, usable_cpus
 from nel.fields import save_field
 from nel.forcing import ForcingSpec
 from nel.lax import darboux_shear_example
@@ -934,6 +935,23 @@ for t_end in ("4", "40"):
 """
 
 
+# a fresh interpreter that prints "ready", runs nel.cli.main(argv) and prints
+# the pid of each child that the run forks
+FORKS_NOTED = """
+import os, sys
+import nel.cli
+fork = os.fork
+def noted_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = noted_fork
+print("ready", flush=True)
+sys.exit(nel.cli.main(sys.argv[1:]))
+"""
+
+
 class TestPayloadSpool:
     """Payload lines are spooled to an anonymous file beside the output as a
     run makes them, and copied out after the header."""
@@ -988,20 +1006,25 @@ class TestPayloadSpool:
         proc.stderr.close()
 
     def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path):
-        # Ctrl-C in the middle of a run that would take hours
-        code = "import sys, nel.cli; print('ready', flush=True); sys.exit(nel.cli.main(sys.argv[1:]))"
+        # Ctrl-C in the middle of a run that would take hours; the run prints
+        # the pid of each child it forks (the reference orbit's, on 2+ CPUs)
         argv = ["lyapunov", "--model", "abc", "--t-end", "1e6", "--out", str(tmp_path / "x.csv")]
-        proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen([sys.executable, "-c", FORKS_NOTED, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             assert proc.stdout.readline() == b"ready\n"
             time.sleep(0.5)  # into the two-orbit loop
             proc.send_signal(signal.SIGINT)
-            _, err = proc.communicate(timeout=60)
+            out, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
         assert proc.returncode == 130  # 128 + SIGINT
         assert err.decode() == "nel: interrupted\n"
         assert not list(tmp_path.iterdir())  # no output, no .partial, no spool
+        children = [int(pid) for pid in out.split()]
+        assert len(children) == (usable_cpus() > 1)
+        for pid in children:  # killed and reaped before the run exited
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path):
         out = tmp_path / "sim.jsonl"

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +21,31 @@ from nel.models import (
     gl_uniform_state,
     sg_uniform_state,
 )
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes in this process, in order."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # waited for: no zombie, no live child
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestPoincare:
@@ -119,24 +147,32 @@ class TestLyapunovMax:
         assert r.series == () and math.isnan(r.lam)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_blowing_up_shadow_truncates_at_its_window(self, monkeypatch):
+    def test_blowing_up_shadow_truncates_at_its_window(self, monkeypatch, forks):
         p = GLParams(variant="dernls", eps=0.01, mu=6.0, n_modes=16, K=8)
         st = gl_uniform_state(p, 0.7 + 0j)
         ref = lyapunov_max(st, 5.0, dt=0.05, seed=3)  # 10 windows of 10 steps
-        step, calls = GLState.step, []
+        reference = [st]  # the reference orbit's states; every other state is the shadow's
+        for _ in range(30):
+            reference.append(reference[-1].step(0.05))
+        reference = {s.vector().tobytes() for s in reference}
+        step = GLState.step
 
         def shadow_blows_up(state, dt):
-            calls.append(dt)
-            if len(calls) == 25:  # inside window 3: the shadow row goes infinite
+            if 1.2 < state.t < 1.3 and state.vector().tobytes() not in reference:  # inside window 3
                 q = state.q.copy()
-                q[1, 3] = np.inf
+                q[3] = np.inf
                 state = dataclasses.replace(state, q=q)
             return step(state, dt)
 
         monkeypatch.setattr(GLState, "step", shadow_blows_up)
-        r = lyapunov_max(st, 5.0, dt=0.05, seed=3)
-        assert r.escaped and len(ref.series) == 10
-        assert r.series == ref.series[:2] and r.lam == ref.series[1][1]
+        for n_cpus in (1, 2):  # the reference orbit stepped here, then in a forked child
+            cpus(monkeypatch, n_cpus)
+            del forks[:]
+            r = lyapunov_max(st, 5.0, dt=0.05, seed=3)
+            assert r.escaped and len(ref.series) == 10
+            assert r.series == ref.series[:2] and r.lam == ref.series[1][1]
+            assert len(forks) == n_cpus - 1
+            assert_reaped(forks)
 
     @pytest.mark.parametrize("kind", ["sg", "dernls", "abc"])
     def test_windows_at_a_non_integer_step_ratio(self, kind):
@@ -163,3 +199,90 @@ class TestLyapunovMax:
             lyapunov_max(st, -1.0)
         with pytest.raises(ValidationError, match="renorm"):
             lyapunov_max(st, 1.0, dt=0.1, renorm_dt=0.01)
+
+
+class TestReferenceChild:
+    """The forked child that steps the reference orbit is reaped on every way
+    out of the two-orbit loop."""
+
+    ABC = ABCState(theta=(4.0, 1.0, 5.5), abc=(1.0, 1.0, 1.0))
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        cpus(monkeypatch, 2)
+
+    def fail_at(self, monkeypatch, where, exc, call=3):
+        """Raise exc at the given `advance` call of the parent or of the child."""
+        advance, parent, calls = ABCState.advance, os.getpid(), []
+
+        def failing(state, n, h):
+            if (os.getpid() == parent) == (where == "parent"):
+                calls.append(n)
+                if len(calls) == call:
+                    raise exc
+            return advance(state, n, h)
+
+        monkeypatch.setattr(ABCState, "advance", failing)
+
+    def test_return(self, forks):
+        r = lyapunov_max(self.ABC, 5.0, dt=0.02)
+        assert len(r.series) == 10 and not r.escaped
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_escape(self, forks):
+        p = GLParams(variant="dernls", eps=0.0, K=8, n_modes=16)
+        assert lyapunov_max(gl_uniform_state(p, 5.0 + 0j), 10.0, dt=1.0, renorm_dt=1.0).escaped
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_collapse(self, forks):
+        with pytest.raises(ComputationalError, match="collapsed"):
+            lyapunov_max(self.ABC, 1.0, d0=1e-300)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()], ids=["exception", "ctrl_c"])
+    def test_raise_in_the_loop(self, exc, monkeypatch, forks):
+        self.fail_at(monkeypatch, "parent", exc)
+        with pytest.raises(type(exc)):
+            lyapunov_max(self.ABC, 5.0, dt=0.02)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_busy_child_is_killed_not_awaited(self, monkeypatch, forks):
+        advance, parent = ABCState.advance, os.getpid()
+
+        def stuck_child(state, n, h):
+            if os.getpid() != parent:
+                time.sleep(60)  # a window far longer than the run
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ABCState, "advance", stuck_child)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError):
+            lyapunov_max(self.ABC, 5.0, dt=0.02)
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_child_that_dies_early(self, monkeypatch, forks):
+        self.fail_at(monkeypatch, "child", RuntimeError("boom"))
+        with pytest.raises(ComputationalError, match="ended early"):
+            lyapunov_max(self.ABC, 5.0, dt=0.02)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("why", ["one_cpu", "another_thread", "no_fork"])
+    def test_in_process_elsewhere_with_the_same_result(self, why, monkeypatch, forks):
+        forked = lyapunov_max(self.ABC, 5.0, dt=0.02)
+        if why == "one_cpu":
+            cpus(monkeypatch, 1)
+        elif why == "another_thread":
+            monkeypatch.setattr(threading, "active_count", lambda: 2)
+        else:  # Windows has no fork
+            monkeypatch.delattr(os, "fork")
+        assert lyapunov_max(self.ABC, 5.0, dt=0.02) == forked
+        assert len(forks) == 1
+        assert_reaped(forks)

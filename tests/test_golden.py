@@ -17,7 +17,8 @@ header fields from its reference at N and 2N are pinned by value too, to
 capped at AVX2, and every hashed payload with OpenBLAS's Haswell kernels.
 Every payload of the commands corpus, the bytes ``save_field`` writes, and
 the bytes of ``darboux_apply``'s p~ on y-dependent input are pinned by hash;
-the ``lyapunov`` payloads are also checked with the Haswell kernels.
+the ``lyapunov`` payloads are also checked with the Haswell kernels, and
+with the reference orbit stepped in a forked child and in this process.
 """
 
 import json
@@ -169,6 +170,27 @@ def test_lyapunov_bytes_with_haswell_openblas():
     proc = subprocess.run(argv, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {name: COMMANDS[name]["payload_sha256"] for name in names}
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["in_process", "forked"])
+def test_lyapunov_bytes_on_both_paths(n_cpus, monkeypatch):
+    """The pinned lyapunov bytes hold whether a forked child steps the
+    reference orbit (two usable CPUs) or this process does (one)."""
+    names = sorted(k for k in COMMANDS if k.startswith("lyapunov"))
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    assert {name: digest(run(COMMANDS[name]["argv"])[1]) for name in names} == {
+        name: COMMANDS[name]["payload_sha256"] for name in names
+    }
+    assert len(pids) == (len(names) if n_cpus == 2 else 0)
 
 
 @pytest.mark.parametrize("name", sorted(k for k in COMMANDS if k.startswith("darboux_snapshots")))

@@ -280,18 +280,20 @@ class TestStateVectorRoundTrip:
         assert re + im == vec.tolist() and len(im) == (0 if case == "abc" else len(re))
         assert st.frozen is False
 
-        # lyapunov_max's shadow and rescale, under an advance that doubles the gap
-        pairs = []
+        # lyapunov_max's shadow and rescale, under a one-orbit advance that
+        # doubles each state's gap from st: st stays put, the shadow's gap doubles
+        seen = []
 
-        def doubling(x, y, n, h):
-            pairs.append((x, y))
-            return x, x.with_vector(x.vector() + 2.0 * x.gap(y))
+        def doubling(s, n, h):
+            seen.append(s)
+            return s.with_vector(st.vector() + 2.0 * st.gap(s))
 
         monkeypatch.setattr(type(st), "advance", doubling)
         d0 = 1e-3
         res = lyapunov_max(st, 1.0, dt=0.1, renorm_dt=0.5, d0=d0, seed=2)
         assert res.lam == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
-        shadow, rescaled = pairs[0][1], pairs[1][1]
+        # the shadows this process stepped (a forked child may step st)
+        shadow, rescaled = [s for s in seen if np.any(st.gap(s))]
         gap = st.gap(shadow)
         assert np.linalg.norm(gap) == pytest.approx(d0, rel=1e-9)
         if case == "sg_odd":  # slot 0 of u and of v
@@ -311,21 +313,26 @@ class TestStateVectorRoundTrip:
 class TestBatchAxis:
     @pytest.mark.parametrize("case", KINDS)
     def test_stacked_step_equals_rows_alone(self, case):
-        # `advance` steps the orbit and its shadow as one (2, n) batch state
-        # (one `_advance` call per orbit for the angle flow)
+        # a (2, n) batch state steps each row as that row steps alone, and the
+        # one-orbit `advance(n, h)` equals n steps (one `_advance` call for the
+        # angle flow, which has no batch axis)
         rng = np.random.default_rng(11)
         rows = [random_state(case, rng), random_state(case, rng)]
-        pair = rows[0].advance(rows[1], 5, 0.02)
+        ahead = rows[0].advance(5, 0.02)
+        stack = None if case == "abc" else rows[0].with_vector(np.stack([r.vector() for r in rows]))
         for _ in range(5):
             rows = [r.step(0.02) for r in rows]
-        for got, row in zip(pair, rows):
-            if case == "abc":  # a window reduces the angles mod 2*pi once, not every step
-                assert np.linalg.norm(got.gap(row)) < 1e-12
-            else:
-                assert np.array_equal(got.vector(), row.vector())
-                assert got.t == row.t
+            if stack is not None:
+                stack = stack.step(0.02)
+        if case == "abc":  # a window reduces the angles mod 2*pi once, not every step
+            assert np.linalg.norm(ahead.gap(rows[0])) < 1e-12
+            return
+        assert np.array_equal(ahead.vector(), rows[0].vector()) and ahead.t == rows[0].t
+        for got, row in zip(stack.vector(), rows):
+            assert np.array_equal(got, row.vector())
+        assert stack.t == rows[0].t
         if case.startswith("sg"):
-            assert pair[0].forcing == pair[1].forcing == rows[0].forcing
+            assert ahead.forcing == stack.forcing == rows[0].forcing
 
     def test_cached_factors_are_read_only(self):  # and the transform plans
         gl = GLParams(variant="dernls", eps=0.05, n_modes=8, K=4)
